@@ -840,7 +840,7 @@ fn render_top_frame(addr: &str, stats: &Value, previous: Option<&TopSample>) -> 
         .unwrap_or(false);
 
     println!(
-        "minobs-svc {addr} — up {:.0}s, {workers} workers{}",
+        "minobs-svc {addr} — up {:.0}s, {workers} checker permits{}",
         uptime_ms as f64 / 1_000.0,
         if draining { ", DRAINING" } else { "" }
     );

@@ -1,4 +1,6 @@
-//! Method handlers behind the daemon's worker pool.
+//! Method handlers, run on the connection thread that decoded the
+//! request; the compute methods run under a checker permit (see
+//! `server`).
 //!
 //! Every handler returns `(Result<Value, RpcError>, disposition)` where
 //! the disposition is the verdict-cache outcome recorded on the
@@ -6,7 +8,7 @@
 //! for methods the cache does not apply to.
 //!
 //! Budgets are clamped to the server's [`Limits`] on both axes, so a
-//! hostile `check_horizon` cannot hold a worker past the configured
+//! hostile `check_horizon` cannot hold a checker permit past the configured
 //! wall-clock cap no matter what the request asks for.
 
 use crate::server::{Limits, ServerState};

@@ -1,16 +1,18 @@
-//! The daemon: a TCP acceptor feeding a crossbeam-channel worker pool.
+//! The daemon: a blocking TCP acceptor and one thread per connection.
 //!
-//! Each accepted connection gets its own thread that reassembles frames
-//! (`wire::try_parse_frame`) from a pending buffer and hands decoded
-//! requests to the pool; the connection thread blocks on the reply so
-//! responses on one connection preserve request order. Workers run method
-//! handlers under `catch_unwind`, so a panicking handler costs one error
-//! response, never a wedged worker.
+//! Each connection thread reassembles frames (`wire::try_parse_frame`)
+//! from a pending buffer, runs the method handler and writes the reply
+//! itself, one request at a time, so responses on one connection keep
+//! request order and no other thread is on the request path. Handlers run
+//! under `catch_unwind`, so a panicking handler costs one error response,
+//! never a wedged connection. Compute methods hold one of `workers`
+//! checker permits while their handler runs, which caps concurrent
+//! checker work; the control plane never waits for a permit.
 //!
-//! Shutdown is graceful by construction: `begin_shutdown` flips a flag,
-//! the acceptor stops taking connections, and every request already
-//! *accepted* (decoded off the socket and queued) is still answered —
-//! connection threads only hang up after writing the pending reply.
+//! Shutdown is graceful by construction: `begin_shutdown` flips a flag
+//! and wakes the acceptor, the acceptor stops taking connections, and
+//! every request already *accepted* (decoded off the socket) is still
+//! answered — connection threads only hang up after writing the reply.
 //! A connection holding half a frame when the drain starts gets a short
 //! grace period to finish it before the socket closes.
 
@@ -19,7 +21,6 @@ use crate::gossip::{self, GossipConfig};
 use crate::methods::{self, RpcError};
 use crate::wal::{CompactionPolicy, Wal, WalRecord};
 use crate::wire::{self, Request};
-use crossbeam::channel::{self, Receiver, Sender};
 use minobs_cluster::{LinkPolicy, PeerTable};
 use minobs_obs::{
     replay_event, sample_keep, stamp_root_span, Counter, FlightRecorder, Gauge, Histogram,
@@ -29,23 +30,26 @@ use minobs_obs::{
 use serde_json::Value;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long the acceptor sleeps between polls of the nonblocking socket.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the acceptor backs off after a failed `accept` (say, out of
+/// descriptors), so a persistent error cannot spin it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+/// Cap on the connection `begin_shutdown` makes to wake the acceptor.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Read timeout on connection sockets; bounds drain-flag latency.
 const READ_POLL: Duration = Duration::from_millis(50);
 /// How long a draining connection may take to finish a half-read frame.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
-/// How often the acceptor runs WAL maintenance (flush + compaction
-/// check) — keeps appends off the request critical path while bounding
-/// the crash-loss window.
+/// How often the maintenance thread runs WAL maintenance (flush +
+/// compaction check) — keeps appends off the request critical path while
+/// bounding the crash-loss window.
 const WAL_MAINTENANCE: Duration = Duration::from_secs(1);
 
 /// Server-side caps applied to every request's budget.
@@ -71,7 +75,9 @@ impl Default for Limits {
 pub struct SvcConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker-pool size.
+    /// Checker permits: how many compute requests (`solvable`,
+    /// `check_horizon`, `first_horizon`, `net_solvable`, `simulate`) may
+    /// run at once across all connections.
     pub workers: usize,
     /// Cap on concurrent connection threads; connections past it are
     /// answered with a `busy` error and closed, so a peer opening
@@ -166,32 +172,18 @@ impl SvcConfig {
     /// keeps every timed request).
     pub fn from_env() -> SvcConfig {
         let mut config = SvcConfig::default();
-        if let Ok(addr) = std::env::var("MINOBS_SVC_ADDR") {
-            if !addr.trim().is_empty() {
-                config.addr = addr.trim().to_string();
-            }
+        if let Some(addr) = env_var("MINOBS_SVC_ADDR") {
+            config.addr = addr;
         }
-        if let Ok(workers) = std::env::var("MINOBS_SVC_WORKERS") {
-            if let Ok(n) = workers.trim().parse::<usize>() {
-                config.workers = n.clamp(1, 256);
-            }
+        if let Some(n) = env_var::<usize>("MINOBS_SVC_WORKERS") {
+            config.workers = n.clamp(1, 256);
         }
-        if let Ok(conns) = std::env::var("MINOBS_SVC_MAX_CONNS") {
-            if let Ok(n) = conns.trim().parse::<usize>() {
-                config.max_connections = n.clamp(1, 4096);
-            }
+        if let Some(n) = env_var::<usize>("MINOBS_SVC_MAX_CONNS") {
+            config.max_connections = n.clamp(1, 4096);
         }
-        if let Ok(path) = std::env::var("MINOBS_SVC_TRACE") {
-            if !path.trim().is_empty() {
-                config.trace_path = Some(PathBuf::from(path.trim()));
-            }
-        }
-        if let Ok(path) = std::env::var("MINOBS_SVC_WAL") {
-            if !path.trim().is_empty() {
-                config.wal_path = Some(PathBuf::from(path.trim()));
-            }
-        }
-        if let Ok(peers) = std::env::var("MINOBS_SVC_PEERS") {
+        config.trace_path = env_var("MINOBS_SVC_TRACE");
+        config.wal_path = env_var("MINOBS_SVC_WAL");
+        if let Some(peers) = env_var::<String>("MINOBS_SVC_PEERS") {
             config.peers = peers
                 .split(',')
                 .map(str::trim)
@@ -199,45 +191,34 @@ impl SvcConfig {
                 .map(str::to_string)
                 .collect();
         }
-        if let Ok(interval) = std::env::var("MINOBS_SVC_GOSSIP_MS") {
-            if let Ok(ms) = interval.trim().parse::<u64>() {
-                config.gossip_interval = Duration::from_millis(ms.clamp(10, 60_000));
-            }
+        if let Some(ms) = env_var::<u64>("MINOBS_SVC_GOSSIP_MS") {
+            config.gossip_interval = Duration::from_millis(ms.clamp(10, 60_000));
         }
-        if let Ok(node_id) = std::env::var("MINOBS_NODE_ID") {
-            if !node_id.trim().is_empty() {
-                config.node_id = Some(node_id.trim().to_string());
-            }
+        config.node_id = env_var("MINOBS_NODE_ID");
+        if let Some(ms) = env_var::<u64>("MINOBS_SVC_SLO_P99_MS") {
+            config.slo_p99_ms = ms.clamp(1, 60_000);
         }
-        if let Ok(target) = std::env::var("MINOBS_SVC_SLO_P99_MS") {
-            if let Ok(ms) = target.trim().parse::<u64>() {
-                config.slo_p99_ms = ms.clamp(1, 60_000);
-            }
+        if let Some(n) = env_var::<usize>("MINOBS_FLIGHT_EVENTS") {
+            config.flight_events = n.clamp(64, 1_048_576);
         }
-        if let Ok(events) = std::env::var("MINOBS_FLIGHT_EVENTS") {
-            if let Ok(n) = events.trim().parse::<usize>() {
-                config.flight_events = n.clamp(64, 1_048_576);
-            }
+        config.flight_dir = env_var("MINOBS_FLIGHT_DIR");
+        if let Some(p) = env_var::<f64>("MINOBS_TRACE_SAMPLE").filter(|p| p.is_finite()) {
+            config.trace_sample = p.clamp(0.0, 1.0);
         }
-        if let Ok(dir) = std::env::var("MINOBS_FLIGHT_DIR") {
-            if !dir.trim().is_empty() {
-                config.flight_dir = Some(PathBuf::from(dir.trim()));
-            }
-        }
-        if let Ok(sample) = std::env::var("MINOBS_TRACE_SAMPLE") {
-            if let Ok(p) = sample.trim().parse::<f64>() {
-                if p.is_finite() {
-                    config.trace_sample = p.clamp(0.0, 1.0);
-                }
-            }
-        }
-        if let Ok(slow) = std::env::var("MINOBS_TRACE_SLOW_MS") {
-            if let Ok(ms) = slow.trim().parse::<u64>() {
-                config.trace_slow_ms = Some(ms);
-            }
-        }
+        config.trace_slow_ms = env_var("MINOBS_TRACE_SLOW_MS");
         config
     }
+}
+
+/// Environment variable `name`, trimmed and parsed; `None` when it is
+/// unset, blank, or does not parse.
+fn env_var<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let value = std::env::var(name).ok()?;
+    let value = value.trim();
+    if value.is_empty() {
+        return None;
+    }
+    value.parse().ok()
 }
 
 enum TraceSink {
@@ -264,7 +245,8 @@ pub struct HealthReport {
     pub wal_degraded: bool,
 }
 
-/// State shared by the acceptor, connection threads, and workers.
+/// State shared by the acceptor, the connection threads, and the
+/// maintenance and gossip threads.
 pub struct ServerState {
     shutting_down: AtomicBool,
     seq: AtomicU64,
@@ -272,6 +254,11 @@ pub struct ServerState {
     cache: VerdictCache,
     limits: Limits,
     workers: usize,
+    /// Caps concurrent compute requests at `workers`.
+    permits: Permits,
+    /// The bound address; `begin_shutdown` connects to it to wake the
+    /// blocked acceptor.
+    local_addr: SocketAddr,
     started: Instant,
     metrics: Mutex<MetricsRecorder>,
     trace: Mutex<TraceSink>,
@@ -347,7 +334,12 @@ impl ServerState {
             metrics: Mutex::new(MetricsRecorder::new(Arc::clone(&registry))),
             cache,
             limits: config.limits,
-            workers: config.workers,
+            workers: config.workers.max(1),
+            permits: Permits {
+                free: Mutex::new(config.workers.max(1)),
+                freed: Condvar::new(),
+            },
+            local_addr,
             started: Instant::now(),
             trace: Mutex::new(trace),
             wal: Mutex::new(None),
@@ -460,7 +452,7 @@ impl ServerState {
         lock(&self.wal).is_some()
     }
 
-    /// Periodic background WAL work, run from the acceptor thread (off
+    /// Periodic background WAL work, run from the maintenance thread (off
     /// the request path): push buffered appends to the OS and rewrite
     /// the log when dead deltas dominate. Any failure degrades.
     fn wal_maintenance(&self) {
@@ -479,8 +471,21 @@ impl ServerState {
     }
 
     /// Starts the drain: stop accepting, answer what was taken, exit.
+    /// The acceptor blocks in `accept`, so the first call wakes it by
+    /// connecting to the bound port (through loopback for a wildcard bind).
     pub fn begin_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
+        if self.shutting_down.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
     }
 
     /// The verdict cache.
@@ -498,7 +503,7 @@ impl ServerState {
         self.limits
     }
 
-    /// Worker-pool size.
+    /// Checker permit count: how many compute requests may run at once.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -813,44 +818,53 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-struct Job {
-    seq: u64,
-    request: Request,
-    reply: Sender<Value>,
+/// A counting semaphore over compute requests: each holds one permit
+/// while its handler runs.
+struct Permits {
+    free: Mutex<usize>,
+    freed: Condvar,
+}
+
+/// One held permit, returned on drop.
+struct Permit<'a>(&'a Permits);
+
+impl Permits {
+    fn acquire(&self) -> Permit<'_> {
+        let free = self.freed.wait_while(lock(&self.free), |free| *free == 0);
+        *free.unwrap_or_else(|e| e.into_inner()) -= 1;
+        Permit(self)
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *lock(&self.0.free) += 1;
+        self.0.freed.notify_one();
+    }
 }
 
 /// A running daemon; keep it alive for as long as you serve.
 pub struct Server {
     local_addr: SocketAddr,
     state: Arc<ServerState>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
+    maintenance: JoinHandle<()>,
     gossip: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    job_tx: Option<Sender<Job>>,
 }
 
 /// Binds and starts serving; returns once the socket is listening.
 pub fn serve(config: SvcConfig) -> io::Result<Server> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
     let state = Arc::new(ServerState::new(&config, local_addr)?);
 
-    let (job_tx, job_rx) = channel::unbounded::<Job>();
-    let workers = (0..config.workers.max(1))
-        .map(|_| {
-            let rx = job_rx.clone();
-            let st = Arc::clone(&state);
-            thread::spawn(move || worker_loop(&st, &rx))
-        })
-        .collect();
-    drop(job_rx);
-
     let acceptor = {
         let st = Arc::clone(&state);
-        let tx = job_tx.clone();
-        let max_connections = config.max_connections.max(1);
-        thread::spawn(move || acceptor_loop(&listener, &st, &tx, max_connections))
+        thread::spawn(move || acceptor_loop(&listener, &st))
+    };
+    let maintenance = {
+        let st = Arc::clone(&state);
+        thread::spawn(move || maintenance_loop(&st))
     };
 
     let gossip = if config.peers.is_empty() {
@@ -869,10 +883,9 @@ pub fn serve(config: SvcConfig) -> io::Result<Server> {
     Ok(Server {
         local_addr,
         state,
-        acceptor: Some(acceptor),
+        acceptor,
+        maintenance,
         gossip,
-        workers,
-        job_tx: Some(job_tx),
     })
 }
 
@@ -893,19 +906,15 @@ impl Server {
     }
 
     /// Blocks until the drain completes and every thread has exited.
-    pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        if let Some(gossip) = self.gossip.take() {
+    pub fn join(self) {
+        // The acceptor returns once draining, after joining every
+        // connection thread: all accepted requests are answered.
+        let _ = self.acceptor.join();
+        if let Some(gossip) = self.gossip {
             let _ = gossip.join();
         }
-        // Acceptor (and all connection threads it joined) are gone; no
-        // producer remains, so workers drain the queue and exit.
-        drop(self.job_tx.take());
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.maintenance.thread().unpark();
+        let _ = self.maintenance.join();
         // Drain complete: every answered verdict is in the cache, so one
         // last flush makes the log as warm as the cache was.
         self.state.wal_maintenance();
@@ -913,23 +922,29 @@ impl Server {
     }
 }
 
-fn acceptor_loop(
-    listener: &TcpListener,
-    state: &Arc<ServerState>,
-    job_tx: &Sender<Job>,
-    max_connections: usize,
-) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    let mut last_maintenance = Instant::now();
+/// Runs WAL maintenance every [`WAL_MAINTENANCE`] until the drain starts;
+/// `Server::join` unparks it so it sees the drain at once.
+fn maintenance_loop(state: &ServerState) {
+    let mut last = Instant::now();
     while !state.draining() {
-        if last_maintenance.elapsed() >= WAL_MAINTENANCE {
+        thread::park_timeout(WAL_MAINTENANCE.saturating_sub(last.elapsed()));
+        if last.elapsed() >= WAL_MAINTENANCE {
             state.wal_maintenance();
-            last_maintenance = Instant::now();
+            last = Instant::now();
         }
+    }
+}
+
+fn acceptor_loop(listener: &TcpListener, state: &Arc<ServerState>) {
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
+    while !state.draining() {
         match listener.accept() {
+            // The drain's wake-up connection, or one that raced it: hang
+            // up unread.
+            Ok(_) if state.draining() => {}
             Ok((stream, _)) => {
                 connections.retain(|handle| !handle.is_finished());
-                if connections.len() >= max_connections {
+                if connections.len() >= state.max_connections() {
                     // At the cap: answer with `busy` and hang up rather
                     // than spawning an unbounded number of threads.
                     let mut writer = &stream;
@@ -940,21 +955,18 @@ fn acceptor_loop(
                     continue;
                 }
                 let st = Arc::clone(state);
-                let tx = job_tx.clone();
-                connections.push(thread::spawn(move || serve_connection(stream, &st, &tx)));
+                connections.push(thread::spawn(move || serve_connection(stream, &st)));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
-        connections.retain(|handle| !handle.is_finished());
     }
     for handle in connections {
         let _ = handle.join();
     }
 }
 
-fn serve_connection(stream: TcpStream, state: &Arc<ServerState>, job_tx: &Sender<Job>) {
+fn serve_connection(stream: TcpStream, state: &ServerState) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_nodelay(true);
     let mut reader = &stream;
@@ -964,12 +976,12 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServerState>, job_tx: &Sender
     let mut drain_seen: Option<Instant> = None;
 
     loop {
-        // Dispatch every complete frame already buffered.
+        // Answer every complete frame already buffered.
         loop {
             match wire::try_parse_frame(&pending) {
                 Ok(Some((value, consumed))) => {
                     pending.drain(..consumed);
-                    if !handle_frame(&mut writer, state, job_tx, &value) {
+                    if !handle_frame(&mut writer, state, &value) {
                         return;
                     }
                 }
@@ -1009,48 +1021,17 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServerState>, job_tx: &Sender
     }
 }
 
-/// Decodes and dispatches one framed value. Returns false when the
-/// connection should close (write failure or the queue is gone).
-fn handle_frame<W: Write>(
-    writer: &mut W,
-    state: &Arc<ServerState>,
-    job_tx: &Sender<Job>,
-    value: &Value,
-) -> bool {
-    let request = match wire::parse_request(value) {
-        Ok(request) => request,
+/// Decodes, answers and writes one framed value. Returns false when the
+/// connection should close (the write failed).
+fn handle_frame<W: Write>(writer: &mut W, state: &ServerState, value: &Value) -> bool {
+    let reply = match wire::parse_request(value) {
+        Ok(request) => answer(state, &request),
         Err(message) => {
             let id = value.get("id").and_then(Value::as_u64).unwrap_or(0);
-            let reply = wire::err_response(id, "bad_request", &message);
-            return wire::write_frame(writer, &reply).is_ok();
+            wire::err_response(id, "bad_request", &message)
         }
     };
-
-    let seq = state.next_seq();
-    state.on_request(seq, &request.method);
-    let id = request.id;
-    let (reply_tx, reply_rx) = channel::bounded::<Value>(1);
-    if job_tx
-        .send(Job {
-            seq,
-            request,
-            reply: reply_tx,
-        })
-        .is_err()
-    {
-        // Workers already gone: only possible in late teardown.
-        let reply = wire::err_response(id, "shutting_down", "daemon is draining");
-        let _ = wire::write_frame(writer, &reply);
-        return false;
-    }
-    match reply_rx.recv() {
-        Ok(reply) => wire::write_frame(writer, &reply).is_ok(),
-        Err(_) => {
-            let reply = wire::err_response(id, "internal", "worker dropped the request");
-            let _ = wire::write_frame(writer, &reply);
-            false
-        }
-    }
+    wire::write_frame(writer, &reply).is_ok()
 }
 
 /// A static span name per known method, so request spans carry stable
@@ -1073,77 +1054,86 @@ fn method_span(method: &str) -> &'static str {
     }
 }
 
-fn worker_loop(state: &Arc<ServerState>, rx: &Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        let start = Instant::now();
-        // Spans are buffered request-locally and flushed with the
-        // response; `starting_at(seq << 20)` carves each request a
-        // disjoint id block so ids stay unique across the shared stream.
-        let mut request_spans = MemoryRecorder::new();
-        let mut span_ids = SpanIds::starting_at(job.seq << 20);
-        let span = SpanGuard::begin(
-            &mut request_spans,
-            &mut span_ids,
-            0,
-            None,
-            method_span(&job.request.method),
-        );
-        let root_span = span.as_ref().map(SpanGuard::id);
-        let outcome = catch_unwind(AssertUnwindSafe(|| methods::handle(state, &job.request)));
-        if let Some(span) = span {
-            span.end(&mut request_spans);
-        }
-        let (result, disposition) = outcome.unwrap_or_else(|_| {
-            // The ring just recorded the request that blew up; snapshot
-            // it before the error response papers over the evidence.
-            state.auto_dump("panic");
-            (
-                Err(RpcError::new("internal", "method handler panicked")),
-                "none",
-            )
-        });
-        let ok = result.is_ok();
-        let nanos = (start.elapsed().as_nanos() as u64).max(1);
-        let mut events = request_spans.into_events();
-        if let Some(ctx) = &job.request.ctx {
-            // Adopt the caller's trace: the request root span joins the
-            // caller's trace_id and remembers the remote parent. Local
-            // parenting stays `None`, so per-stream span bracketing is
-            // untouched — `trace stitch` resolves the cross-node edge.
-            stamp_root_span(&mut events, ctx);
-            if ok && disposition == "miss" {
-                // A fresh verdict will ship on the next gossip round;
-                // stash a child context so that exchange is attributable
-                // to the request that produced the delta.
-                if let Some(root_span) = root_span {
-                    state.stash_gossip_ctx(ctx.child(root_span));
-                }
+/// Runs one request's handler and folds the outcome into the telemetry
+/// planes; returns the response envelope.
+fn answer(state: &ServerState, request: &Request) -> Value {
+    let seq = state.next_seq();
+    state.on_request(seq, &request.method);
+    // Compute methods hold a checker permit while their handler runs;
+    // the control plane never waits for one.
+    let compute = matches!(
+        request.method.as_str(),
+        "solvable" | "check_horizon" | "first_horizon" | "net_solvable" | "simulate"
+    );
+    let permit = compute.then(|| state.permits.acquire());
+    let start = Instant::now();
+    // Spans are buffered request-locally and flushed with the
+    // response; `starting_at(seq << 20)` carves each request a
+    // disjoint id block so ids stay unique across the shared stream.
+    let mut request_spans = MemoryRecorder::new();
+    let mut span_ids = SpanIds::starting_at(seq << 20);
+    let span = SpanGuard::begin(
+        &mut request_spans,
+        &mut span_ids,
+        0,
+        None,
+        method_span(&request.method),
+    );
+    let root_span = span.as_ref().map(SpanGuard::id);
+    let outcome = catch_unwind(AssertUnwindSafe(|| methods::handle(state, request)));
+    drop(permit);
+    if let Some(span) = span {
+        span.end(&mut request_spans);
+    }
+    let (result, disposition) = outcome.unwrap_or_else(|_| {
+        // The ring just recorded the request that blew up; snapshot
+        // it before the error response papers over the evidence.
+        state.auto_dump("panic");
+        (
+            Err(RpcError::new("internal", "method handler panicked")),
+            "none",
+        )
+    });
+    let ok = result.is_ok();
+    let nanos = (start.elapsed().as_nanos() as u64).max(1);
+    let mut events = request_spans.into_events();
+    if let Some(ctx) = &request.ctx {
+        // Adopt the caller's trace: the request root span joins the
+        // caller's trace_id and remembers the remote parent. Local
+        // parenting stays `None`, so per-stream span bracketing is
+        // untouched — `trace stitch` resolves the cross-node edge.
+        stamp_root_span(&mut events, ctx);
+        if ok && disposition == "miss" {
+            // A fresh verdict will ship on the next gossip round;
+            // stash a child context so that exchange is attributable
+            // to the request that produced the delta.
+            if let Some(root_span) = root_span {
+                state.stash_gossip_ctx(ctx.child(root_span));
             }
         }
-        let budget_exhausted = result.as_ref().ok().is_some_and(|value| {
-            value.get("budget_exhausted").is_some()
-                || value.get("outcome").and_then(Value::as_str) == Some("budget_exhausted")
-        });
-        let keep = state.keep_trace(
-            job.seq,
-            ok,
-            nanos,
-            budget_exhausted,
-            job.request.ctx.as_ref().map(|ctx| ctx.trace_id),
-        );
-        state.on_response(FinishedRequest {
-            seq: job.seq,
-            method: &job.request.method,
-            ok,
-            cache: disposition,
-            nanos,
-            spans: &events,
-            keep,
-        });
-        let reply = match result {
-            Ok(value) => wire::ok_response(job.request.id, value),
-            Err(e) => wire::err_response(job.request.id, e.code, &e.message),
-        };
-        let _ = job.reply.send(reply);
+    }
+    let budget_exhausted = result.as_ref().ok().is_some_and(|value| {
+        value.get("budget_exhausted").is_some()
+            || value.get("outcome").and_then(Value::as_str) == Some("budget_exhausted")
+    });
+    let keep = state.keep_trace(
+        seq,
+        ok,
+        nanos,
+        budget_exhausted,
+        request.ctx.as_ref().map(|ctx| ctx.trace_id),
+    );
+    state.on_response(FinishedRequest {
+        seq,
+        method: &request.method,
+        ok,
+        cache: disposition,
+        nanos,
+        spans: &events,
+        keep,
+    });
+    match result {
+        Ok(value) => wire::ok_response(request.id, value),
+        Err(e) => wire::err_response(request.id, e.code, &e.message),
     }
 }

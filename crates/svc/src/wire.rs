@@ -50,7 +50,8 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one frame and flushes the transport.
+/// Writes one frame and flushes the transport. The length prefix and the
+/// body go out as one buffer, so an unbuffered socket sees one `write`.
 pub fn write_frame<W: Write>(w: &mut W, value: &Value) -> io::Result<()> {
     let body = serde_json::to_string(value)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
@@ -61,8 +62,10 @@ pub fn write_frame<W: Write>(w: &mut W, value: &Value) -> io::Result<()> {
             format!("refusing to send a {}-byte frame", bytes.len()),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 

@@ -5,10 +5,15 @@
 //! `serde::Serialize`, and a recursive-descent `from_str` returning a
 //! `Value` tree. Covers the full JSON grammar (escapes included) at the
 //! scale this workspace needs — experiment artifacts and trace lines.
+//! Like upstream, `from_str` rejects arrays and objects nested deeper than
+//! [`RECURSION_LIMIT`], so hostile input cannot overflow the stack.
 
 pub use serde::value::{Map, Number, Value};
 use serde::Serialize;
 use std::fmt;
+
+/// How deeply `from_str` lets arrays and objects nest (upstream's default).
+pub const RECURSION_LIMIT: usize = 128;
 
 /// A parse error with byte position context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,6 +119,7 @@ pub fn from_str(input: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -127,6 +133,8 @@ pub fn from_str(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -172,8 +180,19 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == RECURSION_LIMIT {
+                    return Err(self.error("recursion limit exceeded"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
@@ -364,6 +383,30 @@ mod tests {
         for bad in ["{", "[1,", "tru", "\"x", "{\"a\":}", "1 2", ""] {
             assert!(from_str(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_recursion_limit_is_an_error_not_an_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str(&nested(RECURSION_LIMIT)).is_ok());
+        let err = from_str(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+        assert_eq!(err.to_string(), "recursion limit exceeded at byte 128");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(RECURSION_LIMIT + 1),
+            "}".repeat(RECURSION_LIMIT + 1)
+        );
+        assert!(from_str(&objects).is_err());
+        // Far past the limit, on a small stack: the parser stops at the
+        // limit instead of recursing to the end of the input.
+        let deep = "[".repeat(100_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || from_str(&deep).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(parsed);
     }
 
     #[test]

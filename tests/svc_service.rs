@@ -1,13 +1,16 @@
 //! End-to-end tests for the solvability-query service: wire round trips
 //! over real sockets, concurrent-vs-serial verdict equivalence, graceful
-//! shutdown under load, and (ignored by default) the warm-cache speedup
-//! acceptance check.
+//! shutdown under load and when idle, the control-plane lane and the
+//! checker-permit cap, hostile nesting, and (ignored by default) the
+//! warm-cache speedup acceptance check.
 
 use minobs_svc::client::SvcClient;
 use minobs_svc::server::{serve, SvcConfig};
+use minobs_svc::wire;
 use serde_json::{Map, Value};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 fn start() -> (minobs_svc::server::Server, String) {
     let server = serve(SvcConfig::default()).expect("bind an ephemeral port");
@@ -581,6 +584,129 @@ fn tail_sampling_drops_unremarkable_span_blocks_but_keeps_pairing() {
         "sampling at 0.0 should drop unremarkable span blocks"
     );
     let _ = std::fs::remove_file(&trace_path);
+}
+
+#[test]
+fn idle_daemon_drains_promptly_with_no_connection_ever_made() {
+    // The acceptor blocks in `accept`; the drain must wake it itself,
+    // through loopback when the daemon is bound to the wildcard address.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = serve(SvcConfig {
+            addr: addr.to_string(),
+            ..SvcConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        // Join on a helper thread, so a drain that never ends fails the
+        // test instead of hanging it.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            server.join();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(3)).is_ok(),
+            "idle daemon on {addr} did not drain within 3 s"
+        );
+    }
+}
+
+#[test]
+fn control_plane_answers_past_busy_checker_and_permits_cap_compute() {
+    const BUDGET_MS: u64 = 1500;
+    let server = serve(SvcConfig {
+        workers: 1,
+        ..SvcConfig::default()
+    })
+    .expect("bind an ephemeral port");
+    let addr = server.local_addr().to_string();
+    let state = std::sync::Arc::clone(server.state());
+    let a_done = AtomicBool::new(false);
+    let a_sent = Instant::now();
+
+    std::thread::scope(|scope| {
+        // Connection A: a check far too large to finish, bounded by its
+        // wall-clock budget, holds the only checker permit.
+        let a = scope.spawn(|| {
+            let mut client = SvcClient::connect(addr.as_str()).unwrap();
+            let mut params = check_params("fair", 40);
+            if let Value::Object(map) = &mut params {
+                map.insert("max_millis".to_string(), Value::from(BUDGET_MS));
+            }
+            let result = client.call("check_horizon", params).unwrap();
+            a_done.store(true, Ordering::SeqCst);
+            (result, a_sent.elapsed())
+        });
+        while state.registry().counter("svc.requests").get() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+
+        // Connection B: the control plane never waits for a permit.
+        let mut b = SvcClient::connect(addr.as_str()).unwrap();
+        let b_sent = Instant::now();
+        let health = b.call("health", Value::Null).unwrap();
+        let stats = b.call("stats", Value::Null).unwrap();
+        let b_elapsed = b_sent.elapsed();
+        assert!(
+            !a_done.load(Ordering::SeqCst),
+            "health and stats waited for the checker ({b_elapsed:?})"
+        );
+        assert!(b_elapsed < Duration::from_millis(BUDGET_MS / 2), "{b_elapsed:?}");
+        assert_eq!(health.get("live").and_then(Value::as_bool), Some(true));
+        assert_eq!(stats.get("workers").and_then(Value::as_u64), Some(1));
+
+        // Connection C: a second compute request waits for A's permit.
+        let mut c = SvcClient::connect(addr.as_str()).unwrap();
+        assert!(!a_done.load(Ordering::SeqCst), "A finished before C was sent");
+        c.call("check_horizon", check_params("s1", 2)).unwrap();
+        let c_answered = a_sent.elapsed();
+
+        let (a_result, a_answered) = a.join().unwrap();
+        assert!(
+            a_result.get("budget_exhausted").is_some(),
+            "A must stop on its budget: {a_result:?}"
+        );
+        // A frees its permit just before writing its reply, so C's
+        // answer may beat A's to the client by a hair, never by more.
+        assert!(
+            c_answered + Duration::from_millis(50) >= a_answered,
+            "C answered at {c_answered:?}, before A at {a_answered:?}"
+        );
+    });
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn deeply_nested_frame_is_a_bad_frame_not_a_crash() {
+    let (server, addr) = start();
+    // ~100 KB of `[`: far past the parser's nesting limit, far under
+    // the frame cap.
+    let body = "[".repeat(100_000);
+    let mut stream = std::net::TcpStream::connect(addr.as_str()).unwrap();
+    stream
+        .write_all(&(body.len() as u32).to_be_bytes())
+        .unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+    let reply = wire::read_frame(&mut stream)
+        .unwrap()
+        .expect("the daemon answers before hanging up");
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(false));
+    assert_eq!(
+        reply
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
+        Some("bad_frame"),
+        "{reply:?}"
+    );
+
+    let mut client = SvcClient::connect(addr.as_str()).unwrap();
+    let health = client.call("health", Value::Null).unwrap();
+    assert_eq!(health.get("ready").and_then(Value::as_bool), Some(true));
+    client.call("shutdown", Value::Null).unwrap();
+    server.join();
 }
 
 /// Acceptance: repeated `check_horizon` on a warm cache is at least 10×
