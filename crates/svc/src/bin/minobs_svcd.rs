@@ -15,6 +15,7 @@ fn main() -> ExitCode {
         "MINOBS_SVC_ADDR=127.0.0.1:7171 MINOBS_SVC_WORKERS=4 minobs-svcd",
     );
 
+    keep_freed_memory();
     let config = SvcConfig::from_env();
     let server = match serve(config) {
         Ok(server) => server,
@@ -42,3 +43,33 @@ fn main() -> ExitCode {
     println!("minobs-svcd drained");
     ExitCode::SUCCESS
 }
+
+/// Makes glibc keep freed heap memory for reuse instead of returning it
+/// to the kernel. Checker requests allocate and free frontiers of up to
+/// several MiB; by default each free trims the heap top and each large
+/// block is a fresh `mmap`, so every request faults its working set back
+/// in. How much it faults also depends on whether its connection thread
+/// reuses a warm malloc arena or opens a cold one (a thread spawned
+/// before the previous connection's thread has exited opens a new one),
+/// and on how far glibc's sliding mmap threshold has risen since start.
+/// Fixed thresholds make that cost small and the same from run to run
+/// (see "Concurrency and graceful shutdown" in `docs/SERVICE.md`).
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn keep_freed_memory() {
+    // From glibc's <malloc.h>.
+    const M_TRIM_THRESHOLD: i32 = -1;
+    const M_MMAP_THRESHOLD: i32 = -3;
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    // SAFETY: `mallopt` only sets allocator parameters, and runs here
+    // before any other thread exists.
+    unsafe {
+        // 32 MiB is the largest mmap threshold glibc accepts on 64-bit.
+        mallopt(M_MMAP_THRESHOLD, 32 << 20);
+        mallopt(M_TRIM_THRESHOLD, 256 << 20);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn keep_freed_memory() {}
