@@ -12,7 +12,7 @@
 //! The first two must be indistinguishable (within noise, <2%): with
 //! `NullRecorder`, `enabled()` is a constant `false`, so timers, decision
 //! scans, span guards, and per-message event construction never run, and
-//! the inlined no-op hooks fold away. `memory_recorder` is expected to be
+//! the inlined no-op `record` folds away. `memory_recorder` is expected to be
 //! visibly slower — that gap is the work the gate keeps off the default
 //! path.
 //!

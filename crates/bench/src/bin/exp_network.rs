@@ -11,7 +11,7 @@ use minobs_bench::{mark, trace_sink_for, write_metrics_snapshot, Report};
 use minobs_graphs::{cut_partition, edge_connectivity, generators, min_degree, Graph};
 use minobs_net::{DecisionRule, FloodConsensus};
 use minobs_obs::{
-    MetricsRecorder, MetricsRegistry, NullRecorder, Recorder, RoundCounts, RoundTimer, TeeRecorder,
+    MetricsRecorder, MetricsRegistry, NullRecorder, Recorder, RoundTimer, TeeRecorder, TraceEvent,
 };
 use std::sync::Arc;
 use minobs_sim::adversary::{BudgetChecked, CutAdversary, GreedyCutAdversary, RandomOmissions};
@@ -183,21 +183,16 @@ fn main() {
         // ourselves — trace consumers expect run_start .. run_end scoping.
         let mut net = minobs_sim::network::SyncNetwork::new(&g, early);
         let run_timer = RoundTimer::start_if(recorder.enabled());
-        recorder.on_run_start("network", n, 1);
+        recorder.record(TraceEvent::RunStart {
+            engine: "network",
+            nodes: n,
+            threads: 1,
+        });
         while !net.all_halted() {
             net.step_with_recorder(&mut minobs_sim::adversary::NoFault, recorder);
         }
         let stats = net.stats();
-        recorder.on_run_end(
-            stats.rounds,
-            RoundCounts {
-                sent: stats.messages_sent,
-                delivered: stats.messages_delivered,
-                dropped: stats.messages_dropped,
-                misaddressed: stats.misaddressed,
-            },
-            run_timer.elapsed_nanos(),
-        );
+        recorder.record(stats.run_end(run_timer.elapsed_nanos()));
         let early_rounds: Vec<usize> = net
             .nodes()
             .iter()

@@ -2,18 +2,23 @@
 //!
 //! Usage: `trace_lint <trace.jsonl>`. Checks that
 //!
-//! 1. every line parses as JSON and carries the stable fields `schema`
-//!    (matching the current version), `event`, and `round`;
+//! 1. every line decodes with `TraceEvent::from_json`, the one place
+//!    the schema is written down: `schema` is the current version, the
+//!    `event` kind is known, each of its fields is present with its type,
+//!    the closed string fields (`engine`, `status`, `phase`, `cache`,
+//!    `op`) take a value the workspace emits, `trace_id` is 32 lowercase
+//!    hex digits, and `round` agrees with the variant. Extra keys
+//!    (`node_id`, a flight dump's `truncated`) are ignored;
 //! 2. within each run (`run_start` .. `run_end`), per-message `dropped`
 //!    events and per-round `round_end.dropped` counts both sum to the
 //!    `run_end` total — the trace-level face of the engines' message
 //!    conservation invariant;
 //! 3. the same holds for `sent` and `delivered`;
 //! 4. service events pair up: every `svc_response` answers exactly one
-//!    earlier `svc_request` with the same `seq` and `method`, carries a
-//!    known cache disposition, and no request is left unanswered at the
-//!    end of the trace (the daemon drains before exiting). Service
-//!    events live outside runs — the daemon trace carries only them;
+//!    earlier `svc_request` with the same `seq` and `method`, and no
+//!    request is left unanswered at the end of the trace (the daemon
+//!    drains before exiting). Service events live outside runs — the
+//!    daemon trace carries only them;
 //! 5. profiling spans are well formed: every `span_start` is closed by a
 //!    `span_end` with the same id and name, span ids are unique within
 //!    their run (each engine run restarts its `SpanIds` at 0; runless
@@ -21,18 +26,15 @@
 //!    (a `span_end` always closes the innermost open span, and a
 //!    declared `parent` is exactly that enclosing span), and nothing is
 //!    left open at end of file;
-//! 6. distributed-trace fields are well formed: a `span_start`
-//!    `trace_id` is 32 lowercase hex digits and nonzero, `ctx_parent`
-//!    only appears alongside a `trace_id` (a remote parent is
-//!    meaningless without the trace it belongs to), a line-level
-//!    `node_id` is a non-empty string and consistent across the whole
-//!    stream (one file is one node's trace), and `health` events carry a
-//!    known status (`ok`/`degraded`) with boolean `ready`/`live` probes;
-//! 7. flight-recorder and sampling meta lines are well formed: a
-//!    `flight_dump` header carries a non-empty trigger `reason`, numeric
-//!    `events`/`dropped`/`truncated` counts, and a boolean `sampled`
-//!    flag; a `trace_sampled` marker carries a keep probability
-//!    `sample` inside `[0, 1]` and a numeric `slow_ms` threshold.
+//! 6. the values a field's type leaves open are in range: a `trace_id`
+//!    is nonzero, `ctx_parent` only appears alongside a `trace_id` (a
+//!    remote parent is meaningless without the trace it belongs to), a
+//!    line-level `node_id` is a non-empty string and consistent across
+//!    the whole stream (one file is one node's trace), `health` carries
+//!    a known status (`ok`/`degraded`), `gossip_apply` never carries a
+//!    `snapshot`, a `flight_dump` reason is non-empty, a
+//!    `trace_sampled` keep probability lies inside `[0, 1]`, and a
+//!    `budget_exhausted` frontier never exceeds the states explored.
 //!
 //! When handed a file that parses as a single JSON object under the
 //! `minobs/bench/v1` schema instead of a JSONL trace, it validates the

@@ -7,28 +7,25 @@
 //! list; [`lint`] is the JSONL-trace checker and [`lint_bench`] the
 //! `minobs/bench/v1` artifact checker.
 
-use minobs_obs::{validate_bench_artifact, BENCH_SCHEMA, SCHEMA};
+use minobs_obs::{validate_bench_artifact, MessageStatus, RoundCounts, TraceEvent, BENCH_SCHEMA};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
 
 #[derive(Debug, Default)]
 struct RunTally {
-    message_dropped: u64,
-    round_sent: u64,
-    round_delivered: u64,
-    round_dropped: u64,
-    rounds_seen: u64,
-}
-
-fn field_u64(value: &Value, key: &str, line_no: usize) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("line {line_no}: missing numeric field {key:?}"))
+    message_dropped: usize,
+    round_totals: RoundCounts,
+    rounds_seen: usize,
 }
 
 /// Validates a `minobs/trace/v1` JSONL stream; returns
 /// `(lines_checked, runs_closed)` or the first violation.
+///
+/// Each line must decode with [`TraceEvent::from_json`], which owns the
+/// per-kind field shapes. What is checked here is what one decoded event
+/// cannot say about itself: run brackets and message conservation, span
+/// nesting and id uniqueness, request/response pairing, one `node_id`
+/// per file, and the few value rules the field types leave open.
 pub fn lint(text: &str) -> Result<(usize, usize), String> {
     let mut runs_closed = 0usize;
     let mut lines_checked = 0usize;
@@ -48,20 +45,8 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
         }
         let value: Value = serde_json::from_str(line)
             .map_err(|err| format!("line {line_no}: not valid JSON: {err}"))?;
-        let schema = value
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {line_no}: missing \"schema\""))?;
-        if schema != SCHEMA {
-            return Err(format!(
-                "line {line_no}: schema {schema:?}, expected {SCHEMA:?}"
-            ));
-        }
-        let event = value
-            .get("event")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {line_no}: missing \"event\""))?;
-        field_u64(&value, "round", line_no)?;
+        let event =
+            TraceEvent::from_json(&value).map_err(|err| format!("line {line_no}: {err}"))?;
         if let Some(node) = value.get("node_id") {
             let node = node
                 .as_str()
@@ -80,7 +65,7 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
         lines_checked += 1;
 
         match event {
-            "run_start" => {
+            TraceEvent::RunStart { .. } => {
                 if current.is_some() {
                     return Err(format!("line {line_no}: run_start inside an open run"));
                 }
@@ -93,43 +78,31 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
                 }
                 current = Some(RunTally::default());
             }
-            "message" => {
+            TraceEvent::Message { status, .. } => {
                 let tally = current
                     .as_mut()
                     .ok_or_else(|| format!("line {line_no}: message outside a run"))?;
-                let status = value
-                    .get("status")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: message missing \"status\""))?;
-                if status == "dropped" {
+                if status == MessageStatus::Dropped {
                     tally.message_dropped += 1;
                 }
             }
-            "round_end" => {
+            TraceEvent::RoundEnd { counts, .. } => {
                 let tally = current
                     .as_mut()
                     .ok_or_else(|| format!("line {line_no}: round_end outside a run"))?;
-                let sent = field_u64(&value, "sent", line_no)?;
-                let delivered = field_u64(&value, "delivered", line_no)?;
-                let dropped = field_u64(&value, "dropped", line_no)?;
+                let (sent, delivered, dropped) = (counts.sent, counts.delivered, counts.dropped);
                 if sent != delivered + dropped {
                     return Err(format!(
                         "line {line_no}: round conservation broken: sent {sent} != delivered {delivered} + dropped {dropped}"
                     ));
                 }
-                tally.round_sent += sent;
-                tally.round_delivered += delivered;
-                tally.round_dropped += dropped;
+                tally.round_totals.absorb(counts);
                 tally.rounds_seen += 1;
             }
-            "run_end" => {
+            TraceEvent::RunEnd { rounds, totals, .. } => {
                 let tally = current
                     .take()
                     .ok_or_else(|| format!("line {line_no}: run_end without run_start"))?;
-                let rounds = field_u64(&value, "round", line_no)?;
-                let sent = field_u64(&value, "sent", line_no)?;
-                let delivered = field_u64(&value, "delivered", line_no)?;
-                let dropped = field_u64(&value, "dropped", line_no)?;
                 if rounds != tally.rounds_seen {
                     return Err(format!(
                         "line {line_no}: run_end reports {rounds} rounds, trace has {} round_end events",
@@ -137,9 +110,9 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
                     ));
                 }
                 for (label, total, accumulated) in [
-                    ("sent", sent, tally.round_sent),
-                    ("delivered", delivered, tally.round_delivered),
-                    ("dropped", dropped, tally.round_dropped),
+                    ("sent", totals.sent, tally.round_totals.sent),
+                    ("delivered", totals.delivered, tally.round_totals.delivered),
+                    ("dropped", totals.dropped, tally.round_totals.dropped),
                 ] {
                     if total != accumulated {
                         return Err(format!(
@@ -147,57 +120,34 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
                         ));
                     }
                 }
-                if tally.message_dropped != dropped {
+                if tally.message_dropped != totals.dropped {
                     return Err(format!(
-                        "line {line_no}: {} dropped message events, run_end reports {dropped}",
-                        tally.message_dropped
+                        "line {line_no}: {} dropped message events, run_end reports {}",
+                        tally.message_dropped, totals.dropped
                     ));
                 }
                 runs_closed += 1;
             }
-            "engine_degraded" => {
-                // Degradation happens inside a run, during a specific phase.
-                if current.is_none() {
-                    return Err(format!("line {line_no}: engine_degraded outside a run"));
-                }
-                let phase = value
-                    .get("phase")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: engine_degraded missing \"phase\""))?;
-                if phase != "send" && phase != "advance" {
-                    return Err(format!(
-                        "line {line_no}: engine_degraded phase {phase:?}, expected \"send\" or \"advance\""
-                    ));
-                }
-                field_u64(&value, "shard", line_no)?;
+            // Degradation happens inside a run, during a specific phase.
+            TraceEvent::EngineDegraded { .. } if current.is_none() => {
+                return Err(format!("line {line_no}: engine_degraded outside a run"));
             }
-            "budget_exhausted" => {
-                // Emitted by the checker; the frontier at the stop point can
-                // never exceed the cumulative states explored.
-                let frontier = field_u64(&value, "frontier", line_no)?;
-                let states = field_u64(&value, "states", line_no)?;
-                if frontier > states {
-                    return Err(format!(
-                        "line {line_no}: budget_exhausted frontier {frontier} > states explored {states}"
-                    ));
-                }
+            // Emitted by the checker; the frontier at the stop point can
+            // never exceed the cumulative states explored.
+            TraceEvent::BudgetExhausted {
+                frontier, states, ..
+            } if frontier > states => {
+                return Err(format!(
+                    "line {line_no}: budget_exhausted frontier {frontier} > states explored {states}"
+                ));
             }
-            "svc_request" => {
-                let seq = field_u64(&value, "seq", line_no)?;
-                let method = value
-                    .get("method")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: svc_request missing \"method\""))?;
-                if pending_svc.insert(seq, method.to_string()).is_some() {
-                    return Err(format!("line {line_no}: duplicate svc_request seq {seq}"));
-                }
+            TraceEvent::SvcRequest { seq, .. } if pending_svc.contains_key(&seq) => {
+                return Err(format!("line {line_no}: duplicate svc_request seq {seq}"));
             }
-            "svc_response" => {
-                let seq = field_u64(&value, "seq", line_no)?;
-                let method = value
-                    .get("method")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: svc_response missing \"method\""))?;
+            TraceEvent::SvcRequest { seq, method } => {
+                pending_svc.insert(seq, method);
+            }
+            TraceEvent::SvcResponse { seq, method, .. } => {
                 let requested = pending_svc.remove(&seq).ok_or_else(|| {
                     format!("line {line_no}: svc_response seq {seq} without a matching svc_request")
                 })?;
@@ -206,61 +156,31 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
                         "line {line_no}: svc_response seq {seq} method {method:?} != request method {requested:?}"
                     ));
                 }
-                value
-                    .get("ok")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| format!("line {line_no}: svc_response missing boolean \"ok\""))?;
-                let cache = value
-                    .get("cache")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: svc_response missing \"cache\""))?;
-                if !matches!(cache, "hit" | "miss" | "subsumed" | "none") {
+            }
+            TraceEvent::SpanStart {
+                span_id,
+                parent,
+                name,
+                trace_id,
+                ctx_parent,
+                ..
+            } => {
+                if trace_id == Some(0) {
                     return Err(format!(
-                        "line {line_no}: svc_response cache {cache:?}, expected hit/miss/subsumed/none"
+                        "line {line_no}: trace_id is zero — TraceContext::root never mints it"
                     ));
                 }
-                field_u64(&value, "nanos", line_no)?;
-            }
-            "span_start" => {
-                let span_id = field_u64(&value, "span_id", line_no)?;
-                let name = value
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: span_start missing \"name\""))?;
-                let trace_id = value.get("trace_id");
-                if let Some(trace) = trace_id {
-                    let trace = trace.as_str().ok_or_else(|| {
-                        format!("line {line_no}: trace_id must be a string")
-                    })?;
-                    let lower_hex = trace.len() == 32
-                        && trace
-                            .bytes()
-                            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
-                    if !lower_hex {
-                        return Err(format!(
-                            "line {line_no}: trace_id {trace:?} is not 32 lowercase hex digits"
-                        ));
-                    }
-                    if trace.bytes().all(|b| b == b'0') {
-                        return Err(format!(
-                            "line {line_no}: trace_id is zero — TraceContext::root never mints it"
-                        ));
-                    }
-                }
-                if value.get("ctx_parent").is_some() {
-                    field_u64(&value, "ctx_parent", line_no)?;
-                    if trace_id.is_none() {
-                        return Err(format!(
-                            "line {line_no}: ctx_parent without trace_id — a remote parent only means something inside a trace"
-                        ));
-                    }
+                if ctx_parent.is_some() && trace_id.is_none() {
+                    return Err(format!(
+                        "line {line_no}: ctx_parent without trace_id — a remote parent only means something inside a trace"
+                    ));
                 }
                 if !span_ids_seen.insert(span_id) {
                     return Err(format!(
                         "line {line_no}: span id {span_id} reused (ids must be unique within a run)"
                     ));
                 }
-                if let Some(parent) = value.get("parent").and_then(Value::as_u64) {
+                if let Some(parent) = parent {
                     match span_stack.last() {
                         Some((open_id, _)) if *open_id == parent => {}
                         Some((open_id, _)) => {
@@ -275,15 +195,9 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
                         }
                     }
                 }
-                span_stack.push((span_id, name.to_string()));
+                span_stack.push((span_id, name));
             }
-            "span_end" => {
-                let span_id = field_u64(&value, "span_id", line_no)?;
-                let name = value
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: span_end missing \"name\""))?;
-                field_u64(&value, "nanos", line_no)?;
+            TraceEvent::SpanEnd { span_id, name, .. } => {
                 let (open_id, open_name) = span_stack.pop().ok_or_else(|| {
                     format!("line {line_no}: span_end {span_id} without an open span")
                 })?;
@@ -293,133 +207,28 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
                     ));
                 }
             }
-            "wal_append" => {
-                let op = value
-                    .get("op")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: wal_append missing \"op\""))?;
-                if !matches!(op, "horizon" | "theorem" | "snapshot") {
-                    return Err(format!(
-                        "line {line_no}: wal_append op {op:?}, expected horizon/theorem/snapshot"
-                    ));
-                }
-                value
-                    .get("key")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: wal_append missing \"key\""))?;
-                field_u64(&value, "bytes", line_no)?;
+            TraceEvent::GossipApply { op: "snapshot", .. } => {
+                return Err(format!(
+                    "line {line_no}: gossip_apply op \"snapshot\", expected horizon/theorem \
+                     (snapshots never travel over gossip)"
+                ));
             }
-            "wal_replay" => {
-                field_u64(&value, "records", line_no)?;
-                field_u64(&value, "bytes", line_no)?;
-                value
-                    .get("dropped_tail")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| {
-                        format!("line {line_no}: wal_replay missing boolean \"dropped_tail\"")
-                    })?;
+            TraceEvent::Health { status, .. } if !matches!(status.as_str(), "ok" | "degraded") => {
+                return Err(format!(
+                    "line {line_no}: health status {status:?}, expected ok/degraded"
+                ));
             }
-            "wal_degraded" => {
-                value
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: wal_degraded missing \"error\""))?;
+            TraceEvent::FlightDump { reason, .. } if reason.is_empty() => {
+                return Err(format!(
+                    "line {line_no}: flight_dump reason must be non-empty"
+                ));
             }
-            "gossip_round" => {
-                value
-                    .get("peer")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: gossip_round missing \"peer\""))?;
-                field_u64(&value, "sent", line_no)?;
-                field_u64(&value, "received", line_no)?;
-                field_u64(&value, "nanos", line_no)?;
+            TraceEvent::TraceSampled { sample, .. } if !(0.0..=1.0).contains(&sample) => {
+                return Err(format!(
+                    "line {line_no}: trace_sampled sample {sample} outside [0, 1]"
+                ));
             }
-            "gossip_apply" => {
-                value
-                    .get("peer")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: gossip_apply missing \"peer\""))?;
-                let op = value
-                    .get("op")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: gossip_apply missing \"op\""))?;
-                if !matches!(op, "horizon" | "theorem") {
-                    return Err(format!(
-                        "line {line_no}: gossip_apply op {op:?}, expected horizon/theorem \
-                         (snapshots never travel over gossip)"
-                    ));
-                }
-                value
-                    .get("key")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: gossip_apply missing \"key\""))?;
-                value
-                    .get("accepted")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| {
-                        format!("line {line_no}: gossip_apply missing boolean \"accepted\"")
-                    })?;
-            }
-            "peer_down" => {
-                value
-                    .get("peer")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: peer_down missing \"peer\""))?;
-                field_u64(&value, "failures", line_no)?;
-            }
-            "health" => {
-                let status = value
-                    .get("status")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: health missing \"status\""))?;
-                if !matches!(status, "ok" | "degraded") {
-                    return Err(format!(
-                        "line {line_no}: health status {status:?}, expected ok/degraded"
-                    ));
-                }
-                for probe in ["ready", "live"] {
-                    value.get(probe).and_then(Value::as_bool).ok_or_else(|| {
-                        format!("line {line_no}: health missing boolean {probe:?}")
-                    })?;
-                }
-            }
-            "flight_dump" => {
-                // The meta line heading a flight-recorder dump: trigger
-                // reason, kept/dropped/truncated counts, sampling flag.
-                let reason = value
-                    .get("reason")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: flight_dump missing \"reason\""))?;
-                if reason.is_empty() {
-                    return Err(format!(
-                        "line {line_no}: flight_dump reason must be non-empty"
-                    ));
-                }
-                field_u64(&value, "events", line_no)?;
-                field_u64(&value, "dropped", line_no)?;
-                field_u64(&value, "truncated", line_no)?;
-                value.get("sampled").and_then(Value::as_bool).ok_or_else(|| {
-                    format!("line {line_no}: flight_dump missing boolean \"sampled\"")
-                })?;
-            }
-            "trace_sampled" => {
-                // The tail-sampling marker a daemon writes at sink start:
-                // keep probability must be a real probability.
-                let sample = value
-                    .get("sample")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| {
-                        format!("line {line_no}: trace_sampled missing numeric \"sample\"")
-                    })?;
-                if !(0.0..=1.0).contains(&sample) {
-                    return Err(format!(
-                        "line {line_no}: trace_sampled sample {sample} outside [0, 1]"
-                    ));
-                }
-                field_u64(&value, "slow_ms", line_no)?;
-            }
-            // decision/span/checker_round/checker_progress/horizon need no
-            // cross-checks here.
+            // Every other event is fully described by its decoded shape.
             _ => {}
         }
     }
@@ -514,6 +323,48 @@ mod tests {
         // round_end claims a drop but no dropped message event exists.
         let err = lint(&text).unwrap_err();
         assert!(err.contains("dropped message events"), "{err}");
+    }
+
+    #[test]
+    fn rejects_broken_run_brackets() {
+        let start = r#"{"schema":"SCHEMA","event":"run_start","round":0,"engine":"network","nodes":2,"threads":1}"#;
+        let round = r#"{"schema":"SCHEMA","event":"round_end","round":0,"sent":0,"delivered":0,"dropped":0,"misaddressed":0,"nanos":0}"#;
+        let end = r#"{"schema":"SCHEMA","event":"run_end","round":1,"sent":0,"delivered":0,"dropped":0,"misaddressed":0,"nanos":0}"#;
+        let lint_lines = |lines: &[&str]| {
+            lint(&lines.iter().map(|l| line(l)).collect::<Vec<_>>().join("\n")).unwrap_err()
+        };
+
+        let err = lint_lines(&[start, start]);
+        assert!(err.contains("run_start inside an open run"), "{err}");
+        let err = lint_lines(&[round]);
+        assert!(err.contains("round_end outside a run"), "{err}");
+        let err = lint_lines(&[end]);
+        assert!(err.contains("run_end without run_start"), "{err}");
+        // run_end claims one round; the trace closed none.
+        let err = lint_lines(&[start, end]);
+        assert!(err.contains("run_end reports 1 rounds"), "{err}");
+    }
+
+    #[test]
+    fn rejects_unconserved_rounds_and_totals() {
+        let unconserved = [
+            r#"{"schema":"SCHEMA","event":"run_start","round":0,"engine":"network","nodes":2,"threads":1}"#,
+            r#"{"schema":"SCHEMA","event":"round_end","round":0,"sent":3,"delivered":1,"dropped":1,"misaddressed":0,"nanos":0}"#,
+        ]
+        .map(line)
+        .join("\n");
+        let err = lint(&unconserved).unwrap_err();
+        assert!(err.contains("round conservation broken"), "{err}");
+
+        let inflated_total = [
+            r#"{"schema":"SCHEMA","event":"run_start","round":0,"engine":"network","nodes":2,"threads":1}"#,
+            r#"{"schema":"SCHEMA","event":"round_end","round":0,"sent":1,"delivered":1,"dropped":0,"misaddressed":0,"nanos":0}"#,
+            r#"{"schema":"SCHEMA","event":"run_end","round":1,"sent":2,"delivered":1,"dropped":0,"misaddressed":0,"nanos":0}"#,
+        ]
+        .map(line)
+        .join("\n");
+        let err = lint(&inflated_total).unwrap_err();
+        assert!(err.contains("run_end sent 2 != per-round sum 1"), "{err}");
     }
 
     #[test]
@@ -863,6 +714,29 @@ mod tests {
         let no_slow =
             line(r#"{"schema":"SCHEMA","event":"trace_sampled","round":0,"sample":0.5}"#);
         assert!(lint(&no_slow).unwrap_err().contains("slow_ms"));
+    }
+
+    #[test]
+    fn rejects_fields_the_decoder_cannot_read() {
+        let no_frontier =
+            line(r#"{"schema":"SCHEMA","event":"checker_round","round":1,"views":30,"nanos":2}"#);
+        assert!(lint(&no_frontier).unwrap_err().contains("frontier"));
+
+        let bad_node =
+            line(r#"{"schema":"SCHEMA","event":"decision","round":3,"node":"x","value":7}"#);
+        assert!(lint(&bad_node).unwrap_err().contains("node"));
+
+        let bad_solvable =
+            line(r#"{"schema":"SCHEMA","event":"horizon","round":3,"solvable":"maybe","nanos":1}"#);
+        assert!(lint(&bad_solvable).unwrap_err().contains("solvable"));
+
+        let bad_status = [
+            r#"{"schema":"SCHEMA","event":"run_start","round":0,"engine":"network","nodes":2,"threads":1}"#,
+            r#"{"schema":"SCHEMA","event":"message","round":0,"from":0,"to":1,"status":"lost"}"#,
+        ]
+        .map(line)
+        .join("\n");
+        assert!(lint(&bad_status).unwrap_err().contains("status"));
     }
 
     #[test]

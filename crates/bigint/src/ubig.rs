@@ -531,7 +531,7 @@ mod tests {
 
         #[test]
         fn prop_parity_matches_u128(a in any::<u128>()) {
-            prop_assert_eq!(UBig::from(a).is_even(), a % 2 == 0);
+            prop_assert_eq!(UBig::from(a).is_even(), a.is_multiple_of(2));
         }
 
         #[test]

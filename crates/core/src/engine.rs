@@ -14,7 +14,7 @@
 
 use crate::letter::Role;
 use crate::scenario::Scenario;
-use minobs_obs::{MessageStatus, NullRecorder, Recorder, RoundCounts, RoundTimer};
+use minobs_obs::{MessageStatus, NullRecorder, Recorder, RoundCounts, RoundTimer, TraceEvent};
 
 /// A state machine for one of the two processes.
 ///
@@ -139,7 +139,11 @@ where
     let mut messages_sent = 0usize;
     let mut messages_delivered = 0usize;
     let run_timer = RoundTimer::start_if(recorder.enabled());
-    recorder.on_run_start("two_process", 2, 1);
+    recorder.record(TraceEvent::RunStart {
+        engine: "two_process",
+        nodes: 2,
+        threads: 1,
+    });
 
     while rounds < max_rounds && !(white.halted() && black.halted()) {
         let observing = recorder.enabled();
@@ -161,21 +165,23 @@ where
         counts.delivered = to_black.is_some() as usize + to_white.is_some() as usize;
         counts.dropped = counts.sent - counts.delivered;
         if observing {
-            if white_sent {
-                let status = if to_black.is_some() {
-                    MessageStatus::Delivered
-                } else {
-                    MessageStatus::Dropped
-                };
-                recorder.on_message(rounds, WHITE, BLACK, status);
-            }
-            if black_sent {
-                let status = if to_white.is_some() {
-                    MessageStatus::Delivered
-                } else {
-                    MessageStatus::Dropped
-                };
-                recorder.on_message(rounds, BLACK, WHITE, status);
+            for (from, to, sent, delivered) in [
+                (WHITE, BLACK, white_sent, to_black.is_some()),
+                (BLACK, WHITE, black_sent, to_white.is_some()),
+            ] {
+                if sent {
+                    let status = if delivered {
+                        MessageStatus::Delivered
+                    } else {
+                        MessageStatus::Dropped
+                    };
+                    recorder.record(TraceEvent::Message {
+                        round: rounds,
+                        from,
+                        to,
+                        status,
+                    });
+                }
             }
         }
         messages_sent += counts.sent;
@@ -188,18 +194,24 @@ where
             black.advance(to_black);
         }
         if observing {
-            if !decided_before.0 {
-                if let Some(value) = white.decision() {
-                    recorder.on_decision(rounds, WHITE, value as u64);
-                }
-            }
-            if !decided_before.1 {
-                if let Some(value) = black.decision() {
-                    recorder.on_decision(rounds, BLACK, value as u64);
+            for (node, decided, decision) in [
+                (WHITE, decided_before.0, white.decision()),
+                (BLACK, decided_before.1, black.decision()),
+            ] {
+                if let Some(value) = decision.filter(|_| !decided) {
+                    recorder.record(TraceEvent::Decision {
+                        round: rounds,
+                        node,
+                        value: value as u64,
+                    });
                 }
             }
         }
-        recorder.on_round_end(rounds, counts, timer.elapsed_nanos());
+        recorder.record(TraceEvent::RoundEnd {
+            round: rounds,
+            counts,
+            nanos: timer.elapsed_nanos(),
+        });
         rounds += 1;
     }
 
@@ -211,16 +223,16 @@ where
         white_decision,
         black_decision,
     );
-    recorder.on_run_end(
+    recorder.record(TraceEvent::RunEnd {
         rounds,
-        RoundCounts {
+        totals: RoundCounts {
             sent: messages_sent,
             delivered: messages_delivered,
             dropped: messages_sent - messages_delivered,
             misaddressed: 0,
         },
-        run_timer.elapsed_nanos(),
-    );
+        nanos: run_timer.elapsed_nanos(),
+    });
 
     Outcome {
         white_decision,

@@ -80,17 +80,7 @@ impl TraceContext {
 
     /// Parses a 32-lowercase-hex-digit nonzero trace id.
     pub fn parse_trace_id(text: &str) -> Option<u128> {
-        if text.len() != 32
-            || !text
-                .bytes()
-                .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-        {
-            return None;
-        }
-        match u128::from_str_radix(text, 16) {
-            Ok(0) | Err(_) => None,
-            Ok(id) => Some(id),
-        }
+        parse_hex_id(text).filter(|&id| id != 0)
     }
 
     /// The envelope form: `{"trace_id": "<32hex>"[, "parent_span": N]}`.
@@ -116,6 +106,18 @@ impl TraceContext {
             parent_span: value.get("parent_span").and_then(Value::as_u64),
         })
     }
+}
+
+/// Parses exactly 32 lowercase hex digits, the wire form of a trace id.
+pub(crate) fn parse_hex_id(text: &str) -> Option<u128> {
+    if text.len() != 32
+        || !text
+            .bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+    {
+        return None;
+    }
+    u128::from_str_radix(text, 16).ok()
 }
 
 /// Stamps `ctx` onto the root span of a buffered request: finds the

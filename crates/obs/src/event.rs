@@ -589,6 +589,270 @@ impl TraceEvent {
         }
         Value::Object(map)
     }
+
+    /// Decodes one JSONL line's object: the inverse of
+    /// [`TraceEvent::to_json`].
+    ///
+    /// Keys the variant does not know are ignored, so additive fields
+    /// (`node_id`, the flight dump's `truncated` span ends) decode fine.
+    /// The `&'static str` fields (`engine`, `phase`, `cache`, `op`) map
+    /// onto the fixed set the workspace emits; any other value, a missing
+    /// or mistyped field, a foreign schema, or a `round` that disagrees
+    /// with the variant is an error naming the offending field.
+    pub fn from_json(value: &Value) -> Result<TraceEvent, String> {
+        let map = value.as_object().ok_or("not a JSON object")?;
+        match map.get("schema").and_then(Value::as_str) {
+            Some(SCHEMA) => {}
+            Some(other) => return Err(format!("schema {other:?}, expected {SCHEMA:?}")),
+            None => return Err("missing string field \"schema\"".to_string()),
+        }
+        let kind = map
+            .get("event")
+            .and_then(Value::as_str)
+            .ok_or("missing string field \"event\"")?;
+        let f = Fields { kind, map };
+        let round = f.usize("round")?;
+        let event = match kind {
+            "run_start" => TraceEvent::RunStart {
+                engine: f.one_of("engine", ENGINES)?,
+                nodes: f.usize("nodes")?,
+                threads: f.usize("threads")?,
+            },
+            "message" => TraceEvent::Message {
+                round,
+                from: f.usize("from")?,
+                to: f.usize("to")?,
+                status: match f.one_of("status", STATUSES)? {
+                    "delivered" => MessageStatus::Delivered,
+                    "dropped" => MessageStatus::Dropped,
+                    _ => MessageStatus::Misaddressed,
+                },
+            },
+            "decision" => TraceEvent::Decision {
+                round,
+                node: f.usize("node")?,
+                value: f.u64("value")?,
+            },
+            "round_end" => TraceEvent::RoundEnd {
+                round,
+                counts: f.counts()?,
+                nanos: f.u64("nanos")?,
+            },
+            "span" => TraceEvent::Span {
+                round,
+                name: f.string("name")?,
+                nanos: f.u64("nanos")?,
+            },
+            "span_start" => TraceEvent::SpanStart {
+                round,
+                span_id: f.u64("span_id")?,
+                parent: match map.get("parent") {
+                    Some(Value::Null) => None,
+                    _ => Some(f.u64("parent")?),
+                },
+                name: f.string("name")?,
+                trace_id: map
+                    .contains_key("trace_id")
+                    .then(|| f.trace_id())
+                    .transpose()?,
+                ctx_parent: map
+                    .contains_key("ctx_parent")
+                    .then(|| f.u64("ctx_parent"))
+                    .transpose()?,
+            },
+            "span_end" => TraceEvent::SpanEnd {
+                round,
+                span_id: f.u64("span_id")?,
+                name: f.string("name")?,
+                nanos: f.u64("nanos")?,
+            },
+            "checker_progress" => TraceEvent::CheckerProgress {
+                round,
+                frontier: f.usize("frontier")?,
+                states: f.usize("states")?,
+            },
+            "checker_round" => TraceEvent::CheckerRound {
+                round,
+                frontier: f.usize("frontier")?,
+                views: f.usize("views")?,
+                nanos: f.u64("nanos")?,
+            },
+            "horizon" => TraceEvent::Horizon {
+                horizon: round,
+                solvable: f.bool("solvable")?,
+                nanos: f.u64("nanos")?,
+            },
+            "engine_degraded" => TraceEvent::EngineDegraded {
+                round,
+                phase: f.one_of("phase", PHASES)?,
+                shard: f.usize("shard")?,
+            },
+            "budget_exhausted" => TraceEvent::BudgetExhausted {
+                horizon: round,
+                frontier: f.usize("frontier")?,
+                states: f.usize("states")?,
+            },
+            "run_end" => TraceEvent::RunEnd {
+                rounds: round,
+                totals: f.counts()?,
+                nanos: f.u64("nanos")?,
+            },
+            "svc_request" => TraceEvent::SvcRequest {
+                seq: f.u64("seq")?,
+                method: f.string("method")?,
+            },
+            "svc_response" => TraceEvent::SvcResponse {
+                seq: f.u64("seq")?,
+                method: f.string("method")?,
+                ok: f.bool("ok")?,
+                cache: f.one_of("cache", CACHE_DISPOSITIONS)?,
+                nanos: f.u64("nanos")?,
+            },
+            "wal_append" => TraceEvent::WalAppend {
+                op: f.one_of("op", RECORD_OPS)?,
+                key: f.string("key")?,
+                bytes: f.u64("bytes")?,
+            },
+            "wal_replay" => TraceEvent::WalReplay {
+                records: f.u64("records")?,
+                bytes: f.u64("bytes")?,
+                dropped_tail: f.bool("dropped_tail")?,
+            },
+            "wal_degraded" => TraceEvent::WalDegraded {
+                error: f.string("error")?,
+            },
+            "gossip_round" => TraceEvent::GossipRound {
+                peer: f.string("peer")?,
+                sent: f.u64("sent")?,
+                received: f.u64("received")?,
+                nanos: f.u64("nanos")?,
+            },
+            "gossip_apply" => TraceEvent::GossipApply {
+                peer: f.string("peer")?,
+                op: f.one_of("op", RECORD_OPS)?,
+                key: f.string("key")?,
+                accepted: f.bool("accepted")?,
+            },
+            "peer_down" => TraceEvent::PeerDown {
+                peer: f.string("peer")?,
+                failures: f.u64("failures")?,
+            },
+            "health" => TraceEvent::Health {
+                status: f.string("status")?,
+                ready: f.bool("ready")?,
+                live: f.bool("live")?,
+            },
+            "flight_dump" => TraceEvent::FlightDump {
+                reason: f.string("reason")?,
+                events: f.u64("events")?,
+                dropped: f.u64("dropped")?,
+                truncated: f.u64("truncated")?,
+                sampled: f.bool("sampled")?,
+            },
+            "trace_sampled" => TraceEvent::TraceSampled {
+                sample: f.get("sample", "a number", Value::as_f64)?,
+                slow_ms: f.u64("slow_ms")?,
+            },
+            other => return Err(format!("unknown event {other:?}")),
+        };
+        if event.round() != round {
+            return Err(format!("{kind}: round {round}, expected {}", event.round()));
+        }
+        Ok(event)
+    }
+}
+
+/// The values each `&'static str` field can take, in the order the
+/// decoder reports them.
+const ENGINES: &[&str] = &[
+    "two_process",
+    "network",
+    "network_parallel",
+    "checker",
+    "checker_parallel",
+];
+const STATUSES: &[&str] = &["delivered", "dropped", "misaddressed"];
+const PHASES: &[&str] = &["send", "advance"];
+const CACHE_DISPOSITIONS: &[&str] = &["hit", "miss", "subsumed", "none"];
+const RECORD_OPS: &[&str] = &["horizon", "theorem", "snapshot"];
+
+/// Typed field access for [`TraceEvent::from_json`]; errors name the
+/// event kind and the field.
+struct Fields<'a> {
+    kind: &'a str,
+    map: &'a Map,
+}
+
+impl<'a> Fields<'a> {
+    /// Field `key` as `read` sees it, or an error saying what was expected.
+    fn get<T>(
+        &self,
+        key: &str,
+        expected: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        self.map
+            .get(key)
+            .and_then(read)
+            .ok_or_else(|| format!("{}: field {key:?} missing or not {expected}", self.kind))
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key, "a non-negative integer", Value::as_u64)
+    }
+
+    fn usize(&self, key: &str) -> Result<usize, String> {
+        self.get(key, "a non-negative integer", |v| {
+            usize::try_from(v.as_u64()?).ok()
+        })
+    }
+
+    fn bool(&self, key: &str) -> Result<bool, String> {
+        self.get(key, "a boolean", Value::as_bool)
+    }
+
+    fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.get(key, "a string", Value::as_str)
+    }
+
+    fn string(&self, key: &str) -> Result<String, String> {
+        self.str(key).map(str::to_string)
+    }
+
+    fn one_of(&self, key: &str, allowed: &[&'static str]) -> Result<&'static str, String> {
+        let value = self.str(key)?;
+        allowed
+            .iter()
+            .copied()
+            .find(|candidate| *candidate == value)
+            .ok_or_else(|| {
+                format!(
+                    "{}: {key} {value:?}, expected one of {allowed:?}",
+                    self.kind
+                )
+            })
+    }
+
+    fn counts(&self) -> Result<RoundCounts, String> {
+        Ok(RoundCounts {
+            sent: self.usize("sent")?,
+            delivered: self.usize("delivered")?,
+            dropped: self.usize("dropped")?,
+            misaddressed: self.usize("misaddressed")?,
+        })
+    }
+
+    /// `trace_id` exactly as [`TraceEvent::to_json`] writes it: 32
+    /// lowercase hex digits.
+    fn trace_id(&self) -> Result<u128, String> {
+        let text = self.str("trace_id")?;
+        crate::ctx::parse_hex_id(text).ok_or_else(|| {
+            format!(
+                "{}: trace_id {text:?} is not 32 lowercase hex digits",
+                self.kind
+            )
+        })
+    }
 }
 
 fn insert_counts(map: &mut Map, counts: RoundCounts) {
@@ -605,9 +869,9 @@ fn insert_counts(map: &mut Map, counts: RoundCounts) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn every_event_carries_the_stable_fields() {
-        let events = [
+    /// One event of every variant, with every optional field set.
+    fn one_of_each() -> Vec<TraceEvent> {
+        vec![
             TraceEvent::RunStart {
                 engine: "network",
                 nodes: 4,
@@ -740,8 +1004,12 @@ mod tests {
                 sample: 0.01,
                 slow_ms: 250,
             },
-        ];
-        for event in &events {
+        ]
+    }
+
+    #[test]
+    fn every_event_carries_the_stable_fields() {
+        for event in &one_of_each() {
             let json = event.to_json();
             assert_eq!(json.get("schema").and_then(Value::as_str), Some(SCHEMA));
             assert_eq!(
@@ -753,6 +1021,78 @@ mod tests {
                 Some(event.round() as u64)
             );
         }
+    }
+
+    #[test]
+    fn from_json_inverts_to_json() {
+        for event in one_of_each() {
+            assert_eq!(TraceEvent::from_json(&event.to_json()), Ok(event.clone()));
+            // And through the text a JSONL line actually carries.
+            let line = serde_json::to_string(&event.to_json()).unwrap();
+            let parsed = serde_json::from_str(&line).unwrap();
+            assert_eq!(TraceEvent::from_json(&parsed), Ok(event));
+        }
+    }
+
+    #[test]
+    fn from_json_ignores_additive_keys() {
+        let line = format!(
+            r#"{{"schema":"{SCHEMA}","event":"span_end","round":2,"span_id":9,"name":"rpc.stats","nanos":0,"truncated":true,"node_id":"127.0.0.1:7400"}}"#
+        );
+        assert_eq!(
+            TraceEvent::from_json(&serde_json::from_str(&line).unwrap()),
+            Ok(TraceEvent::SpanEnd {
+                round: 2,
+                span_id: 9,
+                name: "rpc.stats".to_string(),
+                nanos: 0,
+            })
+        );
+    }
+
+    #[test]
+    fn from_json_names_the_field_it_rejects() {
+        let decode = |body: &str| {
+            let line = format!(r#"{{"schema":"{SCHEMA}",{body}}}"#);
+            TraceEvent::from_json(&serde_json::from_str(&line).unwrap()).unwrap_err()
+        };
+        let err = decode(r#""event":"run_start","round":0,"engine":"warp","nodes":2,"threads":1"#);
+        assert!(err.contains("engine \"warp\""), "{err}");
+        let err = decode(r#""event":"svc_request","round":3,"seq":1,"method":"stats""#);
+        assert!(err.contains("round 3, expected 0"), "{err}");
+        let err = decode(r#""event":"span_start","round":0,"span_id":1,"name":"a""#);
+        assert!(err.contains("\"parent\""), "{err}");
+        let err = decode(r#""event":"teleport","round":0"#);
+        assert!(err.contains("unknown event"), "{err}");
+        let foreign = serde_json::from_str(r#"{"schema":"other/v9","event":"x","round":0}"#);
+        assert!(TraceEvent::from_json(&foreign.unwrap())
+            .unwrap_err()
+            .contains("schema"));
+    }
+
+    #[test]
+    fn from_json_rejects_values_the_workspace_never_emits() {
+        let decode = |body: &str| {
+            let line = format!(r#"{{"schema":"{SCHEMA}",{body}}}"#);
+            TraceEvent::from_json(&serde_json::from_str(&line).unwrap()).unwrap_err()
+        };
+        let err = decode(r#""event":"message","round":0,"from":0,"to":1,"status":"lost""#);
+        assert!(err.contains("status \"lost\""), "{err}");
+        let err = decode(r#""event":"engine_degraded","round":1,"phase":"decide","shard":0"#);
+        assert!(err.contains("phase \"decide\""), "{err}");
+        let err = decode(
+            r#""event":"svc_response","round":0,"seq":1,"method":"check","ok":true,"cache":"warm","nanos":1"#,
+        );
+        assert!(err.contains("cache \"warm\""), "{err}");
+        let err = decode(r#""event":"wal_append","round":0,"op":"delete","key":"k","bytes":1"#);
+        assert!(err.contains("op \"delete\""), "{err}");
+        let err = decode(r#""event":"decision","round":1,"node":-1,"value":0"#);
+        assert!(err.contains("\"node\""), "{err}");
+        let err = decode(
+            r#""event":"span_start","round":0,"span_id":1,"parent":null,"name":"a","trace_id":"xyz""#,
+        );
+        assert!(err.contains("32 lowercase hex"), "{err}");
+        assert!(TraceEvent::from_json(&Value::from(7u64)).is_err());
     }
 
     #[test]

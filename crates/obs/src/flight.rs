@@ -261,8 +261,8 @@ impl FlightRecorder {
     }
 }
 
-/// The hot-path integration: every event the tee forwards lands in the
-/// ring via the `record` funnel.
+/// The hot-path integration: every event a tee forwards lands in the
+/// ring.
 impl Recorder for FlightRecorder {
     #[inline]
     fn record(&mut self, event: TraceEvent) {
@@ -307,6 +307,41 @@ mod tests {
     use super::*;
     use crate::event::MessageStatus;
 
+    fn request(seq: u64) -> TraceEvent {
+        TraceEvent::SvcRequest {
+            seq,
+            method: "stats".to_string(),
+        }
+    }
+
+    fn response(seq: u64, nanos: u64) -> TraceEvent {
+        TraceEvent::SvcResponse {
+            seq,
+            method: "stats".to_string(),
+            ok: true,
+            cache: "none",
+            nanos,
+        }
+    }
+
+    fn delivered(round: usize) -> TraceEvent {
+        TraceEvent::Message {
+            round,
+            from: 0,
+            to: 1,
+            status: MessageStatus::Delivered,
+        }
+    }
+
+    fn span_end(span_id: u64, name: &str, nanos: u64) -> TraceEvent {
+        TraceEvent::SpanEnd {
+            round: 0,
+            span_id,
+            name: name.to_string(),
+            nanos,
+        }
+    }
+
     fn parse(jsonl: &str) -> Vec<Value> {
         jsonl
             .lines()
@@ -318,8 +353,8 @@ mod tests {
     fn dump_is_headed_and_ordered() {
         let flight = FlightRecorder::new(64);
         let mut flight_rec = flight.clone();
-        flight_rec.on_svc_request(1, "stats");
-        flight_rec.on_svc_response(1, "stats", true, "none", 10);
+        flight_rec.record(request(1));
+        flight_rec.record(response(1, 10));
         let snap = flight.dump("rpc");
         let lines = parse(&snap.jsonl);
         assert_eq!(lines.len(), 3);
@@ -338,12 +373,7 @@ mod tests {
         let flight = FlightRecorder::new(16);
         assert_eq!(flight.capacity(), 16);
         for round in 0..100 {
-            flight.push(TraceEvent::Message {
-                round,
-                from: 0,
-                to: 1,
-                status: MessageStatus::Delivered,
-            });
+            flight.push(delivered(round));
         }
         assert_eq!(flight.recorded(), 100);
         let snap = flight.dump("rpc");
@@ -400,10 +430,10 @@ mod tests {
         let flight = FlightRecorder::new(64);
         let mut rec = flight.clone();
         // An end whose start was (notionally) evicted.
-        rec.on_span_end(0, 99, "lost", 5);
+        rec.record(span_end(99, "lost", 5));
         // A request whose response never arrived, and vice versa.
-        rec.on_svc_request(1, "stats");
-        rec.on_svc_response(2, "stats", true, "none", 3);
+        rec.record(request(1));
+        rec.record(response(2, 3));
         let snap = flight.dump("rpc");
         assert_eq!(snap.events, 0);
         assert_eq!(snap.dropped, 3);
@@ -415,15 +445,22 @@ mod tests {
         // by later traffic; the dump must not keep the dangling end.
         let flight = FlightRecorder::new(8);
         let mut rec = flight.clone();
-        rec.on_span_start(0, 1, None, "early");
+        rec.record(TraceEvent::SpanStart {
+            round: 0,
+            span_id: 1,
+            parent: None,
+            name: "early".to_string(),
+            trace_id: None,
+            ctx_parent: None,
+        });
         for round in 0..7 {
-            rec.on_message(round, 0, 1, MessageStatus::Delivered);
+            rec.record(delivered(round));
         }
         // The start is now the oldest slot; two more events evict it
         // (shard rings overwrite their own oldest residue class).
-        rec.on_span_end(0, 1, "early", 10);
+        rec.record(span_end(1, "early", 10));
         for round in 7..20 {
-            rec.on_message(round, 0, 1, MessageStatus::Delivered);
+            rec.record(delivered(round));
         }
         let snap = flight.dump("rpc");
         let lines = parse(&snap.jsonl);

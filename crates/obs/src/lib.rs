@@ -7,11 +7,15 @@
 //! * **Events** — [`TraceEvent`], a small closed vocabulary of
 //!   observations (run/round/message/decision/span/checker), each
 //!   serialising to one JSON object under the versioned [`SCHEMA`].
+//!   [`TraceEvent::from_json`] is the inverse, so the enum is the one
+//!   place the schema is written down.
 //! * **Recorders** — the [`Recorder`] trait engines thread through their
-//!   run loops. [`NullRecorder`] is the default everywhere and compiles
-//!   to nothing; [`MemoryRecorder`] buffers for tests; [`JsonlSink`]
-//!   streams JSONL; [`MetricsRecorder`] folds events into a
-//!   [`MetricsRegistry`]; [`TeeRecorder`] fans out to two of them.
+//!   run loops: `enabled()` plus `record(event)`, nothing else.
+//!   [`NullRecorder`] is the default everywhere and compiles to nothing;
+//!   [`MemoryRecorder`] buffers for tests; [`JsonlSink`] streams JSONL;
+//!   [`FlightRecorder`] keeps a bounded ring; [`MetricsRecorder`] folds
+//!   events into a [`MetricsRegistry`]; [`TeeRecorder`] fans out to two
+//!   of them.
 //! * **Metrics** — lock-free [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //!   [`Histogram`]s in a [`MetricsRegistry`] with a JSON snapshot.
 //!
@@ -37,24 +41,29 @@ pub use ctx::{node_id_from_env, stamp_root_span, TraceContext};
 pub use event::{MessageStatus, RoundCounts, TraceEvent, SCHEMA};
 pub use flight::{sample_keep, FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_EVENTS};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRecorder, MetricsRegistry};
-pub use recorder::{replay_event, MemoryRecorder, NullRecorder, Recorder, TeeRecorder};
+pub use recorder::{MemoryRecorder, NullRecorder, Recorder, TeeRecorder};
 pub use sink::{resolve_trace_value, trace_path_from_env, JsonlSink};
 pub use span::{SpanGuard, SpanIds};
 
 use std::time::Instant;
 
-/// A started wall-clock measurement attributed to a recorder hook later.
+/// A started wall-clock measurement, attributed to an event later.
 ///
 /// Engines only start timers when the recorder is enabled, keeping
 /// `Instant::now` syscalls off the uninstrumented hot path:
 ///
 /// ```
-/// use minobs_obs::{MemoryRecorder, RoundTimer, Recorder};
+/// use minobs_obs::{MemoryRecorder, Recorder, RoundTimer, TraceEvent};
 /// let mut recorder = MemoryRecorder::new();
 /// let timer = RoundTimer::start_if(recorder.enabled());
 /// // ... do the round's work ...
-/// let nanos = timer.elapsed_nanos();
-/// recorder.on_span(0, "round", nanos);
+/// if recorder.enabled() {
+///     recorder.record(TraceEvent::Span {
+///         round: 0,
+///         name: "round".to_string(),
+///         nanos: timer.elapsed_nanos(),
+///     });
+/// }
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct RoundTimer {

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::event::{MessageStatus, RoundCounts};
+use crate::event::TraceEvent;
 use crate::recorder::Recorder;
 
 /// A monotonically increasing count.
@@ -458,8 +458,8 @@ impl MetricsRegistry {
 
 /// A [`Recorder`] that folds the event stream into a [`MetricsRegistry`].
 ///
-/// Instrument handles are resolved once at construction; the hooks only
-/// touch atomics. Metric names are stable:
+/// Instrument handles are resolved once at construction; [`observe`]
+/// only touches atomics. Metric names are stable:
 ///
 /// | name | kind | fed by |
 /// |------|------|--------|
@@ -480,6 +480,10 @@ impl MetricsRegistry {
 /// | `svc.responses_{ok,err}` | counter | every `svc_response` by outcome |
 /// | `svc.request_latency_ns` | histogram | `svc_response` nanos (when timed) |
 /// | `svc.method.{method}.latency_ns` | histogram | timed `svc_response`, per method |
+/// | `svc.wal_appends` | counter | every `wal_append` |
+/// | `svc.wal_append_bytes` | counter | `wal_append` bytes |
+/// | `svc.wal_replayed_records` | counter | `wal_replay` records |
+/// | `svc.wal_degraded` | gauge | set to 1 by `wal_degraded` |
 /// | `svc.gossip_rounds` | counter | every `gossip_round` |
 /// | `svc.gossip_deltas_{sent,received}` | counter | `gossip_round` counts |
 /// | `svc.gossip_applied` | counter | every accepted `gossip_apply` |
@@ -493,6 +497,8 @@ impl MetricsRegistry {
 /// health/SLO plane likewise feeds `svc.slo_p99_violations` (counter:
 /// timed responses over the configured p99 target) and `svc.ready`
 /// (gauge: 1 while the node should receive traffic) directly.
+///
+/// [`observe`]: MetricsRecorder::observe
 pub struct MetricsRecorder {
     registry: Arc<MetricsRegistry>,
     rounds: Arc<Counter>,
@@ -606,115 +612,117 @@ impl MetricsRecorder {
     }
 }
 
+impl MetricsRecorder {
+    /// Folds one event into the registry. Message totals come from the
+    /// `round_end` counts (per-message events would double-count them),
+    /// and spans only feed metrics on close, when the duration is known;
+    /// variants not listed in the table above count nothing.
+    pub fn observe(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::Decision { .. } => self.decisions.inc(),
+            TraceEvent::RoundEnd { counts, nanos, .. } => {
+                self.rounds.inc();
+                self.sent.add(counts.sent as u64);
+                self.delivered.add(counts.delivered as u64);
+                self.dropped.add(counts.dropped as u64);
+                self.misaddressed.add(counts.misaddressed as u64);
+                if *nanos > 0 {
+                    self.round_latency.observe(*nanos);
+                }
+            }
+            TraceEvent::SpanEnd { name, nanos, .. } => {
+                if *nanos > 0 {
+                    self.span_histogram(name).observe(*nanos);
+                }
+            }
+            TraceEvent::CheckerProgress { states, .. } => {
+                self.checker_heartbeats.inc();
+                self.checker_states.ratchet_max(*states as u64);
+            }
+            TraceEvent::CheckerRound {
+                frontier,
+                views,
+                nanos,
+                ..
+            } => {
+                self.frontier_size.observe(*frontier as u64);
+                self.views.ratchet_max(*views as u64);
+                if *nanos > 0 {
+                    self.checker_round_latency.observe(*nanos);
+                }
+            }
+            TraceEvent::Horizon { nanos, .. } => {
+                self.horizons.inc();
+                if *nanos > 0 {
+                    self.horizon_latency.observe(*nanos);
+                }
+            }
+            TraceEvent::RunEnd { .. } => self.runs.inc(),
+            TraceEvent::SvcRequest { .. } => self.svc_requests.inc(),
+            TraceEvent::SvcResponse {
+                method, ok, nanos, ..
+            } => {
+                if *ok {
+                    self.svc_responses_ok.inc();
+                } else {
+                    self.svc_responses_err.inc();
+                }
+                if *nanos > 0 {
+                    self.svc_request_latency.observe(*nanos);
+                    self.method_histogram(method).observe(*nanos);
+                }
+            }
+            TraceEvent::WalAppend { bytes, .. } => {
+                self.wal_appends.inc();
+                self.wal_append_bytes.add(*bytes);
+            }
+            TraceEvent::WalReplay { records, .. } => self.wal_replayed_records.add(*records),
+            TraceEvent::WalDegraded { .. } => self.wal_degraded.set(1),
+            TraceEvent::GossipRound {
+                sent,
+                received,
+                nanos,
+                ..
+            } => {
+                self.gossip_rounds.inc();
+                self.gossip_deltas_sent.add(*sent);
+                self.gossip_deltas_received.add(*received);
+                if *nanos > 0 {
+                    self.gossip_round_latency.observe(*nanos);
+                }
+            }
+            TraceEvent::GossipApply { accepted, .. } => {
+                if *accepted {
+                    self.gossip_applied.inc();
+                } else {
+                    self.gossip_rejected.inc();
+                }
+            }
+            TraceEvent::PeerDown { .. } => self.gossip_peer_down.inc(),
+            TraceEvent::RunStart { .. }
+            | TraceEvent::Message { .. }
+            | TraceEvent::Span { .. }
+            | TraceEvent::SpanStart { .. }
+            | TraceEvent::EngineDegraded { .. }
+            | TraceEvent::BudgetExhausted { .. }
+            | TraceEvent::Health { .. }
+            | TraceEvent::FlightDump { .. }
+            | TraceEvent::TraceSampled { .. } => {}
+        }
+    }
+}
+
 impl Recorder for MetricsRecorder {
-    fn on_message(&mut self, _round: usize, _from: usize, _to: usize, _status: MessageStatus) {
-        // Message totals come from the round_end counts; per-message events
-        // would double-count them.
-    }
-
-    fn on_decision(&mut self, _round: usize, _node: usize, _value: u64) {
-        self.decisions.inc();
-    }
-
-    fn on_round_end(&mut self, _round: usize, counts: RoundCounts, nanos: u64) {
-        self.rounds.inc();
-        self.sent.add(counts.sent as u64);
-        self.delivered.add(counts.delivered as u64);
-        self.dropped.add(counts.dropped as u64);
-        self.misaddressed.add(counts.misaddressed as u64);
-        if nanos > 0 {
-            self.round_latency.observe(nanos);
-        }
-    }
-
-    fn on_span_start(&mut self, _round: usize, _span_id: u64, _parent: Option<u64>, _name: &str) {
-        // Spans only feed metrics on close, when the duration is known.
-    }
-
-    fn on_span_end(&mut self, _round: usize, _span_id: u64, name: &str, nanos: u64) {
-        if nanos > 0 {
-            self.span_histogram(name).observe(nanos);
-        }
-    }
-
-    fn on_checker_progress(&mut self, _round: usize, _frontier: usize, states: usize) {
-        self.checker_heartbeats.inc();
-        self.checker_states.ratchet_max(states as u64);
-    }
-
-    fn on_checker_round(&mut self, _round: usize, frontier: usize, views: usize, nanos: u64) {
-        self.frontier_size.observe(frontier as u64);
-        self.views.ratchet_max(views as u64);
-        if nanos > 0 {
-            self.checker_round_latency.observe(nanos);
-        }
-    }
-
-    fn on_horizon(&mut self, _horizon: usize, _solvable: bool, nanos: u64) {
-        self.horizons.inc();
-        if nanos > 0 {
-            self.horizon_latency.observe(nanos);
-        }
-    }
-
-    fn on_run_end(&mut self, _rounds: usize, _totals: RoundCounts, _nanos: u64) {
-        self.runs.inc();
-    }
-
-    fn on_svc_request(&mut self, _seq: u64, _method: &str) {
-        self.svc_requests.inc();
-    }
-
-    fn on_svc_response(&mut self, _seq: u64, method: &str, ok: bool, _cache: &'static str, nanos: u64) {
-        if ok {
-            self.svc_responses_ok.inc();
-        } else {
-            self.svc_responses_err.inc();
-        }
-        if nanos > 0 {
-            self.svc_request_latency.observe(nanos);
-            self.method_histogram(method).observe(nanos);
-        }
-    }
-
-    fn on_wal_append(&mut self, _op: &'static str, _key: &str, bytes: u64) {
-        self.wal_appends.inc();
-        self.wal_append_bytes.add(bytes);
-    }
-
-    fn on_wal_replay(&mut self, records: u64, _bytes: u64, _dropped_tail: bool) {
-        self.wal_replayed_records.add(records);
-    }
-
-    fn on_wal_degraded(&mut self, _error: &str) {
-        self.wal_degraded.set(1);
-    }
-
-    fn on_gossip_round(&mut self, _peer: &str, sent: u64, received: u64, nanos: u64) {
-        self.gossip_rounds.inc();
-        self.gossip_deltas_sent.add(sent);
-        self.gossip_deltas_received.add(received);
-        if nanos > 0 {
-            self.gossip_round_latency.observe(nanos);
-        }
-    }
-
-    fn on_gossip_apply(&mut self, _peer: &str, _op: &'static str, _key: &str, accepted: bool) {
-        if accepted {
-            self.gossip_applied.inc();
-        } else {
-            self.gossip_rejected.inc();
-        }
-    }
-
-    fn on_peer_down(&mut self, _peer: &str, _failures: u64) {
-        self.gossip_peer_down.inc();
+    fn record(&mut self, event: TraceEvent) {
+        self.observe(&event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::RoundCounts;
+    use crate::recorder::TeeRecorder;
 
     #[test]
     fn counters_and_gauges_accumulate() {
@@ -770,28 +778,36 @@ mod tests {
     fn metrics_recorder_folds_round_counts() {
         let registry = Arc::new(MetricsRegistry::new());
         let mut recorder = MetricsRecorder::new(Arc::clone(&registry));
-        recorder.on_round_end(
-            0,
-            RoundCounts {
+        recorder.observe(&TraceEvent::RoundEnd {
+            round: 0,
+            counts: RoundCounts {
                 sent: 6,
                 delivered: 5,
                 dropped: 1,
                 misaddressed: 2,
             },
-            1_500,
-        );
-        recorder.on_round_end(
-            1,
-            RoundCounts {
+            nanos: 1_500,
+        });
+        recorder.observe(&TraceEvent::RoundEnd {
+            round: 1,
+            counts: RoundCounts {
                 sent: 2,
                 delivered: 2,
                 dropped: 0,
                 misaddressed: 0,
             },
-            0,
-        );
-        recorder.on_decision(1, 0, 1);
-        recorder.on_run_end(2, RoundCounts::default(), 0);
+            nanos: 0,
+        });
+        recorder.observe(&TraceEvent::Decision {
+            round: 1,
+            node: 0,
+            value: 1,
+        });
+        recorder.observe(&TraceEvent::RunEnd {
+            rounds: 2,
+            totals: RoundCounts::default(),
+            nanos: 0,
+        });
         assert_eq!(registry.counter("engine.rounds").get(), 2);
         assert_eq!(registry.counter("engine.messages_sent").get(), 8);
         assert_eq!(registry.counter("engine.messages_dropped").get(), 1);
@@ -947,10 +963,23 @@ mod tests {
     fn span_ends_feed_per_name_histograms() {
         let registry = Arc::new(MetricsRegistry::new());
         let mut recorder = MetricsRecorder::new(Arc::clone(&registry));
-        recorder.on_span_start(0, 0, None, "net_send");
-        recorder.on_span_end(0, 0, "net_send", 1_500);
-        recorder.on_span_end(1, 1, "net_send", 2_500);
-        recorder.on_span_end(1, 2, "net_advance", 0); // untimed: ignored
+        recorder.observe(&TraceEvent::SpanStart {
+            round: 0,
+            span_id: 0,
+            parent: None,
+            name: "net_send".to_string(),
+            trace_id: None,
+            ctx_parent: None,
+        });
+        let span_end = |round, span_id, name: &str, nanos| TraceEvent::SpanEnd {
+            round,
+            span_id,
+            name: name.to_string(),
+            nanos,
+        };
+        recorder.observe(&span_end(0, 0, "net_send", 1_500));
+        recorder.observe(&span_end(1, 1, "net_send", 2_500));
+        recorder.observe(&span_end(1, 2, "net_advance", 0)); // untimed: ignored
         assert_eq!(
             registry.histogram("span.net_send.duration_ns", &[]).count(),
             2
@@ -967,9 +996,19 @@ mod tests {
     fn svc_responses_feed_per_method_histograms() {
         let registry = Arc::new(MetricsRegistry::new());
         let mut recorder = MetricsRecorder::new(Arc::clone(&registry));
-        recorder.on_svc_response(0, "solvable", true, "miss", 800);
-        recorder.on_svc_response(1, "solvable", true, "hit", 200);
-        recorder.on_svc_response(2, "stats", true, "none", 100);
+        for (seq, method, cache, nanos) in [
+            (0, "solvable", "miss", 800),
+            (1, "solvable", "hit", 200),
+            (2, "stats", "none", 100),
+        ] {
+            recorder.observe(&TraceEvent::SvcResponse {
+                seq,
+                method: method.to_string(),
+                ok: true,
+                cache,
+                nanos,
+            });
+        }
         let solvable = registry.histogram("svc.method.solvable.latency_ns", &[]);
         assert_eq!(solvable.count(), 2);
         assert!(solvable.quantile(0.5).is_some());
@@ -980,10 +1019,172 @@ mod tests {
     fn checker_progress_ratchets_cumulative_states() {
         let registry = Arc::new(MetricsRegistry::new());
         let mut recorder = MetricsRecorder::new(Arc::clone(&registry));
-        recorder.on_checker_progress(3, 128, 4_096);
-        recorder.on_checker_progress(5, 64, 8_192);
+        recorder.observe(&TraceEvent::CheckerProgress {
+            round: 3,
+            frontier: 128,
+            states: 4_096,
+        });
+        recorder.observe(&TraceEvent::CheckerProgress {
+            round: 5,
+            frontier: 64,
+            states: 8_192,
+        });
         assert_eq!(registry.gauge("checker.states").get(), 8_192);
         assert_eq!(registry.counter("checker.heartbeats").get(), 2);
+    }
+
+    #[test]
+    fn a_tee_feeds_metrics_through_record() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let mut tee = TeeRecorder::new(
+            MetricsRecorder::new(Arc::clone(&registry)),
+            crate::MemoryRecorder::new(),
+        );
+        tee.record(TraceEvent::GossipApply {
+            peer: "127.0.0.1:7401".to_string(),
+            op: "horizon",
+            key: "classic:s1|gamma".to_string(),
+            accepted: false,
+        });
+        tee.record(TraceEvent::PeerDown {
+            peer: "127.0.0.1:7401".to_string(),
+            failures: 3,
+        });
+        assert_eq!(registry.counter("svc.gossip_rejected").get(), 1);
+        assert_eq!(registry.counter("svc.gossip_peer_down").get(), 1);
+        assert_eq!(tee.into_inner().1.events().len(), 2);
+    }
+
+    #[test]
+    fn gossip_and_wal_events_feed_their_instruments() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let mut metrics = MetricsRecorder::new(Arc::clone(&registry));
+        metrics.observe(&TraceEvent::GossipRound {
+            peer: "127.0.0.1:7401".to_string(),
+            sent: 3,
+            received: 2,
+            nanos: 40_000,
+        });
+        metrics.observe(&TraceEvent::GossipApply {
+            peer: "127.0.0.1:7401".to_string(),
+            op: "theorem",
+            key: "k".to_string(),
+            accepted: true,
+        });
+        metrics.observe(&TraceEvent::WalAppend {
+            op: "horizon",
+            key: "classic:s1|gamma".to_string(),
+            bytes: 140,
+        });
+        metrics.observe(&TraceEvent::WalReplay {
+            records: 7,
+            bytes: 900,
+            dropped_tail: false,
+        });
+        metrics.observe(&TraceEvent::WalDegraded {
+            error: "disk full".to_string(),
+        });
+        assert_eq!(registry.counter("svc.gossip_rounds").get(), 1);
+        assert_eq!(registry.counter("svc.gossip_deltas_sent").get(), 3);
+        assert_eq!(registry.counter("svc.gossip_deltas_received").get(), 2);
+        assert_eq!(registry.counter("svc.gossip_applied").get(), 1);
+        assert_eq!(
+            registry
+                .histogram("svc.gossip_round_latency_ns", &Histogram::latency_bounds())
+                .count(),
+            1
+        );
+        assert_eq!(registry.counter("svc.wal_appends").get(), 1);
+        assert_eq!(registry.counter("svc.wal_append_bytes").get(), 140);
+        assert_eq!(registry.counter("svc.wal_replayed_records").get(), 7);
+        assert_eq!(registry.gauge("svc.wal_degraded").get(), 1);
+    }
+
+    #[test]
+    fn events_without_an_instrument_count_nothing() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let mut metrics = MetricsRecorder::new(Arc::clone(&registry));
+        let before = registry.snapshot();
+        for event in [
+            TraceEvent::RunStart {
+                engine: "network",
+                nodes: 2,
+                threads: 1,
+            },
+            TraceEvent::Message {
+                round: 0,
+                from: 0,
+                to: 1,
+                status: crate::event::MessageStatus::Dropped,
+            },
+            TraceEvent::SpanStart {
+                round: 0,
+                span_id: 0,
+                parent: None,
+                name: "net_send".to_string(),
+                trace_id: None,
+                ctx_parent: None,
+            },
+            TraceEvent::Health {
+                status: "degraded".to_string(),
+                ready: false,
+                live: true,
+            },
+            TraceEvent::FlightDump {
+                reason: "rpc".to_string(),
+                events: 3,
+                dropped: 0,
+                truncated: 0,
+                sampled: false,
+            },
+            TraceEvent::TraceSampled {
+                sample: 0.5,
+                slow_ms: 10,
+            },
+        ] {
+            metrics.record(event);
+        }
+        assert_eq!(registry.snapshot(), before);
+    }
+
+    #[test]
+    fn record_and_observe_fold_identically() {
+        let events = [
+            TraceEvent::RoundEnd {
+                round: 0,
+                counts: RoundCounts {
+                    sent: 4,
+                    delivered: 3,
+                    dropped: 1,
+                    misaddressed: 0,
+                },
+                nanos: 1_500,
+            },
+            TraceEvent::SvcResponse {
+                seq: 1,
+                method: "check".to_string(),
+                ok: false,
+                cache: "miss",
+                nanos: 80_000,
+            },
+            TraceEvent::SpanEnd {
+                round: 0,
+                span_id: 2,
+                name: "rpc.check".to_string(),
+                nanos: 70_000,
+            },
+        ];
+        let recorded = Arc::new(MetricsRegistry::new());
+        let mut by_record = MetricsRecorder::new(Arc::clone(&recorded));
+        let observed = Arc::new(MetricsRegistry::new());
+        let mut by_observe = MetricsRecorder::new(Arc::clone(&observed));
+        for event in events {
+            by_observe.observe(&event);
+            by_record.record(event);
+        }
+        assert_eq!(recorded.snapshot(), observed.snapshot());
+        assert_eq!(observed.counter("svc.responses_err").get(), 1);
+        assert_eq!(observed.counter("engine.messages_sent").get(), 4);
     }
 
     mod quantile_props {

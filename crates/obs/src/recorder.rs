@@ -1,26 +1,26 @@
 //! The [`Recorder`] trait and its built-in implementations.
 //!
 //! Engines thread a `&mut R where R: Recorder + ?Sized` through their run
-//! loops and call the hook matching each observation. Every hook has a
-//! no-op default body, so [`NullRecorder`] — the default on every public
-//! entry point — monomorphises to nothing and the uninstrumented hot path
-//! stays byte-for-byte as fast as before instrumentation (proven by the
-//! `bench_obs` criterion benchmark).
+//! loops, build the [`TraceEvent`] for each observation and hand it to
+//! [`Recorder::record`]. [`NullRecorder`] — the default on every public
+//! entry point — has an inlined empty `record`, so it monomorphises to
+//! nothing and the uninstrumented hot path stays byte-for-byte as fast as
+//! before instrumentation (proven by the `bench_obs` criterion benchmark).
 //!
-//! Hooks that would require extra per-round work to *feed* (scanning for
-//! fresh decisions, timing rounds, buffering per-message fates) are gated
-//! by [`Recorder::enabled`], which the null recorder answers `false` —
+//! Observations that would require extra per-round work to *feed*
+//! (scanning for fresh decisions, timing rounds, buffering per-message
+//! fates) and events that carry a `String` are gated by
+//! [`Recorder::enabled`], which the null recorder answers `false` —
 //! engines skip building those observations entirely.
 
-use crate::event::{MessageStatus, RoundCounts, TraceEvent};
+use crate::event::TraceEvent;
 
 /// Receives structured observations from an engine or the model checker.
 ///
-/// All hooks default to no-ops; implementors override the ones they care
-/// about. The event-level hooks mirror the [`TraceEvent`] variants
-/// one-to-one, and [`Recorder::record`] is the funnel every default hook
-/// forwards to — a sink that just wants the full stream (like
-/// [`crate::JsonlSink`]) only overrides `record`.
+/// Every event enters through [`Recorder::record`]; the event schema
+/// lives in [`TraceEvent`] alone. A sink that keeps the stream (like
+/// [`crate::JsonlSink`]) takes the owned event, an aggregator (like
+/// [`crate::MetricsRecorder`]) matches on its variant.
 pub trait Recorder {
     /// Cheap global switch. When `false`, engines skip constructing
     /// observations altogether (no timing syscalls, no decision scans).
@@ -29,242 +29,12 @@ pub trait Recorder {
         true
     }
 
-    /// Funnel receiving every event the default hooks forward.
-    #[inline]
-    fn record(&mut self, event: TraceEvent) {
-        let _ = event;
-    }
-
-    /// A run began.
-    #[inline]
-    fn on_run_start(&mut self, engine: &'static str, nodes: usize, threads: usize) {
-        self.record(TraceEvent::RunStart {
-            engine,
-            nodes,
-            threads,
-        });
-    }
-
-    /// A message was delivered, dropped, or misaddressed in `round`.
-    #[inline]
-    fn on_message(&mut self, round: usize, from: usize, to: usize, status: MessageStatus) {
-        self.record(TraceEvent::Message {
-            round,
-            from,
-            to,
-            status,
-        });
-    }
-
-    /// A node committed to `value` in `round`.
-    #[inline]
-    fn on_decision(&mut self, round: usize, node: usize, value: u64) {
-        self.record(TraceEvent::Decision { round, node, value });
-    }
-
-    /// A round finished with the given accounting.
-    #[inline]
-    fn on_round_end(&mut self, round: usize, counts: RoundCounts, nanos: u64) {
-        self.record(TraceEvent::RoundEnd {
-            round,
-            counts,
-            nanos,
-        });
-    }
-
-    /// A named timed section completed.
-    #[inline]
-    fn on_span(&mut self, round: usize, name: &str, nanos: u64) {
-        self.record(TraceEvent::Span {
-            round,
-            name: name.to_string(),
-            nanos,
-        });
-    }
-
-    /// A profiling span opened (see [`crate::SpanGuard`]).
-    ///
-    /// The hook carries no distributed-trace fields: a span is born local
-    /// and only gains `trace_id`/`ctx_parent` when the owner stamps the
-    /// buffered event (see [`crate::stamp_root_span`]).
-    #[inline]
-    fn on_span_start(&mut self, round: usize, span_id: u64, parent: Option<u64>, name: &str) {
-        self.record(TraceEvent::SpanStart {
-            round,
-            span_id,
-            parent,
-            name: name.to_string(),
-            trace_id: None,
-            ctx_parent: None,
-        });
-    }
-
-    /// A profiling span closed with its measured duration.
-    #[inline]
-    fn on_span_end(&mut self, round: usize, span_id: u64, name: &str, nanos: u64) {
-        self.record(TraceEvent::SpanEnd {
-            round,
-            span_id,
-            name: name.to_string(),
-            nanos,
-        });
-    }
-
-    /// Heartbeat from a long checker sweep: cumulative states crossed
-    /// another progress stride.
-    #[inline]
-    fn on_checker_progress(&mut self, round: usize, frontier: usize, states: usize) {
-        self.record(TraceEvent::CheckerProgress {
-            round,
-            frontier,
-            states,
-        });
-    }
-
-    /// The model checker finished one frontier step.
-    #[inline]
-    fn on_checker_round(&mut self, round: usize, frontier: usize, views: usize, nanos: u64) {
-        self.record(TraceEvent::CheckerRound {
-            round,
-            frontier,
-            views,
-            nanos,
-        });
-    }
-
-    /// A whole horizon check finished.
-    #[inline]
-    fn on_horizon(&mut self, horizon: usize, solvable: bool, nanos: u64) {
-        self.record(TraceEvent::Horizon {
-            horizon,
-            solvable,
-            nanos,
-        });
-    }
-
-    /// A parallel engine worker panicked; its shard was recovered serially.
-    #[inline]
-    fn on_engine_degraded(&mut self, round: usize, phase: &'static str, shard: usize) {
-        self.record(TraceEvent::EngineDegraded {
-            round,
-            phase,
-            shard,
-        });
-    }
-
-    /// The model checker's state or time budget ran out mid-check.
-    #[inline]
-    fn on_budget_exhausted(&mut self, horizon: usize, frontier: usize, states: usize) {
-        self.record(TraceEvent::BudgetExhausted {
-            horizon,
-            frontier,
-            states,
-        });
-    }
-
-    /// A run finished with totals over all rounds.
-    #[inline]
-    fn on_run_end(&mut self, rounds: usize, totals: RoundCounts, nanos: u64) {
-        self.record(TraceEvent::RunEnd {
-            rounds,
-            totals,
-            nanos,
-        });
-    }
-
-    /// The solvability service accepted request `seq` for `method`.
-    #[inline]
-    fn on_svc_request(&mut self, seq: u64, method: &str) {
-        self.record(TraceEvent::SvcRequest {
-            seq,
-            method: method.to_string(),
-        });
-    }
-
-    /// The solvability service answered request `seq`.
-    #[inline]
-    fn on_svc_response(&mut self, seq: u64, method: &str, ok: bool, cache: &'static str, nanos: u64) {
-        self.record(TraceEvent::SvcResponse {
-            seq,
-            method: method.to_string(),
-            ok,
-            cache,
-            nanos,
-        });
-    }
-
-    /// The daemon appended a record to the write-ahead verdict log.
-    #[inline]
-    fn on_wal_append(&mut self, op: &'static str, key: &str, bytes: u64) {
-        self.record(TraceEvent::WalAppend {
-            op,
-            key: key.to_string(),
-            bytes,
-        });
-    }
-
-    /// The daemon replayed the write-ahead verdict log at startup.
-    #[inline]
-    fn on_wal_replay(&mut self, records: u64, bytes: u64, dropped_tail: bool) {
-        self.record(TraceEvent::WalReplay {
-            records,
-            bytes,
-            dropped_tail,
-        });
-    }
-
-    /// The write-ahead log failed; the daemon is memory-only from here.
-    #[inline]
-    fn on_wal_degraded(&mut self, error: &str) {
-        self.record(TraceEvent::WalDegraded {
-            error: error.to_string(),
-        });
-    }
-
-    /// One anti-entropy gossip exchange with `peer` finished.
-    #[inline]
-    fn on_gossip_round(&mut self, peer: &str, sent: u64, received: u64, nanos: u64) {
-        self.record(TraceEvent::GossipRound {
-            peer: peer.to_string(),
-            sent,
-            received,
-            nanos,
-        });
-    }
-
-    /// One replicated delta from `peer` was ingested (or rejected).
-    #[inline]
-    fn on_gossip_apply(&mut self, peer: &str, op: &'static str, key: &str, accepted: bool) {
-        self.record(TraceEvent::GossipApply {
-            peer: peer.to_string(),
-            op,
-            key: key.to_string(),
-            accepted,
-        });
-    }
-
-    /// A peer stopped answering gossip and was marked down.
-    #[inline]
-    fn on_peer_down(&mut self, peer: &str, failures: u64) {
-        self.record(TraceEvent::PeerDown {
-            peer: peer.to_string(),
-            failures,
-        });
-    }
-
-    /// The daemon's health verdict flipped (edge-triggered).
-    #[inline]
-    fn on_health(&mut self, status: &str, ready: bool, live: bool) {
-        self.record(TraceEvent::Health {
-            status: status.to_string(),
-            ready,
-            live,
-        });
-    }
+    /// Receives one event.
+    fn record(&mut self, event: TraceEvent);
 }
 
-/// A `&mut` reference forwards to the referent, overridden hooks included,
-/// so call sites can tee short-lived borrows of long-lived recorders.
+/// A `&mut` reference forwards to the referent, so call sites can tee
+/// short-lived borrows of long-lived recorders.
 impl<R: Recorder + ?Sized> Recorder for &mut R {
     #[inline]
     fn enabled(&self) -> bool {
@@ -274,220 +44,13 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
     fn record(&mut self, event: TraceEvent) {
         (**self).record(event);
     }
-    #[inline]
-    fn on_run_start(&mut self, engine: &'static str, nodes: usize, threads: usize) {
-        (**self).on_run_start(engine, nodes, threads);
-    }
-    #[inline]
-    fn on_message(&mut self, round: usize, from: usize, to: usize, status: MessageStatus) {
-        (**self).on_message(round, from, to, status);
-    }
-    #[inline]
-    fn on_decision(&mut self, round: usize, node: usize, value: u64) {
-        (**self).on_decision(round, node, value);
-    }
-    #[inline]
-    fn on_round_end(&mut self, round: usize, counts: RoundCounts, nanos: u64) {
-        (**self).on_round_end(round, counts, nanos);
-    }
-    #[inline]
-    fn on_span(&mut self, round: usize, name: &str, nanos: u64) {
-        (**self).on_span(round, name, nanos);
-    }
-    #[inline]
-    fn on_span_start(&mut self, round: usize, span_id: u64, parent: Option<u64>, name: &str) {
-        (**self).on_span_start(round, span_id, parent, name);
-    }
-    #[inline]
-    fn on_span_end(&mut self, round: usize, span_id: u64, name: &str, nanos: u64) {
-        (**self).on_span_end(round, span_id, name, nanos);
-    }
-    #[inline]
-    fn on_checker_progress(&mut self, round: usize, frontier: usize, states: usize) {
-        (**self).on_checker_progress(round, frontier, states);
-    }
-    #[inline]
-    fn on_checker_round(&mut self, round: usize, frontier: usize, views: usize, nanos: u64) {
-        (**self).on_checker_round(round, frontier, views, nanos);
-    }
-    #[inline]
-    fn on_horizon(&mut self, horizon: usize, solvable: bool, nanos: u64) {
-        (**self).on_horizon(horizon, solvable, nanos);
-    }
-    #[inline]
-    fn on_engine_degraded(&mut self, round: usize, phase: &'static str, shard: usize) {
-        (**self).on_engine_degraded(round, phase, shard);
-    }
-    #[inline]
-    fn on_budget_exhausted(&mut self, horizon: usize, frontier: usize, states: usize) {
-        (**self).on_budget_exhausted(horizon, frontier, states);
-    }
-    #[inline]
-    fn on_run_end(&mut self, rounds: usize, totals: RoundCounts, nanos: u64) {
-        (**self).on_run_end(rounds, totals, nanos);
-    }
-    #[inline]
-    fn on_svc_request(&mut self, seq: u64, method: &str) {
-        (**self).on_svc_request(seq, method);
-    }
-    #[inline]
-    fn on_svc_response(&mut self, seq: u64, method: &str, ok: bool, cache: &'static str, nanos: u64) {
-        (**self).on_svc_response(seq, method, ok, cache, nanos);
-    }
-    #[inline]
-    fn on_wal_append(&mut self, op: &'static str, key: &str, bytes: u64) {
-        (**self).on_wal_append(op, key, bytes);
-    }
-    #[inline]
-    fn on_wal_replay(&mut self, records: u64, bytes: u64, dropped_tail: bool) {
-        (**self).on_wal_replay(records, bytes, dropped_tail);
-    }
-    #[inline]
-    fn on_wal_degraded(&mut self, error: &str) {
-        (**self).on_wal_degraded(error);
-    }
-    #[inline]
-    fn on_gossip_round(&mut self, peer: &str, sent: u64, received: u64, nanos: u64) {
-        (**self).on_gossip_round(peer, sent, received, nanos);
-    }
-    #[inline]
-    fn on_gossip_apply(&mut self, peer: &str, op: &'static str, key: &str, accepted: bool) {
-        (**self).on_gossip_apply(peer, op, key, accepted);
-    }
-    #[inline]
-    fn on_peer_down(&mut self, peer: &str, failures: u64) {
-        (**self).on_peer_down(peer, failures);
-    }
-    #[inline]
-    fn on_health(&mut self, status: &str, ready: bool, live: bool) {
-        (**self).on_health(status, ready, live);
-    }
-}
-
-/// Re-dispatches a stored [`TraceEvent`] through the matching hook.
-///
-/// `recorder.record(event)` bypasses overridden hooks (a
-/// [`crate::MetricsRecorder`] aggregates in hooks and ignores `record`),
-/// so replaying a buffered stream — the daemon flushing per-request span
-/// blocks, tests rebuilding metrics from canonical events — goes through
-/// here instead.
-pub fn replay_event<R: Recorder + ?Sized>(recorder: &mut R, event: &TraceEvent) {
-    match event {
-        TraceEvent::RunStart {
-            engine,
-            nodes,
-            threads,
-        } => recorder.on_run_start(engine, *nodes, *threads),
-        TraceEvent::Message {
-            round,
-            from,
-            to,
-            status,
-        } => recorder.on_message(*round, *from, *to, *status),
-        TraceEvent::Decision { round, node, value } => {
-            recorder.on_decision(*round, *node, *value)
-        }
-        TraceEvent::RoundEnd {
-            round,
-            counts,
-            nanos,
-        } => recorder.on_round_end(*round, *counts, *nanos),
-        TraceEvent::Span { round, name, nanos } => recorder.on_span(*round, name, *nanos),
-        // The ctx fields don't travel through the hook: replay feeds
-        // aggregators (metrics), which ignore trace identity; sinks that
-        // need the stamped fields receive the full event via `record`.
-        TraceEvent::SpanStart {
-            round,
-            span_id,
-            parent,
-            name,
-            ..
-        } => recorder.on_span_start(*round, *span_id, *parent, name),
-        TraceEvent::SpanEnd {
-            round,
-            span_id,
-            name,
-            nanos,
-        } => recorder.on_span_end(*round, *span_id, name, *nanos),
-        TraceEvent::CheckerProgress {
-            round,
-            frontier,
-            states,
-        } => recorder.on_checker_progress(*round, *frontier, *states),
-        TraceEvent::CheckerRound {
-            round,
-            frontier,
-            views,
-            nanos,
-        } => recorder.on_checker_round(*round, *frontier, *views, *nanos),
-        TraceEvent::Horizon {
-            horizon,
-            solvable,
-            nanos,
-        } => recorder.on_horizon(*horizon, *solvable, *nanos),
-        TraceEvent::EngineDegraded {
-            round,
-            phase,
-            shard,
-        } => recorder.on_engine_degraded(*round, phase, *shard),
-        TraceEvent::BudgetExhausted {
-            horizon,
-            frontier,
-            states,
-        } => recorder.on_budget_exhausted(*horizon, *frontier, *states),
-        TraceEvent::RunEnd {
-            rounds,
-            totals,
-            nanos,
-        } => recorder.on_run_end(*rounds, *totals, *nanos),
-        TraceEvent::SvcRequest { seq, method } => recorder.on_svc_request(*seq, method),
-        TraceEvent::SvcResponse {
-            seq,
-            method,
-            ok,
-            cache,
-            nanos,
-        } => recorder.on_svc_response(*seq, method, *ok, cache, *nanos),
-        TraceEvent::WalAppend { op, key, bytes } => recorder.on_wal_append(op, key, *bytes),
-        TraceEvent::WalReplay {
-            records,
-            bytes,
-            dropped_tail,
-        } => recorder.on_wal_replay(*records, *bytes, *dropped_tail),
-        TraceEvent::WalDegraded { error } => recorder.on_wal_degraded(error),
-        TraceEvent::GossipRound {
-            peer,
-            sent,
-            received,
-            nanos,
-        } => recorder.on_gossip_round(peer, *sent, *received, *nanos),
-        TraceEvent::GossipApply {
-            peer,
-            op,
-            key,
-            accepted,
-        } => recorder.on_gossip_apply(peer, op, key, *accepted),
-        TraceEvent::PeerDown { peer, failures } => recorder.on_peer_down(peer, *failures),
-        TraceEvent::Health {
-            status,
-            ready,
-            live,
-        } => recorder.on_health(status, *ready, *live),
-        // Flight-recorder bookkeeping has no dedicated hook: these events
-        // annotate a stream rather than observe the system, so replay
-        // funnels them straight through `record` and aggregators that
-        // only override hooks ignore them.
-        TraceEvent::FlightDump { .. } | TraceEvent::TraceSampled { .. } => {
-            recorder.record(event.clone())
-        }
-    }
 }
 
 /// The do-nothing recorder: the default on every public entry point.
 ///
 /// `enabled()` is `false`, so engines skip observation construction, and
-/// every hook body is an inlined empty function — the optimiser removes
-/// the instrumentation entirely.
+/// `record` is an inlined empty function — the optimiser removes the
+/// instrumentation entirely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullRecorder;
 
@@ -601,9 +164,6 @@ impl<A: Recorder, B: Recorder> TeeRecorder<A, B> {
     }
 }
 
-/// Forwards every hook to both recorders — hook-by-hook, not through the
-/// `record` funnel, so a side that aggregates in overridden hooks (like
-/// [`crate::MetricsRecorder`]) still sees its overrides called.
 impl<A: Recorder, B: Recorder> Recorder for TeeRecorder<A, B> {
     #[inline]
     fn enabled(&self) -> bool {
@@ -614,207 +174,149 @@ impl<A: Recorder, B: Recorder> Recorder for TeeRecorder<A, B> {
         self.first.record(event.clone());
         self.second.record(event);
     }
-    #[inline]
-    fn on_run_start(&mut self, engine: &'static str, nodes: usize, threads: usize) {
-        self.first.on_run_start(engine, nodes, threads);
-        self.second.on_run_start(engine, nodes, threads);
-    }
-    #[inline]
-    fn on_message(&mut self, round: usize, from: usize, to: usize, status: MessageStatus) {
-        self.first.on_message(round, from, to, status);
-        self.second.on_message(round, from, to, status);
-    }
-    #[inline]
-    fn on_decision(&mut self, round: usize, node: usize, value: u64) {
-        self.first.on_decision(round, node, value);
-        self.second.on_decision(round, node, value);
-    }
-    #[inline]
-    fn on_round_end(&mut self, round: usize, counts: RoundCounts, nanos: u64) {
-        self.first.on_round_end(round, counts, nanos);
-        self.second.on_round_end(round, counts, nanos);
-    }
-    #[inline]
-    fn on_span(&mut self, round: usize, name: &str, nanos: u64) {
-        self.first.on_span(round, name, nanos);
-        self.second.on_span(round, name, nanos);
-    }
-    #[inline]
-    fn on_span_start(&mut self, round: usize, span_id: u64, parent: Option<u64>, name: &str) {
-        self.first.on_span_start(round, span_id, parent, name);
-        self.second.on_span_start(round, span_id, parent, name);
-    }
-    #[inline]
-    fn on_span_end(&mut self, round: usize, span_id: u64, name: &str, nanos: u64) {
-        self.first.on_span_end(round, span_id, name, nanos);
-        self.second.on_span_end(round, span_id, name, nanos);
-    }
-    #[inline]
-    fn on_checker_progress(&mut self, round: usize, frontier: usize, states: usize) {
-        self.first.on_checker_progress(round, frontier, states);
-        self.second.on_checker_progress(round, frontier, states);
-    }
-    #[inline]
-    fn on_checker_round(&mut self, round: usize, frontier: usize, views: usize, nanos: u64) {
-        self.first.on_checker_round(round, frontier, views, nanos);
-        self.second.on_checker_round(round, frontier, views, nanos);
-    }
-    #[inline]
-    fn on_horizon(&mut self, horizon: usize, solvable: bool, nanos: u64) {
-        self.first.on_horizon(horizon, solvable, nanos);
-        self.second.on_horizon(horizon, solvable, nanos);
-    }
-    #[inline]
-    fn on_engine_degraded(&mut self, round: usize, phase: &'static str, shard: usize) {
-        self.first.on_engine_degraded(round, phase, shard);
-        self.second.on_engine_degraded(round, phase, shard);
-    }
-    #[inline]
-    fn on_budget_exhausted(&mut self, horizon: usize, frontier: usize, states: usize) {
-        self.first.on_budget_exhausted(horizon, frontier, states);
-        self.second.on_budget_exhausted(horizon, frontier, states);
-    }
-    #[inline]
-    fn on_run_end(&mut self, rounds: usize, totals: RoundCounts, nanos: u64) {
-        self.first.on_run_end(rounds, totals, nanos);
-        self.second.on_run_end(rounds, totals, nanos);
-    }
-    #[inline]
-    fn on_svc_request(&mut self, seq: u64, method: &str) {
-        self.first.on_svc_request(seq, method);
-        self.second.on_svc_request(seq, method);
-    }
-    #[inline]
-    fn on_svc_response(&mut self, seq: u64, method: &str, ok: bool, cache: &'static str, nanos: u64) {
-        self.first.on_svc_response(seq, method, ok, cache, nanos);
-        self.second.on_svc_response(seq, method, ok, cache, nanos);
-    }
-    fn on_wal_append(&mut self, op: &'static str, key: &str, bytes: u64) {
-        self.first.on_wal_append(op, key, bytes);
-        self.second.on_wal_append(op, key, bytes);
-    }
-    fn on_wal_replay(&mut self, records: u64, bytes: u64, dropped_tail: bool) {
-        self.first.on_wal_replay(records, bytes, dropped_tail);
-        self.second.on_wal_replay(records, bytes, dropped_tail);
-    }
-    fn on_wal_degraded(&mut self, error: &str) {
-        self.first.on_wal_degraded(error);
-        self.second.on_wal_degraded(error);
-    }
-    fn on_gossip_round(&mut self, peer: &str, sent: u64, received: u64, nanos: u64) {
-        self.first.on_gossip_round(peer, sent, received, nanos);
-        self.second.on_gossip_round(peer, sent, received, nanos);
-    }
-    fn on_gossip_apply(&mut self, peer: &str, op: &'static str, key: &str, accepted: bool) {
-        self.first.on_gossip_apply(peer, op, key, accepted);
-        self.second.on_gossip_apply(peer, op, key, accepted);
-    }
-    fn on_peer_down(&mut self, peer: &str, failures: u64) {
-        self.first.on_peer_down(peer, failures);
-        self.second.on_peer_down(peer, failures);
-    }
-    fn on_health(&mut self, status: &str, ready: bool, live: bool) {
-        self.first.on_health(status, ready, live);
-        self.second.on_health(status, ready, live);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::MessageStatus;
+
+    fn message(round: usize, from: usize, to: usize, status: MessageStatus) -> TraceEvent {
+        TraceEvent::Message {
+            round,
+            from,
+            to,
+            status,
+        }
+    }
 
     #[test]
     fn null_recorder_is_disabled() {
         assert!(!NullRecorder.enabled());
     }
 
+    /// Counts what arrives through `record`, by event kind.
+    #[derive(Default)]
+    struct KindCounter {
+        kinds: Vec<&'static str>,
+    }
+
+    impl Recorder for KindCounter {
+        fn record(&mut self, event: TraceEvent) {
+            self.kinds.push(event.kind());
+        }
+    }
+
     #[test]
-    fn hooks_funnel_into_record() {
+    fn memory_recorder_keeps_arrival_order() {
         let mut memory = MemoryRecorder::new();
-        memory.on_run_start("network", 3, 1);
-        memory.on_message(0, 0, 1, MessageStatus::Delivered);
-        memory.on_decision(1, 2, 9);
-        memory.on_run_end(2, RoundCounts::default(), 0);
+        memory.record(TraceEvent::RunStart {
+            engine: "network",
+            nodes: 3,
+            threads: 1,
+        });
+        memory.record(message(0, 0, 1, MessageStatus::Delivered));
+        memory.record(TraceEvent::Decision {
+            round: 1,
+            node: 2,
+            value: 9,
+        });
+        memory.record(TraceEvent::RunEnd {
+            rounds: 2,
+            totals: Default::default(),
+            nanos: 0,
+        });
         let kinds: Vec<&str> = memory.events().iter().map(TraceEvent::kind).collect();
         assert_eq!(kinds, ["run_start", "message", "decision", "run_end"]);
+        assert_eq!(memory.into_events().len(), 4);
+    }
+
+    #[test]
+    fn mut_reference_forwards_record_and_enabled() {
+        fn drive<R: Recorder>(mut recorder: R) -> bool {
+            recorder.record(TraceEvent::Decision {
+                round: 0,
+                node: 1,
+                value: 2,
+            });
+            recorder.enabled()
+        }
+        let mut counter = KindCounter::default();
+        assert!(drive(&mut counter));
+        assert_eq!(counter.kinds, ["decision"]);
+        // `enabled` is the referent's answer, not a default `true`.
+        assert!(!drive(&mut NullRecorder));
+    }
+
+    #[test]
+    fn tee_forwards_every_event_to_both_sides() {
+        let events = [
+            TraceEvent::GossipRound {
+                peer: "127.0.0.1:7401".to_string(),
+                sent: 2,
+                received: 1,
+                nanos: 10,
+            },
+            TraceEvent::GossipApply {
+                peer: "127.0.0.1:7401".to_string(),
+                op: "horizon",
+                key: "classic:s1|gamma".to_string(),
+                accepted: true,
+            },
+            TraceEvent::PeerDown {
+                peer: "127.0.0.1:7402".to_string(),
+                failures: 3,
+            },
+            TraceEvent::Health {
+                status: "degraded".to_string(),
+                ready: false,
+                live: true,
+            },
+        ];
+        let mut counter = KindCounter::default();
+        let mut tee = TeeRecorder::new(&mut counter, MemoryRecorder::new());
+        for event in events.iter().cloned() {
+            tee.record(event);
+        }
+        let (_, memory) = tee.into_inner();
+        assert_eq!(counter.kinds, ["gossip_round", "gossip_apply", "peer_down", "health"]);
+        assert_eq!(memory.events(), events);
+        // One enabled side is enough to make the tee worth feeding.
+        assert!(TeeRecorder::new(NullRecorder, MemoryRecorder::new()).enabled());
+        assert!(TeeRecorder::new(MemoryRecorder::new(), NullRecorder).enabled());
     }
 
     #[test]
     fn canonical_order_ignores_arrival_order() {
         let mut a = MemoryRecorder::new();
-        a.on_message(0, 1, 2, MessageStatus::Delivered);
-        a.on_message(0, 0, 1, MessageStatus::Dropped);
+        a.record(message(0, 1, 2, MessageStatus::Delivered));
+        a.record(message(0, 0, 1, MessageStatus::Dropped));
         let mut b = MemoryRecorder::new();
-        b.on_message(0, 0, 1, MessageStatus::Dropped);
-        b.on_message(0, 1, 2, MessageStatus::Delivered);
+        b.record(message(0, 0, 1, MessageStatus::Dropped));
+        b.record(message(0, 1, 2, MessageStatus::Delivered));
         assert_ne!(a.events(), b.events());
         assert_eq!(a.canonical_events(), b.canonical_events());
-    }
-
-    /// Counts decisions in an overridden hook; `record` stays a no-op, so
-    /// only hook-level dispatch reaches it.
-    #[derive(Default)]
-    struct DecisionCounter {
-        decisions: usize,
-    }
-
-    impl Recorder for DecisionCounter {
-        fn on_decision(&mut self, _round: usize, _node: usize, _value: u64) {
-            self.decisions += 1;
-        }
-    }
-
-    #[test]
-    fn replay_event_dispatches_through_overridden_hooks() {
-        let mut counter = DecisionCounter::default();
-        let event = TraceEvent::Decision {
-            round: 1,
-            node: 0,
-            value: 7,
-        };
-        // record() would miss the override; replay_event must not.
-        counter.record(event.clone());
-        assert_eq!(counter.decisions, 0);
-        replay_event(&mut counter, &event);
-        assert_eq!(counter.decisions, 1);
-    }
-
-    #[test]
-    fn tee_forwards_overridden_hooks_to_both_sides() {
-        let mut counter = DecisionCounter::default();
-        let mut memory = MemoryRecorder::new();
-        {
-            let mut tee = TeeRecorder::new(&mut counter, &mut memory);
-            tee.on_decision(0, 1, 2);
-        }
-        // The aggregating side saw its override; the stream side saw the
-        // event. Funnelling through record() would miss the former.
-        assert_eq!(counter.decisions, 1);
-        assert_eq!(memory.events().len(), 1);
-    }
-
-    #[test]
-    fn mut_reference_forwards_overridden_hooks() {
-        fn drive<R: Recorder>(mut recorder: R) -> R {
-            recorder.on_decision(0, 1, 2);
-            recorder
-        }
-        fn enabled_via<R: Recorder>(recorder: R) -> bool {
-            recorder.enabled()
-        }
-        let mut counter = DecisionCounter::default();
-        drive(&mut counter);
-        assert_eq!(counter.decisions, 1);
-        assert!(enabled_via(&mut counter));
     }
 
     #[test]
     fn canonical_order_brackets_span_pairs() {
         let mut rec = MemoryRecorder::new();
-        rec.on_span_start(0, 0, None, "net_send");
-        rec.on_span_end(0, 0, "net_send", 10);
-        rec.on_span_start(0, 1, None, "net_advance");
-        rec.on_span_end(0, 1, "net_advance", 20);
+        for (span_id, name, nanos) in [(0, "net_send", 10), (1, "net_advance", 20)] {
+            rec.record(TraceEvent::SpanStart {
+                round: 0,
+                span_id,
+                parent: None,
+                name: name.to_string(),
+                trace_id: None,
+                ctx_parent: None,
+            });
+            rec.record(TraceEvent::SpanEnd {
+                round: 0,
+                span_id,
+                name: name.to_string(),
+                nanos,
+            });
+        }
         let kinds: Vec<&str> = rec
             .canonical_events()
             .iter()
@@ -824,90 +326,18 @@ mod tests {
     }
 
     #[test]
-    fn gossip_hooks_funnel_and_tee_forwards_them() {
-        let mut memory = MemoryRecorder::new();
-        memory.on_gossip_round("127.0.0.1:7401", 2, 1, 10);
-        memory.on_gossip_apply("127.0.0.1:7401", "horizon", "classic:s1|gamma", true);
-        memory.on_peer_down("127.0.0.1:7402", 3);
-        let kinds: Vec<&str> = memory.events().iter().map(TraceEvent::kind).collect();
-        assert_eq!(kinds, ["gossip_round", "gossip_apply", "peer_down"]);
-
-        /// Counts gossip hook calls in overrides; `record` stays a no-op,
-        /// so only explicit hook forwarding reaches it.
-        #[derive(Default)]
-        struct GossipCounter {
-            rounds: usize,
-            applies: usize,
-            downs: usize,
-        }
-        impl Recorder for GossipCounter {
-            fn on_gossip_round(&mut self, _p: &str, _s: u64, _r: u64, _n: u64) {
-                self.rounds += 1;
-            }
-            fn on_gossip_apply(&mut self, _p: &str, _o: &'static str, _k: &str, _a: bool) {
-                self.applies += 1;
-            }
-            fn on_peer_down(&mut self, _p: &str, _f: u64) {
-                self.downs += 1;
-            }
-        }
-        let mut counter = GossipCounter::default();
-        {
-            let mut tee = TeeRecorder::new(&mut counter, MemoryRecorder::new());
-            tee.on_gossip_round("a", 0, 0, 0);
-            tee.on_gossip_apply("a", "theorem", "k", false);
-            tee.on_peer_down("a", 1);
-        }
-        assert_eq!(
-            (counter.rounds, counter.applies, counter.downs),
-            (1, 1, 1)
-        );
-        // replay_event must dispatch through the overrides too.
-        let mut counter = GossipCounter::default();
-        for event in memory.events() {
-            replay_event(&mut counter, event);
-        }
-        assert_eq!(
-            (counter.rounds, counter.applies, counter.downs),
-            (1, 1, 1)
-        );
-    }
-
-    #[test]
-    fn health_hook_funnels_tees_and_replays() {
-        let mut memory = MemoryRecorder::new();
-        memory.on_health("degraded", false, true);
-        assert_eq!(memory.events().iter().map(TraceEvent::kind).collect::<Vec<_>>(), ["health"]);
-
-        /// Counts health flips in an override; `record` stays a no-op.
-        #[derive(Default)]
-        struct HealthCounter {
-            flips: usize,
-        }
-        impl Recorder for HealthCounter {
-            fn on_health(&mut self, _status: &str, _ready: bool, _live: bool) {
-                self.flips += 1;
-            }
-        }
-        let mut counter = HealthCounter::default();
-        {
-            let mut tee = TeeRecorder::new(&mut counter, MemoryRecorder::new());
-            tee.on_health("ok", true, true);
-        }
-        assert_eq!(counter.flips, 1);
-        let mut counter = HealthCounter::default();
-        for event in memory.events() {
-            replay_event(&mut counter, event);
-        }
-        assert_eq!(counter.flips, 1);
-    }
-
-    #[test]
     fn tee_duplicates_the_stream() {
-        let mut tee = TeeRecorder::new(MemoryRecorder::new(), MemoryRecorder::new());
-        tee.on_decision(4, 0, 1);
-        let (first, second) = tee.into_inner();
+        let mut second = MemoryRecorder::new();
+        let mut tee = TeeRecorder::new(MemoryRecorder::new(), &mut second);
+        assert!(tee.enabled());
+        tee.record(TraceEvent::Decision {
+            round: 4,
+            node: 0,
+            value: 1,
+        });
+        let (first, _) = tee.into_inner();
         assert_eq!(first.events(), second.events());
         assert_eq!(first.events().len(), 1);
+        assert!(!TeeRecorder::new(NullRecorder, NullRecorder).enabled());
     }
 }

@@ -143,10 +143,27 @@ mod tests {
     #[test]
     fn writes_one_parseable_line_per_event() {
         let mut sink = JsonlSink::new(Vec::new());
-        sink.on_run_start("network", 4, 1);
-        sink.on_message(0, 1, 2, MessageStatus::Delivered);
-        sink.on_round_end(0, RoundCounts::default(), 0);
-        sink.on_run_end(1, RoundCounts::default(), 0);
+        sink.record(TraceEvent::RunStart {
+            engine: "network",
+            nodes: 4,
+            threads: 1,
+        });
+        sink.record(TraceEvent::Message {
+            round: 0,
+            from: 1,
+            to: 2,
+            status: MessageStatus::Delivered,
+        });
+        sink.record(TraceEvent::RoundEnd {
+            round: 0,
+            counts: RoundCounts::default(),
+            nanos: 0,
+        });
+        sink.record(TraceEvent::RunEnd {
+            rounds: 1,
+            totals: RoundCounts::default(),
+            nanos: 0,
+        });
         assert_eq!(sink.lines(), 4);
         let bytes = sink.into_inner();
         let text = String::from_utf8(bytes).unwrap();
@@ -163,9 +180,17 @@ mod tests {
     #[test]
     fn node_id_stamps_every_line_once_set() {
         let mut sink = JsonlSink::new(Vec::new());
-        sink.on_decision(0, 0, 1);
+        sink.record(TraceEvent::Decision {
+            round: 0,
+            node: 0,
+            value: 1,
+        });
         sink.set_node_id("127.0.0.1:7400");
-        sink.on_decision(0, 1, 1);
+        sink.record(TraceEvent::Decision {
+            round: 0,
+            node: 1,
+            value: 1,
+        });
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<Value> = text
             .lines()
@@ -188,7 +213,11 @@ mod tests {
         let path = dir.join("nested").join("trace.jsonl");
         {
             let mut sink = JsonlSink::create(&path).unwrap();
-            sink.on_decision(3, 1, 7);
+            sink.record(TraceEvent::Decision {
+                round: 3,
+                node: 1,
+                value: 7,
+            });
         }
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"decision\""));

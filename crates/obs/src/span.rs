@@ -13,6 +13,7 @@
 //! for the guard's whole lifetime. The [`span!`] macro wraps the common
 //! begin/run/end pattern around a block.
 
+use crate::event::TraceEvent;
 use crate::recorder::Recorder;
 use crate::RoundTimer;
 
@@ -84,7 +85,17 @@ impl SpanGuard {
             return None;
         }
         let span_id = ids.allocate();
-        recorder.on_span_start(round, span_id, parent, name);
+        // Born local: the owner stamps `trace_id`/`ctx_parent` onto the
+        // buffered event when a request carried a context (see
+        // [`crate::stamp_root_span`]).
+        recorder.record(TraceEvent::SpanStart {
+            round,
+            span_id,
+            parent,
+            name: name.to_string(),
+            trace_id: None,
+            ctx_parent: None,
+        });
         Some(SpanGuard {
             span_id,
             round,
@@ -103,12 +114,12 @@ impl SpanGuard {
     /// the `nanos == 0` "timing off" convention).
     #[inline]
     pub fn end<R: Recorder + ?Sized>(self, recorder: &mut R) {
-        recorder.on_span_end(
-            self.round,
-            self.span_id,
-            self.name,
-            self.timer.elapsed_nanos().max(1),
-        );
+        recorder.record(TraceEvent::SpanEnd {
+            round: self.round,
+            span_id: self.span_id,
+            name: self.name.to_string(),
+            nanos: self.timer.elapsed_nanos().max(1),
+        });
     }
 }
 
@@ -131,7 +142,7 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MemoryRecorder, NullRecorder, TraceEvent};
+    use crate::{MemoryRecorder, NullRecorder};
 
     #[test]
     fn guard_emits_bracketed_pair_with_duration() {

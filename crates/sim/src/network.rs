@@ -9,7 +9,9 @@
 use crate::adversary::Adversary;
 use crate::trace::RunStats;
 use minobs_graphs::{DirectedEdge, Graph};
-use minobs_obs::{MessageStatus, NullRecorder, Recorder, RoundCounts, RoundTimer, SpanGuard, SpanIds};
+use minobs_obs::{
+    MessageStatus, NullRecorder, Recorder, RoundCounts, RoundTimer, SpanGuard, SpanIds, TraceEvent,
+};
 use std::collections::BTreeSet;
 
 /// A per-node synchronous state machine.
@@ -175,7 +177,12 @@ impl<'g, P: NodeProtocol> SyncNetwork<'g, P> {
                 } else {
                     counts.misaddressed += 1;
                     if observing {
-                        recorder.on_message(self.round, id, to, MessageStatus::Misaddressed);
+                        recorder.record(TraceEvent::Message {
+                            round: self.round,
+                            from: id,
+                            to,
+                            status: MessageStatus::Misaddressed,
+                        });
                     }
                 }
             }
@@ -207,7 +214,12 @@ impl<'g, P: NodeProtocol> SyncNetwork<'g, P> {
                 MessageStatus::Delivered
             };
             if observing {
-                recorder.on_message(self.round, edge.from, edge.to, status);
+                recorder.record(TraceEvent::Message {
+                    round: self.round,
+                    from: edge.from,
+                    to: edge.to,
+                    status,
+                });
             }
         }
         self.stats.max_drops_per_round =
@@ -239,12 +251,20 @@ impl<'g, P: NodeProtocol> SyncNetwork<'g, P> {
             for (id, node) in self.nodes.iter().enumerate() {
                 if !decided_before[id] {
                     if let Some(value) = node.decision() {
-                        recorder.on_decision(self.round, id, value);
+                        recorder.record(TraceEvent::Decision {
+                            round: self.round,
+                            node: id,
+                            value,
+                        });
                     }
                 }
             }
         }
-        recorder.on_round_end(self.round, counts, timer.elapsed_nanos());
+        recorder.record(TraceEvent::RoundEnd {
+            round: self.round,
+            counts,
+            nanos: timer.elapsed_nanos(),
+        });
         self.round += 1;
         self.stats.rounds = self.round;
         drops_list
@@ -264,23 +284,18 @@ impl<'g, P: NodeProtocol> SyncNetwork<'g, P> {
         recorder: &mut R,
     ) -> NetOutcome {
         let timer = RoundTimer::start_if(recorder.enabled());
-        recorder.on_run_start("network", self.nodes.len(), 1);
+        recorder.record(TraceEvent::RunStart {
+            engine: "network",
+            nodes: self.nodes.len(),
+            threads: 1,
+        });
         while self.round < max_rounds && !self.all_halted() {
             self.step_with_recorder(adversary, recorder);
         }
         let inputs: Vec<u64> = self.nodes.iter().map(|n| n.input()).collect();
         let decisions: Vec<Option<u64>> = self.nodes.iter().map(|n| n.decision()).collect();
         let verdict = audit_network(&inputs, &decisions);
-        recorder.on_run_end(
-            self.stats.rounds,
-            RoundCounts {
-                sent: self.stats.messages_sent,
-                delivered: self.stats.messages_delivered,
-                dropped: self.stats.messages_dropped,
-                misaddressed: self.stats.misaddressed,
-            },
-            timer.elapsed_nanos(),
-        );
+        recorder.record(self.stats.run_end(timer.elapsed_nanos()));
         NetOutcome {
             decisions,
             verdict,

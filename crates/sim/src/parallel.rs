@@ -32,7 +32,9 @@ use crate::adversary::Adversary;
 use crate::network::{audit_network, NetOutcome, NodeProtocol};
 use crate::trace::RunStats;
 use minobs_graphs::{DirectedEdge, Graph};
-use minobs_obs::{MessageStatus, NullRecorder, Recorder, RoundCounts, RoundTimer, SpanGuard, SpanIds};
+use minobs_obs::{
+    MessageStatus, NullRecorder, Recorder, RoundCounts, RoundTimer, SpanGuard, SpanIds, TraceEvent,
+};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -132,7 +134,11 @@ where
     // between the parallel phases, and the id sequence matches the serial
     // engine's so canonical streams stay identical.
     let mut span_ids = SpanIds::new();
-    recorder.on_run_start("network_parallel", n, threads);
+    recorder.record(TraceEvent::RunStart {
+        engine: "network_parallel",
+        nodes: n,
+        threads,
+    });
 
     while round < max_rounds && !nodes.iter().all(|p| p.halted()) {
         let observing = recorder.enabled();
@@ -172,7 +178,11 @@ where
             let (out, shard) = match result {
                 Ok(pair) => pair,
                 Err(()) => {
-                    recorder.on_engine_degraded(round, "send", ci);
+                    recorder.record(TraceEvent::EngineDegraded {
+                        round,
+                        phase: "send",
+                        shard: ci,
+                    });
                     let chunk_nodes = &nodes[ci * chunk..((ci + 1) * chunk).min(n)];
                     collect_sends(graph, chunk_nodes, ci * chunk, round, observing)
                 }
@@ -181,7 +191,12 @@ where
             counts.misaddressed += shard.misaddressed;
             if observing {
                 for (from, to) in shard.misaddressed_sends {
-                    recorder.on_message(round, from, to, MessageStatus::Misaddressed);
+                    recorder.record(TraceEvent::Message {
+                        round,
+                        from,
+                        to,
+                        status: MessageStatus::Misaddressed,
+                    });
                 }
             }
             pending.extend(out);
@@ -215,7 +230,12 @@ where
                 MessageStatus::Delivered
             };
             if observing {
-                recorder.on_message(round, edge.from, edge.to, status);
+                recorder.record(TraceEvent::Message {
+                    round,
+                    from: edge.from,
+                    to: edge.to,
+                    status,
+                });
             }
         }
         stats.max_drops_per_round = stats.max_drops_per_round.max(effective_drops.len());
@@ -270,7 +290,11 @@ where
             if failed.is_empty() {
                 continue;
             }
-            recorder.on_engine_degraded(round, "advance", ci);
+            recorder.record(TraceEvent::EngineDegraded {
+                round,
+                phase: "advance",
+                shard: ci,
+            });
             for id in failed {
                 // Best-effort retry on the coordinator thread; a second
                 // panic leaves the node in whatever state the protocol
@@ -287,12 +311,20 @@ where
             for (id, node) in nodes.iter().enumerate() {
                 if !decided_before[id] {
                     if let Some(value) = node.decision() {
-                        recorder.on_decision(round, id, value);
+                        recorder.record(TraceEvent::Decision {
+                            round,
+                            node: id,
+                            value,
+                        });
                     }
                 }
             }
         }
-        recorder.on_round_end(round, counts, timer.elapsed_nanos());
+        recorder.record(TraceEvent::RoundEnd {
+            round,
+            counts,
+            nanos: timer.elapsed_nanos(),
+        });
         round += 1;
     }
 
@@ -300,16 +332,7 @@ where
     let inputs: Vec<u64> = nodes.iter().map(|p| p.input()).collect();
     let decisions: Vec<Option<u64>> = nodes.iter().map(|p| p.decision()).collect();
     let verdict = audit_network(&inputs, &decisions);
-    recorder.on_run_end(
-        stats.rounds,
-        RoundCounts {
-            sent: stats.messages_sent,
-            delivered: stats.messages_delivered,
-            dropped: stats.messages_dropped,
-            misaddressed: stats.misaddressed,
-        },
-        run_timer.elapsed_nanos(),
-    );
+    recorder.record(stats.run_end(run_timer.elapsed_nanos()));
     NetOutcome {
         decisions,
         verdict,

@@ -1,5 +1,7 @@
 //! Execution statistics.
 
+use minobs_obs::{RoundCounts, TraceEvent};
+
 /// Per-run counters collected by the engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
@@ -18,6 +20,20 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// The `run_end` event closing a run with these totals.
+    pub fn run_end(&self, nanos: u64) -> TraceEvent {
+        TraceEvent::RunEnd {
+            rounds: self.rounds,
+            totals: RoundCounts {
+                sent: self.messages_sent,
+                delivered: self.messages_delivered,
+                dropped: self.messages_dropped,
+                misaddressed: self.misaddressed,
+            },
+            nanos,
+        }
+    }
+
     /// Delivered / sent, in `[0, 1]`; 1.0 for a silent run.
     pub fn delivery_ratio(&self) -> f64 {
         if self.messages_sent == 0 {

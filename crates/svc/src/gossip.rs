@@ -28,7 +28,7 @@ use crate::methods::RpcError;
 use crate::server::ServerState;
 use minobs_cluster::digest::{self, Delta, GossipBody};
 use minobs_cluster::{LinkPolicy, LinkVerdict};
-use minobs_obs::{stamp_root_span, MemoryRecorder, SpanGuard, SpanIds, TraceContext};
+use minobs_obs::{stamp_root_span, MemoryRecorder, SpanGuard, SpanIds, TraceContext, TraceEvent};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -201,32 +201,31 @@ fn exchange(
 pub(crate) fn ingest_deltas(state: &ServerState, peer: &str, deltas: &[Delta]) -> u64 {
     let mut applied = 0u64;
     for delta in deltas {
-        match delta {
-            Delta::Horizon { key, k, solvable } => {
-                match state.cache().lookup_horizon(key, *k) {
-                    Some(answer) if answer.solvable() != *solvable => {
-                        state.on_gossip_apply(peer, "horizon", key, false);
-                    }
-                    Some(_) => {}
-                    None => {
-                        state.record_horizon(key, *k, *solvable);
-                        state.on_gossip_apply(peer, "horizon", key, true);
-                        applied += 1;
-                    }
-                }
-            }
-            Delta::Theorem { key, result } => match state.cache().lookup_theorem(key) {
-                Some(existing) if existing != *result => {
-                    state.on_gossip_apply(peer, "theorem", key, false);
-                }
-                Some(_) => {}
+        let (op, key, accepted) = match delta {
+            Delta::Horizon { key, k, solvable } => match state.cache().lookup_horizon(key, *k) {
+                Some(answer) if answer.solvable() != *solvable => ("horizon", key, false),
+                Some(_) => continue,
                 None => {
-                    state.record_theorem(key, result.clone());
-                    state.on_gossip_apply(peer, "theorem", key, true);
-                    applied += 1;
+                    state.record_horizon(key, *k, *solvable);
+                    ("horizon", key, true)
                 }
             },
-        }
+            Delta::Theorem { key, result } => match state.cache().lookup_theorem(key) {
+                Some(existing) if existing != *result => ("theorem", key, false),
+                Some(_) => continue,
+                None => {
+                    state.record_theorem(key, result.clone());
+                    ("theorem", key, true)
+                }
+            },
+        };
+        applied += u64::from(accepted);
+        state.emit(TraceEvent::GossipApply {
+            peer: peer.to_string(),
+            op,
+            key: key.clone(),
+            accepted,
+        });
     }
     applied
 }

@@ -23,9 +23,9 @@ use crate::wal::{CompactionPolicy, Wal, WalRecord};
 use crate::wire::{self, Request};
 use minobs_cluster::{LinkPolicy, PeerTable};
 use minobs_obs::{
-    replay_event, sample_keep, stamp_root_span, Counter, FlightRecorder, Gauge, Histogram,
-    JsonlSink, MemoryRecorder, MetricsRecorder, MetricsRegistry, Recorder, SpanGuard, SpanIds,
-    TraceContext, TraceEvent,
+    sample_keep, stamp_root_span, Counter, FlightRecorder, Gauge, Histogram, JsonlSink,
+    MemoryRecorder, MetricsRecorder, MetricsRegistry, Recorder, SpanGuard, SpanIds, TraceContext,
+    TraceEvent,
 };
 use serde_json::Value;
 use std::fs::File;
@@ -221,11 +221,6 @@ fn env_var<T: std::str::FromStr>(name: &str) -> Option<T> {
     value.parse().ok()
 }
 
-enum TraceSink {
-    None,
-    File(JsonlSink<BufWriter<File>>),
-}
-
 /// A point-in-time health verdict; see [`ServerState::evaluate_health`].
 #[derive(Debug, Clone, Copy)]
 pub struct HealthReport {
@@ -261,7 +256,8 @@ pub struct ServerState {
     local_addr: SocketAddr,
     started: Instant,
     metrics: Mutex<MetricsRecorder>,
-    trace: Mutex<TraceSink>,
+    /// The trace file, when one is configured.
+    trace: Mutex<Option<JsonlSink<BufWriter<File>>>>,
     /// The verdict log. `None` when persistence is off or after the
     /// first write failure — degradation is latched by `take()`ing the
     /// [`Wal`], so a disk that failed once is never written again.
@@ -324,9 +320,9 @@ impl ServerState {
                     // blocks as dropped-by-policy, not instrumentation gaps.
                     sink.record(TraceEvent::TraceSampled { sample, slow_ms });
                 }
-                TraceSink::File(sink)
+                Some(sink)
             }
-            None => TraceSink::None,
+            None => None,
         };
         let state = ServerState {
             shutting_down: AtomicBool::new(false),
@@ -371,15 +367,11 @@ impl ServerState {
         };
         match Wal::open(path, &self.cache, CompactionPolicy::default()) {
             Ok((wal, report)) => {
-                lock(&self.metrics).on_wal_replay(report.records, report.bytes, report.dropped_tail);
-                if let TraceSink::File(sink) = &mut *lock(&self.trace) {
-                    sink.on_wal_replay(report.records, report.bytes, report.dropped_tail);
-                }
-                // Clones share the ring; a throwaway clone borrows the
-                // `&mut self` Recorder hooks from a `&self` call site.
-                self.flight
-                    .clone()
-                    .on_wal_replay(report.records, report.bytes, report.dropped_tail);
+                self.emit(TraceEvent::WalReplay {
+                    records: report.records,
+                    bytes: report.bytes,
+                    dropped_tail: report.dropped_tail,
+                });
                 *lock(&self.wal) = Some(wal);
                 self.replay = Some(report);
             }
@@ -394,12 +386,9 @@ impl ServerState {
     /// failure is exactly what post-hoc debugging wants.
     fn degrade_wal(&self, error: &io::Error) {
         lock(&self.wal).take();
-        let message = error.to_string();
-        lock(&self.metrics).on_wal_degraded(&message);
-        if let TraceSink::File(sink) = &mut *lock(&self.trace) {
-            sink.on_wal_degraded(&message);
-        }
-        self.flight.clone().on_wal_degraded(&message);
+        self.emit(TraceEvent::WalDegraded {
+            error: error.to_string(),
+        });
         self.auto_dump("wal_degraded");
     }
 
@@ -409,14 +398,11 @@ impl ServerState {
             None => return,
         };
         match result {
-            Ok(bytes) => {
-                let (op, key) = (record.op(), record.key());
-                lock(&self.metrics).on_wal_append(op, key, bytes);
-                if let TraceSink::File(sink) = &mut *lock(&self.trace) {
-                    sink.on_wal_append(op, key, bytes);
-                }
-                self.flight.clone().on_wal_append(op, key, bytes);
-            }
+            Ok(bytes) => self.emit(TraceEvent::WalAppend {
+                op: record.op(),
+                key: record.key().to_string(),
+                bytes,
+            }),
             Err(e) => self.degrade_wal(&e),
         }
     }
@@ -549,14 +535,6 @@ impl ServerState {
         *lock(&self.gossip_ctx) = Some(ctx);
     }
 
-    fn on_request(&self, seq: u64, method: &str) {
-        lock(&self.metrics).on_svc_request(seq, method);
-        if let TraceSink::File(sink) = &mut *lock(&self.trace) {
-            sink.on_svc_request(seq, method);
-        }
-        self.flight.clone().on_svc_request(seq, method);
-    }
-
     /// The tail-sampling verdict for one finished request. Errors,
     /// budget-exhausted outcomes, requests at or above the slow
     /// threshold, and anything served while the WAL is degraded are
@@ -585,57 +563,38 @@ impl ServerState {
         sample_keep(trace_id.unwrap_or(u128::from(seq)), self.trace_sample)
     }
 
-    /// Folds one finished request into the metrics, the trace, and the
-    /// flight ring. The request's buffered span events are flushed *as a
-    /// block* right before its `svc_response`, under the same lock
-    /// acquisition, so the shared trace stream interleaves whole requests
-    /// — each block is self-balanced and `trace_lint`'s span bracketing
-    /// holds per stream. When `keep` is false (tail sampling dropped the
-    /// trace) the span block is withheld from the trace file only: metrics
-    /// still fold every span, the `svc_request`/`svc_response` pair is
-    /// still written (lint pairing), and the flight ring still records
-    /// everything.
-    fn on_response(&self, finished: FinishedRequest<'_>) {
-        let FinishedRequest {
-            seq,
-            method,
-            ok,
-            cache,
-            nanos,
-            spans,
-            keep,
-        } = finished;
-        if nanos > self.slo_target_ns {
-            self.slo_violations.add(1);
-        }
+    /// Fans one event out to the three telemetry planes, taking their
+    /// locks in a fixed order: the metrics, then the trace file (which
+    /// gets a clone only when one is configured), then the flight ring.
+    pub(crate) fn emit(&self, event: TraceEvent) {
+        self.emit_after(&[], false, event);
+    }
+
+    /// [`ServerState::emit`] preceded by a buffered span block. The block
+    /// is flushed right before `event` under the same lock acquisitions,
+    /// so the shared trace stream interleaves whole blocks — each is
+    /// self-balanced and `trace_lint`'s span bracketing holds per stream.
+    /// When `keep_block` is false (tail sampling dropped the trace) the
+    /// block is withheld from the trace file only: metrics still fold
+    /// every span and the flight ring still records everything.
+    fn emit_after(&self, block: &[TraceEvent], keep_block: bool, event: TraceEvent) {
         {
             let mut metrics = lock(&self.metrics);
-            for event in spans {
-                replay_event(&mut *metrics, event);
+            for span in block {
+                metrics.observe(span);
             }
-            metrics.on_svc_response(seq, method, ok, cache, nanos);
+            metrics.observe(&event);
         }
-        if keep && nanos > 0 {
-            if let Some(trace_id) = block_trace_id(spans) {
-                let bounds = Histogram::latency_bounds();
-                self.registry
-                    .histogram("svc.request_latency_ns", &bounds)
-                    .record_exemplar(nanos, trace_id);
-                self.registry
-                    .histogram(&format!("svc.method.{method}.latency_ns"), &bounds)
-                    .record_exemplar(nanos, trace_id);
-            }
-        }
-        if let TraceSink::File(sink) = &mut *lock(&self.trace) {
-            if keep {
-                for event in spans {
-                    sink.record(event.clone());
+        if let Some(sink) = &mut *lock(&self.trace) {
+            if keep_block {
+                for span in block {
+                    sink.record(span.clone());
                 }
             }
-            sink.on_svc_response(seq, method, ok, cache, nanos);
+            sink.record(event.clone());
         }
-        self.flight.push_block(spans);
-        self.flight.clone().on_svc_response(seq, method, ok, cache, nanos);
+        self.flight.push_block(block);
+        self.flight.push(event);
     }
 
     /// The always-on flight ring; `dump_trace` snapshots it.
@@ -671,7 +630,7 @@ impl ServerState {
     }
 
     fn flush_trace(&self) {
-        if let TraceSink::File(sink) = &mut *lock(&self.trace) {
+        if let Some(sink) = &mut *lock(&self.trace) {
             let _ = sink.flush();
         }
     }
@@ -712,11 +671,11 @@ impl ServerState {
         self.ready_gauge.set(ready as u64);
         let packed = ready as u64 | ((status_ok as u64) << 1);
         if self.health_state.swap(packed, Ordering::SeqCst) != packed {
-            lock(&self.metrics).on_health(status, ready, true);
-            if let TraceSink::File(sink) = &mut *lock(&self.trace) {
-                sink.on_health(status, ready, true);
-            }
-            self.flight.clone().on_health(status, ready, true);
+            self.emit(TraceEvent::Health {
+                status: status.to_string(),
+                ready,
+                live: true,
+            });
             if !status_ok {
                 // Dump on the *degrading* edge only: the ring holds the
                 // lead-up to the burn, and edge-triggering means a long
@@ -750,24 +709,19 @@ impl ServerState {
         spans: &[TraceEvent],
     ) {
         lock(&self.peers).record_success(peer, sent, received, lag);
-        {
-            let mut metrics = lock(&self.metrics);
-            for event in spans {
-                replay_event(&mut *metrics, event);
-            }
-            metrics.on_gossip_round(peer, sent, received, nanos);
-        }
-        if let TraceSink::File(sink) = &mut *lock(&self.trace) {
-            // Gossip exchanges are never sampled out: one per interval is
-            // cheap, and replication evidence is the first thing a
-            // cross-node incident reconstruction reaches for.
-            for event in spans {
-                sink.record(event.clone());
-            }
-            sink.on_gossip_round(peer, sent, received, nanos);
-        }
-        self.flight.push_block(spans);
-        self.flight.clone().on_gossip_round(peer, sent, received, nanos);
+        // Gossip exchanges are never sampled out: one per interval is
+        // cheap, and replication evidence is the first thing a
+        // cross-node incident reconstruction reaches for.
+        self.emit_after(
+            spans,
+            true,
+            TraceEvent::GossipRound {
+                peer: peer.to_string(),
+                sent,
+                received,
+                nanos,
+            },
+        );
     }
 
     /// Records a failed gossip exchange; emits `peer_down` (once per
@@ -775,35 +729,13 @@ impl ServerState {
     pub(crate) fn gossip_failure(&self, peer: &str) {
         let down_edge = lock(&self.peers).record_failure(peer);
         if let Some(failures) = down_edge {
-            lock(&self.metrics).on_peer_down(peer, failures);
-            if let TraceSink::File(sink) = &mut *lock(&self.trace) {
-                sink.on_peer_down(peer, failures);
-            }
-            self.flight.clone().on_peer_down(peer, failures);
+            self.emit(TraceEvent::PeerDown {
+                peer: peer.to_string(),
+                failures,
+            });
             self.auto_dump("peer_down");
         }
     }
-
-    /// Records one replicated delta's ingest outcome.
-    pub(crate) fn on_gossip_apply(&self, peer: &str, op: &'static str, key: &str, accepted: bool) {
-        lock(&self.metrics).on_gossip_apply(peer, op, key, accepted);
-        if let TraceSink::File(sink) = &mut *lock(&self.trace) {
-            sink.on_gossip_apply(peer, op, key, accepted);
-        }
-        self.flight.clone().on_gossip_apply(peer, op, key, accepted);
-    }
-}
-
-/// One finished request as the trace plane folds it: the response row,
-/// its buffered span block, and the tail-sampling verdict.
-struct FinishedRequest<'a> {
-    seq: u64,
-    method: &'a str,
-    ok: bool,
-    cache: &'static str,
-    nanos: u64,
-    spans: &'a [TraceEvent],
-    keep: bool,
 }
 
 /// The distributed trace id carried by a request's span block, if any.
@@ -1058,7 +990,10 @@ fn method_span(method: &str) -> &'static str {
 /// planes; returns the response envelope.
 fn answer(state: &ServerState, request: &Request) -> Value {
     let seq = state.next_seq();
-    state.on_request(seq, &request.method);
+    state.emit(TraceEvent::SvcRequest {
+        seq,
+        method: request.method.clone(),
+    });
     // Compute methods hold a checker permit while their handler runs;
     // the control plane never waits for one.
     let compute = matches!(
@@ -1123,15 +1058,34 @@ fn answer(state: &ServerState, request: &Request) -> Value {
         budget_exhausted,
         request.ctx.as_ref().map(|ctx| ctx.trace_id),
     );
-    state.on_response(FinishedRequest {
-        seq,
-        method: &request.method,
-        ok,
-        cache: disposition,
-        nanos,
-        spans: &events,
+    if nanos > state.slo_target_ns {
+        state.slo_violations.add(1);
+    }
+    state.emit_after(
+        &events,
         keep,
-    });
+        TraceEvent::SvcResponse {
+            seq,
+            method: request.method.clone(),
+            ok,
+            cache: disposition,
+            nanos,
+        },
+    );
+    if keep {
+        if let Some(trace_id) = block_trace_id(&events) {
+            let bounds = Histogram::latency_bounds();
+            let method = &request.method;
+            state
+                .registry
+                .histogram("svc.request_latency_ns", &bounds)
+                .record_exemplar(nanos, trace_id);
+            state
+                .registry
+                .histogram(&format!("svc.method.{method}.latency_ns"), &bounds)
+                .record_exemplar(nanos, trace_id);
+        }
+    }
     match result {
         Ok(value) => wire::ok_response(request.id, value),
         Err(e) => wire::err_response(request.id, e.code, &e.message),

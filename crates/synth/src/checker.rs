@@ -15,7 +15,7 @@ use crate::views::{ViewArena, ViewId};
 use minobs_core::letter::{Letter, Role};
 use minobs_core::scheme::OmissionScheme;
 use minobs_core::word::Word;
-use minobs_obs::{NullRecorder, Recorder, RoundTimer, SpanGuard, SpanIds};
+use minobs_obs::{NullRecorder, Recorder, RoundTimer, SpanGuard, SpanIds, TraceEvent};
 
 /// The `checker_progress` heartbeat fires each time the cumulative
 /// explored-state count crosses another multiple of this stride. Small
@@ -339,7 +339,11 @@ fn solvable_by_impl<R: Recorder + ?Sized>(
 
     if let Some(t) = tracker.as_deref_mut() {
         if !t.charge(frontier.len()) {
-            recorder.on_budget_exhausted(0, frontier.len(), t.states_spent);
+            recorder.record(TraceEvent::BudgetExhausted {
+                horizon: 0,
+                frontier: frontier.len(),
+                states: t.states_spent,
+            });
             return CheckResult::BudgetExhausted {
                 horizon_reached: 0,
                 frontier_size: frontier.len(),
@@ -432,15 +436,19 @@ fn solvable_by_impl<R: Recorder + ?Sized>(
             states_total += frontier.len();
             if states_total / CHECKER_PROGRESS_STRIDE > progress_mark {
                 progress_mark = states_total / CHECKER_PROGRESS_STRIDE;
-                recorder.on_checker_progress(round + 1, frontier.len(), states_total);
+                recorder.record(TraceEvent::CheckerProgress {
+                    round: round + 1,
+                    frontier: frontier.len(),
+                    states: states_total,
+                });
             }
         }
-        recorder.on_checker_round(
-            round + 1,
-            frontier.len(),
-            arena.len(),
-            step_timer.elapsed_nanos(),
-        );
+        recorder.record(TraceEvent::CheckerRound {
+            round: round + 1,
+            frontier: frontier.len(),
+            views: arena.len(),
+            nanos: step_timer.elapsed_nanos(),
+        });
         if frontier.is_empty() {
             return CheckResult::Empty;
         }
@@ -450,7 +458,11 @@ fn solvable_by_impl<R: Recorder + ?Sized>(
         if round + 1 < k {
             if let Some(t) = tracker.as_deref_mut() {
                 if !t.charge(frontier.len()) {
-                    recorder.on_budget_exhausted(round + 1, frontier.len(), t.states_spent);
+                    recorder.record(TraceEvent::BudgetExhausted {
+                        horizon: round + 1,
+                        frontier: frontier.len(),
+                        states: t.states_spent,
+                    });
                     return CheckResult::BudgetExhausted {
                         horizon_reached: round + 1,
                         frontier_size: frontier.len(),
@@ -612,7 +624,11 @@ pub fn first_solvable_horizon_with_recorder<R: Recorder + ?Sized>(
     for k in 0..=max_k {
         let timer = RoundTimer::start_if(recorder.enabled());
         let solvable = solvable_by_with_recorder(scheme, k, alphabet, recorder).is_solvable();
-        recorder.on_horizon(k, solvable, timer.elapsed_nanos());
+        recorder.record(TraceEvent::Horizon {
+            horizon: k,
+            solvable,
+            nanos: timer.elapsed_nanos(),
+        });
         if solvable {
             return Some(k);
         }
@@ -684,7 +700,11 @@ pub fn first_solvable_horizon_budgeted_with_recorder<R: Recorder + ?Sized>(
             };
         }
         let solvable = result.is_solvable();
-        recorder.on_horizon(k, solvable, timer.elapsed_nanos());
+        recorder.record(TraceEvent::Horizon {
+            horizon: k,
+            solvable,
+            nanos: timer.elapsed_nanos(),
+        });
         if solvable {
             return HorizonOutcome::Solvable(k);
         }

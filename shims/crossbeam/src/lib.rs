@@ -2,248 +2,7 @@
 //!
 //! Provides `crossbeam::thread::scope` with the `|_|`-style spawn closure
 //! signature the engines use, implemented on top of `std::thread::scope`
-//! (which did not exist when crossbeam's scoped threads were written),
-//! and `crossbeam::channel` — the MPMC channels the `minobs-svc` worker
-//! pool dispatches on — over a `Mutex<VecDeque>` + `Condvar` core.
-
-pub mod channel {
-    //! Multi-producer multi-consumer channels.
-    //!
-    //! The subset of `crossbeam-channel` the workspace uses: [`unbounded`]
-    //! and [`bounded`] construction, cloneable [`Sender`]/[`Receiver`]
-    //! halves, blocking `send`/`recv`, `try_recv`, and `recv_timeout`.
-    //! Disconnection follows crossbeam's contract: a channel is closed
-    //! once every handle on the *other* side has been dropped, and a
-    //! closed channel still drains messages already queued.
-
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
-
-    struct Inner<T> {
-        queue: Mutex<VecDeque<T>>,
-        not_empty: Condvar,
-        not_full: Condvar,
-        capacity: Option<usize>,
-        senders: AtomicUsize,
-        receivers: AtomicUsize,
-    }
-
-    /// The sending half. Cloning adds a producer.
-    pub struct Sender<T> {
-        inner: Arc<Inner<T>>,
-    }
-
-    /// The receiving half. Cloning adds a consumer.
-    pub struct Receiver<T> {
-        inner: Arc<Inner<T>>,
-    }
-
-    /// The message could not be delivered: every receiver is gone.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// The channel is empty and every sender is gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Why `try_recv` returned nothing.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// No message queued right now.
-        Empty,
-        /// No message queued and every sender is gone.
-        Disconnected,
-    }
-
-    /// Why `recv_timeout` returned nothing.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// The deadline passed with the channel still empty.
-        Timeout,
-        /// Every sender is gone and the queue drained.
-        Disconnected,
-    }
-
-    impl<T> std::fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    /// A channel with no capacity bound: `send` never blocks.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_capacity(None)
-    }
-
-    /// A channel holding at most `cap` queued messages: `send` blocks
-    /// while full. `cap` must be nonzero (rendezvous channels are not
-    /// part of this shim's subset).
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        assert!(cap > 0, "bounded(0) rendezvous channels are not shimmed");
-        with_capacity(Some(cap))
-    }
-
-    fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
-        let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-            senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
-        });
-        (
-            Sender {
-                inner: Arc::clone(&inner),
-            },
-            Receiver { inner },
-        )
-    }
-
-    impl<T> Inner<T> {
-        fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-            self.queue.lock().unwrap_or_else(|e| e.into_inner())
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Sender<T> {
-            self.inner.senders.fetch_add(1, Ordering::SeqCst);
-            Sender {
-                inner: Arc::clone(&self.inner),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            if self.inner.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last producer gone: wake blocked receivers so they can
-                // observe the disconnect. The lock is held while
-                // notifying so the disconnect cannot slip between a
-                // receiver's sender-count check and its wait (which
-                // would lose the wakeup and block that receiver
-                // forever).
-                let _queue = self.inner.lock();
-                self.inner.not_empty.notify_all();
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Receiver<T> {
-            self.inner.receivers.fetch_add(1, Ordering::SeqCst);
-            Receiver {
-                inner: Arc::clone(&self.inner),
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            if self.inner.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last consumer gone: wake blocked senders to fail fast.
-                // Lock held while notifying for the same missed-wakeup
-                // reason as in `Sender::drop`.
-                let _queue = self.inner.lock();
-                self.inner.not_full.notify_all();
-            }
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Queues `value`, blocking while a bounded channel is full.
-        /// Fails (returning the value) once every receiver is dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut queue = self.inner.lock();
-            loop {
-                if self.inner.receivers.load(Ordering::SeqCst) == 0 {
-                    return Err(SendError(value));
-                }
-                match self.inner.capacity {
-                    Some(cap) if queue.len() >= cap => {
-                        queue = self
-                            .inner
-                            .not_full
-                            .wait(queue)
-                            .unwrap_or_else(|e| e.into_inner());
-                    }
-                    _ => break,
-                }
-            }
-            queue.push_back(value);
-            drop(queue);
-            self.inner.not_empty.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Dequeues the oldest message, blocking while the channel is
-        /// empty. Fails once the queue is drained and every sender is
-        /// dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut queue = self.inner.lock();
-            loop {
-                if let Some(value) = queue.pop_front() {
-                    self.inner.not_full.notify_one();
-                    return Ok(value);
-                }
-                if self.inner.senders.load(Ordering::SeqCst) == 0 {
-                    return Err(RecvError);
-                }
-                queue = self
-                    .inner
-                    .not_empty
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
-
-        /// Dequeues without blocking.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut queue = self.inner.lock();
-            match queue.pop_front() {
-                Some(value) => {
-                    self.inner.not_full.notify_one();
-                    Ok(value)
-                }
-                None if self.inner.senders.load(Ordering::SeqCst) == 0 => {
-                    Err(TryRecvError::Disconnected)
-                }
-                None => Err(TryRecvError::Empty),
-            }
-        }
-
-        /// [`Receiver::recv`] with a deadline.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut queue = self.inner.lock();
-            loop {
-                if let Some(value) = queue.pop_front() {
-                    self.inner.not_full.notify_one();
-                    return Ok(value);
-                }
-                if self.inner.senders.load(Ordering::SeqCst) == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-                else {
-                    return Err(RecvTimeoutError::Timeout);
-                };
-                let (guard, _) = self
-                    .inner
-                    .not_empty
-                    .wait_timeout(queue, remaining)
-                    .unwrap_or_else(|e| e.into_inner());
-                queue = guard;
-            }
-        }
-    }
-}
+//! (which did not exist when crossbeam's scoped threads were written).
 
 pub mod thread {
     //! Scoped threads.
@@ -300,9 +59,7 @@ pub mod thread {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{self, RecvTimeoutError, TryRecvError};
     use super::thread;
-    use std::time::Duration;
 
     #[test]
     fn spawn_and_join_collects_results() {
@@ -326,109 +83,5 @@ mod tests {
             drop(h);
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn unbounded_fifo_across_threads() {
-        let (tx, rx) = channel::unbounded();
-        let received = thread::scope(|scope| {
-            let consumer = scope.spawn(|_| {
-                let mut got = Vec::new();
-                while let Ok(v) = rx.recv() {
-                    got.push(v);
-                }
-                got
-            });
-            for producer in 0..4u64 {
-                let tx = tx.clone();
-                scope.spawn(move |_| {
-                    for i in 0..25u64 {
-                        tx.send(producer * 100 + i).unwrap();
-                    }
-                });
-            }
-            drop(tx); // disconnect once the producers finish
-            consumer.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(received.len(), 100);
-        // Per-producer order is preserved even though global order is not.
-        for producer in 0..4u64 {
-            let ours: Vec<_> = received
-                .iter()
-                .filter(|v| **v / 100 == producer)
-                .collect();
-            assert!(ours.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
-    fn bounded_send_blocks_until_capacity_frees() {
-        let (tx, rx) = channel::bounded(1);
-        tx.send(1).unwrap();
-        let all = thread::scope(|scope| {
-            let handle = scope.spawn(|_| {
-                tx.send(2).unwrap(); // blocks until the receiver drains
-                tx.send(3).unwrap();
-            });
-            let mut got = Vec::new();
-            for _ in 0..3 {
-                got.push(rx.recv().unwrap());
-            }
-            handle.join().unwrap();
-            got
-        })
-        .unwrap();
-        assert_eq!(all, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn disconnect_semantics() {
-        let (tx, rx) = channel::unbounded();
-        tx.send(7u32).unwrap();
-        drop(tx);
-        // A closed channel still drains queued messages.
-        assert_eq!(rx.recv(), Ok(7));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(1)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-
-        let (tx, rx) = channel::unbounded();
-        drop(rx);
-        assert_eq!(tx.send(7u32), Err(channel::SendError(7)));
-    }
-
-    #[test]
-    fn last_sender_drop_always_wakes_blocked_receivers() {
-        // Regression for a missed-wakeup race: the last sender's drop
-        // used to notify without the queue lock, so the disconnect
-        // could land between a receiver's check and its wait, leaving
-        // the receiver blocked forever. Many iterations with receivers
-        // already parked make the old interleaving likely.
-        for _ in 0..200 {
-            let (tx, rx) = channel::unbounded::<u32>();
-            thread::scope(|scope| {
-                for _ in 0..2 {
-                    let rx = rx.clone();
-                    scope.spawn(move |_| assert_eq!(rx.recv(), Err(channel::RecvError)));
-                }
-                scope.spawn(move |_| drop(tx));
-            })
-            .unwrap();
-        }
-    }
-
-    #[test]
-    fn recv_timeout_expires_on_empty_channel() {
-        let (tx, rx) = channel::unbounded::<u32>();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(9).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(9));
     }
 }

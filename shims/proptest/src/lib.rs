@@ -482,7 +482,7 @@ mod tests {
     proptest! {
         fn macro_default_config(pair in (any::<u32>(), any::<bool>())) {
             let (x, b) = pair;
-            prop_assert_eq!(x as u64 & 1 == 1 || !(x as u64 & 1 == 1), true);
+            prop_assert_eq!(x.count_ones() + x.count_zeros(), 32);
             let _ = b;
         }
     }

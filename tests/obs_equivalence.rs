@@ -10,9 +10,7 @@
 
 use minobs_graphs::{generators, Graph};
 use minobs_net::{DecisionRule, FloodConsensus};
-use minobs_obs::{
-    replay_event, MemoryRecorder, MessageStatus, MetricsRecorder, MetricsRegistry, TraceEvent,
-};
+use minobs_obs::{MemoryRecorder, MessageStatus, MetricsRecorder, MetricsRegistry, TraceEvent};
 use std::sync::Arc;
 use minobs_sim::adversary::{BudgetChecked, NoFault, RandomOmissions, ScriptedAdversary};
 use minobs_sim::network::run_network_with_recorder;
@@ -88,7 +86,7 @@ fn metrics_snapshot_of(events: &[TraceEvent]) -> serde_json::Value {
     let registry = Arc::new(MetricsRegistry::new());
     let mut metrics = MetricsRecorder::new(Arc::clone(&registry));
     for event in events {
-        replay_event(&mut metrics, event);
+        metrics.observe(event);
     }
     registry.snapshot()
 }
