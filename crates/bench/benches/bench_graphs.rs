@@ -1,5 +1,5 @@
 //! BENCH-CUT — edge connectivity scaling (Dinic max-flow), with the
-//! brute-force oracle ablation on small instances (DESIGN.md ablation 3).
+//! brute-force oracle ablation on small instances (DESIGN.md ablation 2).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use minobs_graphs::connectivity::edge_connectivity_bruteforce;

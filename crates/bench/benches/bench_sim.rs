@@ -60,8 +60,8 @@ fn bench_network(c: &mut Criterion) {
     group.finish();
 }
 
-/// Engine ablation (DESIGN.md ablation 4): sequential Vec-bus engine vs
-/// the crossbeam chunked-parallel engine, on a graph large enough for the
+/// Engine ablation (DESIGN.md ablation 3): sequential Vec-bus engine vs
+/// the scoped-thread chunked-parallel engine, on a graph large enough for the
 /// per-round fan-out to matter.
 fn bench_engine_ablation(c: &mut Criterion) {
     use minobs_sim::parallel::run_network_parallel;

@@ -69,31 +69,10 @@ fn bench_spair_decision(c: &mut Criterion) {
     group.finish();
 }
 
-/// Checker ablation (DESIGN.md ablation 2): sequential vs rayon-parallel
-/// prefix-viability. The automata-backed scheme makes each viability test
-/// an ω-emptiness query, which is where the parallel fan-out pays.
-fn bench_checker_parallel_ablation(c: &mut Criterion) {
-    use minobs_synth::checker::solvable_by_par;
-    let mut group = c.benchmark_group("checker_parallel_ablation");
-    group.sample_size(10);
-    let gamma = gamma_alphabet();
-    let regular = rs::regular_s1();
-    for k in [5usize, 7] {
-        group.bench_with_input(BenchmarkId::new("sequential_regular", k), &k, |b, &k| {
-            b.iter(|| black_box(solvable_by(&regular, k, &gamma)))
-        });
-        group.bench_with_input(BenchmarkId::new("parallel_regular", k), &k, |b, &k| {
-            b.iter(|| black_box(solvable_by_par(&regular, k, &gamma)))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_checker_horizons,
     bench_theorem_engines,
-    bench_spair_decision,
-    bench_checker_parallel_ablation
+    bench_spair_decision
 );
 criterion_main!(benches);

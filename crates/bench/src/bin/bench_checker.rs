@@ -2,13 +2,15 @@
 //!
 //! Re-runs the pinned `exp_budget` configuration — the classic total
 //! budget `B_4` checked at horizons 4 (unsolvable) and 5 (solvable) —
-//! a fixed number of iterations, timing every `solvable_by` call into a
+//! a fixed number of iterations, timing every `Check::at` call into a
 //! `minobs_obs::Histogram`, and emits a `minobs/bench/v1` artifact
 //! (kind `checker`). One extra instrumented pass per horizon (outside
 //! the timed loop) captures the checker's shape gauges — peak frontier
 //! size, cumulative frontier entries, distinct interned views, and the
 //! resulting dedup ratio — so the artifact records not just how fast
-//! the checker is but how much work the view-dedup is saving. Run via
+//! the checker is but how much work the view-dedup is saving. One
+//! instrumented `Check::first` over `0..=5` records beside them the
+//! states a single horizon sweep explores. Run via
 //! `run_experiments.sh` this lands as `BENCH_checker.json` at the repo
 //! root: the recorded trajectory that future "10× checker" claims
 //! (ROADMAP item 4) must beat.
@@ -18,8 +20,8 @@
 //! ```
 
 use minobs_core::prelude::*;
-use minobs_obs::{Histogram, MemoryRecorder, TraceEvent};
-use minobs_synth::checker::{gamma_alphabet, solvable_by, solvable_by_with_recorder};
+use minobs_obs::{Histogram, MemoryRecorder, NullRecorder, TraceEvent};
+use minobs_synth::checker::{gamma_alphabet, Budget, Check, HorizonOutcome};
 use serde_json::{Map, Value};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -55,6 +57,20 @@ fn main() -> ExitCode {
     println!("== BENCH-CHECKER: total_budget(4) at horizons {HORIZONS:?}, {iters} iterations ==");
     let gamma = gamma_alphabet();
     let scheme = classic::total_budget(4);
+    let check = Check {
+        alphabet: &gamma,
+        budget: Budget::UNLIMITED,
+    };
+    let states_of = |recorder: &MemoryRecorder| -> u64 {
+        recorder
+            .events()
+            .iter()
+            .map(|event| match event {
+                TraceEvent::CheckerRound { frontier, .. } => *frontier as u64,
+                _ => 0,
+            })
+            .sum()
+    };
 
     // One instrumented pass per horizon, outside the timed loop: the
     // frontier trajectory is deterministic for the pinned config, and
@@ -64,15 +80,15 @@ fn main() -> ExitCode {
     let mut distinct_views = 0u64;
     for k in HORIZONS {
         let mut recorder = MemoryRecorder::new();
-        let solvable = solvable_by_with_recorder(&scheme, k, &gamma, &mut recorder).is_solvable();
+        let solvable = check.at(&scheme, k, &mut recorder).is_solvable();
         assert_eq!(solvable, k == 5, "total_budget(4) at horizon {k} (instrumented)");
+        states_explored += states_of(&recorder);
         for event in recorder.events() {
             if let TraceEvent::CheckerRound {
                 frontier, views, ..
             } = *event
             {
                 peak_frontier = peak_frontier.max(frontier as u64);
-                states_explored += frontier as u64;
                 distinct_views = distinct_views.max(views as u64);
             }
         }
@@ -82,6 +98,13 @@ fn main() -> ExitCode {
         "  peak frontier {peak_frontier}; {states_explored} frontier entries → \
          {distinct_views} distinct views (dedup ratio {dedup_ratio:.4})"
     );
+    // The same question as a sweep: one pass decides every horizon up to
+    // the first solvable one, expanding each round once.
+    let mut recorder = MemoryRecorder::new();
+    let sweep = check.first(&scheme, 0..=5, &mut recorder);
+    assert_eq!(sweep, HorizonOutcome::Solvable(5), "total_budget(4) sweep");
+    let sweep_states_explored = states_of(&recorder);
+    println!("  one sweep over horizons 0..=5: {sweep_states_explored} frontier entries");
 
     let latency = Histogram::new(&Histogram::latency_bounds());
     let mut max_ns = 0u64;
@@ -89,7 +112,7 @@ fn main() -> ExitCode {
     for _ in 0..iters {
         for k in HORIZONS {
             let check_started = Instant::now();
-            let solvable = solvable_by(&scheme, k, &gamma).is_solvable();
+            let solvable = check.at(&scheme, k, &mut NullRecorder).is_solvable();
             let nanos = check_started.elapsed().as_nanos() as u64;
             latency.observe(nanos);
             max_ns = max_ns.max(nanos);
@@ -142,6 +165,7 @@ fn main() -> ExitCode {
     body.insert("states_explored", Value::from(states_explored));
     body.insert("distinct_views", Value::from(distinct_views));
     body.insert("dedup_ratio", Value::from(dedup_ratio));
+    body.insert("sweep_states_explored", Value::from(sweep_states_explored));
 
     match minobs_bench::write_bench_artifact(out.as_deref(), "bench_checker", body) {
         Some(_) => ExitCode::SUCCESS,

@@ -14,7 +14,7 @@ use minobs_core::prelude::*;
 use minobs_core::scenario::enumerate_gamma_lassos;
 use minobs_core::theorem::min_excluded_prefix;
 use minobs_obs::{MetricsRecorder, MetricsRegistry};
-use minobs_synth::checker::{gamma_alphabet, solvable_by_with_recorder};
+use minobs_synth::checker::{gamma_alphabet, Budget, Check};
 use std::sync::Arc;
 
 fn main() {
@@ -43,6 +43,10 @@ fn main() {
     let mut metrics = MetricsRecorder::new(Arc::clone(&registry));
 
     let gamma = gamma_alphabet();
+    let check = Check {
+        alphabet: &gamma,
+        budget: Budget::UNLIMITED,
+    };
     for k in 0..=4usize {
         let scheme = classic::total_budget(k);
         let verdict = decide_classic(&scheme);
@@ -50,8 +54,8 @@ fn main() {
         let (p, w0) = min_excluded_prefix(&scheme, 6).unwrap();
         assert_eq!(p, k + 1);
 
-        let at_k = solvable_by_with_recorder(&scheme, k, &gamma, &mut metrics).is_solvable();
-        let at_k1 = solvable_by_with_recorder(&scheme, k + 1, &gamma, &mut metrics).is_solvable();
+        let at_k = check.at(&scheme, k, &mut metrics).is_solvable();
+        let at_k1 = check.at(&scheme, k + 1, &mut metrics).is_solvable();
         assert!(!at_k, "no k-round algorithm for budget k");
         assert!(at_k1, "a (k+1)-round algorithm exists");
 

@@ -17,7 +17,7 @@
 
 use minobs_bench::{mark, Report};
 use minobs_core::prelude::*;
-use minobs_synth::checker::{sigma_alphabet, solvable_by, CheckResult};
+use minobs_synth::checker::{first_solvable_horizon, sigma_alphabet, solvable_by, CheckResult};
 
 fn main() {
     minobs_bench::cli::handle_common_flags(
@@ -46,7 +46,7 @@ fn main() {
         };
         // The Γ twin (when w0 is a Γ-word) IS solvable at |w0|:
         let gamma_twin = word.to_gamma().map(|g| {
-            use minobs_synth::checker::{first_solvable_horizon, gamma_alphabet};
+            use minobs_synth::checker::gamma_alphabet;
             first_solvable_horizon(&ClassicScheme::AvoidPrefix(g.to_word()), 4, &gamma_alphabet())
         });
         let twin_text = match gamma_twin {
@@ -102,7 +102,7 @@ fn main() {
             }
         }
         let scheme = SigmaMinus(excluded.clone());
-        let all_unsolvable = (0..=3).all(|k| !solvable_by(&scheme, k, &sigma).is_solvable());
+        let all_unsolvable = first_solvable_horizon(&scheme, 3, &sigma).is_none();
         assert!(all_unsolvable);
         let names: Vec<String> = excluded.iter().map(|s| s.to_string()).collect();
         minus.row(&[&names.join(", "), &mark(all_unsolvable)]);

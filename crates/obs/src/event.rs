@@ -67,7 +67,7 @@ pub enum TraceEvent {
     /// A run began. `round` is always 0.
     RunStart {
         /// Which execution surface: `"two_process"`, `"network"`,
-        /// `"network_parallel"`, `"checker"`, or `"checker_parallel"`.
+        /// `"network_parallel"`, or `"checker"`.
         engine: &'static str,
         /// Number of participating processes (2 for the two-process engine).
         nodes: usize,
@@ -170,13 +170,14 @@ pub enum TraceEvent {
         /// Wall-clock nanoseconds for this step (0 when timing is off).
         nanos: u64,
     },
-    /// A full horizon check finished (one `k` of `first_solvable_horizon`).
+    /// A horizon sweep decided one horizon (one `k` of `Check::first`).
     Horizon {
         /// The horizon depth checked.
         horizon: usize,
         /// Whether the task is solvable within that horizon.
         solvable: bool,
-        /// Wall-clock nanoseconds for the whole check (0 when timing is off).
+        /// Wall-clock nanoseconds from the sweep's start to this verdict
+        /// (0 when timing is off).
         nanos: u64,
     },
     /// A parallel engine worker panicked and its shard was re-executed
@@ -769,7 +770,6 @@ const ENGINES: &[&str] = &[
     "network",
     "network_parallel",
     "checker",
-    "checker_parallel",
 ];
 const STATUSES: &[&str] = &["delivered", "dropped", "misaddressed"];
 const PHASES: &[&str] = &["send", "advance"];

@@ -3,7 +3,7 @@
 //! The synchronous round structure is embarrassingly parallel within a
 //! round: every node's `send` depends only on its own state, and every
 //! node's `advance` consumes a disjoint inbox. This engine fans both
-//! phases out over `crossbeam` scoped threads working on disjoint node
+//! phases out over `std::thread::scope` threads working on disjoint node
 //! chunks — no locks on the hot path; each worker accumulates a private
 //! `WorkerShard` that the coordinator merges at the round barrier.
 //!
@@ -156,20 +156,24 @@ where
         // the retry observes identical state).
         type SendResult<M> = Result<(Vec<(DirectedEdge, M)>, WorkerShard), ()>;
         let send_span = SpanGuard::begin(recorder, &mut span_ids, round, None, "net_send");
-        let mut per_chunk: Vec<SendResult<P::Msg>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (ci, chunk_nodes) in nodes.chunks(chunk).enumerate() {
-                handles.push(scope.spawn(move |_| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        collect_sends(graph, chunk_nodes, ci * chunk, round, observing)
-                    }))
-                    .map_err(|_| ())
-                }));
-            }
-            per_chunk = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        })
-        .expect("scope cannot fail: workers catch their own panics");
+        let per_chunk: Vec<SendResult<P::Msg>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = nodes
+                .chunks(chunk)
+                .enumerate()
+                .map(|(ci, chunk_nodes)| {
+                    scope.spawn(move || {
+                        catch_unwind(AssertUnwindSafe(|| {
+                            collect_sends(graph, chunk_nodes, ci * chunk, round, observing)
+                        }))
+                        .map_err(|_| ())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("workers catch their own panics"))
+                .collect()
+        });
 
         // ---- Round barrier: merge the worker shards, recovering any
         // panicked shard serially. ----
@@ -258,13 +262,12 @@ where
         // by the failed call — in the omission model the loss reads as
         // extra drops, the graceful form of degradation).
         let advance_span = SpanGuard::begin(recorder, &mut span_ids, round, None, "net_advance");
-        let mut failed_by_shard: Vec<Vec<usize>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
+        let failed_by_shard: Vec<Vec<usize>> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             let mut inbox_chunks = inboxes.chunks_mut(chunk);
             for (ci, node_chunk) in nodes.chunks_mut(chunk).enumerate() {
                 let inbox_chunk = inbox_chunks.next().expect("chunk counts align");
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let base = ci * chunk;
                     let mut failed: Vec<usize> = Vec::new();
                     for (off, (node, inbox)) in
@@ -283,9 +286,11 @@ where
                     failed
                 }));
             }
-            failed_by_shard = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        })
-        .expect("scope cannot fail: workers catch their own panics");
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("workers catch their own panics"))
+                .collect()
+        });
         for (ci, failed) in failed_by_shard.into_iter().enumerate() {
             if failed.is_empty() {
                 continue;

@@ -12,7 +12,8 @@
 //! Every lookup feeds one of three registry counters: `svc.cache_hits`
 //! (answered at the exact recorded horizon), `svc.cache_subsumptions`
 //! (answered by monotonicity from a different horizon), or
-//! `svc.cache_misses`.
+//! `svc.cache_misses`. A `first_horizon` request is one lookup, counted
+//! with its disposition through [`VerdictCache::count`].
 
 use minobs_obs::{Counter, MetricsRegistry};
 use minobs_synth::cache::{CacheAnswer, HorizonVerdicts};
@@ -72,6 +73,25 @@ impl VerdictCache {
             None => self.misses.inc(),
         }
         answer
+    }
+
+    /// The recorded horizon boundaries for `key`, empty when none. Counts
+    /// nothing: the caller reports its disposition with
+    /// [`VerdictCache::count`].
+    pub fn horizon_verdicts(&self, key: &str) -> HorizonVerdicts {
+        self.shard(key)
+            .get(key)
+            .map_or_else(HorizonVerdicts::new, |entry| entry.verdicts)
+    }
+
+    /// Counts one lookup by its disposition: `"hit"`, `"subsumed"`, or
+    /// (anything else) a miss.
+    pub fn count(&self, disposition: &str) {
+        match disposition {
+            "hit" => self.hits.inc(),
+            "subsumed" => self.subsumptions.inc(),
+            _ => self.misses.inc(),
+        }
     }
 
     /// Records a definite horizon verdict for `key`.

@@ -18,11 +18,11 @@ use minobs_core::engine::run_two_process_with_recorder;
 use minobs_core::prelude::*;
 use minobs_graphs::{edge_connectivity, generators, min_degree, DirectedEdge, Graph};
 use minobs_net::{DecisionRule, FloodConsensus};
-use minobs_obs::MemoryRecorder;
+use minobs_obs::{MemoryRecorder, NullRecorder};
 use minobs_sim::network::run_network_with_recorder;
 use minobs_sim::{NetVerdict, ScriptedAdversary};
 use minobs_synth::cache::CacheAnswer;
-use minobs_synth::checker::{Budget, CheckResult};
+use minobs_synth::checker::{Budget, Check, CheckResult, HorizonOutcome};
 use serde_json::{Map, Value};
 
 /// Largest horizon a request may ask the bounded checker for.
@@ -134,13 +134,6 @@ fn parse_budget(params: &Value, limits: Limits) -> Budget {
     }
 }
 
-fn parse_parallel(params: &Value) -> bool {
-    params
-        .get("parallel")
-        .and_then(Value::as_bool)
-        .unwrap_or(false)
-}
-
 /// `solvable`: Theorem III.8 on the named scheme, memoised per canonical
 /// key.
 fn solvable(state: &ServerState, params: &Value) -> (Result<Value, RpcError>, &'static str) {
@@ -201,7 +194,11 @@ fn check_horizon(state: &ServerState, params: &Value) -> (Result<Value, RpcError
         return (Ok(result), disposition);
     }
 
-    let outcome = scheme.check(k, &alphabet, budget, parse_parallel(params));
+    let outcome = Check {
+        alphabet: &alphabet,
+        budget,
+    }
+    .at(scheme.as_omission(), k, &mut NullRecorder);
     let result = match outcome {
         CheckResult::Solvable { views, components } => {
             state.record_horizon(&key, k, true);
@@ -246,13 +243,16 @@ fn check_horizon(state: &ServerState, params: &Value) -> (Result<Value, RpcError
     (Ok(result), "miss")
 }
 
-/// `first_horizon`: sweep `0..=max_horizon` for the first solvable
-/// horizon, consulting the cache before every inner check. The budget
-/// applies per inner check. Disposition is `"miss"` when the checker
-/// ran at least once, `"subsumed"` when the sweep was answered from the
-/// cache but needed at least one subsumption, and `"hit"` only when
-/// every horizon was answered by an exact cached boundary — matching
-/// `check_horizon`'s semantics for the `svc_response` cache metrics.
+/// `first_horizon`: the first solvable horizon in `0..=max_horizon`. The
+/// key's cached boundaries answer what they can, and one
+/// [`Check::first`] sweeps the gap between them, so the request's budget
+/// caps the whole sweep. Only the boundaries the sweep moved are
+/// recorded: at most two WAL `horizon` records per request.
+///
+/// The request counts as one cache lookup. Its disposition is `"miss"`
+/// when the checker ran; otherwise `"hit"` when every horizon it
+/// consulted was answered at the horizon its verdict was proven at, and
+/// `"subsumed"` when one lay below the unsolvable boundary.
 fn first_horizon(state: &ServerState, params: &Value) -> (Result<Value, RpcError>, &'static str) {
     let parsed = (|| {
         let scheme = parse_scheme(params)?;
@@ -264,64 +264,55 @@ fn first_horizon(state: &ServerState, params: &Value) -> (Result<Value, RpcError
         Ok(triple) => triple,
         Err(e) => return (Err(e), "none"),
     };
-    let budget = parse_budget(params, state.limits());
-    let parallel = parse_parallel(params);
+    let check = Check {
+        alphabet: &alphabet,
+        budget: parse_budget(params, state.limits()),
+    };
     let key = scheme.cache_key(&alphabet);
 
+    let known = state.cache().horizon_verdicts(&key);
+    let mut verdicts = known;
     let mut ran_checker = false;
-    let mut saw_subsumption = false;
-    let mut outcome = None;
-    for k in 0..=max_k {
-        let solvable = match state.cache().lookup_horizon(&key, k) {
-            Some(answer) => {
-                if matches!(answer, CacheAnswer::Subsumed { .. }) {
-                    saw_subsumption = true;
-                }
-                answer.solvable()
-            }
-            None => {
-                ran_checker = true;
-                match scheme.check(k, &alphabet, budget, parallel) {
-                    CheckResult::BudgetExhausted {
-                        horizon_reached,
-                        frontier_size,
-                    } => {
-                        outcome = Some(obj(&[
-                            ("outcome", Value::from("budget_exhausted")),
-                            ("at_horizon", Value::from(k as u64)),
-                            ("horizon_reached", Value::from(horizon_reached as u64)),
-                            ("frontier_size", Value::from(frontier_size as u64)),
-                        ]));
-                        break;
-                    }
-                    verdict => {
-                        let solvable = verdict.is_solvable();
-                        state.record_horizon(&key, k, solvable);
-                        solvable
-                    }
-                }
-            }
-        };
-        if solvable {
-            outcome = Some(obj(&[
-                ("outcome", Value::from("solvable")),
-                ("horizon", Value::from(k as u64)),
-            ]));
-            break;
-        }
-    }
-    let result = outcome.unwrap_or_else(|| {
-        obj(&[
-            ("outcome", Value::from("unsolvable_within")),
-            ("max_horizon", Value::from(max_k as u64)),
-        ])
+    let outcome = verdicts.first_solvable_within(max_k, |horizons| {
+        ran_checker = true;
+        check.first(scheme.as_omission(), horizons, &mut NullRecorder)
     });
+    // A boundary only ever tightens, so a changed one is a new one.
+    let moved = |now: Option<usize>, before| now.filter(|_| now != before);
+    if let Some(k) = moved(verdicts.max_unsolvable(), known.max_unsolvable()) {
+        state.record_horizon(&key, k, false);
+    }
+    if let Some(k) = moved(verdicts.min_solvable(), known.min_solvable()) {
+        state.record_horizon(&key, k, true);
+    }
     let disposition = if ran_checker {
         "miss"
-    } else if saw_subsumption {
+    } else if known.max_unsolvable().is_some_and(|m| m > 0) {
         "subsumed"
     } else {
         "hit"
+    };
+    state.cache().count(disposition);
+
+    let result = match outcome {
+        HorizonOutcome::Solvable(k) => obj(&[
+            ("outcome", Value::from("solvable")),
+            ("horizon", Value::from(k as u64)),
+        ]),
+        HorizonOutcome::UnsolvableWithin(max_k) => obj(&[
+            ("outcome", Value::from("unsolvable_within")),
+            ("max_horizon", Value::from(max_k as u64)),
+        ]),
+        HorizonOutcome::BudgetExhausted {
+            at_horizon,
+            horizon_reached,
+            frontier_size,
+        } => obj(&[
+            ("outcome", Value::from("budget_exhausted")),
+            ("at_horizon", Value::from(at_horizon as u64)),
+            ("horizon_reached", Value::from(horizon_reached as u64)),
+            ("frontier_size", Value::from(frontier_size as u64)),
+        ]),
     };
     (Ok(result), disposition)
 }

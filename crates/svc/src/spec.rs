@@ -9,15 +9,13 @@
 //! [`ParsedScheme::cache_key`] and share verdict-cache entries.
 
 use minobs_core::prelude::*;
+use minobs_obs::NullRecorder;
 use minobs_omega::schemes::{
     decide_regular, regular_almost_fair, regular_avoid_prefix, regular_c1, regular_fair,
     regular_gamma_minus, regular_r1, regular_s0, regular_s1, regular_t, regular_total_budget,
     RegularScheme,
 };
-use minobs_synth::checker::{
-    gamma_alphabet, sigma_alphabet, solvable_by_budgeted, solvable_by_par_budgeted, Budget,
-    CheckResult,
-};
+use minobs_synth::checker::{gamma_alphabet, sigma_alphabet, Budget, Check, CheckResult};
 use serde_json::Value;
 
 /// A scheme parsed from a request, with its canonical cache-key stem.
@@ -194,22 +192,16 @@ impl ParsedScheme {
         }
     }
 
-    /// Runs the bounded checker at horizon `k` under `budget`, on the
-    /// rayon-backed frontier when `parallel`. The parallel path needs the
-    /// concrete (`Sync`) scheme type, hence the dispatch here rather than
-    /// through [`ParsedScheme::as_omission`].
+    /// [`Check::at`] on this scheme, kept for callers of this signature;
+    /// `_parallel` is ignored (the checker has one runner).
     pub fn check(
         &self,
         k: usize,
         alphabet: &[Letter],
         budget: Budget,
-        parallel: bool,
+        _parallel: bool,
     ) -> CheckResult {
-        match (&self.kind, parallel) {
-            (SchemeKind::Classic(s), true) => solvable_by_par_budgeted(s, k, alphabet, budget),
-            (SchemeKind::Regular(s), true) => solvable_by_par_budgeted(s, k, alphabet, budget),
-            _ => solvable_by_budgeted(self.as_omission(), k, alphabet, budget),
-        }
+        Check { alphabet, budget }.at(self.as_omission(), k, &mut NullRecorder)
     }
 
     /// Runs the Theorem III.8 decision procedure, or explains why it

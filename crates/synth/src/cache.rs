@@ -6,25 +6,22 @@
 //! allowed `k`-prefix extends to an allowed `k'`-prefix within the same
 //! scheme. Dually, unsolvability propagates downward: if no decision map
 //! exists on round-`k` views, none exists on the coarser round-`k'` views
-//! for `k' ≤ k`. (The vacuous [`CheckResult::Empty`] verdict — no allowed
-//! prefix of length `k` at all — is upward-monotone too, since `Pref(L)`
-//! is prefix-closed.)
+//! for `k' ≤ k`. (The vacuous [`crate::CheckResult::Empty`] verdict — no
+//! allowed prefix of length `k` at all — is upward-monotone too, since
+//! `Pref(L)` is prefix-closed.)
 //!
 //! [`HorizonVerdicts`] exploits this: it stores only the two boundary
 //! horizons — the smallest known-solvable and the largest known-unsolvable
 //! — and answers every query at or beyond a boundary by *subsumption*
 //! instead of re-running the exponential full-information construction.
-//! [`solvable_by_cached`] and [`first_solvable_horizon_cached`] are the
-//! cache-aware entry points; the `minobs-svc` daemon shards many
+//! [`HorizonVerdicts::first_solvable_within`] narrows a horizon sweep to
+//! the gap between the boundaries; the `minobs-svc` daemon shards many
 //! `HorizonVerdicts` values behind canonical scheme keys.
 
-use minobs_core::prelude::Letter;
-use minobs_core::scheme::OmissionScheme;
 use serde_json::{Map, Value};
+use std::ops::RangeInclusive;
 
-use crate::checker::{
-    solvable_by_budgeted, Budget, CheckResult, HorizonOutcome,
-};
+use crate::checker::HorizonOutcome;
 
 /// The monotone verdict summary for one (scheme, alphabet) pair.
 ///
@@ -62,11 +59,6 @@ impl CacheAnswer {
         match *self {
             CacheAnswer::Exact { solvable } | CacheAnswer::Subsumed { solvable, .. } => solvable,
         }
-    }
-
-    /// `true` when the answer came from a different horizon's verdict.
-    pub fn is_subsumed(&self) -> bool {
-        matches!(self, CacheAnswer::Subsumed { .. })
     }
 }
 
@@ -191,100 +183,105 @@ impl HorizonVerdicts {
         }
         None
     }
-}
 
-/// Result of a cache-aware horizon check.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CachedCheck {
-    /// The cache answered without running the checker.
-    Cached(CacheAnswer),
-    /// The checker ran; its verdict (when definite) is now recorded.
-    Fresh(CheckResult),
-}
-
-impl CachedCheck {
-    /// The verdict, when one exists. `None` only for a fresh
-    /// budget-exhausted result.
-    pub fn solvable(&self) -> Option<bool> {
-        match self {
-            CachedCheck::Cached(answer) => Some(answer.solvable()),
-            CachedCheck::Fresh(CheckResult::BudgetExhausted { .. }) => None,
-            CachedCheck::Fresh(result) => Some(result.is_solvable()),
-        }
-    }
-}
-
-/// [`solvable_by_budgeted`] through a [`HorizonVerdicts`] summary: a
-/// boundary at or beyond `k` answers immediately, otherwise the checker
-/// runs and its definite verdict tightens the summary.
-pub fn solvable_by_cached(
-    scheme: &dyn OmissionScheme,
-    k: usize,
-    alphabet: &[Letter],
-    budget: Budget,
-    cache: &mut HorizonVerdicts,
-) -> CachedCheck {
-    if let Some(answer) = cache.lookup(k) {
-        return CachedCheck::Cached(answer);
-    }
-    let result = solvable_by_budgeted(scheme, k, alphabet, budget);
-    if !matches!(result, CheckResult::BudgetExhausted { .. }) {
-        cache.record(k, result.is_solvable());
-    }
-    CachedCheck::Fresh(result)
-}
-
-/// [`crate::checker::first_solvable_horizon_budgeted`] through a
-/// [`HorizonVerdicts`] summary.
-///
-/// The sweep starts just above the known-unsolvable boundary and stops
-/// at the known-solvable boundary (which caps the answer from above), so
-/// a warm cache skips both tails. Unlike the uncached sweep, `budget`
-/// applies to each inner check separately — the cache makes the number
-/// of inner checks unpredictable, so a cumulative cap would make warm
-/// and cold sweeps behave differently.
-pub fn first_solvable_horizon_cached(
-    scheme: &dyn OmissionScheme,
-    max_k: usize,
-    alphabet: &[Letter],
-    budget: Budget,
-    cache: &mut HorizonVerdicts,
-) -> HorizonOutcome {
-    let start = cache.max_unsolvable().map_or(0, |m| m + 1);
-    // A cached solvable boundary within range bounds the answer above;
-    // horizons at or beyond it never need checking.
-    let ceiling = cache.min_solvable().filter(|&m| m <= max_k);
-    let sweep_end = ceiling.unwrap_or(max_k + 1);
-    for k in start..sweep_end {
-        match solvable_by_cached(scheme, k, alphabet, budget, cache) {
-            CachedCheck::Fresh(CheckResult::BudgetExhausted {
-                horizon_reached,
-                frontier_size,
-            }) => {
-                return HorizonOutcome::BudgetExhausted {
-                    at_horizon: k,
-                    horizon_reached,
-                    frontier_size,
+    /// The first solvable horizon in `0..=max_k`, answered from the
+    /// boundaries where they reach. `sweep` runs at most once, on the
+    /// non-empty gap of horizons they cannot answer (in practice a
+    /// [`crate::Check::first`]), and what it decides tightens the
+    /// boundaries — at most one of each, however many horizons it
+    /// decided.
+    pub fn first_solvable_within(
+        &mut self,
+        max_k: usize,
+        sweep: impl FnOnce(RangeInclusive<usize>) -> HorizonOutcome,
+    ) -> HorizonOutcome {
+        let from = self.max_unsolvable.map_or(0, |m| m + 1);
+        // A solvable boundary within range caps the answer from above.
+        let ceiling = self.min_solvable.filter(|&m| m <= max_k);
+        let end = ceiling.unwrap_or(max_k + 1);
+        let swept = (from < end).then(|| sweep(from..=end - 1));
+        match swept {
+            Some(HorizonOutcome::Solvable(k)) => {
+                if k > from {
+                    self.record(k - 1, false);
                 }
+                self.record(k, true);
             }
-            answer => {
-                if answer.solvable() == Some(true) {
-                    return HorizonOutcome::Solvable(k);
-                }
+            Some(HorizonOutcome::UnsolvableWithin(to)) => self.record(to, false),
+            Some(HorizonOutcome::BudgetExhausted { at_horizon, .. }) if at_horizon > from => {
+                self.record(at_horizon - 1, false)
             }
+            _ => {}
         }
-    }
-    match ceiling {
-        Some(m) => HorizonOutcome::Solvable(m),
-        None => HorizonOutcome::UnsolvableWithin(max_k),
+        match swept {
+            None | Some(HorizonOutcome::UnsolvableWithin(_)) => ceiling.map_or(
+                HorizonOutcome::UnsolvableWithin(max_k),
+                HorizonOutcome::Solvable,
+            ),
+            Some(outcome) => outcome,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::{gamma_alphabet, solvable_by};
+    use crate::checker::{solvable_by, Budget, Check, CheckResult};
     use minobs_core::prelude::*;
+    use minobs_obs::NullRecorder;
+
+    const GAMMA: &[Letter] = &[Letter::Full, Letter::DropWhite, Letter::DropBlack];
+
+    fn check(budget: Budget) -> Check<'static> {
+        Check {
+            alphabet: GAMMA,
+            budget,
+        }
+    }
+
+    /// A horizon-`k` query through `cache`, as the daemon's
+    /// `check_horizon` runs it: a boundary answers, otherwise the checker
+    /// runs and its definite verdict is recorded.
+    fn cached_at(
+        cache: &mut HorizonVerdicts,
+        scheme: &dyn OmissionScheme,
+        k: usize,
+        budget: Budget,
+    ) -> Result<CacheAnswer, CheckResult> {
+        if let Some(answer) = cache.lookup(k) {
+            return Ok(answer);
+        }
+        let result = check(budget).at(scheme, k, &mut NullRecorder);
+        if !matches!(result, CheckResult::BudgetExhausted { .. }) {
+            cache.record(k, result.is_solvable());
+        }
+        Err(result)
+    }
+
+    /// The verdict of [`cached_at`], when there is one.
+    fn verdict(answer: &Result<CacheAnswer, CheckResult>) -> Option<bool> {
+        match answer {
+            Ok(cached) => Some(cached.solvable()),
+            Err(CheckResult::BudgetExhausted { .. }) => None,
+            Err(fresh) => Some(fresh.is_solvable()),
+        }
+    }
+
+    /// A `first_horizon` query through `cache`, as the daemon runs it:
+    /// the outcome, and the range the checker swept, if it ran.
+    fn cached_first(
+        cache: &mut HorizonVerdicts,
+        scheme: &dyn OmissionScheme,
+        max_k: usize,
+        budget: Budget,
+    ) -> (HorizonOutcome, Option<RangeInclusive<usize>>) {
+        let mut swept = None;
+        let outcome = cache.first_solvable_within(max_k, |horizons| {
+            swept = Some(horizons.clone());
+            check(budget).first(scheme, horizons, &mut NullRecorder)
+        });
+        (outcome, swept)
+    }
 
     #[test]
     fn boundaries_tighten_and_subsume() {
@@ -299,10 +296,7 @@ mod tests {
         assert_eq!(cache.min_solvable(), Some(5));
         assert_eq!(cache.max_unsolvable(), Some(2));
 
-        assert_eq!(
-            cache.lookup(5),
-            Some(CacheAnswer::Exact { solvable: true })
-        );
+        assert_eq!(cache.lookup(5), Some(CacheAnswer::Exact { solvable: true }));
         assert_eq!(
             cache.lookup(9),
             Some(CacheAnswer::Subsumed {
@@ -339,8 +333,7 @@ mod tests {
         assert_eq!(HorizonVerdicts::from_json(&json), Some(cache));
 
         // A record whose boundaries contradict monotonicity is refused.
-        let bad: Value =
-            serde_json::from_str(r#"{"min_solvable":2,"max_unsolvable":4}"#).unwrap();
+        let bad: Value = serde_json::from_str(r#"{"min_solvable":2,"max_unsolvable":4}"#).unwrap();
         assert_eq!(HorizonVerdicts::from_json(&bad), None);
         assert_eq!(HorizonVerdicts::from_json(&Value::Null), None);
         let partial: Value = serde_json::from_str(r#"{"min_solvable":2}"#).unwrap();
@@ -351,17 +344,16 @@ mod tests {
     fn cached_check_matches_direct_on_s1() {
         // S1 first becomes solvable at horizon 2.
         let scheme = classic::s1();
-        let alphabet = gamma_alphabet();
         let mut cache = HorizonVerdicts::new();
         for k in [0usize, 1, 2, 3, 4] {
-            let direct = solvable_by(&scheme, k, &alphabet).is_solvable();
-            let cached = solvable_by_cached(&scheme, k, &alphabet, Budget::UNLIMITED, &mut cache);
-            assert_eq!(cached.solvable(), Some(direct), "horizon {k}");
+            let direct = solvable_by(&scheme, k, GAMMA).is_solvable();
+            let cached = cached_at(&mut cache, &scheme, k, Budget::UNLIMITED);
+            assert_eq!(verdict(&cached), Some(direct), "horizon {k}");
         }
         // A second pass answers everything from the two boundaries.
         for k in [0usize, 1, 2, 3, 4] {
-            let cached = solvable_by_cached(&scheme, k, &alphabet, Budget::UNLIMITED, &mut cache);
-            assert!(matches!(cached, CachedCheck::Cached(_)), "horizon {k}");
+            let cached = cached_at(&mut cache, &scheme, k, Budget::UNLIMITED);
+            assert!(cached.is_ok(), "horizon {k}");
         }
         assert_eq!(cache.min_solvable(), Some(2));
         assert_eq!(cache.max_unsolvable(), Some(1));
@@ -369,36 +361,49 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_never_recorded() {
-        let scheme = classic::r1();
-        let alphabet = gamma_alphabet();
         let mut cache = HorizonVerdicts::new();
-        let result = solvable_by_cached(&scheme, 6, &alphabet, Budget::states(2), &mut cache);
-        assert!(matches!(
-            result,
-            CachedCheck::Fresh(CheckResult::BudgetExhausted { .. })
-        ));
+        let result = cached_at(&mut cache, &classic::r1(), 6, Budget::states(2));
+        assert!(matches!(result, Err(CheckResult::BudgetExhausted { .. })));
         assert!(cache.is_empty());
+        // An exhausted sweep keeps only the horizons it decided: here 0.
+        let (out, _) = cached_first(&mut cache, &classic::r1(), 6, Budget::states(2));
+        assert!(matches!(out, HorizonOutcome::BudgetExhausted { at_horizon: 1, .. }));
+        assert_eq!((cache.max_unsolvable(), cache.min_solvable()), (Some(0), None));
     }
 
     #[test]
     fn cached_sweep_agrees_with_uncached() {
-        let scheme = classic::s1();
-        let alphabet = gamma_alphabet();
+        let (s1, r1) = (classic::s1(), classic::r1());
         let mut cache = HorizonVerdicts::new();
-        let cold =
-            first_solvable_horizon_cached(&scheme, 5, &alphabet, Budget::UNLIMITED, &mut cache);
-        assert_eq!(cold, HorizonOutcome::Solvable(2));
+        let cold = cached_first(&mut cache, &s1, 5, Budget::UNLIMITED);
+        assert_eq!(cold, (HorizonOutcome::Solvable(2), Some(0..=5)));
+        assert_eq!((cache.max_unsolvable(), cache.min_solvable()), (Some(1), Some(2)));
         // Warm: the boundaries answer without any checker run; the ceiling
         // short-circuits even when the sweep range is empty.
-        let warm =
-            first_solvable_horizon_cached(&scheme, 5, &alphabet, Budget::states(1), &mut cache);
-        assert_eq!(warm, HorizonOutcome::Solvable(2));
+        let warm = cached_first(&mut cache, &s1, 5, Budget::states(1));
+        assert_eq!(warm, (HorizonOutcome::Solvable(2), None));
 
         let mut cache = HorizonVerdicts::new();
-        let unsolvable =
-            first_solvable_horizon_cached(&classic::r1(), 3, &alphabet, Budget::UNLIMITED, &mut cache);
-        assert_eq!(unsolvable, HorizonOutcome::UnsolvableWithin(3));
+        let unsolvable = cached_first(&mut cache, &r1, 3, Budget::UNLIMITED);
+        assert_eq!(unsolvable, (HorizonOutcome::UnsolvableWithin(3), Some(0..=3)));
         assert_eq!(cache.max_unsolvable(), Some(3));
+        // A narrower request is answered by the recorded boundary; a
+        // wider one sweeps only the horizons above it.
+        let narrow = cached_first(&mut cache, &r1, 2, Budget::UNLIMITED);
+        assert_eq!(narrow, (HorizonOutcome::UnsolvableWithin(2), None));
+        let wide = cached_first(&mut cache, &r1, 4, Budget::UNLIMITED);
+        assert_eq!(wide, (HorizonOutcome::UnsolvableWithin(4), Some(4..=4)));
+    }
+
+    #[test]
+    fn sweep_runs_only_on_the_gap_between_boundaries() {
+        // B_2 is solvable from horizon 3 on.
+        let mut cache = HorizonVerdicts::new();
+        cache.record(0, false);
+        cache.record(4, true);
+        let gap = cached_first(&mut cache, &classic::total_budget(2), 6, Budget::UNLIMITED);
+        assert_eq!(gap, (HorizonOutcome::Solvable(3), Some(1..=3)));
+        assert_eq!((cache.max_unsolvable(), cache.min_solvable()), (Some(2), Some(3)));
     }
 
     mod properties {
@@ -433,14 +438,12 @@ mod tests {
                 horizons in proptest::collection::vec(0usize..5, 1..8),
             ) {
                 let scheme = &scheme_pool()[scheme_pick];
-                let alphabet = gamma_alphabet();
                 let mut cache = HorizonVerdicts::new();
                 for &k in &horizons {
-                    let direct = solvable_by(scheme, k, &alphabet).is_solvable();
-                    let cached =
-                        solvable_by_cached(scheme, k, &alphabet, Budget::UNLIMITED, &mut cache);
+                    let direct = solvable_by(scheme, k, GAMMA).is_solvable();
+                    let cached = cached_at(&mut cache, scheme, k, Budget::UNLIMITED);
                     prop_assert_eq!(
-                        cached.solvable(),
+                        verdict(&cached),
                         Some(direct),
                         "scheme {} horizon {}",
                         scheme.name(),

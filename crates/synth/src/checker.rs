@@ -1,21 +1,26 @@
 //! The bounded solvability model checker.
 //!
-//! `solvable_by(scheme, k, alphabet)` answers: *does any algorithm exist
-//! in which both processes decide at round `k`, correctly, for every
-//! scenario of the scheme?* — by the full-information reduction (see the
-//! crate docs) this is a finite union-find computation over views.
+//! `Check::at(scheme, k)` answers: *does any algorithm exist in which both
+//! processes decide at round `k`, correctly, for every scenario of the
+//! scheme?* — by the full-information reduction (see the crate docs) this
+//! is a finite union-find computation over views.
 //!
 //! The enumeration is level-synchronous over `Pref_k(L)`: the frontier
 //! holds one entry per (allowed prefix × input pair) carrying the two
 //! current view ids; each round extends prefixes by every allowed letter.
 //! Prefix pruning uses [`OmissionScheme::allows_prefix`], so the checker
 //! works for any scheme — classic, ω-regular, or hand-rolled.
+//!
+//! The round-`j` frontier does not depend on the target horizon, so a
+//! horizon sweep (`Check::first`) is one such pass with a decision at
+//! every depth of the range, not one pass per horizon.
 
 use crate::views::{ViewArena, ViewId};
 use minobs_core::letter::{Letter, Role};
 use minobs_core::scheme::OmissionScheme;
 use minobs_core::word::Word;
 use minobs_obs::{NullRecorder, Recorder, RoundTimer, SpanGuard, SpanIds, TraceEvent};
+use std::ops::RangeInclusive;
 
 /// The `checker_progress` heartbeat fires each time the cumulative
 /// explored-state count crosses another multiple of this stride. Small
@@ -74,12 +79,13 @@ impl CheckResult {
     }
 }
 
-/// A resource cap for a bounded check: graceful degradation instead of an
-/// unbounded frontier explosion. Exceeding either limit stops the check
-/// at the next round boundary with [`CheckResult::BudgetExhausted`].
+/// A resource cap for one [`Check`] call: graceful degradation instead of
+/// an unbounded frontier explosion. Exceeding either limit stops the call
+/// at the next round boundary with [`CheckResult::BudgetExhausted`] or
+/// [`HorizonOutcome::BudgetExhausted`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Budget {
-    /// Cap on cumulative frontier entries explored (sum over rounds).
+    /// Cap on cumulative frontier entries expanded (sum over rounds).
     pub max_states: usize,
     /// Wall-clock cap in milliseconds. `u64::MAX` disables the clock,
     /// keeping the check fully deterministic.
@@ -87,7 +93,7 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// No limits — behaves exactly like the unbudgeted entry points.
+    /// No limits.
     pub const UNLIMITED: Budget = Budget {
         max_states: usize::MAX,
         max_millis: u64::MAX,
@@ -102,9 +108,8 @@ impl Budget {
     }
 }
 
-/// Mutable budget accounting, shared across rounds — and across horizons
-/// in [`first_solvable_horizon_budgeted`], so the cap is cumulative for
-/// the whole sweep rather than per inner check.
+/// Mutable budget accounting, shared across every round of one sweep —
+/// and so across every horizon a [`Check::first`] decides.
 struct BudgetTracker {
     budget: Budget,
     states_spent: usize,
@@ -177,34 +182,104 @@ struct ExecState {
     view_b: ViewId,
 }
 
-/// Decides `k`-round solvability of `scheme` over the given per-round
-/// alphabet (use `GammaLetter`-only letters for `L ⊆ Γ^ω`, all of `Σ` for
-/// schemes with double omission).
+/// The one way to run the checker: a per-round alphabet (`GammaLetter`-only
+/// letters for `L ⊆ Γ^ω`, all of `Σ` for schemes with double omission)
+/// and a [`Budget`].
+///
+/// [`Check::at`] decides one horizon; [`Check::first`] decides a range of
+/// horizons in a single breadth-first pass. Both run the same private
+/// sweep, and the budget is cumulative over that sweep: one call, one cap.
+#[derive(Debug, Clone, Copy)]
+pub struct Check<'a> {
+    /// Letters each round may extend a prefix by.
+    pub alphabet: &'a [Letter],
+    /// The cap on the whole call.
+    pub budget: Budget,
+}
+
+impl Check<'_> {
+    /// Decides `k`-round solvability of `scheme`. Observations go to
+    /// `recorder`: one `checker_round` event and one `checker_expand` /
+    /// `checker_dedup` span pair per frontier step, a `checker_decide`
+    /// span, `checker_progress` heartbeats, and `budget_exhausted` when
+    /// the budget stops the check early with
+    /// [`CheckResult::BudgetExhausted`].
+    pub fn at<R: Recorder + ?Sized>(
+        &self,
+        scheme: &dyn OmissionScheme,
+        k: usize,
+        recorder: &mut R,
+    ) -> CheckResult {
+        let mut sweep = Sweep::new(scheme, self, recorder);
+        while sweep.depth < k && !sweep.frontier.is_empty() {
+            if !sweep.charge() {
+                return CheckResult::BudgetExhausted {
+                    horizon_reached: sweep.depth,
+                    frontier_size: sweep.frontier.len(),
+                };
+            }
+            sweep.expand();
+        }
+        sweep.decide(k)
+    }
+
+    /// The smallest solvable horizon in `horizons`. Each round is expanded
+    /// exactly once: rounds below the range are expanded but not decided,
+    /// and every horizon in the range is decided as the frontier reaches
+    /// it, closing with a `horizon` event. The events are those of
+    /// [`Check::at`] at the deepest horizon reached, plus one
+    /// `checker_decide` span per decided horizon. An empty range decides
+    /// nothing and returns [`HorizonOutcome::UnsolvableWithin`] its end.
+    pub fn first<R: Recorder + ?Sized>(
+        &self,
+        scheme: &dyn OmissionScheme,
+        horizons: RangeInclusive<usize>,
+        recorder: &mut R,
+    ) -> HorizonOutcome {
+        let (from, to) = (*horizons.start(), *horizons.end());
+        if from > to {
+            return HorizonOutcome::UnsolvableWithin(to);
+        }
+        let timer = RoundTimer::start_if(recorder.enabled());
+        let mut sweep = Sweep::new(scheme, self, recorder);
+        loop {
+            let depth = sweep.depth;
+            if depth >= from {
+                let solvable = sweep.decide(depth).is_solvable();
+                sweep.recorder.record(TraceEvent::Horizon {
+                    horizon: depth,
+                    solvable,
+                    nanos: timer.elapsed_nanos(),
+                });
+                if solvable {
+                    return HorizonOutcome::Solvable(depth);
+                }
+                if depth == to {
+                    return HorizonOutcome::UnsolvableWithin(to);
+                }
+            }
+            if !sweep.charge() {
+                return HorizonOutcome::BudgetExhausted {
+                    at_horizon: (depth + 1).max(from),
+                    horizon_reached: depth,
+                    frontier_size: sweep.frontier.len(),
+                };
+            }
+            sweep.expand();
+        }
+    }
+}
+
+/// [`Check::at`] without a budget or observations.
 pub fn solvable_by(scheme: &dyn OmissionScheme, k: usize, alphabet: &[Letter]) -> CheckResult {
-    solvable_by_impl(
-        &|u| scheme.allows_prefix(u),
-        None,
-        k,
+    Check {
         alphabet,
-        &mut NullRecorder,
-        None,
-    )
+        budget: Budget::UNLIMITED,
+    }
+    .at(scheme, k, &mut NullRecorder)
 }
 
-/// [`solvable_by`] under a [`Budget`]: stops at the next round boundary
-/// once the budget runs out, returning the honest partial verdict
-/// [`CheckResult::BudgetExhausted`] instead of churning forever.
-pub fn solvable_by_budgeted(
-    scheme: &dyn OmissionScheme,
-    k: usize,
-    alphabet: &[Letter],
-    budget: Budget,
-) -> CheckResult {
-    solvable_by_budgeted_with_recorder(scheme, k, alphabet, budget, &mut NullRecorder)
-}
-
-/// [`solvable_by_budgeted`] with structured observations: exhaustion
-/// additionally emits a `budget_exhausted` trace event.
+/// [`Check::at`] as a free function, kept for callers of this signature.
 pub fn solvable_by_budgeted_with_recorder<R: Recorder + ?Sized>(
     scheme: &dyn OmissionScheme,
     k: usize,
@@ -212,326 +287,271 @@ pub fn solvable_by_budgeted_with_recorder<R: Recorder + ?Sized>(
     budget: Budget,
     recorder: &mut R,
 ) -> CheckResult {
-    let mut tracker = BudgetTracker::new(budget);
-    solvable_by_impl(
-        &|u| scheme.allows_prefix(u),
-        None,
-        k,
-        alphabet,
-        recorder,
-        Some(&mut tracker),
-    )
+    Check { alphabet, budget }.at(scheme, k, recorder)
 }
 
-/// [`solvable_by`] with structured observations delivered to `recorder`:
-/// one `checker_round` event per frontier step, carrying the frontier size
-/// and view-arena growth.
-pub fn solvable_by_with_recorder<R: Recorder + ?Sized>(
+/// The smallest horizon `k ≤ max_k` at which the scheme is solvable, or
+/// `None`: [`Check::first`] over `0..=max_k` without a budget. By
+/// Corollary III.14 / Proposition III.15 this equals the paper's
+/// worst-case round complexity `p` whenever it exists.
+pub fn first_solvable_horizon(
     scheme: &dyn OmissionScheme,
-    k: usize,
+    max_k: usize,
     alphabet: &[Letter],
-    recorder: &mut R,
-) -> CheckResult {
-    solvable_by_impl(
-        &|u| scheme.allows_prefix(u),
-        None,
-        k,
+) -> Option<usize> {
+    let check = Check {
         alphabet,
-        recorder,
-        None,
-    )
-}
-
-/// The rayon-parallel variant of [`solvable_by`]: prefix-viability tests —
-/// the expensive part for automata-backed schemes, where each test is an
-/// ω-automata emptiness query — are fanned out with `rayon`; view
-/// interning and the union-find stay sequential. Results are identical to
-/// the sequential checker (tested), letter for letter.
-pub fn solvable_by_par<S>(scheme: &S, k: usize, alphabet: &[Letter]) -> CheckResult
-where
-    S: OmissionScheme + Sync + ?Sized,
-{
-    solvable_by_par_with_recorder(scheme, k, alphabet, &mut NullRecorder)
-}
-
-/// [`solvable_by_par`] under a [`Budget`]. Budget accounting lives in the
-/// sequential coordinator, so a states-only budget degrades at exactly
-/// the same round as the sequential [`solvable_by_budgeted`].
-pub fn solvable_by_par_budgeted<S>(
-    scheme: &S,
-    k: usize,
-    alphabet: &[Letter],
-    budget: Budget,
-) -> CheckResult
-where
-    S: OmissionScheme + Sync + ?Sized,
-{
-    let mut tracker = BudgetTracker::new(budget);
-    solvable_by_impl(
-        &|u| scheme.allows_prefix(u),
-        Some(&|words: &[Word]| {
-            use rayon::prelude::*;
-            words.par_iter().map(|u| scheme.allows_prefix(u)).collect()
-        }),
-        k,
-        alphabet,
-        &mut NullRecorder,
-        Some(&mut tracker),
-    )
-}
-
-/// [`solvable_by_par`] with structured observations delivered to
-/// `recorder`. Events come from the sequential coordinator, so traces are
-/// identical to [`solvable_by_with_recorder`]'s modulo timing.
-pub fn solvable_by_par_with_recorder<S, R>(
-    scheme: &S,
-    k: usize,
-    alphabet: &[Letter],
-    recorder: &mut R,
-) -> CheckResult
-where
-    S: OmissionScheme + Sync + ?Sized,
-    R: Recorder + ?Sized,
-{
-    solvable_by_impl(
-        &|u| scheme.allows_prefix(u),
-        Some(&|words: &[Word]| {
-            use rayon::prelude::*;
-            words.par_iter().map(|u| scheme.allows_prefix(u)).collect()
-        }),
-        k,
-        alphabet,
-        recorder,
-        None,
-    )
-}
-
-type BatchViability<'a> = &'a dyn Fn(&[Word]) -> Vec<bool>;
-
-fn solvable_by_impl<R: Recorder + ?Sized>(
-    allows: &dyn Fn(&Word) -> bool,
-    batch: Option<BatchViability<'_>>,
-    k: usize,
-    alphabet: &[Letter],
-    recorder: &mut R,
-    mut tracker: Option<&mut BudgetTracker>,
-) -> CheckResult {
-    let mut arena = ViewArena::new();
-    // Prefix store: tree-encoded, prefixes[i] = (parent index, letter).
-    let mut prefixes: PrefixStore = vec![(0, None)];
-    if !allows(&Word::empty()) {
-        return CheckResult::Empty;
-    }
-
-    // Round 0 frontier: the empty prefix with all four input pairs.
-    let mut frontier: Vec<ExecState> = Vec::new();
-    for wi in [false, true] {
-        for bi in [false, true] {
-            frontier.push(ExecState {
-                prefix_idx: 0,
-                white_input: wi,
-                black_input: bi,
-                view_w: arena.base(Role::White, wi),
-                view_b: arena.base(Role::Black, bi),
-            });
-        }
-    }
-
-    if let Some(t) = tracker.as_deref_mut() {
-        if !t.charge(frontier.len()) {
-            recorder.record(TraceEvent::BudgetExhausted {
-                horizon: 0,
-                frontier: frontier.len(),
-                states: t.states_spent,
-            });
-            return CheckResult::BudgetExhausted {
-                horizon_reached: 0,
-                frontier_size: frontier.len(),
-            };
-        }
-    }
-
-    let reconstruct = |prefixes: &PrefixStore, mut idx: u32| -> Word {
-        let mut letters = Vec::new();
-        while let (parent, Some(letter)) = prefixes[idx as usize] {
-            letters.push(letter);
-            idx = parent;
-        }
-        letters.reverse();
-        Word(letters)
+        budget: Budget::UNLIMITED,
     };
+    match check.first(scheme, 0..=max_k, &mut NullRecorder) {
+        HorizonOutcome::Solvable(k) => Some(k),
+        _ => None,
+    }
+}
 
-    let mut span_ids = SpanIds::new();
-    let mut states_total = frontier.len();
-    let mut progress_mark = states_total / CHECKER_PROGRESS_STRIDE;
+/// The outcome of a horizon sweep ([`Check::first`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HorizonOutcome {
+    /// The smallest solvable horizon in the range.
+    Solvable(usize),
+    /// Every horizon in the range was decided and none is solvable;
+    /// carries the range's end.
+    UnsolvableWithin(usize),
+    /// The budget ran out mid-sweep. Every horizon of the range below
+    /// `at_horizon` was decided unsolvable; the verdict for `at_horizon`
+    /// and beyond is unknown.
+    BudgetExhausted {
+        /// The first horizon of the range left undecided.
+        at_horizon: usize,
+        /// The deepest fully-explored round.
+        horizon_reached: usize,
+        /// Frontier size at the stop point.
+        frontier_size: usize,
+    },
+}
 
-    for round in 0..k {
-        let step_timer = RoundTimer::start_if(recorder.enabled());
-        let expand_span = SpanGuard::begin(recorder, &mut span_ids, round + 1, None, "checker_expand");
-        let mut next: Vec<ExecState> = Vec::with_capacity(frontier.len() * alphabet.len());
-        // Group by prefix: all four input pairs extend the same way, so
-        // test allows_prefix once per (prefix, letter). Entries with the
-        // same prefix are contiguous by construction.
-        let mut groups: Vec<(usize, usize, u32)> = Vec::new();
-        let mut i = 0usize;
-        while i < frontier.len() {
-            let prefix_idx = frontier[i].prefix_idx;
-            let mut j = i;
-            while j < frontier.len() && frontier[j].prefix_idx == prefix_idx {
-                j += 1;
+/// The checker's state between rounds: the frontier over `Pref_depth(L)`
+/// (one entry per allowed prefix × input pair, carrying the two current
+/// view ids), the view arena and prefix store it points into, and the
+/// budget spent so far.
+struct Sweep<'s, R: Recorder + ?Sized> {
+    scheme: &'s dyn OmissionScheme,
+    alphabet: &'s [Letter],
+    recorder: &'s mut R,
+    tracker: BudgetTracker,
+    arena: ViewArena,
+    prefixes: PrefixStore,
+    frontier: Vec<ExecState>,
+    depth: usize,
+    span_ids: SpanIds,
+    states_total: usize,
+    progress_mark: usize,
+}
+
+impl<'s, R: Recorder + ?Sized> Sweep<'s, R> {
+    /// The round-0 frontier: the empty prefix with all four input pairs,
+    /// or nothing when the scheme allows no prefix at all.
+    fn new(scheme: &'s dyn OmissionScheme, check: &Check<'s>, recorder: &'s mut R) -> Self {
+        let mut arena = ViewArena::new();
+        let mut frontier = Vec::new();
+        if scheme.allows_prefix(&Word::empty()) {
+            for wi in [false, true] {
+                for bi in [false, true] {
+                    frontier.push(ExecState {
+                        prefix_idx: 0,
+                        white_input: wi,
+                        black_input: bi,
+                        view_w: arena.base(Role::White, wi),
+                        view_b: arena.base(Role::Black, bi),
+                    });
+                }
             }
-            groups.push((i, j, prefix_idx));
-            i = j;
         }
+        let states_total = frontier.len();
+        Sweep {
+            scheme,
+            alphabet: check.alphabet,
+            recorder,
+            tracker: BudgetTracker::new(check.budget),
+            arena,
+            prefixes: vec![(0, None)],
+            frontier,
+            depth: 0,
+            span_ids: SpanIds::new(),
+            states_total,
+            progress_mark: states_total / CHECKER_PROGRESS_STRIDE,
+        }
+    }
 
-        // Viability of every (group, letter) extension — the expensive
-        // queries, batched so the parallel variant can fan them out.
-        let candidate_words: Vec<Word> = groups
-            .iter()
-            .flat_map(|&(_, _, pidx)| {
-                let word = reconstruct(&prefixes, pidx);
-                alphabet.iter().map(move |&l| word.push(l))
-            })
-            .collect();
-        let viable: Vec<bool> = match batch {
-            Some(run_batch) => run_batch(&candidate_words),
-            None => candidate_words.iter().map(allows).collect(),
-        };
+    /// Charges the frontier about to be expanded. The budget is checked
+    /// at round granularity: the round that tips the scales still
+    /// finishes, so the depth reached is always fully explored, and a
+    /// frontier that is only decided is never charged. On exhaustion
+    /// records `budget_exhausted` and returns `false`.
+    fn charge(&mut self) -> bool {
+        if self.tracker.charge(self.frontier.len()) {
+            return true;
+        }
+        self.recorder.record(TraceEvent::BudgetExhausted {
+            horizon: self.depth,
+            frontier: self.frontier.len(),
+            states: self.tracker.states_spent,
+        });
+        false
+    }
 
-        for (g, &(i, j, prefix_idx)) in groups.iter().enumerate() {
-            for (li, &letter) in alphabet.iter().enumerate() {
-                if !viable[g * alphabet.len() + li] {
+    /// Extends every prefix by every allowed letter: one round deeper.
+    fn expand(&mut self) {
+        let round = self.depth + 1;
+        let step_timer = RoundTimer::start_if(self.recorder.enabled());
+        let expand_span = SpanGuard::begin(
+            self.recorder,
+            &mut self.span_ids,
+            round,
+            None,
+            "checker_expand",
+        );
+        let frontier = std::mem::take(&mut self.frontier);
+        let mut next: Vec<ExecState> = Vec::with_capacity(frontier.len() * self.alphabet.len());
+        // All four input pairs of a prefix extend the same way, so test
+        // allows_prefix once per (prefix, letter). Entries with the same
+        // prefix are contiguous by construction.
+        for group in frontier.chunk_by(|a, b| a.prefix_idx == b.prefix_idx) {
+            let prefix_idx = group[0].prefix_idx;
+            let word = reconstruct(&self.prefixes, prefix_idx);
+            for &letter in self.alphabet {
+                if !self.scheme.allows_prefix(&word.push(letter)) {
                     continue;
                 }
-                prefixes.push((prefix_idx, Some(letter)));
-                let new_idx = (prefixes.len() - 1) as u32;
-                for entry in &frontier[i..j] {
-                    let to_white = letter
-                        .delivers_from(Role::Black)
-                        .then_some(entry.view_b);
-                    let to_black = letter
-                        .delivers_from(Role::White)
-                        .then_some(entry.view_w);
+                self.prefixes.push((prefix_idx, Some(letter)));
+                let new_idx = (self.prefixes.len() - 1) as u32;
+                for entry in group {
+                    let to_white = letter.delivers_from(Role::Black).then_some(entry.view_b);
+                    let to_black = letter.delivers_from(Role::White).then_some(entry.view_w);
                     next.push(ExecState {
                         prefix_idx: new_idx,
                         white_input: entry.white_input,
                         black_input: entry.black_input,
-                        view_w: arena.extend(entry.view_w, to_white),
-                        view_b: arena.extend(entry.view_b, to_black),
+                        view_w: self.arena.extend(entry.view_w, to_white),
+                        view_b: self.arena.extend(entry.view_b, to_black),
                     });
                 }
             }
         }
         if let Some(span) = expand_span {
-            span.end(recorder);
+            span.end(self.recorder);
         }
         // Keep same-prefix entries contiguous: sort by prefix index.
-        let dedup_span = SpanGuard::begin(recorder, &mut span_ids, round + 1, None, "checker_dedup");
+        let dedup_span = SpanGuard::begin(
+            self.recorder,
+            &mut self.span_ids,
+            round,
+            None,
+            "checker_dedup",
+        );
         next.sort_by_key(|e| e.prefix_idx);
         if let Some(span) = dedup_span {
-            span.end(recorder);
+            span.end(self.recorder);
         }
-        frontier = next;
-        if recorder.enabled() {
-            states_total += frontier.len();
-            if states_total / CHECKER_PROGRESS_STRIDE > progress_mark {
-                progress_mark = states_total / CHECKER_PROGRESS_STRIDE;
-                recorder.record(TraceEvent::CheckerProgress {
-                    round: round + 1,
-                    frontier: frontier.len(),
-                    states: states_total,
+        self.frontier = next;
+        self.depth = round;
+        if self.recorder.enabled() {
+            self.states_total += self.frontier.len();
+            if self.states_total / CHECKER_PROGRESS_STRIDE > self.progress_mark {
+                self.progress_mark = self.states_total / CHECKER_PROGRESS_STRIDE;
+                self.recorder.record(TraceEvent::CheckerProgress {
+                    round,
+                    frontier: self.frontier.len(),
+                    states: self.states_total,
                 });
             }
         }
-        recorder.record(TraceEvent::CheckerRound {
-            round: round + 1,
-            frontier: frontier.len(),
-            views: arena.len(),
+        self.recorder.record(TraceEvent::CheckerRound {
+            round,
+            frontier: self.frontier.len(),
+            views: self.arena.len(),
             nanos: step_timer.elapsed_nanos(),
         });
+    }
+
+    /// The verdict on the current frontier, reported as horizon `k`:
+    /// union final views per execution and pin uniform-input executions.
+    /// An empty frontier is the vacuous [`CheckResult::Empty`].
+    fn decide(&mut self, k: usize) -> CheckResult {
+        let frontier = &self.frontier;
         if frontier.is_empty() {
             return CheckResult::Empty;
         }
-        // Budget is checked at round granularity: the round that tips
-        // the scales still finishes, so `horizon_reached` is always a
-        // fully-explored depth.
-        if round + 1 < k {
-            if let Some(t) = tracker.as_deref_mut() {
-                if !t.charge(frontier.len()) {
-                    recorder.record(TraceEvent::BudgetExhausted {
-                        horizon: round + 1,
-                        frontier: frontier.len(),
-                        states: t.states_spent,
-                    });
-                    return CheckResult::BudgetExhausted {
-                        horizon_reached: round + 1,
-                        frontier_size: frontier.len(),
-                    };
+        let decide_span =
+            SpanGuard::begin(self.recorder, &mut self.span_ids, k, None, "checker_decide");
+        let n_views = self.arena.len();
+        let mut uf = UnionFind::new(n_views);
+        for e in frontier {
+            uf.union(e.view_w.0, e.view_b.0);
+        }
+        // Pins: root → required value (via a representative execution).
+        let mut pin0: Vec<Option<usize>> = vec![None; n_views]; // exec index
+        let mut pin1: Vec<Option<usize>> = vec![None; n_views];
+        for (idx, e) in frontier.iter().enumerate() {
+            if e.white_input == e.black_input {
+                let root = uf.find(e.view_w.0) as usize;
+                let slot = if e.white_input { &mut pin1 } else { &mut pin0 };
+                if slot[root].is_none() {
+                    slot[root] = Some(idx);
                 }
             }
         }
-    }
+        let conflict_root = (0..n_views).find(|&r| {
+            // Only roots carry pins.
+            pin0[r].is_some() && pin1[r].is_some()
+        });
 
-    // Union final views per execution; pin uniform-input executions.
-    let decide_span = SpanGuard::begin(recorder, &mut span_ids, k, None, "checker_decide");
-    let n_views = arena.len();
-    let mut uf = UnionFind::new(n_views);
-    for e in &frontier {
-        uf.union(e.view_w.0, e.view_b.0);
-    }
-    // Pins: root → required value (via a representative execution).
-    let mut pin0: Vec<Option<usize>> = vec![None; n_views]; // exec index
-    let mut pin1: Vec<Option<usize>> = vec![None; n_views];
-    for (idx, e) in frontier.iter().enumerate() {
-        if e.white_input == e.black_input {
-            let root = uf.find(e.view_w.0) as usize;
-            let slot = if e.white_input { &mut pin1 } else { &mut pin0 };
-            if slot[root].is_none() {
-                slot[root] = Some(idx);
+        let result = match conflict_root {
+            None => {
+                // Count components among final views only.
+                let mut roots: Vec<u32> = frontier
+                    .iter()
+                    .flat_map(|e| [e.view_w.0, e.view_b.0])
+                    .collect();
+                for r in roots.iter_mut() {
+                    *r = uf.find(*r);
+                }
+                roots.sort_unstable();
+                roots.dedup();
+                let finals: std::collections::BTreeSet<u32> = frontier
+                    .iter()
+                    .flat_map(|e| [e.view_w.0, e.view_b.0])
+                    .collect();
+                CheckResult::Solvable {
+                    views: finals.len(),
+                    components: roots.len(),
+                }
             }
+            Some(root) => CheckResult::Unsolvable {
+                chain: extract_chain(
+                    frontier,
+                    &self.prefixes,
+                    pin0[root].unwrap(),
+                    pin1[root].unwrap(),
+                ),
+            },
+        };
+        if let Some(span) = decide_span {
+            span.end(self.recorder);
         }
+        result
     }
-    let conflict_root = (0..n_views).find(|&r| {
-        // Only roots carry pins.
-        pin0[r].is_some() && pin1[r].is_some()
-    });
+}
 
-    let result = match conflict_root {
-        None => {
-            // Count components among final views only.
-            let mut roots: Vec<u32> = frontier
-                .iter()
-                .flat_map(|e| [e.view_w.0, e.view_b.0])
-                .collect();
-            for r in roots.iter_mut() {
-                *r = uf.find(*r);
-            }
-            roots.sort_unstable();
-            roots.dedup();
-            let finals: std::collections::BTreeSet<u32> = frontier
-                .iter()
-                .flat_map(|e| [e.view_w.0, e.view_b.0])
-                .collect();
-            CheckResult::Solvable {
-                views: finals.len(),
-                components: roots.len(),
-            }
-        }
-        Some(root) => {
-            let chain = extract_chain(
-                &frontier,
-                &prefixes,
-                pin0[root].unwrap(),
-                pin1[root].unwrap(),
-                &reconstruct,
-            );
-            CheckResult::Unsolvable { chain }
-        }
-    };
-    if let Some(span) = decide_span {
-        span.end(recorder);
+/// The word a prefix-store index stands for.
+fn reconstruct(prefixes: &PrefixStore, mut idx: u32) -> Word {
+    let mut letters = Vec::new();
+    while let (parent, Some(letter)) = prefixes[idx as usize] {
+        letters.push(letter);
+        idx = parent;
     }
-    result
+    letters.reverse();
+    Word(letters)
 }
 
 /// BFS over executions: two executions are adjacent when they share a
@@ -542,7 +562,6 @@ fn extract_chain(
     prefixes: &PrefixStore,
     start: usize,
     goal: usize,
-    reconstruct: &dyn Fn(&PrefixStore, u32) -> Word,
 ) -> Vec<ChainStep> {
     use std::collections::{HashMap, VecDeque};
     // view id → executions carrying it.
@@ -600,118 +619,6 @@ pub fn sigma_alphabet() -> Vec<Letter> {
     Letter::ALL.to_vec()
 }
 
-/// The smallest horizon `k ≤ max_k` at which the scheme is solvable, or
-/// `None`. By Corollary III.14 / Proposition III.15 this equals the
-/// paper's worst-case round complexity `p` whenever it exists.
-pub fn first_solvable_horizon(
-    scheme: &dyn OmissionScheme,
-    max_k: usize,
-    alphabet: &[Letter],
-) -> Option<usize> {
-    first_solvable_horizon_with_recorder(scheme, max_k, alphabet, &mut NullRecorder)
-}
-
-/// [`first_solvable_horizon`] with structured observations delivered to
-/// `recorder`: every inner check streams its `checker_round` events, and
-/// each horizon `k` closes with a `horizon` event carrying its verdict and
-/// wall time.
-pub fn first_solvable_horizon_with_recorder<R: Recorder + ?Sized>(
-    scheme: &dyn OmissionScheme,
-    max_k: usize,
-    alphabet: &[Letter],
-    recorder: &mut R,
-) -> Option<usize> {
-    for k in 0..=max_k {
-        let timer = RoundTimer::start_if(recorder.enabled());
-        let solvable = solvable_by_with_recorder(scheme, k, alphabet, recorder).is_solvable();
-        recorder.record(TraceEvent::Horizon {
-            horizon: k,
-            solvable,
-            nanos: timer.elapsed_nanos(),
-        });
-        if solvable {
-            return Some(k);
-        }
-    }
-    None
-}
-
-/// The outcome of a budgeted horizon sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HorizonOutcome {
-    /// The smallest solvable horizon, as in [`first_solvable_horizon`].
-    Solvable(usize),
-    /// Every horizon `k ≤ max_k` was fully checked and none is solvable.
-    UnsolvableWithin(usize),
-    /// The budget ran out mid-sweep. All horizons `< at_horizon` were
-    /// fully checked and unsolvable; the verdict for `at_horizon` and
-    /// beyond is unknown.
-    BudgetExhausted {
-        /// The horizon whose check hit the cap.
-        at_horizon: usize,
-        /// Deepest fully-explored round inside that check.
-        horizon_reached: usize,
-        /// Frontier size at the stop point.
-        frontier_size: usize,
-    },
-}
-
-/// [`first_solvable_horizon`] under a [`Budget`] that is **cumulative
-/// across the whole sweep**: the state/time caps are shared by every
-/// inner check, so the sweep as a whole degrades gracefully instead of
-/// paying the cap once per horizon.
-pub fn first_solvable_horizon_budgeted(
-    scheme: &dyn OmissionScheme,
-    max_k: usize,
-    alphabet: &[Letter],
-    budget: Budget,
-) -> HorizonOutcome {
-    first_solvable_horizon_budgeted_with_recorder(scheme, max_k, alphabet, budget, &mut NullRecorder)
-}
-
-/// [`first_solvable_horizon_budgeted`] with structured observations.
-pub fn first_solvable_horizon_budgeted_with_recorder<R: Recorder + ?Sized>(
-    scheme: &dyn OmissionScheme,
-    max_k: usize,
-    alphabet: &[Letter],
-    budget: Budget,
-    recorder: &mut R,
-) -> HorizonOutcome {
-    let mut tracker = BudgetTracker::new(budget);
-    for k in 0..=max_k {
-        let timer = RoundTimer::start_if(recorder.enabled());
-        let result = solvable_by_impl(
-            &|u| scheme.allows_prefix(u),
-            None,
-            k,
-            alphabet,
-            recorder,
-            Some(&mut tracker),
-        );
-        if let CheckResult::BudgetExhausted {
-            horizon_reached,
-            frontier_size,
-        } = result
-        {
-            return HorizonOutcome::BudgetExhausted {
-                at_horizon: k,
-                horizon_reached,
-                frontier_size,
-            };
-        }
-        let solvable = result.is_solvable();
-        recorder.record(TraceEvent::Horizon {
-            horizon: k,
-            solvable,
-            nanos: timer.elapsed_nanos(),
-        });
-        if solvable {
-            return HorizonOutcome::Solvable(k);
-        }
-    }
-    HorizonOutcome::UnsolvableWithin(max_k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,14 +626,27 @@ mod tests {
     use minobs_core::scheme::{classic, ClassicScheme};
     use minobs_core::theorem::min_excluded_prefix;
 
-    fn gamma() -> Vec<Letter> {
-        gamma_alphabet()
+    use minobs_obs::MemoryRecorder;
+
+    const GAMMA: &[Letter] = &[Letter::Full, Letter::DropWhite, Letter::DropBlack];
+
+    /// A check over `Γ` under `budget`.
+    fn check(budget: Budget) -> Check<'static> {
+        Check {
+            alphabet: GAMMA,
+            budget,
+        }
+    }
+
+    /// The values `pick` extracts from the recorded events, in order.
+    fn picked<T>(rec: &MemoryRecorder, pick: impl Fn(&TraceEvent) -> Option<T>) -> Vec<T> {
+        rec.events().iter().filter_map(pick).collect()
     }
 
     #[test]
     fn nothing_is_solvable_at_horizon_zero() {
         // Without communication mixed inputs force a conflict.
-        let r = solvable_by(&classic::s0(), 0, &gamma());
+        let r = solvable_by(&classic::s0(), 0, GAMMA);
         assert!(!r.is_solvable());
     }
 
@@ -734,7 +654,7 @@ mod tests {
     fn s0_and_t_solvable_at_one_round() {
         for scheme in [classic::s0(), classic::t_white(), classic::t_black()] {
             assert!(
-                solvable_by(&scheme, 1, &gamma()).is_solvable(),
+                solvable_by(&scheme, 1, GAMMA).is_solvable(),
                 "{}",
                 scheme.name()
             );
@@ -744,10 +664,10 @@ mod tests {
     #[test]
     fn c1_and_s1_need_exactly_two_rounds() {
         for scheme in [classic::c1(), classic::s1()] {
-            assert!(!solvable_by(&scheme, 1, &gamma()).is_solvable(), "{}", scheme.name());
-            assert!(solvable_by(&scheme, 2, &gamma()).is_solvable(), "{}", scheme.name());
+            assert!(!solvable_by(&scheme, 1, GAMMA).is_solvable(), "{}", scheme.name());
+            assert!(solvable_by(&scheme, 2, GAMMA).is_solvable(), "{}", scheme.name());
             assert_eq!(
-                first_solvable_horizon(&scheme, 4, &gamma()),
+                first_solvable_horizon(&scheme, 4, GAMMA),
                 Some(2),
                 "{}",
                 scheme.name()
@@ -758,7 +678,7 @@ mod tests {
     #[test]
     fn r1_unsolvable_at_every_tested_horizon() {
         for k in 0..=6 {
-            let r = solvable_by(&classic::r1(), k, &gamma());
+            let r = solvable_by(&classic::r1(), k, GAMMA);
             assert!(!r.is_solvable(), "k={k}");
         }
     }
@@ -773,7 +693,7 @@ mod tests {
 
     #[test]
     fn bivalency_chain_is_a_valid_certificate() {
-        let CheckResult::Unsolvable { chain } = solvable_by(&classic::r1(), 3, &gamma()) else {
+        let CheckResult::Unsolvable { chain } = solvable_by(&classic::r1(), 3, GAMMA) else {
             panic!("R1 must be unsolvable");
         };
         assert!(chain.len() >= 2);
@@ -806,7 +726,7 @@ mod tests {
         ];
         for scheme in schemes {
             let p = min_excluded_prefix(&scheme, 4).map(|(p, _)| p);
-            let h = first_solvable_horizon(&scheme, 4, &gamma());
+            let h = first_solvable_horizon(&scheme, 4, GAMMA);
             assert_eq!(h, p, "{}", scheme.name());
         }
     }
@@ -816,7 +736,7 @@ mod tests {
         for w0 in ["w", "wb", "b-w"] {
             let scheme = ClassicScheme::AvoidPrefix(w0.parse().unwrap());
             assert_eq!(
-                first_solvable_horizon(&scheme, 5, &gamma()),
+                first_solvable_horizon(&scheme, 5, GAMMA),
                 Some(w0.len()),
                 "{w0}"
             );
@@ -829,15 +749,15 @@ mod tests {
         // checker must reject every horizon.
         let l = CanonicalMinimalObstruction;
         for k in 0..=5 {
-            assert!(!solvable_by(&l, k, &gamma()).is_solvable(), "k={k}");
+            assert!(!solvable_by(&l, k, GAMMA).is_solvable(), "k={k}");
         }
     }
 
     #[test]
     fn empty_scheme_is_vacuously_solvable() {
         let l = ClassicScheme::AvoidPrefix(Word::empty());
-        assert_eq!(solvable_by(&l, 3, &gamma()), CheckResult::Empty);
-        assert!(solvable_by(&l, 3, &gamma()).is_solvable());
+        assert_eq!(solvable_by(&l, 3, GAMMA), CheckResult::Empty);
+        assert!(solvable_by(&l, 3, GAMMA).is_solvable());
     }
 
     #[test]
@@ -846,8 +766,7 @@ mod tests {
         // quantitative face of "the impossibility proof gets harder".
         let mut prev_len = 0;
         for k in 1..=5 {
-            let CheckResult::Unsolvable { chain } = solvable_by(&classic::r1(), k, &gamma())
-            else {
+            let CheckResult::Unsolvable { chain } = solvable_by(&classic::r1(), k, GAMMA) else {
                 panic!("R1 unsolvable");
             };
             assert!(chain.len() >= prev_len, "k={k}");
@@ -858,8 +777,7 @@ mod tests {
 
     #[test]
     fn solvable_components_structure() {
-        let CheckResult::Solvable { views, components } =
-            solvable_by(&classic::s0(), 1, &gamma())
+        let CheckResult::Solvable { views, components } = solvable_by(&classic::s0(), 1, GAMMA)
         else {
             panic!("S0 solvable at 1");
         };
@@ -870,42 +788,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_checker_matches_sequential() {
-        let schemes: Vec<ClassicScheme> = vec![
-            classic::s0(),
-            classic::s1(),
-            classic::c1(),
-            classic::r1(),
-            classic::almost_fair(),
-            classic::total_budget(2),
-            ClassicScheme::AvoidPrefix("wb".parse().unwrap()),
-        ];
-        for scheme in &schemes {
-            for k in 0..=4 {
-                let seq = solvable_by(scheme, k, &gamma());
-                let par = solvable_by_par(scheme, k, &gamma());
-                assert_eq!(seq, par, "{} k={k}", scheme.name());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_checker_on_sigma_alphabet() {
-        for k in 0..=3 {
-            assert_eq!(
-                solvable_by(&classic::s2(), k, &sigma_alphabet()),
-                solvable_by_par(&classic::s2(), k, &sigma_alphabet()),
-            );
-        }
-    }
-
-    #[test]
     fn gamma_minus_half_pair_unsolvable_bounded() {
         // Γω \ {-(w)} is an obstruction; its prefixes are all of Γ*, so
         // the checker rejects every horizon.
         let l = ClassicScheme::GammaMinus(vec!["-(w)".parse().unwrap()]);
         for k in 0..=5 {
-            assert!(!solvable_by(&l, k, &gamma()).is_solvable(), "k={k}");
+            assert!(!solvable_by(&l, k, GAMMA).is_solvable(), "k={k}");
         }
     }
 
@@ -918,7 +806,7 @@ mod tests {
         let l = ClassicScheme::GammaMinus(vec!["-(w)".parse().unwrap(), "b(w)".parse().unwrap()]);
         assert!(minobs_core::theorem::decide_gamma(&l).is_solvable());
         for k in 0..=5 {
-            assert!(!solvable_by(&l, k, &gamma()).is_solvable(), "k={k}");
+            assert!(!solvable_by(&l, k, GAMMA).is_solvable(), "k={k}");
         }
     }
 
@@ -927,8 +815,8 @@ mod tests {
         for scheme in [classic::s0(), classic::c1(), classic::r1()] {
             for k in 0..=3 {
                 assert_eq!(
-                    solvable_by_budgeted(&scheme, k, &gamma(), Budget::UNLIMITED),
-                    solvable_by(&scheme, k, &gamma()),
+                    check(Budget::UNLIMITED).at(&scheme, k, &mut NullRecorder),
+                    solvable_by(&scheme, k, GAMMA),
                     "{} k={k}",
                     scheme.name()
                 );
@@ -941,7 +829,7 @@ mod tests {
         // R1's frontier at depth 4 is far beyond 50 cumulative states,
         // so the check must stop early — deterministically, since a
         // states-only budget never consults the clock.
-        let r = solvable_by_budgeted(&classic::r1(), 6, &gamma(), Budget::states(50));
+        let r = check(Budget::states(50)).at(&classic::r1(), 6, &mut NullRecorder);
         let CheckResult::BudgetExhausted {
             horizon_reached,
             frontier_size,
@@ -953,47 +841,28 @@ mod tests {
         assert!(horizon_reached < 6, "stopped at {horizon_reached}");
         assert!(frontier_size > 0);
         // Determinism: the same budget stops at the same point.
-        assert_eq!(
-            solvable_by_budgeted(&classic::r1(), 6, &gamma(), Budget::states(50)),
-            r
-        );
+        assert_eq!(check(Budget::states(50)).at(&classic::r1(), 6, &mut NullRecorder), r);
     }
 
     #[test]
     fn budget_never_cuts_a_completed_check_short() {
         // A budget big enough for the run returns the real verdict —
         // the final frontier is never charged against further work.
-        let full = solvable_by(&classic::s1(), 2, &gamma());
-        assert_eq!(
-            solvable_by_budgeted(&classic::s1(), 2, &gamma(), Budget::states(100_000)),
-            full
-        );
-    }
-
-    #[test]
-    fn parallel_budgeted_degrades_at_the_same_round() {
-        for budget in [Budget::states(50), Budget::states(10_000), Budget::UNLIMITED] {
-            assert_eq!(
-                solvable_by_par_budgeted(&classic::r1(), 5, &gamma(), budget),
-                solvable_by_budgeted(&classic::r1(), 5, &gamma(), budget),
-                "{budget:?}"
-            );
-        }
+        let full = solvable_by(&classic::s1(), 2, GAMMA);
+        let budgeted = check(Budget::states(100_000)).at(&classic::s1(), 2, &mut NullRecorder);
+        assert_eq!(budgeted, full);
     }
 
     #[test]
     fn budgeted_horizon_sweep_surfaces_exhaustion() {
         // Unlimited budget reproduces the plain sweep.
-        assert_eq!(
-            first_solvable_horizon_budgeted(&classic::c1(), 4, &gamma(), Budget::UNLIMITED),
-            HorizonOutcome::Solvable(2)
-        );
-        assert_eq!(
-            first_solvable_horizon_budgeted(&classic::r1(), 3, &gamma(), Budget::UNLIMITED),
-            HorizonOutcome::UnsolvableWithin(3)
-        );
+        let unlimited = check(Budget::UNLIMITED);
+        let c1 = unlimited.first(&classic::c1(), 0..=4, &mut NullRecorder);
+        assert_eq!(c1, HorizonOutcome::Solvable(2));
+        let r1 = unlimited.first(&classic::r1(), 0..=3, &mut NullRecorder);
+        assert_eq!(r1, HorizonOutcome::UnsolvableWithin(3));
         // A tiny cumulative budget dies mid-sweep and says where.
-        let out = first_solvable_horizon_budgeted(&classic::r1(), 6, &gamma(), Budget::states(40));
+        let out = check(Budget::states(40)).first(&classic::r1(), 0..=6, &mut NullRecorder);
         let HorizonOutcome::BudgetExhausted {
             at_horizon,
             horizon_reached,
@@ -1002,22 +871,82 @@ mod tests {
         else {
             panic!("expected BudgetExhausted, got {out:?}");
         };
+        assert_eq!(at_horizon, horizon_reached + 1);
         assert!(at_horizon <= 6);
-        assert!(horizon_reached < at_horizon || at_horizon == 0);
         assert!(frontier_size > 0);
     }
 
     #[test]
-    fn exhaustion_emits_budget_exhausted_event() {
-        use minobs_obs::{MemoryRecorder, TraceEvent};
+    fn sweep_expands_each_round_once_under_one_cumulative_budget() {
+        // R1 is unsolvable everywhere, so the sweep runs until the budget
+        // stops it; 2·(3^k − 1) cumulative states put the stop mid-range.
+        let cap = 2_000;
         let mut rec = MemoryRecorder::new();
-        let r = solvable_by_budgeted_with_recorder(
-            &classic::r1(),
-            6,
-            &gamma(),
-            Budget::states(50),
-            &mut rec,
+        let out = check(Budget::states(cap)).first(&classic::r1(), 0..=12, &mut rec);
+        let HorizonOutcome::BudgetExhausted {
+            horizon_reached, ..
+        } = out
+        else {
+            panic!("expected BudgetExhausted, got {out:?}");
+        };
+        let rounds = picked(&rec, |e| match e {
+            TraceEvent::CheckerRound { round, .. } => Some(*round),
+            _ => None,
+        });
+        assert_eq!(rounds, (1..=horizon_reached).collect::<Vec<_>>());
+        let horizons = picked(&rec, |e| match e {
+            TraceEvent::Horizon { horizon, .. } => Some(*horizon),
+            _ => None,
+        });
+        assert_eq!(horizons, (0..=horizon_reached).collect::<Vec<_>>());
+        // The cap binds the whole sweep, overshooting by at most the round
+        // that tipped it.
+        let exhausted = picked(&rec, |e| match e {
+            TraceEvent::BudgetExhausted {
+                frontier, states, ..
+            } => Some((*frontier, *states)),
+            _ => None,
+        });
+        let [(frontier, states)] = exhausted[..] else {
+            panic!("one budget_exhausted event, got {exhausted:?}");
+        };
+        assert!(states > cap && states <= cap + frontier, "{states}");
+        // A single check at the top of the range stops at the same depth.
+        assert_eq!(
+            check(Budget::states(cap)).at(&classic::r1(), 12, &mut NullRecorder),
+            CheckResult::BudgetExhausted {
+                horizon_reached,
+                frontier_size: frontier,
+            }
         );
+    }
+
+    #[test]
+    fn sweep_decides_only_its_range() {
+        let unlimited = check(Budget::UNLIMITED);
+        let mut rec = MemoryRecorder::new();
+        let out = unlimited.first(&classic::total_budget(2), 2..=4, &mut rec);
+        assert_eq!(out, HorizonOutcome::Solvable(3));
+        let horizons = picked(&rec, |e| match e {
+            TraceEvent::Horizon {
+                horizon, solvable, ..
+            } => Some((*horizon, *solvable)),
+            _ => None,
+        });
+        assert_eq!(horizons, [(2, false), (3, true)]);
+        // An empty range decides nothing.
+        let none = unlimited.first(&classic::s0(), RangeInclusive::new(3, 2), &mut NullRecorder);
+        assert_eq!(none, HorizonOutcome::UnsolvableWithin(2));
+        // A scheme with no prefix at all is vacuously solvable at once.
+        let empty = ClassicScheme::AvoidPrefix(Word::empty());
+        let vacuous = unlimited.first(&empty, 2..=4, &mut NullRecorder);
+        assert_eq!(vacuous, HorizonOutcome::Solvable(2));
+    }
+
+    #[test]
+    fn exhaustion_emits_budget_exhausted_event() {
+        let mut rec = MemoryRecorder::new();
+        let r = check(Budget::states(50)).at(&classic::r1(), 6, &mut rec);
         let CheckResult::BudgetExhausted {
             horizon_reached,
             frontier_size,
@@ -1025,18 +954,14 @@ mod tests {
         else {
             panic!("expected BudgetExhausted");
         };
-        let events: Vec<_> = rec
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::BudgetExhausted {
-                    horizon,
-                    frontier,
-                    states,
-                } => Some((*horizon, *frontier, *states)),
-                _ => None,
-            })
-            .collect();
+        let events = picked(&rec, |e| match e {
+            TraceEvent::BudgetExhausted {
+                horizon,
+                frontier,
+                states,
+            } => Some((*horizon, *frontier, *states)),
+            _ => None,
+        });
         assert_eq!(events.len(), 1);
         let (horizon, frontier, states) = events[0];
         assert_eq!(horizon, horizon_reached);
@@ -1046,10 +971,9 @@ mod tests {
 
     #[test]
     fn checker_emits_bracketed_spans_per_round() {
-        use minobs_obs::{MemoryRecorder, TraceEvent};
         let k = 3;
         let mut rec = MemoryRecorder::new();
-        solvable_by_with_recorder(&classic::c1(), k, &gamma(), &mut rec);
+        check(Budget::UNLIMITED).at(&classic::c1(), k, &mut rec);
 
         let mut stack: Vec<u64> = Vec::new();
         let mut seen_ids = std::collections::BTreeSet::new();
@@ -1077,9 +1001,8 @@ mod tests {
 
     #[test]
     fn checker_progress_fires_at_every_stride_crossing() {
-        use minobs_obs::{MemoryRecorder, TraceEvent};
         let mut rec = MemoryRecorder::new();
-        solvable_by_with_recorder(&classic::r1(), 8, &gamma(), &mut rec);
+        check(Budget::UNLIMITED).at(&classic::r1(), 8, &mut rec);
 
         // Replay the frontier trajectory to predict the heartbeats.
         let mut cumulative = 4usize; // round-0 frontier: 4 input pairs
@@ -1097,18 +1020,14 @@ mod tests {
                 }
             }
         }
-        let observed: Vec<(usize, usize, usize)> = rec
-            .events()
-            .iter()
-            .filter_map(|event| match event {
-                TraceEvent::CheckerProgress {
-                    round,
-                    frontier,
-                    states,
-                } => Some((*round, *frontier, *states)),
-                _ => None,
-            })
-            .collect();
+        let observed = picked(&rec, |event| match event {
+            TraceEvent::CheckerProgress {
+                round,
+                frontier,
+                states,
+            } => Some((*round, *frontier, *states)),
+            _ => None,
+        });
         assert_eq!(observed, expected);
         assert!(
             !observed.is_empty(),
@@ -1116,6 +1035,6 @@ mod tests {
         );
     }
 
-    use minobs_core::word::Word;
     use minobs_core::scheme::OmissionScheme;
+    use minobs_core::word::Word;
 }

@@ -13,10 +13,12 @@
 //! > constant on every execution-connected component and respects the
 //! > validity pins.
 //!
-//! [`checker::solvable_by`] decides exactly that with a union-find over
-//! interned views ([`views`]), enumerating `Pref_k(L)` level-
-//! synchronously. When the answer is *no*, it returns the **bivalency
-//! chain**: the sequence of executions connecting the all-0 execution to
+//! [`Check`] decides exactly that with a union-find over interned views
+//! ([`views`]), enumerating `Pref_k(L)` level-synchronously:
+//! [`Check::at`] at one horizon, [`Check::first`] over a range of
+//! horizons in one pass ([`solvable_by`] and [`first_solvable_horizon`]
+//! are their unbudgeted shorthands). When the answer is *no*, it returns
+//! the **bivalency chain**: the sequence of executions connecting the all-0 execution to
 //! the all-1 execution through indistinguishable views — the
 //! combinatorial skeleton of Section III-C's impossibility proof, and of
 //! the "connected components of the configuration space" the paper's
@@ -51,11 +53,8 @@ pub mod cache;
 pub mod checker;
 pub mod views;
 
-pub use cache::{
-    first_solvable_horizon_cached, solvable_by_cached, CacheAnswer, CachedCheck, HorizonVerdicts,
-};
+pub use cache::{CacheAnswer, HorizonVerdicts};
 pub use checker::{
-    first_solvable_horizon, first_solvable_horizon_budgeted, solvable_by, solvable_by_budgeted,
-    solvable_by_par, solvable_by_par_budgeted, Budget, ChainStep, CheckResult, HorizonOutcome,
+    first_solvable_horizon, solvable_by, Budget, ChainStep, Check, CheckResult, HorizonOutcome,
 };
 pub use views::{ViewArena, ViewId};

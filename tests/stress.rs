@@ -3,7 +3,7 @@
 //! order of magnitude past the unit-test sizes.
 
 use minobs_core::prelude::*;
-use minobs_synth::checker::{gamma_alphabet, solvable_by, solvable_by_par, CheckResult};
+use minobs_synth::checker::{gamma_alphabet, solvable_by, CheckResult};
 
 #[test]
 #[ignore = "scale test: 3^9 executions through the checker"]
@@ -17,15 +17,6 @@ fn checker_deep_horizon_chain_formula() {
         };
         assert_eq!(chain.len(), 2 * 3usize.pow(k as u32) + 1, "k={k}");
     }
-}
-
-#[test]
-#[ignore = "scale test: parallel checker at depth"]
-fn parallel_checker_matches_at_depth() {
-    let k = 8;
-    let seq = solvable_by(&classic::r1(), k, &gamma_alphabet());
-    let par = solvable_by_par(&classic::r1(), k, &gamma_alphabet());
-    assert_eq!(seq, par);
 }
 
 #[test]

@@ -740,3 +740,72 @@ fn warm_cache_is_ten_times_cold_throughput() {
         "warm cache speedup only {speedup:.1}× (cold {cold_elapsed:?}, warm mean {warm_mean:?})"
     );
 }
+
+/// `first_horizon` runs one sweep and logs only the boundaries it found;
+/// a repeated request is answered from them, as a subsumption when a
+/// horizon below the unsolvable boundary is consulted and as a hit when
+/// none is.
+#[test]
+fn first_horizon_logs_only_its_boundaries() {
+    use minobs_obs::MetricsRegistry;
+    use minobs_svc::methods::handle;
+    use minobs_svc::wal::replay_bytes;
+    use minobs_svc::wire::Request;
+    use minobs_svc::VerdictCache;
+
+    let dir = std::env::temp_dir().join(format!("minobs-first-horizon-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let wal_path = dir.join("verdicts.wal");
+    let _ = std::fs::remove_file(&wal_path);
+    let server = serve(SvcConfig {
+        wal_path: Some(wal_path.clone()),
+        ..SvcConfig::default()
+    })
+    .expect("bind");
+    let first_horizon = |scheme: &str| {
+        let request = Request {
+            id: 1,
+            method: "first_horizon".to_string(),
+            params: obj(&[
+                ("scheme", Value::from(scheme)),
+                ("max_horizon", Value::from(4u64)),
+            ]),
+            ctx: None,
+        };
+        let (result, disposition) = handle(server.state(), &request);
+        (result.expect("first_horizon answers"), disposition)
+    };
+
+    let (cold, disposition) = first_horizon("s1");
+    assert_eq!(
+        cold.get("outcome").and_then(Value::as_str),
+        Some("solvable")
+    );
+    assert_eq!(cold.get("horizon").and_then(Value::as_u64), Some(2));
+    assert_eq!(disposition, "miss");
+    let (warm, disposition) = first_horizon("s1");
+    assert_eq!(warm, cold);
+    // Horizon 0 lies below the unsolvable boundary at 1.
+    assert_eq!(disposition, "subsumed");
+
+    // S0 is solvable from horizon 1: its boundaries answer horizons 0
+    // and 1 exactly.
+    assert_eq!(first_horizon("s0").1, "miss");
+    assert_eq!(first_horizon("s0").1, "hit");
+
+    let mut client = SvcClient::connect(server.local_addr().to_string().as_str()).unwrap();
+    client.call("shutdown", Value::Null).unwrap();
+    server.join();
+    // Two records per cold sweep, none per warm one; replayed, they
+    // rebuild exactly the boundaries the sweeps found.
+    let replayed = VerdictCache::new(&MetricsRegistry::new());
+    let report = replay_bytes(&std::fs::read(&wal_path).expect("the log exists"), &replayed);
+    let _ = std::fs::remove_file(&wal_path);
+    assert_eq!(report.records, 4);
+    let bounds: Vec<(Option<usize>, Option<usize>)> = replayed
+        .snapshot()
+        .iter()
+        .map(|(_, verdicts, _)| (verdicts.max_unsolvable(), verdicts.min_solvable()))
+        .collect();
+    assert_eq!(bounds, [(Some(0), Some(1)), (Some(1), Some(2))]);
+}
