@@ -13,7 +13,9 @@
 //!
 //! The round-`j` frontier does not depend on the target horizon, so a
 //! horizon sweep (`Check::first`) is one such pass with a decision at
-//! every depth of the range, not one pass per horizon.
+//! every depth of the range, not one pass per horizon. Those decisions
+//! are verdict-only (union-find and pins); only `Check::at` builds the
+//! certificate, a BFS over executions for the bivalency chain.
 
 use crate::views::{ViewArena, ViewId};
 use minobs_core::letter::{Letter, Role};
@@ -166,6 +168,25 @@ impl UnionFind {
             self.parent[ra as usize] = rb;
         }
     }
+
+    /// The number of components.
+    fn roots(&self) -> usize {
+        self.parent
+            .iter()
+            .enumerate()
+            .filter(|&(i, &p)| p as usize == i)
+            .count()
+    }
+}
+
+/// The union-find verdict on a frontier.
+enum Verdict {
+    /// No component carries both pins; the union-find over the final
+    /// views is kept for counting.
+    Solvable(UnionFind),
+    /// A component carries both pins: the first executions pinned to 0
+    /// and to 1 in it, by frontier index.
+    Conflict { zero: usize, one: usize },
 }
 
 /// Tree-encoded prefix store: `prefixes[i] = (parent index, letter)`.
@@ -225,9 +246,9 @@ impl Check<'_> {
 
     /// The smallest solvable horizon in `horizons`. Each round is expanded
     /// exactly once: rounds below the range are expanded but not decided,
-    /// and every horizon in the range is decided as the frontier reaches
-    /// it, closing with a `horizon` event. The events are those of
-    /// [`Check::at`] at the deepest horizon reached, plus one
+    /// and every horizon in the range is decided, verdict only, as the
+    /// frontier reaches it, closing with a `horizon` event. The events
+    /// are those of [`Check::at`] at the deepest horizon reached, plus one
     /// `checker_decide` span per decided horizon. An empty range decides
     /// nothing and returns [`HorizonOutcome::UnsolvableWithin`] its end.
     pub fn first<R: Recorder + ?Sized>(
@@ -245,7 +266,7 @@ impl Check<'_> {
         loop {
             let depth = sweep.depth;
             if depth >= from {
-                let solvable = sweep.decide(depth).is_solvable();
+                let solvable = sweep.is_solvable(depth);
                 sweep.recorder.record(TraceEvent::Horizon {
                     horizon: depth,
                     solvable,
@@ -346,6 +367,11 @@ struct Sweep<'s, R: Recorder + ?Sized> {
     span_ids: SpanIds,
     states_total: usize,
     progress_mark: usize,
+    /// The first view id interned at the current depth. A view's round is
+    /// its number of extensions, so the round-`j` views are interned by
+    /// round `j`'s expansion, each for some frontier entry: the frontier's
+    /// views are exactly `round_start..arena.len()`.
+    round_start: u32,
 }
 
 impl<'s, R: Recorder + ?Sized> Sweep<'s, R> {
@@ -380,6 +406,7 @@ impl<'s, R: Recorder + ?Sized> Sweep<'s, R> {
             span_ids: SpanIds::new(),
             states_total,
             progress_mark: states_total / CHECKER_PROGRESS_STRIDE,
+            round_start: 0,
         }
     }
 
@@ -413,14 +440,18 @@ impl<'s, R: Recorder + ?Sized> Sweep<'s, R> {
         );
         let frontier = std::mem::take(&mut self.frontier);
         let mut next: Vec<ExecState> = Vec::with_capacity(frontier.len() * self.alphabet.len());
+        self.round_start = self.arena.len() as u32;
         // All four input pairs of a prefix extend the same way, so test
         // allows_prefix once per (prefix, letter). Entries with the same
         // prefix are contiguous by construction.
         for group in frontier.chunk_by(|a, b| a.prefix_idx == b.prefix_idx) {
             let prefix_idx = group[0].prefix_idx;
-            let word = reconstruct(&self.prefixes, prefix_idx);
+            let mut word = reconstruct(&self.prefixes, prefix_idx);
             for &letter in self.alphabet {
-                if !self.scheme.allows_prefix(&word.push(letter)) {
+                word.0.push(letter);
+                let allowed = self.scheme.allows_prefix(&word);
+                word.0.pop();
+                if !allowed {
                     continue;
                 }
                 self.prefixes.push((prefix_idx, Some(letter)));
@@ -474,72 +505,86 @@ impl<'s, R: Recorder + ?Sized> Sweep<'s, R> {
         });
     }
 
-    /// The verdict on the current frontier, reported as horizon `k`:
-    /// union final views per execution and pin uniform-input executions.
-    /// An empty frontier is the vacuous [`CheckResult::Empty`].
+    /// The certified verdict on the current frontier, reported as horizon
+    /// `k`: the view and component counts, or the bivalency chain. An
+    /// empty frontier is the vacuous [`CheckResult::Empty`].
     fn decide(&mut self, k: usize) -> CheckResult {
-        let frontier = &self.frontier;
-        if frontier.is_empty() {
+        if self.frontier.is_empty() {
             return CheckResult::Empty;
         }
-        let decide_span =
-            SpanGuard::begin(self.recorder, &mut self.span_ids, k, None, "checker_decide");
-        let n_views = self.arena.len();
-        let mut uf = UnionFind::new(n_views);
-        for e in frontier {
-            uf.union(e.view_w.0, e.view_b.0);
-        }
-        // Pins: root → required value (via a representative execution).
-        let mut pin0: Vec<Option<usize>> = vec![None; n_views]; // exec index
-        let mut pin1: Vec<Option<usize>> = vec![None; n_views];
-        for (idx, e) in frontier.iter().enumerate() {
-            if e.white_input == e.black_input {
-                let root = uf.find(e.view_w.0) as usize;
-                let slot = if e.white_input { &mut pin1 } else { &mut pin0 };
-                if slot[root].is_none() {
-                    slot[root] = Some(idx);
-                }
-            }
-        }
-        let conflict_root = (0..n_views).find(|&r| {
-            // Only roots carry pins.
-            pin0[r].is_some() && pin1[r].is_some()
-        });
-
-        let result = match conflict_root {
-            None => {
-                // Count components among final views only.
-                let mut roots: Vec<u32> = frontier
-                    .iter()
-                    .flat_map(|e| [e.view_w.0, e.view_b.0])
-                    .collect();
-                for r in roots.iter_mut() {
-                    *r = uf.find(*r);
-                }
-                roots.sort_unstable();
-                roots.dedup();
-                let finals: std::collections::BTreeSet<u32> = frontier
-                    .iter()
-                    .flat_map(|e| [e.view_w.0, e.view_b.0])
-                    .collect();
-                CheckResult::Solvable {
-                    views: finals.len(),
-                    components: roots.len(),
-                }
-            }
-            Some(root) => CheckResult::Unsolvable {
+        self.in_decide_span(k, |sweep| match sweep.verdict() {
+            Verdict::Solvable(uf) => CheckResult::Solvable {
+                views: uf.parent.len(),
+                components: uf.roots(),
+            },
+            Verdict::Conflict { zero, one } => CheckResult::Unsolvable {
                 chain: extract_chain(
-                    frontier,
-                    &self.prefixes,
-                    pin0[root].unwrap(),
-                    pin1[root].unwrap(),
+                    &sweep.frontier,
+                    &sweep.prefixes,
+                    sweep.round_start,
+                    sweep.final_views(),
+                    zero,
+                    one,
                 ),
             },
-        };
-        if let Some(span) = decide_span {
+        })
+    }
+
+    /// Whether the current frontier is solvable at horizon `k`, without
+    /// a certificate: all a horizon sweep needs.
+    fn is_solvable(&mut self, k: usize) -> bool {
+        self.frontier.is_empty()
+            || self.in_decide_span(k, |sweep| matches!(sweep.verdict(), Verdict::Solvable(_)))
+    }
+
+    /// Runs `decide` inside a `checker_decide` span.
+    fn in_decide_span<T>(&mut self, k: usize, decide: impl FnOnce(&Self) -> T) -> T {
+        let span = SpanGuard::begin(self.recorder, &mut self.span_ids, k, None, "checker_decide");
+        let out = decide(self);
+        if let Some(span) = span {
             span.end(self.recorder);
         }
-        result
+        out
+    }
+
+    /// The number of distinct views on the frontier.
+    fn final_views(&self) -> usize {
+        self.arena.len() - self.round_start as usize
+    }
+
+    /// Unions the final views per execution and pins uniform-input
+    /// executions. The union-find covers only the frontier's views,
+    /// indexed from `round_start`.
+    fn verdict(&self) -> Verdict {
+        let base = self.round_start;
+        let mut uf = UnionFind::new(self.final_views());
+        for e in &self.frontier {
+            uf.union(e.view_w.0 - base, e.view_b.0 - base);
+        }
+        // Root → the first execution pinned to 0 and to 1. Frontier
+        // indices fit in u32: 2^32 16-byte entries would take 64 GiB.
+        const NONE: u32 = u32::MAX;
+        let mut pins = vec![[NONE; 2]; uf.parent.len()];
+        for (idx, e) in self.frontier.iter().enumerate() {
+            if e.white_input == e.black_input {
+                let root = uf.find(e.view_w.0 - base) as usize;
+                let slot = &mut pins[root][e.white_input as usize];
+                if *slot == NONE {
+                    *slot = idx as u32;
+                }
+            }
+        }
+        // Only roots carry pins; the smallest conflicting one is reported.
+        match pins
+            .iter()
+            .find(|[zero, one]| *zero != NONE && *one != NONE)
+        {
+            Some(&[zero, one]) => Verdict::Conflict {
+                zero: zero as usize,
+                one: one as usize,
+            },
+            None => Verdict::Solvable(uf),
+        }
     }
 }
 
@@ -556,44 +601,59 @@ fn reconstruct(prefixes: &PrefixStore, mut idx: u32) -> Word {
 
 /// BFS over executions: two executions are adjacent when they share a
 /// final view (some process cannot distinguish them). Returns the chain
-/// from the 0-pinned execution to the 1-pinned one.
+/// from the 0-pinned execution to the 1-pinned one. The frontier's views
+/// are `base..base + n_views`.
 fn extract_chain(
     frontier: &[ExecState],
     prefixes: &PrefixStore,
+    base: u32,
+    n_views: usize,
     start: usize,
     goal: usize,
 ) -> Vec<ChainStep> {
-    use std::collections::{HashMap, VecDeque};
-    // view id → executions carrying it.
-    let mut by_view: HashMap<u32, Vec<usize>> = HashMap::new();
-    for (idx, e) in frontier.iter().enumerate() {
-        by_view.entry(e.view_w.0).or_default().push(idx);
-        by_view.entry(e.view_b.0).or_default().push(idx);
+    let slot = |v: ViewId| (v.0 - base) as usize;
+    // CSR index, view → executions carrying it, in frontier order:
+    // `execs[offsets[v]..offsets[v + 1]]`.
+    let mut offsets = vec![0u32; n_views + 1];
+    for e in frontier {
+        offsets[slot(e.view_w) + 1] += 1;
+        offsets[slot(e.view_b) + 1] += 1;
     }
-    let mut prev: HashMap<usize, usize> = HashMap::new();
-    let mut seen = vec![false; frontier.len()];
-    seen[start] = true;
-    let mut queue = VecDeque::from([start]);
-    'bfs: while let Some(cur) = queue.pop_front() {
+    for v in 0..n_views {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut cursor = offsets.clone();
+    let mut execs = vec![0u32; 2 * frontier.len()];
+    for (idx, e) in frontier.iter().enumerate() {
+        for v in [e.view_w, e.view_b] {
+            let at = &mut cursor[slot(v)];
+            execs[*at as usize] = idx as u32;
+            *at += 1;
+        }
+    }
+    // `prev[x]` is the execution x was reached from; the start is its own.
+    const UNSEEN: u32 = u32::MAX;
+    let mut prev = vec![UNSEEN; frontier.len()];
+    prev[start] = start as u32;
+    let mut queue = std::collections::VecDeque::from([start]);
+    while let Some(cur) = queue.pop_front() {
         if cur == goal {
-            break 'bfs;
+            break;
         }
         let e = &frontier[cur];
-        for v in [e.view_w.0, e.view_b.0] {
-            for &other in by_view.get(&v).into_iter().flatten() {
-                if !seen[other] {
-                    seen[other] = true;
-                    prev.insert(other, cur);
-                    queue.push_back(other);
+        for v in [slot(e.view_w), slot(e.view_b)] {
+            for &other in &execs[offsets[v] as usize..offsets[v + 1] as usize] {
+                if prev[other as usize] == UNSEEN {
+                    prev[other as usize] = cur as u32;
+                    queue.push_back(other as usize);
                 }
             }
         }
     }
-    // Rebuild path.
     let mut path = vec![goal];
     let mut cur = goal;
     while cur != start {
-        cur = prev[&cur];
+        cur = prev[cur] as usize;
         path.push(cur);
     }
     path.reverse();
@@ -641,6 +701,170 @@ mod tests {
     /// The values `pick` extracts from the recorded events, in order.
     fn picked<T>(rec: &MemoryRecorder, pick: impl Fn(&TraceEvent) -> Option<T>) -> Vec<T> {
         rec.events().iter().filter_map(pick).collect()
+    }
+
+    /// `Check::at` decided directly: a union-find over every interned
+    /// view, pins found by a full scan, final views counted in a
+    /// `BTreeSet`, and the chain found by a BFS over `HashMap` indices.
+    /// The oracle for the array-backed decision.
+    fn reference_at(scheme: &dyn OmissionScheme, k: usize, alphabet: &[Letter]) -> CheckResult {
+        use std::collections::{BTreeSet, HashMap, VecDeque};
+        let check = Check {
+            alphabet,
+            budget: Budget::UNLIMITED,
+        };
+        let mut recorder = NullRecorder;
+        let mut sweep = Sweep::new(scheme, &check, &mut recorder);
+        while sweep.depth < k && !sweep.frontier.is_empty() {
+            sweep.expand();
+        }
+        let frontier = &sweep.frontier;
+        if frontier.is_empty() {
+            return CheckResult::Empty;
+        }
+        let n_views = sweep.arena.len();
+        let mut uf = UnionFind::new(n_views);
+        for e in frontier {
+            uf.union(e.view_w.0, e.view_b.0);
+        }
+        let mut pin0: Vec<Option<usize>> = vec![None; n_views];
+        let mut pin1: Vec<Option<usize>> = vec![None; n_views];
+        for (idx, e) in frontier.iter().enumerate() {
+            if e.white_input == e.black_input {
+                let root = uf.find(e.view_w.0) as usize;
+                let slot = if e.white_input { &mut pin1 } else { &mut pin0 };
+                slot[root].get_or_insert(idx);
+            }
+        }
+        let Some(root) = (0..n_views).find(|&r| pin0[r].is_some() && pin1[r].is_some()) else {
+            let finals: BTreeSet<u32> = frontier
+                .iter()
+                .flat_map(|e| [e.view_w.0, e.view_b.0])
+                .collect();
+            let roots: BTreeSet<u32> = finals.iter().map(|&v| uf.find(v)).collect();
+            return CheckResult::Solvable {
+                views: finals.len(),
+                components: roots.len(),
+            };
+        };
+        let (start, goal) = (pin0[root].unwrap(), pin1[root].unwrap());
+        let mut by_view: HashMap<u32, Vec<usize>> = HashMap::new();
+        for (idx, e) in frontier.iter().enumerate() {
+            by_view.entry(e.view_w.0).or_default().push(idx);
+            by_view.entry(e.view_b.0).or_default().push(idx);
+        }
+        let mut prev: HashMap<usize, usize> = HashMap::new();
+        let mut seen = vec![false; frontier.len()];
+        seen[start] = true;
+        let mut queue = VecDeque::from([start]);
+        while let Some(cur) = queue.pop_front() {
+            if cur == goal {
+                break;
+            }
+            let e = &frontier[cur];
+            for v in [e.view_w.0, e.view_b.0] {
+                for &other in by_view.get(&v).into_iter().flatten() {
+                    if !seen[other] {
+                        seen[other] = true;
+                        prev.insert(other, cur);
+                        queue.push_back(other);
+                    }
+                }
+            }
+        }
+        let mut path = vec![goal];
+        while *path.last().unwrap() != start {
+            path.push(prev[path.last().unwrap()]);
+        }
+        let chain = path
+            .into_iter()
+            .rev()
+            .map(|idx| ChainStep {
+                prefix: reconstruct(&sweep.prefixes, frontier[idx].prefix_idx),
+                white_input: frontier[idx].white_input,
+                black_input: frontier[idx].black_input,
+            })
+            .collect();
+        CheckResult::Unsolvable { chain }
+    }
+
+    /// The classic catalog plus prefix-avoiding and budgeted schemes.
+    fn catalog() -> Vec<ClassicScheme> {
+        let mut schemes = vec![
+            classic::s0(),
+            classic::t_white(),
+            classic::t_black(),
+            classic::c1(),
+            classic::s1(),
+            classic::r1(),
+            classic::s2(),
+            classic::fair_gamma(),
+            classic::almost_fair(),
+        ];
+        for w0 in ["", "w", "wb", "b-w", "-bw"] {
+            schemes.push(ClassicScheme::AvoidPrefix(w0.parse().unwrap()));
+        }
+        for budget in 0..=3 {
+            schemes.push(classic::total_budget(budget));
+            schemes.push(ClassicScheme::SigmaTotalBudget(budget));
+        }
+        schemes.push(ClassicScheme::SigmaAvoidPrefix("wx".parse().unwrap()));
+        schemes
+    }
+
+    #[test]
+    fn at_matches_the_hash_map_reference_on_the_catalog() {
+        let sigma = sigma_alphabet();
+        let (mut chains, mut solvable) = (0, 0);
+        for scheme in &catalog() {
+            for alphabet in [GAMMA, &sigma[..]] {
+                for k in 0..=6 {
+                    let got = solvable_by(scheme, k, alphabet);
+                    assert_eq!(
+                        got,
+                        reference_at(scheme, k, alphabet),
+                        "{} k={k} |alphabet|={}",
+                        scheme.name(),
+                        alphabet.len()
+                    );
+                    match got {
+                        CheckResult::Unsolvable { .. } => chains += 1,
+                        CheckResult::Solvable { .. } => solvable += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        // Both branches of the decision are exercised, many times over.
+        assert!(
+            chains > 50 && solvable > 50,
+            "{chains} chains, {solvable} solvable"
+        );
+    }
+
+    #[test]
+    fn verdict_only_sweep_agrees_with_certified_checks() {
+        let sigma = sigma_alphabet();
+        for scheme in &catalog() {
+            for alphabet in [GAMMA, &sigma[..]] {
+                let expected = (0..=6)
+                    .find(|&k| solvable_by(scheme, k, alphabet).is_solvable())
+                    .map_or(
+                        HorizonOutcome::UnsolvableWithin(6),
+                        HorizonOutcome::Solvable,
+                    );
+                let check = Check {
+                    alphabet,
+                    budget: Budget::UNLIMITED,
+                };
+                assert_eq!(
+                    check.first(scheme, 0..=6, &mut NullRecorder),
+                    expected,
+                    "{}",
+                    scheme.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,46 @@ fn check_params(scheme: &str, horizon: u64) -> Value {
     ])
 }
 
+/// A fresh `check_horizon` answer carries its certificate: the chain
+/// length when unsolvable (2·3^k + 1 for Γω at horizon k), the view and
+/// component counts when solvable, and `empty` for a scheme with no
+/// prefix at all. None of them carries `proven_at`.
+#[test]
+fn fresh_check_horizon_answers_carry_their_certificates() {
+    let (server, addr) = start();
+    let mut client = SvcClient::connect(addr.as_str()).unwrap();
+    let field = |answer: &Value, name: &str| answer.get(name).cloned();
+
+    let r1 = client.call("check_horizon", check_params("r1", 3)).unwrap();
+    assert_eq!(field(&r1, "solvable"), Some(Value::from(false)));
+    assert_eq!(field(&r1, "cached"), Some(Value::from(false)));
+    assert_eq!(field(&r1, "chain_len"), Some(Value::from(55u64)));
+
+    let s1 = client.call("check_horizon", check_params("s1", 2)).unwrap();
+    assert_eq!(field(&s1, "solvable"), Some(Value::from(true)));
+    assert_eq!(field(&s1, "views"), Some(Value::from(36u64)));
+    assert_eq!(field(&s1, "components"), Some(Value::from(8u64)));
+
+    let empty_scheme = obj(&[
+        ("name", Value::from("avoid_prefix")),
+        ("prefix", Value::from("")),
+    ]);
+    let empty = client
+        .call(
+            "check_horizon",
+            obj(&[("scheme", empty_scheme), ("horizon", Value::from(3u64))]),
+        )
+        .unwrap();
+    assert_eq!(field(&empty, "solvable"), Some(Value::from(true)));
+    assert_eq!(field(&empty, "empty"), Some(Value::from(true)));
+
+    for answer in [&r1, &s1, &empty] {
+        assert_eq!(field(answer, "proven_at"), None, "{answer:?}");
+    }
+    client.call("shutdown", Value::Null).unwrap();
+    server.join();
+}
+
 /// The query mix both equivalence tests run: every method, schemes from
 /// several families, horizons crossing each scheme's solvability
 /// boundary so subsumption answers some of them.
