@@ -41,10 +41,24 @@
 //! `name@node` lines aggregated over every stitched trace. Orphan
 //! `ctx_parent` references are linted; `--strict` turns them (or an
 //! input with no traced spans) into a non-zero exit for CI.
+//!
+//! Every subcommand reads its input through
+//! [`minobs_bench::lint::decode_line`], the decoder `trace_lint` uses:
+//! each line must be a `minobs/trace/v1` event that
+//! `TraceEvent::from_json` accepts, so a line without `schema`, with an
+//! unknown kind, or with a value the workspace never emits is an error
+//! naming the file, the line and the field — never silently skipped.
+//! Keys the decoder does not know (`node_id`, a flight dump's synthesized
+//! `truncated`) are ignored, apart from `node_id`, which labels spans.
+//! `profile`, `diff` and `stitch` pair spans with one walker, `spans`.
 
-use serde_json::Value;
+use minobs_bench::lint::decode_line;
+use minobs_obs::TraceEvent;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+
+/// One decoded trace line: the event and its `node_id` stamp, if any.
+type Line = (TraceEvent, Option<String>);
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -68,15 +82,114 @@ fn main() -> ExitCode {
     }
 }
 
-fn read_events(path: &str) -> Result<Vec<Value>, String> {
+fn read_events(path: &str) -> Result<Vec<Line>, String> {
     let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
     text.lines()
         .enumerate()
         .map(|(idx, line)| {
-            serde_json::from_str(line)
-                .map_err(|err| format!("{path} line {}: not valid JSON: {err}", idx + 1))
+            decode_line(line).map_err(|err| format!("{path} line {}: {err}", idx + 1))
         })
         .collect()
+}
+
+/// One closed span, with enough identity to resolve parents both locally
+/// (`local_parent`, same node) and across nodes (`ctx_parent`, the remote
+/// caller's span id carried in the rpc ctx).
+#[derive(Debug, Clone)]
+struct Span {
+    /// The start line's `node_id`, else the stream's fallback label.
+    node: String,
+    span_id: u64,
+    name: String,
+    local_parent: Option<u64>,
+    ctx_parent: Option<u64>,
+    /// The span's own `trace_id`, else that of the enclosing open span,
+    /// so helper spans nested under a stamped rpc root stay attached to
+    /// the distributed trace.
+    trace_id: Option<u128>,
+    /// Duration, children included.
+    nanos: u64,
+    /// Duration minus the time spent in child spans.
+    self_ns: u64,
+    /// Collapsed stack, outermost first: `a;b;c`.
+    path: String,
+    /// Nothing was open above this span.
+    root: bool,
+}
+
+/// Pairs one stream's `span_start`/`span_end` events into closed spans,
+/// in end order. Lines without a `node_id` are labelled `fallback_node`.
+fn spans(fallback_node: &str, events: &[Line]) -> Result<Vec<Span>, String> {
+    struct Open {
+        span: Span,
+        nanos_in_children: u64,
+    }
+    let mut out = Vec::new();
+    let mut stack: Vec<Open> = Vec::new();
+    for (idx, (event, node)) in events.iter().enumerate() {
+        let line_no = idx + 1;
+        match event {
+            TraceEvent::SpanStart {
+                span_id,
+                parent,
+                name,
+                trace_id,
+                ctx_parent,
+                ..
+            } => {
+                let enclosing = stack.last().map(|open| &open.span);
+                let span = Span {
+                    node: node.as_deref().unwrap_or(fallback_node).to_string(),
+                    span_id: *span_id,
+                    name: name.clone(),
+                    local_parent: *parent,
+                    ctx_parent: *ctx_parent,
+                    trace_id: trace_id.or(enclosing.and_then(|span| span.trace_id)),
+                    nanos: 0,
+                    self_ns: 0,
+                    path: match enclosing {
+                        Some(span) => format!("{};{name}", span.path),
+                        None => name.clone(),
+                    },
+                    root: enclosing.is_none(),
+                };
+                stack.push(Open {
+                    span,
+                    nanos_in_children: 0,
+                });
+            }
+            TraceEvent::SpanEnd { span_id, nanos, .. } => {
+                let Open {
+                    mut span,
+                    nanos_in_children,
+                } = stack
+                    .pop()
+                    .ok_or_else(|| format!("line {line_no}: span_end without span_start"))?;
+                if span.span_id != *span_id {
+                    return Err(format!(
+                        "line {line_no}: span_end {span_id} crosses open span {} — run trace_lint",
+                        span.span_id
+                    ));
+                }
+                span.nanos = *nanos;
+                span.self_ns = nanos.saturating_sub(nanos_in_children);
+                if let Some(parent) = stack.last_mut() {
+                    parent.nanos_in_children += nanos;
+                }
+                out.push(span);
+            }
+            _ => {}
+        }
+    }
+    if let Some(open) = stack.last() {
+        return Err(format!(
+            "{} span(s) still open at end of trace (innermost: {} {:?}) — run trace_lint",
+            stack.len(),
+            open.span.span_id,
+            open.span.name
+        ));
+    }
+    Ok(out)
 }
 
 /// Per-span-name aggregate over one trace.
@@ -102,81 +215,23 @@ struct Profile {
     spans: u64,
 }
 
-fn profile(events: &[Value]) -> Result<Profile, String> {
-    struct Open {
-        span_id: u64,
-        name: String,
-        nanos_in_children: u64,
-    }
+fn profile(events: &[Line]) -> Result<Profile, String> {
     let mut out = Profile::default();
-    let mut stack: Vec<Open> = Vec::new();
-    for (idx, event) in events.iter().enumerate() {
-        let line_no = idx + 1;
-        match event.get("event").and_then(Value::as_str) {
-            Some("span_start") => {
-                let span_id = event
-                    .get("span_id")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("line {line_no}: span_start without span_id"))?;
-                let name = event
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: span_start without name"))?;
-                stack.push(Open {
-                    span_id,
-                    name: name.to_string(),
-                    nanos_in_children: 0,
-                });
-            }
-            Some("span_end") => {
-                let span_id = event
-                    .get("span_id")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("line {line_no}: span_end without span_id"))?;
-                let nanos = event
-                    .get("nanos")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("line {line_no}: span_end without nanos"))?;
-                let open = stack
-                    .pop()
-                    .ok_or_else(|| format!("line {line_no}: span_end without span_start"))?;
-                if open.span_id != span_id {
-                    return Err(format!(
-                        "line {line_no}: span_end {span_id} crosses open span {} — run trace_lint",
-                        open.span_id
-                    ));
-                }
-                let self_ns = nanos.saturating_sub(open.nanos_in_children);
-                let stat = out.by_name.entry(open.name.clone()).or_default();
-                stat.count += 1;
-                stat.total_ns += nanos;
-                stat.self_ns += self_ns;
-                out.spans += 1;
-                let path = stack
-                    .iter()
-                    .map(|o| o.name.as_str())
-                    .chain([open.name.as_str()])
-                    .collect::<Vec<_>>()
-                    .join(";");
-                *out.folded.entry(path).or_default() += self_ns;
-                match stack.last_mut() {
-                    Some(parent) => parent.nanos_in_children += nanos,
-                    None => out.root_ns += nanos,
-                }
-            }
-            Some("run_end") | Some("svc_response") => {
-                out.wall_ns += event.get("nanos").and_then(Value::as_u64).unwrap_or(0);
-            }
-            _ => {}
+    for span in spans("", events)? {
+        let stat = out.by_name.entry(span.name).or_default();
+        stat.count += 1;
+        stat.total_ns += span.nanos;
+        stat.self_ns += span.self_ns;
+        out.spans += 1;
+        *out.folded.entry(span.path).or_default() += span.self_ns;
+        if span.root {
+            out.root_ns += span.nanos;
         }
     }
-    if let Some(open) = stack.last() {
-        return Err(format!(
-            "{} span(s) still open at end of trace (innermost: {} {:?}) — run trace_lint",
-            stack.len(),
-            open.span_id,
-            open.name
-        ));
+    for (event, _) in events {
+        if let TraceEvent::RunEnd { nanos, .. } | TraceEvent::SvcResponse { nanos, .. } = event {
+            out.wall_ns += nanos;
+        }
     }
     Ok(out)
 }
@@ -193,14 +248,13 @@ const MIN_ROOT_COVERAGE_PCT: f64 = 90.0;
 /// True when the stream declares itself incomplete by design: it carries
 /// a `trace_sampled` marker (tail-sampled daemon trace) or a
 /// `flight_dump` header with `sampled:true` (dump of a sampled node).
-fn stream_sampled(events: &[Value]) -> bool {
-    events
-        .iter()
-        .any(|event| match event.get("event").and_then(Value::as_str) {
-            Some("trace_sampled") => true,
-            Some("flight_dump") => event.get("sampled").and_then(Value::as_bool) == Some(true),
-            _ => false,
-        })
+fn stream_sampled(events: &[Line]) -> bool {
+    events.iter().any(|(event, _)| {
+        matches!(
+            event,
+            TraceEvent::TraceSampled { .. } | TraceEvent::FlightDump { sampled: true, .. }
+        )
+    })
 }
 
 /// Root-span coverage of the wall clock as a percentage, or `None` when
@@ -228,15 +282,9 @@ fn profile_cmd(args: &[String]) -> ExitCode {
     let Some(path) = path else {
         return usage();
     };
-    let events = match read_events(&path) {
-        Ok(events) => events,
-        Err(err) => {
-            eprintln!("trace profile: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let prof = match profile(&events) {
-        Ok(prof) => prof,
+    let loaded = read_events(&path).and_then(|events| Ok((profile(&events)?, events)));
+    let (prof, events) = match loaded {
+        Ok(loaded) => loaded,
         Err(err) => {
             eprintln!("trace profile: {err}");
             return ExitCode::FAILURE;
@@ -316,20 +364,12 @@ fn summary_cmd(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut kinds: BTreeMap<String, u64> = BTreeMap::new();
-    let mut message_status: BTreeMap<String, u64> = BTreeMap::new();
-    for event in &events {
-        let kind = event
-            .get("event")
-            .and_then(Value::as_str)
-            .unwrap_or("<missing>");
-        *kinds.entry(kind.to_string()).or_default() += 1;
-        if kind == "message" {
-            let status = event
-                .get("status")
-                .and_then(Value::as_str)
-                .unwrap_or("<missing>");
-            *message_status.entry(status.to_string()).or_default() += 1;
+    let mut kinds: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut message_status: BTreeMap<&str, u64> = BTreeMap::new();
+    for (event, _) in &events {
+        *kinds.entry(event.kind()).or_default() += 1;
+        if let TraceEvent::Message { status, .. } = event {
+            *message_status.entry(status.as_str()).or_default() += 1;
         }
     }
     println!("trace summary: {path} ({} events)", events.len());
@@ -440,24 +480,10 @@ fn diff_cmd(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One closed span as seen by `stitch`, with enough identity to resolve
-/// parents both locally (`local_parent`, same node) and across nodes
-/// (`ctx_parent`, the remote caller's span id carried in the rpc ctx).
-#[derive(Debug, Clone)]
-struct StitchSpan {
-    node: String,
-    span_id: u64,
-    name: String,
-    trace: Option<String>,
-    ctx_parent: Option<u64>,
-    local_parent: Option<u64>,
-    nanos: u64,
-}
-
 #[derive(Debug)]
 struct StitchedTrace {
-    trace_id: String,
-    spans: Vec<StitchSpan>,
+    trace_id: u128,
+    spans: Vec<Span>,
     children: Vec<Vec<usize>>,
     roots: Vec<usize>,
     nodes: Vec<String>,
@@ -470,94 +496,16 @@ struct Stitched {
     orphans: Vec<String>,
 }
 
-/// Pair span_start/span_end events from one node's stream into closed
-/// spans. Spans without an explicit `trace_id` inherit the trace of the
-/// enclosing open span, so helper spans nested under a stamped rpc root
-/// stay attached to the distributed trace.
-fn collect_spans(fallback_node: &str, events: &[Value]) -> Result<Vec<StitchSpan>, String> {
-    struct Open {
-        span: StitchSpan,
-    }
-    let mut out = Vec::new();
-    let mut stack: Vec<Open> = Vec::new();
-    for (idx, event) in events.iter().enumerate() {
-        let line_no = idx + 1;
-        match event.get("event").and_then(Value::as_str) {
-            Some("span_start") => {
-                let span_id = event
-                    .get("span_id")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("line {line_no}: span_start without span_id"))?;
-                let name = event
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("line {line_no}: span_start without name"))?;
-                let node = event
-                    .get("node_id")
-                    .and_then(Value::as_str)
-                    .unwrap_or(fallback_node);
-                let trace = event
-                    .get("trace_id")
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .or_else(|| stack.last().and_then(|open| open.span.trace.clone()));
-                stack.push(Open {
-                    span: StitchSpan {
-                        node: node.to_string(),
-                        span_id,
-                        name: name.to_string(),
-                        trace,
-                        ctx_parent: event.get("ctx_parent").and_then(Value::as_u64),
-                        local_parent: event.get("parent").and_then(Value::as_u64),
-                        nanos: 0,
-                    },
-                });
-            }
-            Some("span_end") => {
-                let span_id = event
-                    .get("span_id")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("line {line_no}: span_end without span_id"))?;
-                let nanos = event
-                    .get("nanos")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("line {line_no}: span_end without nanos"))?;
-                let mut open = stack
-                    .pop()
-                    .ok_or_else(|| format!("line {line_no}: span_end without span_start"))?;
-                if open.span.span_id != span_id {
-                    return Err(format!(
-                        "line {line_no}: span_end {span_id} crosses open span {} — run trace_lint",
-                        open.span.span_id
-                    ));
-                }
-                open.span.nanos = nanos;
-                out.push(open.span);
-            }
-            _ => {}
-        }
-    }
-    if let Some(open) = stack.last() {
-        return Err(format!(
-            "{} span(s) still open at end of trace (innermost: {} {:?}) — run trace_lint",
-            stack.len(),
-            open.span.span_id,
-            open.span.name
-        ));
-    }
-    Ok(out)
-}
-
 /// Merge per-node span streams into cross-node trace trees. `files` is
 /// one entry per input stream: a fallback node label (used when lines
 /// carry no `node_id`) and the stream's parsed events.
-fn stitch(files: &[(String, Vec<Value>)]) -> Result<Stitched, String> {
-    let mut by_trace: BTreeMap<String, Vec<StitchSpan>> = BTreeMap::new();
+fn stitch(files: &[(String, Vec<Line>)]) -> Result<Stitched, String> {
+    let mut by_trace: BTreeMap<u128, Vec<Span>> = BTreeMap::new();
     let mut out = Stitched::default();
     for (fallback_node, events) in files {
-        for span in collect_spans(fallback_node, events)? {
-            match &span.trace {
-                Some(trace) => by_trace.entry(trace.clone()).or_default().push(span),
+        for span in spans(fallback_node, events)? {
+            match span.trace_id {
+                Some(trace_id) => by_trace.entry(trace_id).or_default().push(span),
                 None => out.untraced += 1,
             }
         }
@@ -579,7 +527,7 @@ fn stitch(files: &[(String, Vec<Value>)]) -> Result<Stitched, String> {
                     .position(|s| s.node == span.node && s.span_id == local);
                 if found.is_none() {
                     out.orphans.push(format!(
-                        "trace {trace_id}: span {} ({}) on {} references local parent {local} (not found)",
+                        "trace {trace_id:032x}: span {} ({}) on {} references local parent {local} (not found)",
                         span.span_id, span.name, span.node
                     ));
                 }
@@ -601,12 +549,12 @@ fn stitch(files: &[(String, Vec<Value>)]) -> Result<Stitched, String> {
                 let found = same_node.or_else(|| candidates.first().copied());
                 match found {
                     None => out.orphans.push(format!(
-                        "trace {trace_id}: span {} ({}) on {} references ctx_parent {remote} (not found)",
+                        "trace {trace_id:032x}: span {} ({}) on {} references ctx_parent {remote} (not found)",
                         span.span_id, span.name, span.node
                     )),
                     Some(_) if candidates.len() > 1 && same_node.is_none() => {
                         out.orphans.push(format!(
-                            "trace {trace_id}: span {} ({}) on {} has ambiguous ctx_parent {remote} ({} candidates)",
+                            "trace {trace_id:032x}: span {} ({}) on {} has ambiguous ctx_parent {remote} ({} candidates)",
                             span.span_id, span.name, span.node, candidates.len()
                         ));
                     }
@@ -752,7 +700,7 @@ fn stitch_cmd(args: &[String]) -> ExitCode {
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
     for trace in &stitched.traces {
         println!(
-            "trace {} — {} span(s) across {} node(s): {}",
+            "trace {:032x} — {} span(s) across {} node(s): {}",
             trace.trace_id,
             trace.spans.len(),
             trace.nodes.len(),
@@ -811,9 +759,15 @@ fn stitch_cmd(args: &[String]) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minobs_obs::{FlightRecorder, SCHEMA};
 
-    fn event(text: &str) -> Value {
-        serde_json::from_str(text).unwrap()
+    /// Stamps a fixture line with the current `schema`, as every emitter does.
+    fn stamp(line: &str) -> String {
+        line.replacen('{', &format!(r#"{{"schema":"{SCHEMA}","#), 1)
+    }
+
+    fn event(text: &str) -> Line {
+        decode_line(&stamp(text)).unwrap()
     }
 
     #[test]
@@ -893,7 +847,13 @@ mod tests {
         assert_eq!(root_coverage_pct(&prof), None);
     }
 
+    /// Writes `body` to a temp file, stamping each line with `schema`.
     fn write_temp(tag: &str, body: &str) -> std::path::PathBuf {
+        let stamped: String = body.lines().map(|line| stamp(line) + "\n").collect();
+        write_raw(tag, &stamped)
+    }
+
+    fn write_raw(tag: &str, body: &str) -> std::path::PathBuf {
         let path =
             std::env::temp_dir().join(format!("minobs_trace_{tag}_{}.jsonl", std::process::id()));
         std::fs::write(&path, body).unwrap();
@@ -993,7 +953,7 @@ mod tests {
     /// trace T parents node a's rpc root, node a's gossip.exchange is
     /// ctx-parented on that root, and node b's rpc.gossip is
     /// ctx-parented on the exchange span.
-    fn two_node_files() -> Vec<(String, Vec<Value>)> {
+    fn two_node_files() -> Vec<(String, Vec<Line>)> {
         let node_a = vec![
             event(
                 r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.check_horizon","trace_id":"000000000000000000000000000000aa","node_id":"a"}"#,
@@ -1023,7 +983,7 @@ mod tests {
         assert!(stitched.orphans.is_empty(), "{:?}", stitched.orphans);
         assert_eq!(stitched.traces.len(), 1);
         let trace = &stitched.traces[0];
-        assert_eq!(trace.trace_id, "000000000000000000000000000000aa");
+        assert_eq!(format!("{:032x}", trace.trace_id), "000000000000000000000000000000aa");
         assert_eq!(trace.spans.len(), 4);
         assert_eq!(trace.nodes, vec!["a".to_string(), "b".to_string()]);
 
@@ -1117,5 +1077,137 @@ mod tests {
         assert_eq!(trace.spans[root].name, "rpc.check");
         assert_eq!(trace.children[root].len(), 1);
         assert_eq!(trace.spans[trace.children[root][0]].name, "inner");
+    }
+
+    #[test]
+    fn every_subcommand_rejects_lines_the_decoder_rejects() {
+        let spans = concat!(
+            r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"a"}"#,
+            "\n",
+            r#"{"event":"span_end","round":0,"span_id":0,"name":"a","nanos":5}"#,
+            "\n",
+        );
+        let foreign = write_raw(
+            "foreign_schema",
+            &format!(
+                "{}{}\n",
+                spans
+                    .lines()
+                    .map(|line| stamp(line) + "\n")
+                    .collect::<String>(),
+                r#"{"schema":"minobs/trace/v0","event":"span_start","round":0,"span_id":1,"parent":null,"name":"b"}"#
+            ),
+        );
+        let short_id = write_temp(
+            "short_trace_id",
+            &spans.replacen(r#""name":"a"}"#, r#""name":"a","trace_id":"abc"}"#, 1),
+        );
+        for (path, line, field) in [
+            (&foreign, "line 3", "schema"),
+            (&short_id, "line 1", "trace_id"),
+        ] {
+            let shown = path.display().to_string();
+            let err = read_events(&shown).unwrap_err();
+            assert!(
+                err.contains(&shown) && err.contains(line) && err.contains(field),
+                "{err}"
+            );
+            assert_eq!(
+                exit_of(profile_cmd(std::slice::from_ref(&shown))),
+                exit_of(ExitCode::FAILURE)
+            );
+            assert_eq!(exit_of(stitch_cmd(&[shown])), exit_of(ExitCode::FAILURE));
+        }
+        std::fs::remove_file(&foreign).ok();
+        std::fs::remove_file(&short_id).ok();
+    }
+
+    #[test]
+    fn profile_and_stitch_read_a_real_flight_dump() {
+        let start = |span_id, parent, name: &str, trace_id, ctx_parent| TraceEvent::SpanStart {
+            round: 0,
+            span_id,
+            parent,
+            name: name.to_string(),
+            trace_id,
+            ctx_parent,
+        };
+        let end = |span_id, name: &str, nanos| TraceEvent::SpanEnd {
+            round: 0,
+            span_id,
+            name: name.to_string(),
+            nanos,
+        };
+        let flight = FlightRecorder::with_meta(64, Some("node-a".to_string()), true);
+        flight.push_block(&[
+            TraceEvent::SvcRequest {
+                seq: 0,
+                method: "check_horizon".to_string(),
+            },
+            start(0, None, "rpc.check_horizon", Some(0xaa), None),
+            start(1, Some(0), "check.eval", None, None),
+            end(1, "check.eval", 400),
+            end(0, "rpc.check_horizon", 1000),
+            TraceEvent::SvcResponse {
+                seq: 0,
+                method: "check_horizon".to_string(),
+                ok: true,
+                cache: "miss",
+                nanos: 1000,
+            },
+        ]);
+        // Still open at snapshot time: the dump closes it with a
+        // synthesized `"truncated":true` end of zero duration.
+        flight.push(start(1 << 20, None, "gossip.exchange", Some(0xaa), Some(0)));
+        let dump = flight.dump("rpc");
+        assert_eq!(dump.truncated, 1);
+        assert!(dump.jsonl.contains(r#""truncated":true"#));
+        let path = write_raw("flight_dump", &dump.jsonl);
+        let shown = path.display().to_string();
+
+        let events = read_events(&shown).unwrap();
+        assert!(matches!(
+            events[0].0,
+            TraceEvent::FlightDump {
+                truncated: 1,
+                sampled: true,
+                ..
+            }
+        ));
+        assert!(events
+            .iter()
+            .all(|(_, node)| node.as_deref() == Some("node-a")));
+        assert!(stream_sampled(&events));
+
+        let prof = profile(&events).unwrap();
+        assert_eq!(prof.spans, 3);
+        assert_eq!(prof.by_name["gossip.exchange"].total_ns, 0);
+        assert_eq!(prof.folded["rpc.check_horizon;check.eval"], 400);
+        assert_eq!((prof.root_ns, prof.wall_ns), (1000, 1000));
+        assert_eq!(
+            exit_of(profile_cmd(std::slice::from_ref(&shown))),
+            exit_of(ExitCode::SUCCESS)
+        );
+
+        // Spans are labelled by their node_id stamp, not the fallback.
+        let stitched = stitch(&[("fallback".to_string(), events)]).unwrap();
+        assert!(stitched.orphans.is_empty(), "{:?}", stitched.orphans);
+        assert_eq!(stitched.traces.len(), 1);
+        let trace = &stitched.traces[0];
+        assert_eq!(trace.trace_id, 0xaa);
+        assert_eq!(trace.nodes, vec!["node-a".to_string()]);
+        assert_eq!(trace.spans.len(), 3);
+        assert_eq!(trace.roots.len(), 1);
+        let exchange = trace
+            .spans
+            .iter()
+            .position(|s| s.name == "gossip.exchange")
+            .unwrap();
+        assert!(trace.children[trace.roots[0]].contains(&exchange));
+        assert_eq!(
+            exit_of(stitch_cmd(&[shown, "--strict".to_string()])),
+            exit_of(ExitCode::SUCCESS)
+        );
+        std::fs::remove_file(&path).ok();
     }
 }

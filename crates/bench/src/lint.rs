@@ -18,10 +18,29 @@ struct RunTally {
     rounds_seen: usize,
 }
 
+/// Decodes one JSONL trace line into its event and its `node_id` stamp.
+///
+/// The line must be JSON that [`TraceEvent::from_json`] accepts, and a
+/// `node_id`, when present, must be a non-empty string. Errors carry no
+/// location: callers prefix the file and line they read it from.
+pub fn decode_line(line: &str) -> Result<(TraceEvent, Option<String>), String> {
+    let value: Value =
+        serde_json::from_str(line).map_err(|err| format!("not valid JSON: {err}"))?;
+    let event = TraceEvent::from_json(&value)?;
+    let node = value
+        .get("node_id")
+        .map(|node| match node.as_str() {
+            Some(node) if !node.is_empty() => Ok(node.to_string()),
+            _ => Err("node_id must be a non-empty string"),
+        })
+        .transpose()?;
+    Ok((event, node))
+}
+
 /// Validates a `minobs/trace/v1` JSONL stream; returns
 /// `(lines_checked, runs_closed)` or the first violation.
 ///
-/// Each line must decode with [`TraceEvent::from_json`], which owns the
+/// Each line must pass [`decode_line`]: [`TraceEvent::from_json`] owns the
 /// per-kind field shapes. What is checked here is what one decoded event
 /// cannot say about itself: run brackets and message conservation, span
 /// nesting and id uniqueness, request/response pairing, one `node_id`
@@ -43,23 +62,16 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
         if line.trim().is_empty() {
             return Err(format!("line {line_no}: blank line in JSONL stream"));
         }
-        let value: Value = serde_json::from_str(line)
-            .map_err(|err| format!("line {line_no}: not valid JSON: {err}"))?;
-        let event =
-            TraceEvent::from_json(&value).map_err(|err| format!("line {line_no}: {err}"))?;
-        if let Some(node) = value.get("node_id") {
-            let node = node
-                .as_str()
-                .filter(|s| !s.is_empty())
-                .ok_or_else(|| format!("line {line_no}: node_id must be a non-empty string"))?;
+        let (event, node) = decode_line(line).map_err(|err| format!("line {line_no}: {err}"))?;
+        if let Some(node) = node {
             match &node_seen {
-                Some(seen) if seen != node => {
+                Some(seen) if *seen != node => {
                     return Err(format!(
                         "line {line_no}: node_id {node:?} != {seen:?} seen earlier — one trace file is one node's stream"
                     ));
                 }
                 Some(_) => {}
-                None => node_seen = Some(node.to_string()),
+                None => node_seen = Some(node),
             }
         }
         lines_checked += 1;

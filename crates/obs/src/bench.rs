@@ -1,7 +1,7 @@
 //! The `minobs/bench/v1` artifact schema: recorded perf trajectories.
 //!
-//! Every benchmark run — the `svc bench` open- and closed-loop drivers,
-//! the frequency sweep, and the `bench_checker` baseline — emits one
+//! Every benchmark run — the `svc bench` open-loop driver, the
+//! frequency sweep, and the `bench_checker` baseline — emits one
 //! JSON object under this schema so the repo carries a comparable perf
 //! trajectory (`BENCH_svc.json`, `BENCH_checker.json` at the repo root)
 //! and CI can gate on regressions with `perf_gate`.
@@ -12,7 +12,7 @@
 //! |-------|------|---------|
 //! | `schema` | string | exactly [`BENCH_SCHEMA`] |
 //! | `id` | string | artifact identity, e.g. `bench_svc` |
-//! | `kind` | string | `svc_open_loop`, `svc_open_loop_sweep`, `svc_closed_loop`, or `checker` |
+//! | `kind` | string | `svc_open_loop`, `svc_open_loop_sweep`, or `checker` today; any string validates (older artifacts say `svc_closed_loop`) |
 //! | `meta` | object | provenance: `timestamp`, `rustc`, `threads` (host block from `minobs-bench`) |
 //! | `achieved_qps` | number | completed requests per second of wall clock |
 //! | `latency_ns` | object | `count`, `p50`, `p95`, `p99`, `max` — monotone `p50 ≤ p95 ≤ p99 ≤ max` |

@@ -2,9 +2,7 @@
 //!
 //! ```text
 //! svc call <method> [params-json] [--addr HOST:PORT]
-//! svc bench [--addr HOST:PORT] [--threads N] [--requests M]
-//!           [--method NAME] [--params JSON]
-//! svc bench --open-loop --freq N [--duration S] [--threads N]
+//! svc bench --freq N [--addr HOST:PORT] [--duration S] [--threads N]
 //!           [--mix solvable=8,check_horizon=1] [--inflight-cap N]
 //!           [--tick S] [--out PATH] [--id NAME]
 //! svc bench --sweep lo:hi:steps [--duration S] [--p99-bound-ms X]
@@ -15,19 +13,13 @@
 //! svc dump [--addr HOST:PORT] [--all] [--out DIR]
 //! ```
 //!
-//! The address defaults to `MINOBS_SVC_ADDR`. `bench` has two modes with
-//! identical latency semantics (both pool observations into
-//! `minobs_obs::Histogram`):
-//!
-//! * **closed-loop** (default): each thread issues its requests back to
-//!   back, waiting for every response. Simple, but the driver slows down
-//!   with the daemon, so queueing delay is hidden (coordinated
-//!   omission). The very first request is reported separately as the
-//!   cold-cache latency.
-//! * **open-loop** (`--open-loop` / `--sweep`): requests are issued on a
-//!   fixed virtual-deadline schedule that never waits for responses, and
-//!   latency is measured from the send *deadline* — see
-//!   `docs/BENCHMARKING.md`.
+//! The address defaults to `MINOBS_SVC_ADDR`. `bench` is an open-loop
+//! driver: requests are issued on a fixed virtual-deadline schedule that
+//! never waits for responses, and latency is measured from the send
+//! *deadline*, so queueing delay is not hidden (no coordinated omission)
+//! — see `docs/BENCHMARKING.md`. It needs exactly one of `--freq` (one
+//! run) or `--sweep` (a run per frequency); `--open-loop` is accepted
+//! and changes nothing.
 //!
 //! Every bench run emits a `minobs/bench/v1` artifact (via
 //! `minobs-bench`), and `--sweep` additionally locates the saturation
@@ -50,7 +42,7 @@
 //! `trace stitch` to reassemble a cross-node incident trace.
 
 use minobs_obs::Histogram;
-use minobs_svc::client::{RetryPolicy, SvcClient, SvcError};
+use minobs_svc::client::{RetryPolicy, SvcClient};
 use minobs_svc::loadgen::{
     find_knee, parse_mix, run_open_loop, KneeCriteria, MixEntry, OpenLoopConfig, OpenLoopSummary,
     SweepSpec, TrialPoint,
@@ -62,7 +54,7 @@ use std::time::{Duration, Instant};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  svc call <method> [params-json] [--addr HOST:PORT] [--timeout S] [--connect-timeout S] [--retries N]\n  svc bench [--addr HOST:PORT] [--threads N] [--requests M] [--method NAME] [--params JSON]\n  svc bench --open-loop --freq N [--duration S] [--threads N] [--mix m1=w1,m2=w2] [--inflight-cap N] [--tick S] [--out PATH] [--id NAME]\n  svc bench --sweep lo:hi:steps [--duration S] [--p99-bound-ms X] [--expect-knee] [open-loop flags]\n  svc top [--addr HOST:PORT] [--interval SECS] [--iterations N] [--no-clear] [--cluster]\n  svc metrics [--addr HOST:PORT] [--all]\n  svc dump [--addr HOST:PORT] [--all] [--out DIR]"
+        "usage:\n  svc call <method> [params-json] [--addr HOST:PORT] [--timeout S] [--connect-timeout S] [--retries N]\n  svc bench --freq N [--addr HOST:PORT] [--duration S] [--threads N] [--mix m1=w1,m2=w2] [--inflight-cap N] [--tick S] [--out PATH] [--id NAME]\n  svc bench --sweep lo:hi:steps [--duration S] [--p99-bound-ms X] [--expect-knee] [open-loop flags]\n  svc top [--addr HOST:PORT] [--interval SECS] [--iterations N] [--no-clear] [--cluster]\n  svc metrics [--addr HOST:PORT] [--all]\n  svc dump [--addr HOST:PORT] [--all] [--out DIR]"
     );
     ExitCode::FAILURE
 }
@@ -268,10 +260,6 @@ fn fetch_stats(addr: &str) -> Option<Value> {
 struct BenchOpts {
     addr: String,
     threads: usize,
-    requests: usize,
-    method: String,
-    params_text: String,
-    open_loop: bool,
     freq: Option<f64>,
     duration_s: f64,
     mix_spec: String,
@@ -288,10 +276,6 @@ fn bench(args: &[String]) -> ExitCode {
     let mut opts = BenchOpts {
         addr: String::new(),
         threads: 2,
-        requests: 50,
-        method: "check_horizon".to_string(),
-        params_text: r#"{"scheme":"s1","horizon":6}"#.to_string(),
-        open_loop: false,
         freq: None,
         duration_s: 5.0,
         mix_spec: "solvable=8,check_horizon=1,net_solvable=1".to_string(),
@@ -315,19 +299,8 @@ fn bench(args: &[String]) -> ExitCode {
                 Some(n) if n > 0 => opts.threads = n,
                 _ => return usage(),
             },
-            "--requests" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => opts.requests = n,
-                _ => return usage(),
-            },
-            "--method" => match it.next() {
-                Some(m) => opts.method = m.clone(),
-                None => return usage(),
-            },
-            "--params" => match it.next() {
-                Some(p) => opts.params_text = p.clone(),
-                None => return usage(),
-            },
-            "--open-loop" => opts.open_loop = true,
+            // Open loop is the only mode; scripts still spell it out.
+            "--open-loop" => {}
             "--freq" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
                 Some(f) if f > 0.0 && f.is_finite() => opts.freq = Some(f),
                 _ => return usage(),
@@ -372,6 +345,10 @@ fn bench(args: &[String]) -> ExitCode {
             _ => return usage(),
         }
     }
+    if opts.sweep.is_some() == opts.freq.is_some() {
+        eprintln!("svc bench: pass exactly one of --freq N or --sweep lo:hi:steps");
+        return usage();
+    }
     let Some(addr) = addr else {
         eprintln!("svc bench: no address (pass --addr or set MINOBS_SVC_ADDR)");
         return ExitCode::FAILURE;
@@ -380,10 +357,8 @@ fn bench(args: &[String]) -> ExitCode {
 
     if opts.sweep.is_some() {
         bench_sweep(&opts)
-    } else if opts.open_loop {
-        bench_open_loop(&opts)
     } else {
-        bench_closed_loop(&opts)
+        bench_open_loop(&opts)
     }
 }
 
@@ -439,10 +414,7 @@ fn print_summary(summary: &OpenLoopSummary) {
 }
 
 fn bench_open_loop(opts: &BenchOpts) -> ExitCode {
-    let Some(freq) = opts.freq else {
-        eprintln!("svc bench: --open-loop needs --freq");
-        return usage();
-    };
+    let freq = opts.freq.expect("--freq checked by caller");
     let config = match open_loop_config(opts, freq) {
         Ok(config) => config,
         Err(err) => {
@@ -500,10 +472,6 @@ fn attach_daemon_view(body: &mut Map, addr: &str) {
 
 fn bench_sweep(opts: &BenchOpts) -> ExitCode {
     let spec = opts.sweep.expect("sweep spec checked by caller");
-    if opts.freq.is_some() {
-        eprintln!("svc bench: --sweep and --freq are mutually exclusive");
-        return usage();
-    }
     println!(
         "svc bench (sweep): {:.1}..{:.1}/s in {} steps, {:.1}s per trial, mix {} against {}",
         spec.lo, spec.hi, spec.steps, opts.duration_s, opts.mix_spec, opts.addr
@@ -616,116 +584,6 @@ fn bench_sweep(opts: &BenchOpts) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-struct ThreadOutcome {
-    latency: Histogram,
-    max_ns: u64,
-    errors: usize,
-    busy: usize,
-}
-
-fn bench_closed_loop(opts: &BenchOpts) -> ExitCode {
-    let addr = &opts.addr;
-    let (threads, requests, method) = (opts.threads, opts.requests, &opts.method);
-    let params: Value = match serde_json::from_str(&opts.params_text) {
-        Ok(value) => value,
-        Err(err) => {
-            eprintln!("svc bench: params are not JSON: {err:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // One cold probe first, on its own connection, so the cache-warming
-    // request is measured separately from the closed-loop phase.
-    let cold_ns = {
-        let mut client = match SvcClient::connect(addr.as_str()) {
-            Ok(client) => client,
-            Err(err) => {
-                eprintln!("svc bench: cannot connect to {addr}: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let start = Instant::now();
-        if let Err(err) = client.call(method, params.clone()) {
-            eprintln!("svc bench: cold request failed: {err}");
-            return ExitCode::FAILURE;
-        }
-        start.elapsed().as_nanos() as u64
-    };
-
-    let started = Instant::now();
-    let outcomes: Vec<ThreadOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let addr = addr.clone();
-                let method = method.clone();
-                let params = params.clone();
-                scope.spawn(move || run_thread(&addr, &method, &params, requests))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let elapsed = started.elapsed();
-
-    // Pool per-thread histograms — the same merge the open-loop driver
-    // uses, so both modes report quantiles with identical semantics.
-    let latency = Histogram::new(&Histogram::latency_bounds());
-    let mut max_ns = 0u64;
-    let mut errors = 0usize;
-    let mut busy = 0usize;
-    for outcome in &outcomes {
-        if let Err(err) = latency.merge_from(&outcome.latency) {
-            eprintln!("svc bench: histogram merge failed: {err}");
-            return ExitCode::FAILURE;
-        }
-        max_ns = max_ns.max(outcome.max_ns);
-        errors += outcome.errors;
-        busy += outcome.busy;
-    }
-    let ok = latency.count();
-    let throughput = ok as f64 / elapsed.as_secs_f64().max(1e-9);
-
-    println!("svc bench: {threads} threads × {requests} requests of {method} against {addr}");
-    println!(
-        "  {ok} ok, {errors} err, {busy} busy in {:.3}s → {throughput:.1} req/s",
-        elapsed.as_secs_f64()
-    );
-    if let Some(warm_mean) = latency.sum().checked_div(ok) {
-        print_latency("warm", &latency, max_ns);
-        println!(
-            "  cold first request: {} µs ({:.1}× warm mean)",
-            cold_ns / 1_000,
-            cold_ns as f64 / warm_mean.max(1) as f64
-        );
-    }
-
-    let mut body = Map::new();
-    body.insert("kind", Value::from("svc_closed_loop"));
-    body.insert("threads", Value::from(threads));
-    body.insert("requests_per_thread", Value::from(requests));
-    body.insert("method", Value::from(method.as_str()));
-    body.insert("achieved_qps", Value::from(throughput));
-    body.insert("sent", Value::from(ok + errors as u64));
-    body.insert("completed", Value::from(ok));
-    body.insert("errors", Value::from(errors));
-    body.insert("busy", Value::from(busy));
-    body.insert("elapsed_s", Value::from(elapsed.as_secs_f64()));
-    body.insert("cold_first_request_ns", Value::from(cold_ns));
-    body.insert("latency_ns", latency_block(&latency, max_ns));
-    attach_daemon_view(&mut body, addr);
-    minobs_bench::write_bench_artifact(opts.out.as_deref(), &opts.id, body);
-    // The daemon's own view of the run, written next to the experiment
-    // artifacts so bench reports carry the server-side histograms too.
-    if let Some(stats) = fetch_stats(addr) {
-        minobs_bench::write_metrics_snapshot("svc_bench", &stats);
-    }
-
-    if errors == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 /// One polled frame of the `top` view, with the counters needed to turn
@@ -1368,44 +1226,6 @@ fn dump_cmd(args: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-fn run_thread(addr: &str, method: &str, params: &Value, requests: usize) -> ThreadOutcome {
-    let mut outcome = ThreadOutcome {
-        latency: Histogram::new(&Histogram::latency_bounds()),
-        max_ns: 0,
-        errors: 0,
-        busy: 0,
-    };
-    let mut client = match SvcClient::connect_with_timeout(addr, Some(Duration::from_secs(5))) {
-        Ok(client) => client,
-        Err(err) => {
-            eprintln!("svc bench: connect failed: {err}");
-            outcome.errors = requests;
-            return outcome;
-        }
-    };
-    for _ in 0..requests {
-        let start = Instant::now();
-        match client.call(method, params.clone()) {
-            Ok(_) => {
-                let nanos = start.elapsed().as_nanos() as u64;
-                outcome.latency.observe(nanos);
-                outcome.max_ns = outcome.max_ns.max(nanos);
-            }
-            Err(SvcError::Busy(_)) => {
-                // Back-pressure, not failure: the daemon's connection cap
-                // also hangs up, so reconnect before continuing.
-                outcome.busy += 1;
-                let _ = client.reconnect();
-            }
-            Err(err) => {
-                eprintln!("svc bench: request failed: {err}");
-                outcome.errors += 1;
-            }
-        }
-    }
-    outcome
 }
 
 #[cfg(test)]
