@@ -533,13 +533,18 @@ fn stitch(files: &[(String, Vec<Line>)]) -> Result<Stitched, String> {
                 }
                 found
             } else if let Some(remote) = span.ctx_parent {
-                // Cross-node edge: prefer a same-node match (e.g. the
-                // gossip.exchange span parented on its own rpc root),
-                // then a unique remote match.
+                // Cross-node edge. Span ids are unique per node only. An
+                // `rpc.*` root's ctx_parent names the remote caller's
+                // span, so only other nodes' spans qualify; any other
+                // span (e.g. a gossip.exchange parented on its own rpc
+                // root) prefers a same-node match. Then a unique match.
+                let rpc_root = span.name.starts_with("rpc.");
                 let candidates: Vec<usize> = spans
                     .iter()
                     .enumerate()
-                    .filter(|(i, s)| *i != idx && s.span_id == remote)
+                    .filter(|(i, s)| {
+                        *i != idx && s.span_id == remote && !(rpc_root && s.node == span.node)
+                    })
                     .map(|(i, _)| i)
                     .collect();
                 let same_node = candidates
@@ -1026,6 +1031,54 @@ mod tests {
             folded["rpc.check_horizon@a;gossip.exchange@a;rpc.gossip@b"],
             300
         );
+    }
+
+    /// Span ids repeat across nodes: node b's `rpc.gossip` 5242880 names
+    /// node a's `gossip.exchange` 6291456 as its ctx_parent, while node b
+    /// also holds an `rpc.gossip` 6291456 of its own.
+    #[test]
+    fn stitch_parents_rpc_roots_on_another_node() {
+        let start = |node: &str, id: u64, name: &str, ctx_parent: Option<u64>| {
+            let ctx = ctx_parent.map_or(String::new(), |p| format!(r#","ctx_parent":{p}"#));
+            event(&format!(
+                r#"{{"event":"span_start","round":0,"span_id":{id},"parent":null,"name":"{name}","trace_id":"000000000000000000000000000000bb"{ctx},"node_id":"{node}"}}"#
+            ))
+        };
+        let end = |node: &str, id: u64, name: &str| {
+            event(&format!(
+                r#"{{"event":"span_end","round":0,"span_id":{id},"name":"{name}","nanos":100,"node_id":"{node}"}}"#
+            ))
+        };
+        let node_a = vec![
+            start("a", 5242880, "gossip.exchange", None),
+            end("a", 5242880, "gossip.exchange"),
+            start("a", 6291456, "gossip.exchange", None),
+            end("a", 6291456, "gossip.exchange"),
+        ];
+        let node_b = vec![
+            start("b", 6291456, "rpc.gossip", Some(5242880)),
+            end("b", 6291456, "rpc.gossip"),
+            start("b", 5242880, "rpc.gossip", Some(6291456)),
+            end("b", 5242880, "rpc.gossip"),
+        ];
+        let stitched = stitch(&[("a".to_string(), node_a), ("b".to_string(), node_b)]).unwrap();
+        assert!(stitched.orphans.is_empty(), "{:?}", stitched.orphans);
+        let trace = &stitched.traces[0];
+        let find = |node: &str, id: u64| {
+            trace
+                .spans
+                .iter()
+                .position(|s| s.node == node && s.span_id == id)
+                .unwrap()
+        };
+        assert_eq!(trace.children[find("a", 6291456)], vec![find("b", 5242880)]);
+        assert_eq!(trace.children[find("a", 5242880)], vec![find("b", 6291456)]);
+        assert!(trace.children[find("b", 6291456)].is_empty());
+        let mut roots = trace.roots.clone();
+        roots.sort_unstable();
+        let mut expected = vec![find("a", 5242880), find("a", 6291456)];
+        expected.sort_unstable();
+        assert_eq!(roots, expected);
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A ring holding at most `capacity` events (clamped to ≥ [`SHARDS`]),
+    /// A ring holding at most `capacity` events (clamped to ≥ 8, one per shard),
     /// with no node stamp and sampling reported off.
     pub fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder::with_meta(capacity, None, false)

@@ -14,19 +14,65 @@
 //! (answered by monotonicity from a different horizon), or
 //! `svc.cache_misses`. A `first_horizon` request is one lookup, counted
 //! with its disposition through [`VerdictCache::count`].
+//!
+//! Records enter only through [`VerdictCache::admit`], which WAL replay,
+//! gossip ingest and the method handlers share: it checks a
+//! [`WalRecord`] against the entry and records it under one shard lock,
+//! so two contradicting records for one key can never both land, and it
+//! counts no lookup.
 
+use crate::wal::WalRecord;
 use minobs_obs::{Counter, MetricsRegistry};
 use minobs_synth::cache::{CacheAnswer, HorizonVerdicts};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-const SHARDS: usize = 16;
+/// Number of cache shards, also the gossip digest's shard count: 16
+/// keeps the digest frame tiny while a single divergent key only
+/// re-ships ~1/16th of the map.
+pub(crate) const SHARDS: usize = 16;
+
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a 64-bit state.
+pub(crate) fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// FNV-1a 64-bit hash. Shard assignment, gossip fingerprints and ring
+/// placement all use it, so the wire format is pinned independently of
+/// `std::hash` internals.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// The shard a canonical key lives in, here and in gossip digests.
+pub(crate) fn shard_of(key: &str) -> usize {
+    (fnv1a(key.as_bytes()) % SHARDS as u64) as usize
+}
 
 #[derive(Default)]
 struct Entry {
     verdicts: HorizonVerdicts,
     theorem: Option<Value>,
+}
+
+/// What [`VerdictCache::admit`] did with one record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// The record added knowledge and is now recorded.
+    New,
+    /// The cache already implied the record; nothing changed.
+    Known,
+    /// The record contradicts an established bound or a different
+    /// theorem memo; nothing changed.
+    Contradicts,
 }
 
 /// A sharded map from canonical scheme keys to verdict summaries.
@@ -49,14 +95,7 @@ impl VerdictCache {
     }
 
     fn shard(&self, key: &str) -> MutexGuard<'_, HashMap<String, Entry>> {
-        // FNV-1a; the std hasher is randomized per-process, which is fine
-        // too, but a fixed hash keeps shard assignment reproducible.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in key.bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.shards[(h as usize) % SHARDS]
+        self.shards[shard_of(key)]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
     }
@@ -94,13 +133,52 @@ impl VerdictCache {
         }
     }
 
-    /// Records a definite horizon verdict for `key`.
-    pub fn record_horizon(&self, key: &str, k: usize, solvable: bool) {
-        self.shard(key)
-            .entry(key.to_string())
-            .or_default()
-            .verdicts
-            .record(k, solvable);
+    /// Checks `record` against `key`'s entry and records it, all under
+    /// the key's shard lock. A horizon bound the entry already implies,
+    /// or an equal theorem memo, is [`Admission::Known`]; a bound the
+    /// entry refutes, or a different memo, is [`Admission::Contradicts`]
+    /// and leaves the entry as it was. A snapshot is admitted whole or
+    /// not at all.
+    pub fn admit(&self, record: &WalRecord) -> Admission {
+        let (bounds, theorem) = match record {
+            WalRecord::Horizon { k, solvable, .. } => ([Some((*k, *solvable)), None], None),
+            WalRecord::Theorem { result, .. } => ([None, None], Some(result)),
+            WalRecord::Snapshot {
+                verdicts, theorem, ..
+            } => (
+                [
+                    verdicts.min_solvable().map(|k| (k, true)),
+                    verdicts.max_unsolvable().map(|k| (k, false)),
+                ],
+                theorem.as_ref(),
+            ),
+        };
+        let key = record.key();
+        let mut shard = self.shard(key);
+        let held = shard.get(key);
+        let before = held.map_or_else(HorizonVerdicts::new, |entry| entry.verdicts);
+        let mut verdicts = before;
+        for (k, solvable) in bounds.into_iter().flatten() {
+            match verdicts.lookup(k) {
+                Some(answer) if answer.solvable() != solvable => return Admission::Contradicts,
+                Some(_) => {}
+                None => verdicts.record(k, solvable),
+            }
+        }
+        let new_theorem = match (theorem, held.and_then(|entry| entry.theorem.as_ref())) {
+            (Some(result), Some(memo)) if result != memo => return Admission::Contradicts,
+            (Some(_), None) => true,
+            _ => false,
+        };
+        if verdicts == before && !new_theorem {
+            return Admission::Known;
+        }
+        let entry = shard.entry(key.to_string()).or_default();
+        entry.verdicts = verdicts;
+        if new_theorem {
+            entry.theorem = theorem.cloned();
+        }
+        Admission::New
     }
 
     /// The memoised Theorem III.8 result for `key`, counting hit/miss.
@@ -112,11 +190,6 @@ impl VerdictCache {
             self.misses.inc();
         }
         cached
-    }
-
-    /// Memoises a Theorem III.8 result for `key`.
-    pub fn record_theorem(&self, key: &str, result: Value) {
-        self.shard(key).entry(key.to_string()).or_default().theorem = Some(result);
     }
 
     /// Number of cached scheme keys across all shards.
@@ -153,12 +226,38 @@ impl VerdictCache {
 mod tests {
     use super::*;
 
+    fn horizon(key: &str, k: usize, solvable: bool) -> WalRecord {
+        WalRecord::Horizon {
+            key: key.to_string(),
+            k,
+            solvable,
+        }
+    }
+
+    fn theorem(key: &str, result: Value) -> WalRecord {
+        WalRecord::Theorem {
+            key: key.to_string(),
+            result,
+        }
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
     #[test]
     fn dispositions_feed_the_counters() {
         let registry = MetricsRegistry::new();
         let cache = VerdictCache::new(&registry);
         assert!(cache.lookup_horizon("classic:s1|gamma", 2).is_none());
-        cache.record_horizon("classic:s1|gamma", 2, true);
+        assert_eq!(
+            cache.admit(&horizon("classic:s1|gamma", 2, true)),
+            Admission::New
+        );
         assert!(matches!(
             cache.lookup_horizon("classic:s1|gamma", 2),
             Some(CacheAnswer::Exact { solvable: true })
@@ -180,12 +279,60 @@ mod tests {
         let registry = MetricsRegistry::new();
         let cache = VerdictCache::new(&registry);
         assert!(cache.lookup_theorem("classic:r1|gamma").is_none());
-        cache.record_theorem("classic:r1|gamma", Value::from(false));
+        assert_eq!(
+            cache.admit(&theorem("classic:r1|gamma", Value::from(false))),
+            Admission::New
+        );
         assert_eq!(
             cache.lookup_theorem("classic:r1|gamma"),
             Some(Value::from(false))
         );
         assert_eq!(registry.counter("svc.cache_hits").get(), 1);
         assert_eq!(registry.counter("svc.cache_misses").get(), 1);
+    }
+
+    #[test]
+    fn admit_classifies_against_the_entry_and_counts_no_lookup() {
+        let registry = MetricsRegistry::new();
+        let cache = VerdictCache::new(&registry);
+        let key = "classic:s1|gamma";
+        assert_eq!(cache.admit(&horizon(key, 4, true)), Admission::New);
+        assert_eq!(cache.admit(&horizon(key, 6, true)), Admission::Known);
+        assert_eq!(cache.admit(&horizon(key, 4, true)), Admission::Known);
+        assert_eq!(cache.admit(&horizon(key, 5, false)), Admission::Contradicts);
+        assert_eq!(cache.admit(&horizon(key, 1, false)), Admission::New);
+        assert_eq!(cache.admit(&horizon(key, 3, true)), Admission::New);
+        let memo = |result: u64| theorem(key, Value::from(result));
+        assert_eq!(cache.admit(&memo(1)), Admission::New);
+        assert_eq!(cache.admit(&memo(1)), Admission::Known);
+        assert_eq!(cache.admit(&memo(2)), Admission::Contradicts);
+
+        // A snapshot lands whole or not at all.
+        let snapshot = |min_solvable, max_unsolvable, theorem: Option<Value>| WalRecord::Snapshot {
+            key: key.to_string(),
+            verdicts: HorizonVerdicts::from_boundaries(min_solvable, max_unsolvable).unwrap(),
+            theorem,
+        };
+        assert_eq!(
+            cache.admit(&snapshot(Some(3), Some(1), Some(Value::from(1u64)))),
+            Admission::Known
+        );
+        assert_eq!(
+            cache.admit(&snapshot(Some(2), Some(0), Some(Value::from(2u64)))),
+            Admission::Contradicts,
+            "a tighter bound does not land beside a differing memo"
+        );
+        assert_eq!(
+            cache.admit(&snapshot(Some(2), Some(1), None)),
+            Admission::New
+        );
+        let verdicts = cache.horizon_verdicts(key);
+        assert_eq!(verdicts.min_solvable(), Some(2));
+        assert_eq!(verdicts.max_unsolvable(), Some(1));
+        assert_eq!(cache.entries(), 1);
+        for counter in ["hits", "subsumptions", "misses"] {
+            let counter = format!("svc.cache_{counter}");
+            assert_eq!(registry.counter(&counter).get(), 0, "{counter}");
+        }
     }
 }

@@ -11,10 +11,10 @@
 //!
 //! Membership changes go through [`ClusterClient::add_node`] /
 //! [`ClusterClient::remove_node`]; consistent hashing bounds the fallout
-//! to ~`1/N` of keys remapping (see `minobs_cluster::ring`).
+//! to ~`1/N` of keys remapping (see [`crate::ring`]).
 
 use crate::client::{RetryPolicy, SvcClient, SvcError};
-use minobs_cluster::HashRing;
+use crate::ring::HashRing;
 use minobs_obs::TraceContext;
 use serde_json::Value;
 use std::collections::HashMap;

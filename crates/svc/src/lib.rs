@@ -19,9 +19,12 @@
 //!
 //! Daemons can form a replicated cluster: a background [`gossip`] loop
 //! exchanges per-shard digests with configured peers and ships missing
-//! verdicts as `minobs/wal/v1`-shaped deltas (convergent because bounds
-//! only tighten), while [`cluster_client::ClusterClient`] routes each
-//! key to its ring owner with failover. See `docs/CLUSTER.md`.
+//! verdicts as [`wal::WalRecord`] deltas (convergent because bounds only
+//! tighten), tracking peer health in [`peers`], while
+//! [`cluster_client::ClusterClient`] routes each key to its [`ring`]
+//! owner with failover. WAL replay, gossip ingest and the method
+//! handlers all admit verdicts through [`VerdictCache::admit`]. See
+//! `docs/CLUSTER.md`.
 //!
 //! See `docs/SERVICE.md` for the wire format and method reference.
 
@@ -31,6 +34,8 @@ pub mod cluster_client;
 pub mod gossip;
 pub mod loadgen;
 pub mod methods;
+pub mod peers;
+pub mod ring;
 pub mod server;
 pub mod spec;
 pub mod wal;

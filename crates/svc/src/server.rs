@@ -16,12 +16,12 @@
 //! A connection holding half a frame when the drain starts gets a short
 //! grace period to finish it before the socket closes.
 
-use crate::cache::VerdictCache;
-use crate::gossip::{self, GossipConfig};
+use crate::cache::{Admission, VerdictCache};
+use crate::gossip::{self, GossipConfig, LinkPolicy};
 use crate::methods::{self, RpcError};
+use crate::peers::PeerTable;
 use crate::wal::{CompactionPolicy, Wal, WalRecord};
 use crate::wire::{self, Request};
-use minobs_cluster::{LinkPolicy, PeerTable};
 use minobs_obs::{
     sample_keep, stamp_root_span, Counter, FlightRecorder, Gauge, Histogram, JsonlSink,
     MemoryRecorder, MetricsRecorder, MetricsRegistry, Recorder, SpanGuard, SpanIds, TraceContext,
@@ -407,22 +407,32 @@ impl ServerState {
         }
     }
 
-    /// Records a definite horizon verdict in the cache *and* the WAL.
-    /// Method handlers call this instead of touching the cache directly,
-    /// so every fresh verdict survives a restart.
+    /// Admits `record` through [`VerdictCache::admit`] and appends it to
+    /// the WAL when it is new. Local verdicts and replicated ones both
+    /// enter here, so every fresh verdict survives a restart and no
+    /// record that the cache refutes or already implies is logged.
+    pub(crate) fn admit(&self, record: &WalRecord) -> Admission {
+        let admission = self.cache.admit(record);
+        if admission == Admission::New {
+            self.append_wal(record);
+        }
+        admission
+    }
+
+    /// Records a definite horizon verdict through
+    /// [`VerdictCache::admit`], and in the WAL when it is new.
     pub fn record_horizon(&self, key: &str, k: usize, solvable: bool) {
-        self.cache.record_horizon(key, k, solvable);
-        self.append_wal(&WalRecord::Horizon {
+        self.admit(&WalRecord::Horizon {
             key: key.to_string(),
             k,
             solvable,
         });
     }
 
-    /// Memoises a Theorem III.8 result in the cache *and* the WAL.
+    /// Memoises a Theorem III.8 result through [`VerdictCache::admit`],
+    /// and in the WAL when it is new.
     pub fn record_theorem(&self, key: &str, result: Value) {
-        self.cache.record_theorem(key, result.clone());
-        self.append_wal(&WalRecord::Theorem {
+        self.admit(&WalRecord::Theorem {
             key: key.to_string(),
             result,
         });

@@ -22,8 +22,11 @@
 //! ## Recovery semantics
 //!
 //! Replay consumes the longest valid prefix. The first record that is
-//! truncated, fails its checksum, parses to garbage, or contradicts the
-//! monotone boundaries already replayed ends the replay — the tail is
+//! truncated, fails its checksum, parses to garbage, or contradicts what
+//! was already replayed ends the replay. Records are admitted one at a
+//! time through [`VerdictCache::admit`], the rule gossip ingest and the
+//! request path share, so a theorem memo that differs from an earlier
+//! one for its key is a contradiction too. The tail is
 //! *dropped, never served*: a half-written crash tail can lose the last
 //! verdicts, but can never produce a wrong one. The file is truncated
 //! back to the valid prefix before appending resumes, so a torn tail
@@ -47,7 +50,7 @@
 //! the `svc.wal_degraded` gauge flips to 1 and a `wal_degraded` trace
 //! event is emitted, but queries keep answering.
 
-use crate::cache::VerdictCache;
+use crate::cache::{Admission, VerdictCache};
 use minobs_synth::cache::HorizonVerdicts;
 use serde_json::{Map, Value};
 use std::fs::{File, OpenOptions};
@@ -100,7 +103,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// One WAL payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A fresh definite horizon verdict (`VerdictCache::record_horizon`).
+    /// A fresh definite horizon verdict (`ServerState::record_horizon`).
     Horizon {
         /// Canonical cache key.
         key: String,
@@ -109,7 +112,7 @@ pub enum WalRecord {
         /// The definite verdict at `k`.
         solvable: bool,
     },
-    /// A memoised Theorem III.8 verdict (`VerdictCache::record_theorem`).
+    /// A memoised Theorem III.8 verdict (`ServerState::record_theorem`).
     Theorem {
         /// Canonical cache key (`…|theorem`).
         key: String,
@@ -309,56 +312,37 @@ pub struct ReplayReport {
 
 /// Replays framed records from `bytes` (magic included) into `cache`.
 ///
-/// Stops at the first truncated, checksum-failing, unparsable, or
-/// monotonicity-contradicting record; everything after it is reported
-/// as a dropped tail. Never fails: a WAL that is garbage from byte 0
-/// simply replays 0 records.
+/// Each record is admitted on its own through [`VerdictCache::admit`].
+/// Replay stops at the first truncated, checksum-failing or unparsable
+/// record, or the first one the cache refutes; everything from there on
+/// is reported as a dropped tail. Never fails: a WAL that is garbage
+/// from byte 0 simply replays 0 records.
 pub fn replay_bytes(bytes: &[u8], cache: &VerdictCache) -> ReplayReport {
     let mut report = ReplayReport::default();
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         report.dropped_tail = !bytes.is_empty();
         return report;
     }
-    // Verdicts are validated against a local view before touching the
-    // shared cache, so a corrupt-but-checksummed record can never plant
-    // a contradiction (and `HorizonVerdicts::record`'s monotonicity
-    // debug-assert can never trip on hostile input).
-    let mut staged: std::collections::HashMap<String, (HorizonVerdicts, Option<Value>)> =
-        std::collections::HashMap::new();
     let mut offset = MAGIC.len();
-    loop {
-        let remaining = &bytes[offset..];
-        if remaining.is_empty() {
-            break;
+    while offset < bytes.len() {
+        match decode(&bytes[offset..]) {
+            Some((record, consumed)) if cache.admit(&record) != Admission::Contradicts => {
+                offset += consumed;
+                report.records += 1;
+            }
+            _ => {
+                report.dropped_tail = true;
+                break;
+            }
         }
-        let Some(consumed) = decode_into(remaining, &mut staged) else {
-            report.dropped_tail = true;
-            break;
-        };
-        offset += consumed;
-        report.records += 1;
     }
     report.bytes = offset as u64;
-    for (key, (verdicts, theorem)) in staged {
-        if let Some(k) = verdicts.min_solvable() {
-            cache.record_horizon(&key, k, true);
-        }
-        if let Some(k) = verdicts.max_unsolvable() {
-            cache.record_horizon(&key, k, false);
-        }
-        if let Some(result) = theorem {
-            cache.record_theorem(&key, result);
-        }
-    }
     report
 }
 
-/// Decodes and stages one frame from the head of `bytes`; `None` on any
-/// form of corruption (the caller stops there).
-fn decode_into(
-    bytes: &[u8],
-    staged: &mut std::collections::HashMap<String, (HorizonVerdicts, Option<Value>)>,
-) -> Option<usize> {
+/// Decodes one frame from the head of `bytes` into its record and
+/// framed length; `None` on any form of corruption.
+fn decode(bytes: &[u8]) -> Option<(WalRecord, usize)> {
     if bytes.len() < 8 {
         return None;
     }
@@ -376,39 +360,7 @@ fn decode_into(
         return None;
     }
     let value: Value = serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()?;
-    let record = WalRecord::from_json(&value)?;
-    let entry = staged.entry(record.key().to_string()).or_default();
-    match record {
-        WalRecord::Horizon { k, solvable, .. } => {
-            // A delta that contradicts the boundaries replayed so far is
-            // corruption (verdicts are theorems); reject the record.
-            if entry.0.lookup(k).is_some_and(|a| a.solvable() != solvable) {
-                return None;
-            }
-            entry.0.record(k, solvable);
-        }
-        WalRecord::Theorem { result, .. } => entry.1 = Some(result),
-        WalRecord::Snapshot {
-            verdicts, theorem, ..
-        } => {
-            if let Some(k) = verdicts.min_solvable() {
-                if entry.0.lookup(k).is_some_and(|a| !a.solvable()) {
-                    return None;
-                }
-                entry.0.record(k, true);
-            }
-            if let Some(k) = verdicts.max_unsolvable() {
-                if entry.0.lookup(k).is_some_and(|a| a.solvable()) {
-                    return None;
-                }
-                entry.0.record(k, false);
-            }
-            if theorem.is_some() {
-                entry.1 = theorem;
-            }
-        }
-    }
-    Some(end)
+    Some((WalRecord::from_json(&value)?, end))
 }
 
 /// An open write-ahead log.
@@ -732,6 +684,29 @@ mod tests {
     }
 
     #[test]
+    fn a_differing_theorem_memo_ends_replay() {
+        let file = MemoryWalFile::new();
+        let mut wal =
+            Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
+        for result in [1u64, 1, 2] {
+            wal.append(&WalRecord::Theorem {
+                key: "a|theorem".to_string(),
+                result: Value::from(result),
+            })
+            .unwrap();
+        }
+        wal.flush().unwrap();
+        let cache = cache();
+        let report = replay_bytes(&file.bytes(), &cache);
+        assert_eq!(
+            report.records, 2,
+            "an equal memo is known, a differing one ends replay"
+        );
+        assert!(report.dropped_tail);
+        assert_eq!(cache.snapshot()[0].2, Some(Value::from(1u64)));
+    }
+
+    #[test]
     fn write_errors_surface_for_degradation() {
         struct FailingFile {
             written: u64,
@@ -875,13 +850,13 @@ mod tests {
         let (mut wal, _) = Wal::open(&path, &cache, policy).unwrap();
         // 12 deltas, one live key: overwhelmingly dead.
         for k in 0..12usize {
-            cache.record_horizon("a", k, false);
-            wal.append(&WalRecord::Horizon {
+            let record = WalRecord::Horizon {
                 key: "a".to_string(),
                 k,
                 solvable: false,
-            })
-            .unwrap();
+            };
+            cache.admit(&record);
+            wal.append(&record).unwrap();
         }
         let stats = wal.maybe_compact(&cache).unwrap().expect("compaction due");
         assert_eq!(stats.records_before, 12);
@@ -889,13 +864,13 @@ mod tests {
         assert!(wal.maybe_compact(&cache).unwrap().is_none());
 
         // Appends after compaction land after the snapshot.
-        cache.record_horizon("b", 3, true);
-        wal.append(&WalRecord::Horizon {
+        let record = WalRecord::Horizon {
             key: "b".to_string(),
             k: 3,
             solvable: true,
-        })
-        .unwrap();
+        };
+        cache.admit(&record);
+        wal.append(&record).unwrap();
         wal.flush().unwrap();
         drop(wal);
 

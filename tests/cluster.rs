@@ -13,9 +13,9 @@
 
 use minobs_bench::lint::lint;
 use minobs_chaos::link::{LinkFault, LinkFaultPlan};
-use minobs_cluster::{LinkPolicy, LinkVerdict};
 use minobs_obs::TraceContext;
 use minobs_svc::client::SvcClient;
+use minobs_svc::gossip::{LinkPolicy, LinkVerdict};
 use minobs_svc::server::{serve, Server, SvcConfig};
 use minobs_svc::ClusterClient;
 use serde_json::{Map, Value};

@@ -46,22 +46,22 @@ fn build_workload() -> (Vec<u8>, VerdictCache) {
         let boundary = 3 + idx;
         for k in [0usize, 2, 4, 6, 8, 1, 7] {
             let solvable = k >= boundary;
-            cache.record_horizon(&key, k, solvable);
-            wal.append(&WalRecord::Horizon {
+            let record = WalRecord::Horizon {
                 key: key.clone(),
                 k,
                 solvable,
-            })
-            .expect("append");
+            };
+            cache.admit(&record);
+            wal.append(&record).expect("append");
         }
         let theorem_key = format!("classic:s{idx}|theorem");
         let result = Value::from(idx % 2 == 0);
-        cache.record_theorem(&theorem_key, result.clone());
-        wal.append(&WalRecord::Theorem {
+        let record = WalRecord::Theorem {
             key: theorem_key,
             result,
-        })
-        .expect("append");
+        };
+        cache.admit(&record);
+        wal.append(&record).expect("append");
     }
     wal.flush().expect("flush");
     (file.bytes(), cache)
@@ -177,12 +177,13 @@ fn enospc_mid_run_loses_the_tail_but_never_a_verdict() {
         let mut accepted = 0usize;
         for k in 0..16usize {
             let solvable = k >= 5;
-            cache.record_horizon("classic:s1|gamma", k, solvable);
-            match wal.append(&WalRecord::Horizon {
+            let record = WalRecord::Horizon {
                 key: "classic:s1|gamma".to_string(),
                 k,
                 solvable,
-            }) {
+            };
+            cache.admit(&record);
+            match wal.append(&record) {
                 Ok(_) => accepted += 1,
                 // First failure latches degradation server-side; stop
                 // appending, exactly as the daemon does.
@@ -224,14 +225,16 @@ proptest! {
         for (idx, k) in writes {
             let key = format!("classic:s{idx}|gamma");
             let solvable = k >= 2 + idx;
-            cache.record_horizon(&key, k, solvable);
-            wal.append(&WalRecord::Horizon { key: key.clone(), k, solvable }).expect("append");
+            let record = WalRecord::Horizon { key: key.clone(), k, solvable };
+            cache.admit(&record);
+            wal.append(&record).expect("append");
             if k == 9 {
                 // Workers also memoise theorem verdicts mid-stream.
                 let tkey = format!("classic:s{idx}|theorem");
                 let result = Value::from(idx as u64);
-                cache.record_theorem(&tkey, result.clone());
-                wal.append(&WalRecord::Theorem { key: tkey, result }).expect("append");
+                let record = WalRecord::Theorem { key: tkey, result };
+                cache.admit(&record);
+                wal.append(&record).expect("append");
             }
         }
         wal.flush().expect("flush");
