@@ -60,38 +60,5 @@ fn bench_network(c: &mut Criterion) {
     group.finish();
 }
 
-/// Engine ablation (DESIGN.md ablation 3): sequential Vec-bus engine vs
-/// the scoped-thread chunked-parallel engine, on a graph large enough for the
-/// per-round fan-out to matter.
-fn bench_engine_ablation(c: &mut Criterion) {
-    use minobs_sim::parallel::run_network_parallel;
-    let mut group = c.benchmark_group("engine_ablation");
-    group.sample_size(10);
-    for n in [64usize, 128] {
-        let g = generators::cycle(n);
-        let inputs: Vec<u64> = (0..n as u64).collect();
-        group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, &n| {
-            b.iter(|| {
-                let nodes = FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId);
-                black_box(run_network(&g, nodes, &mut NoFault, 2 * n))
-            })
-        });
-        for threads in [2usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(&format!("parallel_t{threads}"), n),
-                &n,
-                |b, &n| {
-                    b.iter(|| {
-                        let nodes =
-                            FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId);
-                        black_box(run_network_parallel(&g, nodes, &mut NoFault, 2 * n, threads))
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_two_process, bench_network, bench_engine_ablation);
+criterion_group!(benches, bench_two_process, bench_network);
 criterion_main!(benches);

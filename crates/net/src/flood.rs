@@ -415,19 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_runs_flood_identically() {
-        use minobs_sim::parallel::run_network_parallel;
-        let g = generators::torus(3, 4);
-        let n = g.vertex_count();
-        let seq_nodes = FloodConsensus::fleet(&g, &inputs(n), DecisionRule::ValueOfMinId);
-        let par_nodes = FloodConsensus::fleet(&g, &inputs(n), DecisionRule::ValueOfMinId);
-        let seq = run_network(&g, seq_nodes, &mut NoFault, 2 * n);
-        let par = run_network_parallel(&g, par_nodes, &mut NoFault, 2 * n, 4);
-        assert_eq!(seq.decisions, par.decisions);
-        assert_eq!(seq.stats, par.stats);
-    }
-
-    #[test]
     fn uniform_inputs_satisfy_validity_under_any_adversary() {
         let g = generators::cycle(5);
         let vals = [4u64; 5];

@@ -35,9 +35,11 @@ impl MessageStatus {
 
 /// Per-round (or whole-run) message accounting.
 ///
-/// The engines count a send as `sent` only when it is addressed to a live
-/// neighbor; misaddressed sends are tallied separately and never enter
-/// `sent`. The conservation invariant is therefore
+/// The engines count a send as `sent` when it is addressed to a neighbor
+/// in the graph, live or halted: a message to a halted neighbor counts as
+/// sent and, unless dropped, as delivered, though nothing reads it.
+/// Misaddressed sends (to a non-neighbor) are tallied separately and
+/// never enter `sent`. The conservation invariant is therefore
 /// `sent == delivered + dropped`, checked by the engines each round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundCounts {
@@ -66,8 +68,8 @@ impl RoundCounts {
 pub enum TraceEvent {
     /// A run began. `round` is always 0.
     RunStart {
-        /// Which execution surface: `"two_process"`, `"network"`,
-        /// `"network_parallel"`, or `"checker"`.
+        /// Which execution surface: `"two_process"`, `"network"`, or
+        /// `"checker"`.
         engine: &'static str,
         /// Number of participating processes (2 for the two-process engine).
         nodes: usize,
@@ -179,16 +181,6 @@ pub enum TraceEvent {
         /// Wall-clock nanoseconds from the sweep's start to this verdict
         /// (0 when timing is off).
         nanos: u64,
-    },
-    /// A parallel engine worker panicked and its shard was re-executed
-    /// serially by the coordinator — the run degraded instead of aborting.
-    EngineDegraded {
-        /// Round in which the worker panicked (0-based).
-        round: usize,
-        /// Which phase degraded: `"send"` or `"advance"`.
-        phase: &'static str,
-        /// Index of the affected worker shard.
-        shard: usize,
     },
     /// The model checker stopped early because its state or wall-clock
     /// budget ran out; the result is partial.
@@ -348,7 +340,6 @@ impl TraceEvent {
             TraceEvent::CheckerProgress { .. } => "checker_progress",
             TraceEvent::CheckerRound { .. } => "checker_round",
             TraceEvent::Horizon { .. } => "horizon",
-            TraceEvent::EngineDegraded { .. } => "engine_degraded",
             TraceEvent::BudgetExhausted { .. } => "budget_exhausted",
             TraceEvent::RunEnd { .. } => "run_end",
             TraceEvent::SvcRequest { .. } => "svc_request",
@@ -388,8 +379,7 @@ impl TraceEvent {
             | TraceEvent::SpanStart { round, .. }
             | TraceEvent::SpanEnd { round, .. }
             | TraceEvent::CheckerProgress { round, .. }
-            | TraceEvent::CheckerRound { round, .. }
-            | TraceEvent::EngineDegraded { round, .. } => round,
+            | TraceEvent::CheckerRound { round, .. } => round,
             TraceEvent::Horizon { horizon, .. } | TraceEvent::BudgetExhausted { horizon, .. } => {
                 horizon
             }
@@ -490,10 +480,6 @@ impl TraceEvent {
             } => {
                 map.insert("solvable".to_string(), Value::from(*solvable));
                 map.insert("nanos".to_string(), Value::from(*nanos));
-            }
-            TraceEvent::EngineDegraded { phase, shard, .. } => {
-                map.insert("phase".to_string(), Value::from(*phase));
-                map.insert("shard".to_string(), Value::from(*shard as u64));
             }
             TraceEvent::BudgetExhausted {
                 frontier, states, ..
@@ -683,11 +669,6 @@ impl TraceEvent {
                 solvable: f.bool("solvable")?,
                 nanos: f.u64("nanos")?,
             },
-            "engine_degraded" => TraceEvent::EngineDegraded {
-                round,
-                phase: f.one_of("phase", PHASES)?,
-                shard: f.usize("shard")?,
-            },
             "budget_exhausted" => TraceEvent::BudgetExhausted {
                 horizon: round,
                 frontier: f.usize("frontier")?,
@@ -765,14 +746,8 @@ impl TraceEvent {
 
 /// The values each `&'static str` field can take, in the order the
 /// decoder reports them.
-const ENGINES: &[&str] = &[
-    "two_process",
-    "network",
-    "network_parallel",
-    "checker",
-];
+const ENGINES: &[&str] = &["two_process", "network", "checker"];
 const STATUSES: &[&str] = &["delivered", "dropped", "misaddressed"];
-const PHASES: &[&str] = &["send", "advance"];
 const CACHE_DISPOSITIONS: &[&str] = &["hit", "miss", "subsumed", "none"];
 const RECORD_OPS: &[&str] = &["horizon", "theorem", "snapshot"];
 
@@ -933,11 +908,6 @@ mod tests {
                 solvable: true,
                 nanos: 100,
             },
-            TraceEvent::EngineDegraded {
-                round: 2,
-                phase: "send",
-                shard: 1,
-            },
             TraceEvent::BudgetExhausted {
                 horizon: 4,
                 frontier: 120,
@@ -1056,14 +1026,22 @@ mod tests {
             let line = format!(r#"{{"schema":"{SCHEMA}",{body}}}"#);
             TraceEvent::from_json(&serde_json::from_str(&line).unwrap()).unwrap_err()
         };
-        let err = decode(r#""event":"run_start","round":0,"engine":"warp","nodes":2,"threads":1"#);
-        assert!(err.contains("engine \"warp\""), "{err}");
+        for engine in ["warp", "network_parallel"] {
+            let err = decode(&format!(
+                r#""event":"run_start","round":0,"engine":"{engine}","nodes":2,"threads":1"#
+            ));
+            assert!(err.contains(&format!("engine {engine:?}")), "{err}");
+        }
         let err = decode(r#""event":"svc_request","round":3,"seq":1,"method":"stats""#);
         assert!(err.contains("round 3, expected 0"), "{err}");
         let err = decode(r#""event":"span_start","round":0,"span_id":1,"name":"a""#);
         assert!(err.contains("\"parent\""), "{err}");
-        let err = decode(r#""event":"teleport","round":0"#);
-        assert!(err.contains("unknown event"), "{err}");
+        for event in ["teleport", "engine_degraded"] {
+            let err = decode(&format!(
+                r#""event":"{event}","round":1,"phase":"send","shard":0"#
+            ));
+            assert!(err.contains(&format!("unknown event {event:?}")), "{err}");
+        }
         let foreign = serde_json::from_str(r#"{"schema":"other/v9","event":"x","round":0}"#);
         assert!(TraceEvent::from_json(&foreign.unwrap())
             .unwrap_err()
@@ -1078,8 +1056,6 @@ mod tests {
         };
         let err = decode(r#""event":"message","round":0,"from":0,"to":1,"status":"lost""#);
         assert!(err.contains("status \"lost\""), "{err}");
-        let err = decode(r#""event":"engine_degraded","round":1,"phase":"decide","shard":0"#);
-        assert!(err.contains("phase \"decide\""), "{err}");
         let err = decode(
             r#""event":"svc_response","round":0,"seq":1,"method":"check","ok":true,"cache":"warm","nanos":1"#,
         );

@@ -1,8 +1,7 @@
 //! # minobs-obs — observability for every minobs execution surface
 //!
 //! Structured event tracing and metrics for the two-process engine, the
-//! synchronous network simulator (serial and parallel), and the bounded
-//! model checker. Three layers:
+//! synchronous network simulator, and the bounded model checker. Three layers:
 //!
 //! * **Events** — [`TraceEvent`], a small closed vocabulary of
 //!   observations (run/round/message/decision/span/checker), each

@@ -703,7 +703,6 @@ impl MetricsRecorder {
             | TraceEvent::Message { .. }
             | TraceEvent::Span { .. }
             | TraceEvent::SpanStart { .. }
-            | TraceEvent::EngineDegraded { .. }
             | TraceEvent::BudgetExhausted { .. }
             | TraceEvent::Health { .. }
             | TraceEvent::FlightDump { .. }

@@ -66,8 +66,7 @@ impl Recorder for NullRecorder {
 
 /// Buffers every event in memory, in arrival order.
 ///
-/// Used by equivalence tests to compare the serial and parallel engines'
-/// event streams, and handy for ad-hoc assertions about instrumented code.
+/// Handy for assertions about what instrumented code observed.
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
     events: Vec<TraceEvent>,
@@ -87,54 +86,6 @@ impl MemoryRecorder {
     /// Consumes the recorder, yielding the buffer.
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.events
-    }
-
-    /// Events in a stream-order-independent form: message and decision
-    /// events sorted by `(round, from/node, to)`, other events left in
-    /// relative order. Two engines that make the same observations in a
-    /// different per-round order canonicalise to equal streams.
-    pub fn canonical_events(&self) -> Vec<TraceEvent> {
-        let mut events = self.events.clone();
-        events.sort_by_key(|event| match *event {
-            TraceEvent::Message {
-                round, from, to, ..
-            } => (round, 1, from, to),
-            TraceEvent::Decision { round, node, .. } => (round, 2, node, 0),
-            TraceEvent::RoundEnd { round, .. } => (round, 3, 0, 0),
-            TraceEvent::RunStart { .. } => (0, 0, 0, 0),
-            TraceEvent::Span { round, .. } => (round, 4, 0, 0),
-            // Start sorts before the end of the same span; ids allocated in
-            // emission order keep distinct spans properly bracketed.
-            TraceEvent::SpanStart { round, span_id, .. } => (round, 4, span_id as usize, 1),
-            TraceEvent::SpanEnd { round, span_id, .. } => (round, 4, span_id as usize, 2),
-            TraceEvent::CheckerProgress { round, .. } => (round, 5, 0, 0),
-            TraceEvent::CheckerRound { round, .. } => (round, 5, 0, 1),
-            TraceEvent::Horizon { horizon, .. } => (horizon, 6, 0, 0),
-            TraceEvent::EngineDegraded { round, shard, .. } => (round, 8, shard, 0),
-            TraceEvent::BudgetExhausted { horizon, .. } => (horizon, 9, 0, 0),
-            TraceEvent::RunEnd { rounds, .. } => (rounds, 7, 0, 0),
-            TraceEvent::SvcRequest { seq, .. } => (0, 10, seq as usize, 0),
-            TraceEvent::SvcResponse { seq, .. } => (0, 10, seq as usize, 1),
-            // WAL events keep emission order: appends are sequenced by
-            // the log itself, replay/degraded are singular lifecycle marks.
-            TraceEvent::WalAppend { .. }
-            | TraceEvent::WalReplay { .. }
-            | TraceEvent::WalDegraded { .. } => (0, 11, 0, 0),
-            // Gossip events likewise keep emission order: exchanges are
-            // sequenced by the gossip loop itself.
-            TraceEvent::GossipRound { .. }
-            | TraceEvent::GossipApply { .. }
-            | TraceEvent::PeerDown { .. } => (0, 12, 0, 0),
-            // Health flips keep emission order: they are edge-triggered
-            // lifecycle marks like the WAL ones.
-            TraceEvent::Health { .. } => (0, 13, 0, 0),
-            // Flight-recorder marks are stream annotations in emission
-            // order: a dump header precedes its events, a sampling mark
-            // opens its stream.
-            TraceEvent::FlightDump { .. } => (0, 14, 0, 0),
-            TraceEvent::TraceSampled { .. } => (0, 15, 0, 0),
-        });
-        events
     }
 }
 
@@ -284,45 +235,6 @@ mod tests {
         // One enabled side is enough to make the tee worth feeding.
         assert!(TeeRecorder::new(NullRecorder, MemoryRecorder::new()).enabled());
         assert!(TeeRecorder::new(MemoryRecorder::new(), NullRecorder).enabled());
-    }
-
-    #[test]
-    fn canonical_order_ignores_arrival_order() {
-        let mut a = MemoryRecorder::new();
-        a.record(message(0, 1, 2, MessageStatus::Delivered));
-        a.record(message(0, 0, 1, MessageStatus::Dropped));
-        let mut b = MemoryRecorder::new();
-        b.record(message(0, 0, 1, MessageStatus::Dropped));
-        b.record(message(0, 1, 2, MessageStatus::Delivered));
-        assert_ne!(a.events(), b.events());
-        assert_eq!(a.canonical_events(), b.canonical_events());
-    }
-
-    #[test]
-    fn canonical_order_brackets_span_pairs() {
-        let mut rec = MemoryRecorder::new();
-        for (span_id, name, nanos) in [(0, "net_send", 10), (1, "net_advance", 20)] {
-            rec.record(TraceEvent::SpanStart {
-                round: 0,
-                span_id,
-                parent: None,
-                name: name.to_string(),
-                trace_id: None,
-                ctx_parent: None,
-            });
-            rec.record(TraceEvent::SpanEnd {
-                round: 0,
-                span_id,
-                name: name.to_string(),
-                nanos,
-            });
-        }
-        let kinds: Vec<&str> = rec
-            .canonical_events()
-            .iter()
-            .map(TraceEvent::kind)
-            .collect();
-        assert_eq!(kinds, ["span_start", "span_end", "span_start", "span_end"]);
     }
 
     #[test]

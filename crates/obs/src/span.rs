@@ -19,9 +19,8 @@ use crate::RoundTimer;
 
 /// Monotone `span_id` allocator; one per event stream.
 ///
-/// Engines own one per run so serial and parallel runs over the same
-/// inputs allocate identical id sequences (span events are emitted only
-/// from the parallel coordinator). Streams multiplexing concurrent
+/// Engines own one per run, so two runs over the same inputs allocate
+/// identical id sequences. Streams multiplexing concurrent
 /// producers — the service daemon — carve disjoint blocks with
 /// [`SpanIds::starting_at`] instead of sharing one allocator.
 #[derive(Debug, Clone, Copy, Default)]

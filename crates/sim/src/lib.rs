@@ -7,7 +7,8 @@
 //! `Σ_G`), survivors are delivered, and every node steps its state machine.
 //!
 //! * [`network`] — the engine: [`network::NodeProtocol`],
-//!   [`network::SyncNetwork`], consensus auditing over `n` nodes;
+//!   [`network::SyncNetwork`], consensus auditing over `n` nodes. It is
+//!   the one network engine and steps every round on the calling thread;
 //! * [`adversary`] — the fault environments: no-fault, random-`f` (the
 //!   `O_f` scheme), the `Γ_C` cut adversary scripted by a two-process
 //!   scenario through `ρ⁻¹`, adaptive cut strategies, and explicit scripts;
@@ -33,10 +34,8 @@
 
 pub mod adversary;
 pub mod network;
-pub mod parallel;
 pub mod trace;
 
 pub use adversary::{Adversary, CutAdversary, NoFault, RandomOmissions, ScriptedAdversary};
 pub use network::{run_network, NetOutcome, NetVerdict, NodeProtocol, SyncNetwork};
-pub use parallel::run_network_parallel;
 pub use trace::RunStats;

@@ -539,6 +539,128 @@ mod tests {
     }
 
     #[test]
+    fn fault_free_flood_sends_on_every_directed_edge_each_round() {
+        for g in [generators::cycle(17), generators::complete(9), generators::grid(4, 5)] {
+            let n = g.vertex_count();
+            let inputs: Vec<u64> = (0..n as u64).map(|id| (id * 7) % 23).collect();
+            let max = *inputs.iter().max().unwrap();
+            let out = run_network(&g, bcast_nodes(&g, &inputs, n - 1), &mut NoFault, 2 * n);
+            assert_eq!(out.verdict, NetVerdict::Consensus(max), "{g}");
+            assert_eq!(out.stats.rounds, n - 1, "{g}");
+            // Every node stays live until the common deadline.
+            let per_round = 2 * g.edge_count();
+            assert_eq!(out.stats.messages_sent, per_round * out.stats.rounds, "{g}");
+            assert_eq!(out.stats.messages_delivered, out.stats.messages_sent, "{g}");
+            assert_eq!(out.stats.messages_dropped, 0, "{g}");
+            assert_eq!(out.stats.max_drops_per_round, 0, "{g}");
+        }
+    }
+
+    #[test]
+    fn scripted_drops_are_counted_each_round() {
+        let g = generators::torus(3, 4);
+        let n = g.vertex_count();
+        let script = vec![
+            vec![DirectedEdge::new(0, 1), DirectedEdge::new(4, 5)],
+            vec![DirectedEdge::new(1, 0)],
+            vec![],
+        ];
+        let inputs: Vec<u64> = (0..n as u64).map(|id| (id * 7) % 23).collect();
+        let max = *inputs.iter().max().unwrap();
+        let mut adv = ScriptedAdversary::repeating(script.clone());
+        let out = run_network(&g, bcast_nodes(&g, &inputs, n - 1), &mut adv, 2 * n);
+        assert_eq!(out.verdict, NetVerdict::Consensus(max));
+        assert_eq!(out.stats.rounds, n - 1);
+        // All nodes are live every round, so each scripted edge is in flight.
+        let expected: usize = (0..out.stats.rounds)
+            .map(|round| script[round % script.len()].len())
+            .sum();
+        assert_eq!(out.stats.messages_dropped, expected);
+        assert_eq!(out.stats.max_drops_per_round, 2);
+        assert_eq!(
+            out.stats.messages_delivered + out.stats.messages_dropped,
+            out.stats.messages_sent
+        );
+    }
+
+    #[test]
+    fn seeded_random_omissions_replay_identically() {
+        // f = 3 < c(Q_4) = 4: flooding for n - 1 rounds still agrees
+        // (Theorem V.1), and a fixed seed reproduces the run exactly.
+        use crate::adversary::RandomOmissions;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let g = generators::hypercube(4);
+        let n = g.vertex_count();
+        let inputs: Vec<u64> = (0..n as u64).map(|id| (id * 7) % 23).collect();
+        let max = *inputs.iter().max().unwrap();
+        let run = || {
+            let mut adv = RandomOmissions::new(3, StdRng::seed_from_u64(11));
+            run_network(&g, bcast_nodes(&g, &inputs, n - 1), &mut adv, 2 * n)
+        };
+        let (first, second) = (run(), run());
+        assert_eq!(first.decisions, second.decisions);
+        assert_eq!(first.stats, second.stats);
+        assert_eq!(first.verdict, NetVerdict::Consensus(max));
+        assert_eq!(first.stats.max_drops_per_round, 3);
+        assert_eq!(first.stats.messages_dropped, 3 * first.stats.rounds);
+    }
+
+    #[test]
+    fn send_to_halted_neighbor_counts_as_sent_and_delivered() {
+        use minobs_obs::{MemoryRecorder, RoundCounts};
+        // Path 0-1: node 0 decides (and halts) after round 0, node 1
+        // keeps sending to it for two more rounds.
+        let g = generators::path(2);
+        let nodes = vec![
+            MaxFloodBcast {
+                inner: MaxFlood::new(1, 1),
+                neighbors: vec![1],
+            },
+            MaxFloodBcast {
+                inner: MaxFlood::new(2, 3),
+                neighbors: vec![0],
+            },
+        ];
+        let mut rec = MemoryRecorder::new();
+        let out = run_network_with_recorder(&g, nodes, &mut NoFault, 10, &mut rec);
+        assert_eq!(out.verdict, NetVerdict::Consensus(2));
+        assert_eq!(out.stats.rounds, 3);
+        assert_eq!(out.stats.messages_sent, 4);
+        assert_eq!(out.stats.messages_delivered, 4);
+        let per_round: Vec<RoundCounts> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::RoundEnd { counts, .. } => Some(*counts),
+                _ => None,
+            })
+            .collect();
+        let one_to_halted = RoundCounts {
+            sent: 1,
+            delivered: 1,
+            ..RoundCounts::default()
+        };
+        assert_eq!(per_round[0].sent, 2);
+        assert_eq!(per_round[1..], [one_to_halted, one_to_halted]);
+    }
+
+    #[test]
+    fn step_returns_the_adversarys_selection_but_counts_only_in_flight_drops() {
+        let g = generators::path(3); // edges 0-1, 1-2
+        let named = vec![DirectedEdge::new(1, 0), DirectedEdge::new(2, 0)];
+        let mut adv = ScriptedAdversary::repeating(vec![named.clone()]);
+        let mut net = SyncNetwork::new(&g, bcast_nodes(&g, &[1, 2, 3], 5));
+        for round in 1..=3 {
+            assert_eq!(net.step(&mut adv), named);
+            assert_eq!(net.round(), round);
+            assert_eq!(net.stats().messages_dropped, round);
+        }
+        assert_eq!(net.stats().max_drops_per_round, 1);
+        assert!(!net.all_halted());
+    }
+
+    #[test]
     fn audit_catches_disagreement_and_validity() {
         assert!(matches!(
             audit_network(&[0, 1], &[Some(0), Some(1)]),

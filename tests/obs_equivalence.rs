@@ -1,94 +1,50 @@
-//! Observability equivalence: the serial and parallel engines must make
-//! the *same observations*, not just reach the same verdict. For each
-//! exp_network graph family, both engines run under a `MemoryRecorder`
-//! and must produce identical `RunStats` and identical canonicalized
-//! event streams — messages and decisions sorted by (round, sender,
-//! receiver), timing fields zeroed, engine identity normalized.
-//!
-//! Also covers the trace-level acceptance invariant: per-round dropped
-//! message events sum to the run's `messages_dropped`.
+//! Observability of the network engine: the trace a run records must
+//! agree with the run it describes. For each exp_network graph family the
+//! engine runs under a `MemoryRecorder`; its spans must nest, alternate
+//! `net_send`/`net_advance` once per round and never be missing, and the
+//! message events and `run_end` totals must add up to the run's
+//! `RunStats` (per-round dropped message events sum to
+//! `messages_dropped`).
 
-use minobs_graphs::{generators, Graph};
+use minobs_graphs::{generators, DirectedEdge, Graph};
 use minobs_net::{DecisionRule, FloodConsensus};
-use minobs_obs::{MemoryRecorder, MessageStatus, MetricsRecorder, MetricsRegistry, TraceEvent};
-use std::sync::Arc;
-use minobs_sim::adversary::{BudgetChecked, NoFault, RandomOmissions, ScriptedAdversary};
+use minobs_obs::{MemoryRecorder, MessageStatus, TraceEvent};
+use minobs_sim::adversary::{
+    Adversary, BudgetChecked, NoFault, RandomOmissions, ScriptedAdversary,
+};
 use minobs_sim::network::run_network_with_recorder;
-use minobs_sim::parallel::run_network_parallel_with_recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn families() -> Vec<(&'static str, Graph)> {
-    vec![
-        ("cycle(8)", generators::cycle(8)),
-        ("path(8)", generators::path(8)),
-        ("star(8)", generators::star(8)),
-        ("complete(6)", generators::complete(6)),
-        ("grid(3x4)", generators::grid(3, 4)),
-        ("torus(3x3)", generators::torus(3, 3)),
-        ("hypercube(4)", generators::hypercube(4)),
-        ("barbell(4,2)", generators::barbell(4, 2)),
-        ("theta(3,2)", generators::theta(3, 2)),
-        ("petersen", generators::petersen()),
-        ("K(3,4)", generators::complete_bipartite(3, 4)),
-    ]
+/// The exp_network graph families: `families()` lists them for the
+/// all-family tests, and each gets its own span-discipline test.
+macro_rules! graph_families {
+    ($($test:ident: $label:literal => $graph:expr,)*) => {
+        fn families() -> Vec<(&'static str, Graph)> {
+            vec![$(($label, $graph)),*]
+        }
+
+        $(
+            #[test]
+            fn $test() {
+                spans_alternate_send_and_advance($label, $graph);
+            }
+        )*
+    };
 }
 
-/// Canonical events with run-identity noise removed: wall-clock fields
-/// zeroed, engine label and thread count normalized. What remains is
-/// exactly the observable behaviour the two engines must share.
-fn comparable(recorder: &MemoryRecorder) -> Vec<TraceEvent> {
-    recorder
-        .canonical_events()
-        .into_iter()
-        .map(|event| match event {
-            TraceEvent::RunStart { nodes, .. } => TraceEvent::RunStart {
-                engine: "normalized",
-                nodes,
-                threads: 1,
-            },
-            TraceEvent::RoundEnd { round, counts, .. } => TraceEvent::RoundEnd {
-                round,
-                counts,
-                nanos: 0,
-            },
-            TraceEvent::Span { round, name, .. } => TraceEvent::Span {
-                round,
-                name,
-                nanos: 0,
-            },
-            TraceEvent::SpanEnd {
-                round,
-                span_id,
-                name,
-                ..
-            } => TraceEvent::SpanEnd {
-                round,
-                span_id,
-                name,
-                nanos: 0,
-            },
-            TraceEvent::RunEnd { rounds, totals, .. } => TraceEvent::RunEnd {
-                rounds,
-                totals,
-                nanos: 0,
-            },
-            other => other,
-        })
-        .collect()
-}
-
-/// Folds a canonicalized event stream into a fresh registry snapshot.
-/// Replaying `comparable()` output (timing zeroed) makes the latency
-/// histograms deterministic, so two engines that observe the same things
-/// must produce byte-identical snapshots.
-fn metrics_snapshot_of(events: &[TraceEvent]) -> serde_json::Value {
-    let registry = Arc::new(MetricsRegistry::new());
-    let mut metrics = MetricsRecorder::new(Arc::clone(&registry));
-    for event in events {
-        metrics.observe(event);
-    }
-    registry.snapshot()
+graph_families! {
+    spans_alternate_on_cycle: "cycle(8)" => generators::cycle(8),
+    spans_alternate_on_path: "path(8)" => generators::path(8),
+    spans_alternate_on_star: "star(8)" => generators::star(8),
+    spans_alternate_on_complete: "complete(6)" => generators::complete(6),
+    spans_alternate_on_grid: "grid(3x4)" => generators::grid(3, 4),
+    spans_alternate_on_torus: "torus(3x3)" => generators::torus(3, 3),
+    spans_alternate_on_hypercube: "hypercube(4)" => generators::hypercube(4),
+    spans_alternate_on_barbell: "barbell(4,2)" => generators::barbell(4, 2),
+    spans_alternate_on_theta: "theta(3,2)" => generators::theta(3, 2),
+    spans_alternate_on_petersen: "petersen" => generators::petersen(),
+    spans_alternate_on_complete_bipartite: "K(3,4)" => generators::complete_bipartite(3, 4),
 }
 
 /// Asserts the span discipline `trace_lint` enforces: unique ids, proper
@@ -129,171 +85,50 @@ fn dropped_message_events(events: &[TraceEvent]) -> usize {
         .count()
 }
 
-#[test]
-fn serial_and_parallel_engines_observe_identically_fault_free() {
-    for (name, g) in families() {
-        let n = g.vertex_count();
-        let inputs: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-
-        let mut serial = MemoryRecorder::new();
-        let serial_out = run_network_with_recorder(
+/// Runs `g` fault-free and under scripted drop sets over real graph edges;
+/// each run's spans must nest and alternate `net_send`/`net_advance` once
+/// per round.
+fn spans_alternate_send_and_advance(name: &str, g: Graph) {
+    let n = g.vertex_count();
+    let inputs: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
+    let script: Vec<Vec<DirectedEdge>> = (0..3)
+        .map(|round| {
+            g.edges()
+                .iter()
+                .skip(round)
+                .take(2)
+                .map(|e| DirectedEdge::new(e.a, e.b))
+                .collect()
+        })
+        .collect();
+    let adversaries: [(&str, Box<dyn Adversary>); 2] = [
+        ("fault-free", Box::new(NoFault)),
+        ("scripted", Box::new(ScriptedAdversary::repeating(script))),
+    ];
+    for (label, mut adversary) in adversaries {
+        let mut recorder = MemoryRecorder::new();
+        let out = run_network_with_recorder(
             &g,
             FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId),
-            &mut NoFault,
+            adversary.as_mut(),
             2 * n,
-            &mut serial,
+            &mut recorder,
         );
-
-        for threads in [2usize, 4] {
-            let mut parallel = MemoryRecorder::new();
-            let parallel_out = run_network_parallel_with_recorder(
-                &g,
-                FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId),
-                &mut NoFault,
-                2 * n,
-                threads,
-                &mut parallel,
-            );
-
-            assert_eq!(
-                serial_out.stats, parallel_out.stats,
-                "{name} t={threads}: RunStats diverge"
-            );
-            assert_eq!(
-                serial_out.decisions, parallel_out.decisions,
-                "{name} t={threads}: decisions diverge"
-            );
-            assert_eq!(
-                comparable(&serial),
-                comparable(&parallel),
-                "{name} t={threads}: canonical event streams diverge"
-            );
-        }
-    }
-}
-
-#[test]
-fn serial_and_parallel_engines_observe_identically_under_omissions() {
-    // The adversary must be order-independent for a cross-engine
-    // comparison (the engines present pending edges in different orders,
-    // so a shuffling adversary would diverge): script explicit drop sets
-    // over real graph edges, replayed identically to both engines.
-    for (name, g) in families() {
-        let n = g.vertex_count();
-        let inputs: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-        let script: Vec<Vec<minobs_graphs::DirectedEdge>> = (0..3)
-            .map(|round| {
-                g.edges()
-                    .iter()
-                    .skip(round)
-                    .take(2)
-                    .map(|e| minobs_graphs::DirectedEdge::new(e.a, e.b))
-                    .collect()
-            })
-            .collect();
-
-        let mut serial = MemoryRecorder::new();
-        let serial_out = run_network_with_recorder(
-            &g,
-            FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId),
-            &mut ScriptedAdversary::repeating(script.clone()),
-            2 * n,
-            &mut serial,
-        );
-
-        let mut parallel = MemoryRecorder::new();
-        let parallel_out = run_network_parallel_with_recorder(
-            &g,
-            FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId),
-            &mut ScriptedAdversary::repeating(script),
-            2 * n,
-            3,
-            &mut parallel,
-        );
-
-        assert_eq!(serial_out.stats, parallel_out.stats, "{name}: RunStats diverge");
-        assert_eq!(
-            comparable(&serial),
-            comparable(&parallel),
-            "{name}: canonical event streams diverge under omissions"
-        );
-    }
-}
-
-#[test]
-fn serial_and_parallel_engines_produce_identical_metrics_snapshots() {
-    for (name, g) in families() {
-        let n = g.vertex_count();
-        let inputs: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-
-        let mut serial = MemoryRecorder::new();
-        run_network_with_recorder(
-            &g,
-            FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId),
-            &mut NoFault,
-            2 * n,
-            &mut serial,
-        );
-        let serial_snapshot = metrics_snapshot_of(&comparable(&serial));
-
-        for threads in [2usize, 4] {
-            let mut parallel = MemoryRecorder::new();
-            run_network_parallel_with_recorder(
-                &g,
-                FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId),
-                &mut NoFault,
-                2 * n,
-                threads,
-                &mut parallel,
-            );
-            assert_eq!(
-                serial_snapshot,
-                metrics_snapshot_of(&comparable(&parallel)),
-                "{name} t={threads}: metrics snapshots diverge"
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_coordinator_spans_are_canonical() {
-    for (name, g) in families() {
-        let n = g.vertex_count();
-        let inputs: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-
-        let mut serial = MemoryRecorder::new();
-        run_network_with_recorder(
-            &g,
-            FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId),
-            &mut NoFault,
-            2 * n,
-            &mut serial,
-        );
-        let serial_names = well_formed_span_names(serial.events());
+        let names = well_formed_span_names(recorder.events());
         assert!(
-            serial_names
+            names
                 .chunks(2)
                 .all(|pair| pair == ["net_send", "net_advance"]),
-            "{name}: serial spans must alternate send/advance per round"
-        );
-
-        let mut parallel = MemoryRecorder::new();
-        run_network_parallel_with_recorder(
-            &g,
-            FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId),
-            &mut NoFault,
-            2 * n,
-            3,
-            &mut parallel,
+            "{name} {label}: spans must alternate send/advance per round"
         );
         assert_eq!(
-            serial_names,
-            well_formed_span_names(parallel.events()),
-            "{name}: parallel coordinator span sequence diverges from serial"
+            names.len(),
+            2 * out.stats.rounds,
+            "{name} {label}: one send and one advance span per round"
         );
         assert!(
-            !serial_names.is_empty(),
-            "{name}: instrumented engines must emit spans"
+            !names.is_empty(),
+            "{name} {label}: instrumented engines must emit spans"
         );
     }
 }

@@ -64,12 +64,12 @@ fn aw_survives_long_adversarial_prefix() {
 }
 
 #[test]
-#[ignore = "scale test: 400-node network, parallel engine"]
+#[ignore = "scale test: 400-node network"]
 fn large_network_flooding() {
     use minobs_graphs::generators;
     use minobs_net::{DecisionRule, FloodConsensus};
     use minobs_sim::adversary::RandomOmissions;
-    use minobs_sim::parallel::run_network_parallel;
+    use minobs_sim::network::run_network;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -79,7 +79,7 @@ fn large_network_flooding() {
     let nodes = FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId);
     // c(torus) = 4; f = 3 keeps the threshold satisfied.
     let mut adv = RandomOmissions::new(3, StdRng::seed_from_u64(1));
-    let out = run_network_parallel(&g, nodes, &mut adv, 2 * n, 8);
+    let out = run_network(&g, nodes, &mut adv, 2 * n);
     assert_eq!(out.verdict.expect_consensus(), 0);
     assert_eq!(out.stats.rounds, n - 1);
 }

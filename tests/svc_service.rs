@@ -757,7 +757,10 @@ fn deeply_nested_frame_is_a_bad_frame_not_a_crash() {
 fn warm_cache_is_ten_times_cold_throughput() {
     let (server, addr) = start();
     let mut client = SvcClient::connect(addr.as_str()).unwrap();
-    let params = check_params("s2", 4);
+    // A horizon whose checker work dominates the cold round trip: s2@7
+    // (unsolvable, a 17-link chain) costs milliseconds, where s2@4 costs
+    // well under one and sits within 10× of a warm round trip.
+    let params = check_params("s2", 7);
 
     let cold_start = Instant::now();
     let cold = client.call("check_horizon", params.clone()).unwrap();
