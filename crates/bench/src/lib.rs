@@ -53,30 +53,49 @@ pub fn trace_sink_for(id: &str) -> Option<(JsonlSink<BufWriter<File>>, PathBuf)>
 /// failures are reported to stderr and swallowed so a full disk never
 /// sinks the run that produced the numbers.
 pub fn write_metrics_snapshot(id: &str, snapshot: &Value) -> Option<PathBuf> {
-    let dir = experiment_dir();
-    if let Err(err) = fs::create_dir_all(&dir) {
-        eprintln!(
-            "minobs-bench: cannot create artifact dir {}: {err}",
-            dir.display()
-        );
-        return None;
-    }
-    let path = dir.join(format!("{id}.metrics.json"));
-    let json = match serde_json::to_string_pretty(snapshot) {
+    let path = write_json(
+        None,
+        &format!("{id}.metrics.json"),
+        snapshot,
+        "metrics snapshot",
+    )?;
+    println!("[metrics snapshot {}]", path.display());
+    Some(path)
+}
+
+/// Pretty-prints `value` to `path`, or to `<experiment_dir>/<file>`
+/// (creating the directory) when `path` is `None`. Returns the path
+/// written; failures are reported to stderr, naming the artifact as
+/// `what`.
+fn write_json(path: Option<&Path>, file: &str, value: &Value, what: &str) -> Option<PathBuf> {
+    let path = match path {
+        Some(path) => path.to_path_buf(),
+        None => {
+            let dir = experiment_dir();
+            if let Err(err) = fs::create_dir_all(&dir) {
+                eprintln!(
+                    "minobs-bench: cannot create artifact dir {}: {err}",
+                    dir.display()
+                );
+                return None;
+            }
+            dir.join(file)
+        }
+    };
+    let json = match serde_json::to_string_pretty(value) {
         Ok(json) => json,
         Err(err) => {
-            eprintln!("minobs-bench: metrics serialisation failed: {err}");
+            eprintln!("minobs-bench: {what} serialisation failed: {err}");
             return None;
         }
     };
     if let Err(err) = fs::write(&path, json) {
         eprintln!(
-            "minobs-bench: cannot write metrics snapshot {}: {err}",
+            "minobs-bench: cannot write {what} {}: {err}",
             path.display()
         );
         return None;
     }
-    println!("[metrics snapshot {}]", path.display());
     Some(path)
 }
 
@@ -136,7 +155,7 @@ impl Report {
 
         let mut artifact = Map::new();
         artifact.insert("id", Value::from(self.id.as_str()));
-        artifact.insert("meta", run_metadata(self.trace.as_deref()));
+        artifact.insert("meta", artifact_meta(self.trace.as_deref()));
         artifact.insert(
             "header",
             Value::from(self.header.iter().map(String::as_str).collect::<Vec<_>>()),
@@ -151,29 +170,12 @@ impl Report {
             ),
         );
 
-        let dir = experiment_dir();
-        if let Err(err) = fs::create_dir_all(&dir) {
-            eprintln!(
-                "minobs-bench: cannot create artifact dir {}: {err}",
-                dir.display()
-            );
-            return None;
-        }
-        let path = dir.join(format!("{}.json", self.id));
-        let json = match serde_json::to_string_pretty(&Value::Object(artifact)) {
-            Ok(json) => json,
-            Err(err) => {
-                eprintln!("minobs-bench: artifact serialisation failed: {err}");
-                return None;
-            }
-        };
-        if let Err(err) = fs::write(&path, json) {
-            eprintln!(
-                "minobs-bench: cannot write artifact {}: {err}",
-                path.display()
-            );
-            return None;
-        }
+        let path = write_json(
+            None,
+            &format!("{}.json", self.id),
+            &Value::Object(artifact),
+            "artifact",
+        )?;
         println!("\n[written {}]", path.display());
         Some(path)
     }
@@ -244,10 +246,6 @@ fn sampling_meta(sample: Option<&str>, slow_ms: Option<&str>) -> Option<Value> {
     Some(Value::Object(block))
 }
 
-fn run_metadata(trace: Option<&Path>) -> Value {
-    artifact_meta(trace)
-}
-
 fn host_name() -> String {
     std::env::var("HOSTNAME")
         .ok()
@@ -284,34 +282,7 @@ pub fn write_bench_artifact(out: Option<&Path>, id: &str, body: Map) -> Option<P
         eprintln!("minobs-bench: refusing to write invalid bench artifact: {err}");
         return None;
     }
-    let path = match out {
-        Some(path) => path.to_path_buf(),
-        None => {
-            let dir = experiment_dir();
-            if let Err(err) = fs::create_dir_all(&dir) {
-                eprintln!(
-                    "minobs-bench: cannot create artifact dir {}: {err}",
-                    dir.display()
-                );
-                return None;
-            }
-            dir.join(format!("{id}.json"))
-        }
-    };
-    let json = match serde_json::to_string_pretty(&artifact) {
-        Ok(json) => json,
-        Err(err) => {
-            eprintln!("minobs-bench: bench artifact serialisation failed: {err}");
-            return None;
-        }
-    };
-    if let Err(err) = fs::write(&path, json) {
-        eprintln!(
-            "minobs-bench: cannot write bench artifact {}: {err}",
-            path.display()
-        );
-        return None;
-    }
+    let path = write_json(out, &format!("{id}.json"), &artifact, "bench artifact")?;
     println!("[bench artifact {}]", path.display());
     Some(path)
 }

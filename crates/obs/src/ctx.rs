@@ -4,7 +4,7 @@
 //! A [`TraceContext`] is a 128-bit `trace_id` plus an optional parent
 //! `span_id` — the same shape as a W3C `traceparent` (minus flags).
 //! Clients mint a fresh root context per logical call; every hop that
-//! forwards work (retry, failover, gossip fan-out) re-sends the same
+//! forwards work (retry, gossip fan-out) re-sends the same
 //! `trace_id` with its own span as the parent, so offline stitching
 //! (`trace stitch`) can rebuild the cross-node span tree.
 //!

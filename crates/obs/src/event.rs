@@ -68,8 +68,7 @@ impl RoundCounts {
 pub enum TraceEvent {
     /// A run began. `round` is always 0.
     RunStart {
-        /// Which execution surface: `"two_process"`, `"network"`, or
-        /// `"checker"`.
+        /// Which execution surface: `"two_process"` or `"network"`.
         engine: &'static str,
         /// Number of participating processes (2 for the two-process engine).
         nodes: usize,
@@ -103,15 +102,6 @@ pub enum TraceEvent {
         /// Message accounting for exactly this round.
         counts: RoundCounts,
         /// Wall-clock nanoseconds the round took (0 when timing is off).
-        nanos: u64,
-    },
-    /// A named timed section inside a run.
-    Span {
-        /// Round the span is attributed to.
-        round: usize,
-        /// Section name, e.g. `"adversary_select"`.
-        name: String,
-        /// Wall-clock nanoseconds.
         nanos: u64,
     },
     /// A profiling span opened. Closed by the [`TraceEvent::SpanEnd`]
@@ -334,7 +324,6 @@ impl TraceEvent {
             TraceEvent::Message { .. } => "message",
             TraceEvent::Decision { .. } => "decision",
             TraceEvent::RoundEnd { .. } => "round_end",
-            TraceEvent::Span { .. } => "span",
             TraceEvent::SpanStart { .. } => "span_start",
             TraceEvent::SpanEnd { .. } => "span_end",
             TraceEvent::CheckerProgress { .. } => "checker_progress",
@@ -375,7 +364,6 @@ impl TraceEvent {
             TraceEvent::Message { round, .. }
             | TraceEvent::Decision { round, .. }
             | TraceEvent::RoundEnd { round, .. }
-            | TraceEvent::Span { round, .. }
             | TraceEvent::SpanStart { round, .. }
             | TraceEvent::SpanEnd { round, .. }
             | TraceEvent::CheckerProgress { round, .. }
@@ -419,10 +407,6 @@ impl TraceEvent {
             }
             TraceEvent::RoundEnd { counts, nanos, .. } => {
                 insert_counts(&mut map, *counts);
-                map.insert("nanos".to_string(), Value::from(*nanos));
-            }
-            TraceEvent::Span { name, nanos, .. } => {
-                map.insert("name".to_string(), Value::from(name.as_str()));
                 map.insert("nanos".to_string(), Value::from(*nanos));
             }
             TraceEvent::SpanStart {
@@ -625,11 +609,6 @@ impl TraceEvent {
                 counts: f.counts()?,
                 nanos: f.u64("nanos")?,
             },
-            "span" => TraceEvent::Span {
-                round,
-                name: f.string("name")?,
-                nanos: f.u64("nanos")?,
-            },
             "span_start" => TraceEvent::SpanStart {
                 round,
                 span_id: f.u64("span_id")?,
@@ -746,7 +725,7 @@ impl TraceEvent {
 
 /// The values each `&'static str` field can take, in the order the
 /// decoder reports them.
-const ENGINES: &[&str] = &["two_process", "network", "checker"];
+const ENGINES: &[&str] = &["two_process", "network"];
 const STATUSES: &[&str] = &["delivered", "dropped", "misaddressed"];
 const CACHE_DISPOSITIONS: &[&str] = &["hit", "miss", "subsumed", "none"];
 const RECORD_OPS: &[&str] = &["horizon", "theorem", "snapshot"];
@@ -872,11 +851,6 @@ mod tests {
                     misaddressed: 0,
                 },
                 nanos: 10,
-            },
-            TraceEvent::Span {
-                round: 1,
-                name: "adversary_select".to_string(),
-                nanos: 5,
             },
             TraceEvent::SpanStart {
                 round: 1,
@@ -1026,7 +1000,7 @@ mod tests {
             let line = format!(r#"{{"schema":"{SCHEMA}",{body}}}"#);
             TraceEvent::from_json(&serde_json::from_str(&line).unwrap()).unwrap_err()
         };
-        for engine in ["warp", "network_parallel"] {
+        for engine in ["warp", "network_parallel", "checker"] {
             let err = decode(&format!(
                 r#""event":"run_start","round":0,"engine":"{engine}","nodes":2,"threads":1"#
             ));
@@ -1036,7 +1010,7 @@ mod tests {
         assert!(err.contains("round 3, expected 0"), "{err}");
         let err = decode(r#""event":"span_start","round":0,"span_id":1,"name":"a""#);
         assert!(err.contains("\"parent\""), "{err}");
-        for event in ["teleport", "engine_degraded"] {
+        for event in ["teleport", "engine_degraded", "span"] {
             let err = decode(&format!(
                 r#""event":"{event}","round":1,"phase":"send","shard":0"#
             ));

@@ -52,14 +52,14 @@ use std::time::Instant;
 /// `Instant::now` syscalls off the uninstrumented hot path:
 ///
 /// ```
-/// use minobs_obs::{MemoryRecorder, Recorder, RoundTimer, TraceEvent};
+/// use minobs_obs::{MemoryRecorder, Recorder, RoundCounts, RoundTimer, TraceEvent};
 /// let mut recorder = MemoryRecorder::new();
 /// let timer = RoundTimer::start_if(recorder.enabled());
 /// // ... do the round's work ...
 /// if recorder.enabled() {
-///     recorder.record(TraceEvent::Span {
+///     recorder.record(TraceEvent::RoundEnd {
 ///         round: 0,
-///         name: "round".to_string(),
+///         counts: RoundCounts::default(),
 ///         nanos: timer.elapsed_nanos(),
 ///     });
 /// }

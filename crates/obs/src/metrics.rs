@@ -701,7 +701,6 @@ impl MetricsRecorder {
             TraceEvent::PeerDown { .. } => self.gossip_peer_down.inc(),
             TraceEvent::RunStart { .. }
             | TraceEvent::Message { .. }
-            | TraceEvent::Span { .. }
             | TraceEvent::SpanStart { .. }
             | TraceEvent::BudgetExhausted { .. }
             | TraceEvent::Health { .. }

@@ -41,7 +41,7 @@
 //! `--out DIR` writes one `<node>.trace.jsonl` per node — ready for
 //! `trace stitch` to reassemble a cross-node incident trace.
 
-use minobs_obs::Histogram;
+use minobs_obs::{Histogram, TraceContext};
 use minobs_svc::client::{RetryPolicy, SvcClient};
 use minobs_svc::loadgen::{
     find_knee, parse_mix, run_open_loop, KneeCriteria, MixEntry, OpenLoopConfig, OpenLoopSummary,
@@ -144,7 +144,7 @@ fn call(args: &[String]) -> ExitCode {
         budget: retries,
         ..RetryPolicy::default()
     };
-    match client.call_with_retry(&method, params, &policy) {
+    match client.call_with(&method, params, &policy, &TraceContext::root()) {
         Ok(result) => {
             let text = serde_json::to_string_pretty(&result)
                 .unwrap_or_else(|err| format!("<unprintable result: {err:?}>"));

@@ -6,7 +6,7 @@
 //!
 //! Every daemon method is idempotent — verdicts are immutable theorems,
 //! so asking twice cannot change an answer — which makes blind retry
-//! safe. [`SvcClient::call_with_retry`] exploits that: transport
+//! safe. [`SvcClient::call_with`] exploits that: transport
 //! failures and `busy` rejections reconnect and retry under exponential
 //! backoff with deterministic jitter, capped by a [`RetryPolicy`]
 //! budget. Definitive RPC errors (`bad_params`, `unsupported`, …) are
@@ -72,10 +72,10 @@ impl From<FrameError> for SvcError {
     }
 }
 
-/// How [`SvcClient::call_with_retry`] behaves between attempts.
+/// How [`SvcClient::call_with`] behaves between attempts.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
-    /// Retries after the first attempt; 0 behaves like [`SvcClient::call`].
+    /// Retries after the first attempt; 0 makes exactly one attempt.
     pub budget: u32,
     /// Backoff before the first retry; doubles each retry after.
     pub base: Duration,
@@ -187,20 +187,53 @@ impl SvcClient {
         Ok(())
     }
 
-    /// Calls `method` and returns the `result` payload. Each call mints
-    /// a fresh root [`TraceContext`], so every request is traceable
-    /// end-to-end by default; use [`SvcClient::call_with_ctx`] to thread
-    /// an existing context through instead.
+    /// Calls `method` once and returns the `result` payload, under a
+    /// fresh root [`TraceContext`] so every request is traceable
+    /// end-to-end by default; use [`SvcClient::call_with`] to retry or to
+    /// thread an existing context through instead.
     pub fn call(&mut self, method: &str, params: Value) -> Result<Value, SvcError> {
         let ctx = TraceContext::root();
-        self.call_with_ctx(method, params, &ctx)
+        self.attempt(method, params, &ctx)
     }
 
-    /// Calls `method` under an explicit distributed trace context: the
-    /// request envelope carries `ctx` and the daemon parents its
-    /// `rpc.{method}` span under `ctx.parent_span` within
-    /// `ctx.trace_id`.
-    pub fn call_with_ctx(
+    /// Calls `method` under `ctx`, retrying transient failures (transport
+    /// errors, `busy` rejections) under `policy`: reconnect, back off
+    /// exponentially with jitter, try again, up to `policy.budget`
+    /// retries (`budget: 0` makes exactly one attempt). Safe because
+    /// every daemon method is idempotent. Every attempt carries the same
+    /// `ctx`, so the daemon parents its `rpc.{method}` span under
+    /// `ctx.parent_span` within `ctx.trace_id` and a retried request
+    /// stays one trace.
+    pub fn call_with(
+        &mut self,
+        method: &str,
+        params: Value,
+        policy: &RetryPolicy,
+        ctx: &TraceContext,
+    ) -> Result<Value, SvcError> {
+        let first_id = self.next_id;
+        let mut attempt = 0u32;
+        while attempt < policy.budget {
+            match self.attempt(method, params.clone(), ctx) {
+                Err(e) if e.is_retryable() => {
+                    std::thread::sleep(policy.backoff(first_id, attempt));
+                    attempt += 1;
+                    // A failed attempt leaves the connection in an
+                    // unknown state (half-written frame, unread busy
+                    // hangup); always start the retry on a fresh one.
+                    // A failed reconnect just burns this attempt.
+                    let _ = self.reconnect();
+                }
+                done => return done,
+            }
+        }
+        // The last attempt moves `params`, so a `budget: 0` call never
+        // clones them.
+        self.attempt(method, params, ctx)
+    }
+
+    /// One request/response round trip on the current connection.
+    fn attempt(
         &mut self,
         method: &str,
         params: Value,
@@ -220,51 +253,6 @@ impl SvcClient {
             ))
         })?;
         decode_response(&response, id)
-    }
-
-    /// Calls `method`, retrying transient failures (transport errors,
-    /// `busy` rejections) under `policy`: reconnect, back off
-    /// exponentially with jitter, try again, up to `policy.budget`
-    /// retries. Safe because every daemon method is idempotent. All
-    /// attempts share one freshly minted trace context, so a retried
-    /// request stays one trace.
-    pub fn call_with_retry(
-        &mut self,
-        method: &str,
-        params: Value,
-        policy: &RetryPolicy,
-    ) -> Result<Value, SvcError> {
-        let ctx = TraceContext::root();
-        self.call_with_retry_ctx(method, params, policy, &ctx)
-    }
-
-    /// [`SvcClient::call_with_retry`] under an explicit trace context —
-    /// the building block [`crate::ClusterClient`] uses to keep one
-    /// `trace_id` across retry *and* failover hops.
-    pub fn call_with_retry_ctx(
-        &mut self,
-        method: &str,
-        params: Value,
-        policy: &RetryPolicy,
-        ctx: &TraceContext,
-    ) -> Result<Value, SvcError> {
-        let first_id = self.next_id;
-        let mut attempt = 0u32;
-        loop {
-            match self.call_with_ctx(method, params.clone(), ctx) {
-                Ok(value) => return Ok(value),
-                Err(e) if e.is_retryable() && attempt < policy.budget => {
-                    std::thread::sleep(policy.backoff(first_id, attempt));
-                    attempt += 1;
-                    // A failed attempt leaves the connection in an
-                    // unknown state (half-written frame, unread busy
-                    // hangup); always start the retry on a fresh one.
-                    // A failed reconnect just burns this attempt.
-                    let _ = self.reconnect();
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 }
 
@@ -420,7 +408,9 @@ mod tests {
             cap: Duration::from_millis(4),
             seed: 1,
         };
-        let value = client.call_with_retry("stats", Value::Null, &policy).unwrap();
+        let value = client
+            .call_with("stats", Value::Null, &policy, &TraceContext::root())
+            .unwrap();
         assert_eq!(value, Value::from(42u64));
         server.join().unwrap();
     }
@@ -446,10 +436,406 @@ mod tests {
             cap: Duration::from_millis(2),
             seed: 1,
         };
-        match client.call_with_retry("stats", Value::Null, &policy) {
+        match client.call_with("stats", Value::Null, &policy, &TraceContext::root()) {
             Err(SvcError::Busy(_)) | Err(SvcError::Io(_)) => {}
             other => panic!("expected exhausted retries, got {other:?}"),
         }
         server.join().unwrap();
+    }
+
+    #[test]
+    fn call_with_keeps_one_trace_id_across_retries_and_stops_at_definitive_errors() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let trace_id = |request: &Value| {
+            request
+                .get("ctx")
+                .and_then(|ctx| ctx.get("trace_id"))
+                .and_then(Value::as_str)
+                .expect("every attempt carries a ctx")
+                .to_string()
+        };
+        let server = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            // First connection: read the request, then reject it busy
+            // the way the acceptor does (id 0) and hang up.
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = &stream;
+            seen.push(trace_id(&read_frame(&mut reader).unwrap().unwrap()));
+            let mut writer = &stream;
+            write_frame(&mut writer, &err_response(0, "busy", "at capacity")).unwrap();
+            drop(stream);
+            // Second connection: answer the retry, then answer the next
+            // call with a definitive error.
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = &stream;
+            let mut writer = &stream;
+            let retried = read_frame(&mut reader).unwrap().unwrap();
+            seen.push(trace_id(&retried));
+            let id = retried.get("id").and_then(Value::as_u64).unwrap();
+            write_frame(&mut writer, &ok_response(id, Value::from("ok"))).unwrap();
+            let refused = read_frame(&mut reader).unwrap().unwrap();
+            seen.push(trace_id(&refused));
+            let id = refused.get("id").and_then(Value::as_u64).unwrap();
+            write_frame(&mut writer, &err_response(id, "bad_params", "nope")).unwrap();
+            // The client hangs up without another request or dial.
+            assert!(read_frame(&mut reader).unwrap().is_none());
+            listener.set_nonblocking(true).unwrap();
+            assert!(listener.accept().is_err(), "a definitive error was retried");
+            seen
+        });
+
+        let mut client =
+            SvcClient::connect_with_timeout(addr, Some(Duration::from_secs(5))).unwrap();
+        client.set_timeout(Some(Duration::from_secs(5))).unwrap();
+        let policy = RetryPolicy {
+            budget: 3,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(4),
+            seed: 1,
+        };
+        let ctx = TraceContext::root();
+        let value = client
+            .call_with("stats", Value::Null, &policy, &ctx)
+            .unwrap();
+        assert_eq!(value, Value::from("ok"));
+        let other = TraceContext::root();
+        match client.call_with("stats", Value::Null, &policy, &other) {
+            Err(SvcError::Rpc { code, .. }) => assert_eq!(code, "bad_params"),
+            other => panic!("expected the rpc error straight back, got {other:?}"),
+        }
+        drop(client);
+
+        let seen = server.join().unwrap();
+        let busy_then_ok = ctx.trace_id_hex();
+        assert_eq!(busy_then_ok.len(), 32, "trace id is 32 hex digits");
+        assert_eq!(
+            seen,
+            [busy_then_ok.clone(), busy_then_ok, other.trace_id_hex()],
+            "a retry re-sends its call's trace_id instead of minting a new root"
+        );
+    }
+
+    fn fast_policy(budget: u32) -> RetryPolicy {
+        RetryPolicy {
+            budget,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(4),
+            seed: 1,
+        }
+    }
+
+    fn connect_local(addr: SocketAddr) -> SvcClient {
+        let mut client =
+            SvcClient::connect_with_timeout(addr, Some(Duration::from_secs(5))).unwrap();
+        client.set_timeout(Some(Duration::from_secs(5))).unwrap();
+        client
+    }
+
+    /// An address nothing listens on: bind an ephemeral port, then close it.
+    fn refused_addr() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.local_addr().unwrap()
+    }
+
+    fn request_field<'a>(request: &'a Value, field: &str) -> &'a Value {
+        request.get(field).unwrap_or_else(|| panic!("request lacks {field:?}"))
+    }
+
+    fn parse(text: &str) -> Value {
+        serde_json::from_str(text).unwrap()
+    }
+
+    #[test]
+    fn budget_zero_makes_exactly_one_attempt() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = &stream;
+            read_frame(&mut reader).unwrap().unwrap();
+            let mut writer = &stream;
+            write_frame(&mut writer, &err_response(0, "busy", "at capacity")).unwrap();
+            // The client must neither re-send on this connection nor dial
+            // again.
+            assert!(read_frame(&mut reader).unwrap().is_none());
+            listener.set_nonblocking(true).unwrap();
+            assert!(listener.accept().is_err(), "budget 0 retried");
+        });
+        let mut client = connect_local(addr);
+        match client.call_with("stats", Value::Null, &fast_policy(0), &TraceContext::root()) {
+            Err(SvcError::Busy(message)) => assert_eq!(message, "at capacity"),
+            other => panic!("expected the busy rejection, got {other:?}"),
+        }
+        drop(client);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn plain_call_makes_one_attempt_and_reports_an_unanswered_request_as_io() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = &stream;
+            read_frame(&mut reader).unwrap().unwrap();
+            drop(stream);
+            listener.set_nonblocking(true).unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(listener.accept().is_err(), "`call` redialled");
+        });
+        let mut client = connect_local(addr);
+        match client.call("stats", Value::Null) {
+            Err(err @ SvcError::Io(_)) => assert!(err.is_retryable()),
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_hangup_without_an_answer_reconnects_and_resends_the_same_ctx() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            // First connection: read the request and hang up unanswered.
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = &stream;
+            let dropped = read_frame(&mut reader).unwrap().unwrap();
+            drop(stream);
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = &stream;
+            let retried = read_frame(&mut reader).unwrap().unwrap();
+            let id = retried.get("id").and_then(Value::as_u64).unwrap();
+            let mut writer = &stream;
+            write_frame(&mut writer, &ok_response(id, Value::from("second"))).unwrap();
+            (dropped, retried)
+        });
+        let mut client = connect_local(addr);
+        let ctx = TraceContext::root().child(9);
+        let value = client
+            .call_with("stats", Value::from("p"), &fast_policy(2), &ctx)
+            .unwrap();
+        assert_eq!(value, Value::from("second"));
+        let (dropped, retried) = server.join().unwrap();
+        assert_eq!(request_field(&dropped, "ctx"), &ctx.to_json());
+        assert_eq!(request_field(&retried, "ctx"), &ctx.to_json());
+        assert_eq!(request_field(&retried, "method"), &Value::from("stats"));
+        assert_eq!(request_field(&retried, "params"), &Value::from("p"));
+        let first = request_field(&dropped, "id").as_u64().unwrap();
+        let second = request_field(&retried, "id").as_u64().unwrap();
+        assert!(second > first, "a retry takes a fresh request id");
+    }
+
+    #[test]
+    fn plain_calls_each_mint_a_fresh_root_ctx() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = &stream;
+            let mut writer = &stream;
+            let mut ctxs = Vec::new();
+            while let Ok(Some(request)) = read_frame(&mut reader) {
+                ctxs.push(request_field(&request, "ctx").clone());
+                let id = request.get("id").and_then(Value::as_u64).unwrap();
+                write_frame(&mut writer, &ok_response(id, Value::Null)).unwrap();
+            }
+            ctxs
+        });
+        let mut client = connect_local(addr);
+        for _ in 0..3 {
+            assert_eq!(client.call("stats", Value::Null).unwrap(), Value::Null);
+        }
+        drop(client);
+        let ctxs = server.join().unwrap();
+        assert_eq!(ctxs.len(), 3);
+        let roots: Vec<TraceContext> = ctxs
+            .iter()
+            .map(|ctx| TraceContext::from_json(ctx).expect("a well-formed ctx"))
+            .collect();
+        for (i, a) in roots.iter().enumerate() {
+            assert_eq!(a.trace_id_hex().len(), 32);
+            for b in &roots[i + 1..] {
+                assert_ne!(a.trace_id, b.trace_id, "two calls shared a trace");
+            }
+        }
+    }
+
+    #[test]
+    fn request_ids_keep_counting_across_a_reconnect() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let mut ids = Vec::new();
+            for _ in 0..2 {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = &stream;
+                let request = read_frame(&mut reader).unwrap().unwrap();
+                let id = request.get("id").and_then(Value::as_u64).unwrap();
+                ids.push(id);
+                let mut writer = &stream;
+                write_frame(&mut writer, &ok_response(id, Value::from(id))).unwrap();
+            }
+            ids
+        });
+        let mut client = connect_local(addr);
+        assert_eq!(client.call("stats", Value::Null).unwrap(), Value::from(1u64));
+        client.reconnect().unwrap();
+        assert_eq!(client.call("stats", Value::Null).unwrap(), Value::from(2u64));
+        assert_eq!(server.join().unwrap(), [1, 2]);
+    }
+
+    #[test]
+    fn the_read_timeout_survives_a_reconnect() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (first, _) = listener.accept().unwrap();
+            let (second, _) = listener.accept().unwrap();
+            let mut reader = &second;
+            read_frame(&mut reader).unwrap().unwrap();
+            // Never answer; hold both connections until the client gave up.
+            done_rx.recv().unwrap();
+            drop((first, second));
+        });
+        let mut client = SvcClient::connect(addr).unwrap();
+        client.set_timeout(Some(Duration::from_millis(50))).unwrap();
+        client.reconnect().unwrap();
+        let started = std::time::Instant::now();
+        match client.call("stats", Value::Null) {
+            Err(SvcError::Io(e)) => assert!(
+                matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+                "expected a read timeout, got {e:?}"
+            ),
+            other => panic!("expected a read timeout, got {other:?}"),
+        }
+        assert!(started.elapsed() < Duration::from_secs(5));
+        done_tx.send(()).unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn an_address_list_that_resolves_to_nothing_fails_without_dialing() {
+        let none: &[SocketAddr] = &[];
+        match SvcClient::connect(none) {
+            Err(SvcError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+            Err(other) => panic!("expected an invalid-input error, got {other:?}"),
+            Ok(_) => panic!("connected to no address"),
+        }
+    }
+
+    #[test]
+    fn connect_falls_through_refused_addresses_in_order() {
+        let dead = refused_addr();
+        match SvcClient::connect_with_timeout(dead, Some(Duration::from_secs(5))) {
+            Err(err @ SvcError::Io(_)) => assert!(err.is_retryable()),
+            Err(other) => panic!("expected a transport error, got {other:?}"),
+            Ok(_) => panic!("connected to a closed port"),
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let live = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = &stream;
+            let request = read_frame(&mut reader).unwrap().unwrap();
+            let id = request.get("id").and_then(Value::as_u64).unwrap();
+            let mut writer = &stream;
+            write_frame(&mut writer, &ok_response(id, Value::from("live"))).unwrap();
+        });
+        let mut client = SvcClient::connect(&[dead, live][..]).unwrap();
+        assert_eq!(client.call("stats", Value::Null).unwrap(), Value::from("live"));
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn malformed_envelopes_are_protocol_errors() {
+        assert_eq!(RPC_VERSION, "minobs/rpc/v1");
+        for (text, why) in [
+            (r#"{"rpc":"other/v9","id":1,"ok":true,"result":1}"#, "foreign version"),
+            (r#"{"id":1,"ok":true,"result":1}"#, "no version"),
+            (r#"{"rpc":"minobs/rpc/v1","id":1,"result":1}"#, "no ok flag"),
+            (r#"{"rpc":"minobs/rpc/v1","ok":true,"result":1}"#, "no id"),
+            (r#"{"rpc":"minobs/rpc/v1","id":"1","ok":true,"result":1}"#, "string id"),
+        ] {
+            match decode_response(&parse(text), 1) {
+                Err(SvcError::Protocol(_)) => {}
+                other => panic!("{why}: expected a protocol error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_envelopes_decode_with_defaults() {
+        let no_result = parse(r#"{"rpc":"minobs/rpc/v1","id":3,"ok":true}"#);
+        assert_eq!(decode_response(&no_result, 3).unwrap(), Value::Null);
+        let bare_error = parse(r#"{"rpc":"minobs/rpc/v1","id":3,"ok":false}"#);
+        match decode_response(&bare_error, 3) {
+            Err(SvcError::Rpc { code, message }) => {
+                assert_eq!(code, "unknown");
+                assert_eq!(message, "");
+            }
+            other => panic!("expected an rpc error, got {other:?}"),
+        }
+        // A busy rejection without a message is still busy, whatever its id.
+        let terse_busy = parse(r#"{"rpc":"minobs/rpc/v1","ok":false,"error":{"code":"busy"}}"#);
+        match decode_response(&terse_busy, 3) {
+            Err(SvcError::Busy(message)) => assert_eq!(message, ""),
+            other => panic!("expected busy, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn frame_errors_map_transport_to_io_and_the_rest_to_protocol() {
+        let io_err: SvcError = FrameError::Io(io::Error::other("reset")).into();
+        assert!(matches!(io_err, SvcError::Io(_)) && io_err.is_retryable());
+        for frame_err in [FrameError::TooLarge(usize::MAX), FrameError::BadJson("x".into())] {
+            let err: SvcError = frame_err.into();
+            assert!(matches!(err, SvcError::Protocol(_)), "{err:?}");
+            assert!(!err.is_retryable(), "a malformed frame is definitive");
+        }
+    }
+
+    #[test]
+    fn backoff_saturates_at_the_cap_and_vanishes_with_a_zero_base() {
+        let policy = RetryPolicy {
+            budget: u32::MAX,
+            base: Duration::from_millis(10),
+            cap: Duration::from_millis(100),
+            seed: 5,
+        };
+        for attempt in [31, 32, 63, u32::MAX] {
+            let sleep = policy.backoff(1, attempt);
+            assert!(
+                sleep >= policy.cap / 2 && sleep <= policy.cap,
+                "attempt {attempt}: {sleep:?}"
+            );
+        }
+        let zero = RetryPolicy {
+            base: Duration::ZERO,
+            ..policy
+        };
+        for attempt in [0, 1, u32::MAX] {
+            assert_eq!(zero.backoff(1, attempt), Duration::ZERO);
+        }
+    }
+
+    #[test]
+    fn errors_display_their_kind() {
+        let cases = [
+            (SvcError::Io(io::Error::other("reset")), "i/o error: reset"),
+            (SvcError::Busy("full".into()), "daemon busy: full"),
+            (SvcError::Protocol("bad id".into()), "protocol error: bad id"),
+            (
+                SvcError::Rpc {
+                    code: "bad_params".into(),
+                    message: "nope".into(),
+                },
+                "rpc error [bad_params]: nope",
+            ),
+        ];
+        for (err, shown) in cases {
+            assert_eq!(err.to_string(), shown);
+        }
     }
 }

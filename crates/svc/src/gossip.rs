@@ -38,7 +38,7 @@
 //! one `peer_down` event.
 
 use crate::cache::{fnv1a_extend, shard_of, Admission, FNV_OFFSET, SHARDS};
-use crate::client::SvcClient;
+use crate::client::{RetryPolicy, SvcClient};
 use crate::methods::RpcError;
 use crate::server::ServerState;
 use crate::wal::WalRecord;
@@ -60,6 +60,14 @@ const DRAIN_POLL: Duration = Duration::from_millis(20);
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 /// Response timeout per gossip RPC.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
+/// Gossip RPCs are not retried: a failed exchange is accounted in the
+/// peer table and the next round tries again.
+const ONE_ATTEMPT: RetryPolicy = RetryPolicy {
+    budget: 0,
+    base: Duration::ZERO,
+    cap: Duration::ZERO,
+    seed: 0,
+};
 /// Ceiling on a chaos-injected delay, so a hostile policy cannot wedge
 /// the loop past drain responsiveness.
 const MAX_INJECTED_DELAY: Duration = Duration::from_millis(100);
@@ -221,7 +229,12 @@ fn exchange(
     let entries = state.cache().snapshot();
     let mine = fingerprints(&entries);
     let reply = client
-        .call_with_ctx("gossip", digest_params(&config.self_addr, &mine), &rpc_ctx)
+        .call_with(
+            "gossip",
+            digest_params(&config.self_addr, &mine),
+            &ONE_ATTEMPT,
+            &rpc_ctx,
+        )
         .map_err(|e| e.to_string())?;
     let theirs = parse_digest_result(&reply).ok_or("peer sent a malformed digest result")?;
     let mismatch = mismatched(&mine, &theirs);
@@ -230,9 +243,10 @@ fn exchange(
     } else {
         let outbound = shard_deltas(&entries, &mismatch);
         let reply = client
-            .call_with_ctx(
+            .call_with(
                 "gossip",
                 sync_params(&config.self_addr, &mismatch, &outbound),
+                &ONE_ATTEMPT,
                 &rpc_ctx,
             )
             .map_err(|e| e.to_string())?;

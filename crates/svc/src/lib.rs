@@ -20,22 +20,20 @@
 //! Daemons can form a replicated cluster: a background [`gossip`] loop
 //! exchanges per-shard digests with configured peers and ships missing
 //! verdicts as [`wal::WalRecord`] deltas (convergent because bounds only
-//! tighten), tracking peer health in [`peers`], while
-//! [`cluster_client::ClusterClient`] routes each key to its [`ring`]
-//! owner with failover. WAL replay, gossip ingest and the method
-//! handlers all admit verdicts through [`VerdictCache::admit`]. See
-//! `docs/CLUSTER.md`.
+//! tighten), tracking peer health in [`peers`]. Since any node can
+//! answer any key, clients need no routing: a [`SvcClient`] talks to
+//! one node and [`SvcClient::call_with`] retries its transient errors.
+//! WAL replay, gossip ingest and the method handlers all admit
+//! verdicts through [`VerdictCache::admit`]. See `docs/CLUSTER.md`.
 //!
 //! See `docs/SERVICE.md` for the wire format and method reference.
 
 pub mod cache;
 pub mod client;
-pub mod cluster_client;
 pub mod gossip;
 pub mod loadgen;
 pub mod methods;
 pub mod peers;
-pub mod ring;
 pub mod server;
 pub mod spec;
 pub mod wal;
@@ -43,6 +41,5 @@ pub mod wire;
 
 pub use cache::VerdictCache;
 pub use client::{RetryPolicy, SvcClient, SvcError};
-pub use cluster_client::ClusterClient;
 pub use server::{serve, Limits, Server, ServerState, SvcConfig};
 pub use spec::ParsedScheme;

@@ -612,11 +612,14 @@ fn parse_edge(entry: &Value) -> Result<(usize, usize), RpcError> {
 /// a full metrics snapshot (including the `svc.cache_*` counters), and
 /// per-method latency quantiles.
 fn stats(state: &ServerState) -> Value {
+    // Published as a gauge so the backlog is visible in every snapshot.
+    let queued = state.queued();
+    state.registry().gauge("svc.queued").set(queued);
     obj(&[
         ("uptime_ms", Value::from(state.uptime_ms())),
         ("workers", Value::from(state.workers() as u64)),
         ("draining", Value::from(state.draining())),
-        ("queued", Value::from(queued_depth(state))),
+        ("queued", Value::from(queued)),
         ("cache_entries", Value::from(state.cache().entries() as u64)),
         ("peers", state.peers_json()),
         ("latency", latency_summary(state)),
@@ -683,20 +686,6 @@ fn health(state: &ServerState) -> Value {
             ]),
         ),
     ])
-}
-
-/// Requests accepted but not yet answered (including the `stats` call
-/// computing it, so an idle daemon reports 1 while answering). Derived
-/// from the existing accepted/answered counters and published as the
-/// `svc.queued` gauge so the backlog is visible in every snapshot.
-fn queued_depth(state: &ServerState) -> u64 {
-    let registry = state.registry();
-    let accepted = registry.counter("svc.requests").get();
-    let answered =
-        registry.counter("svc.responses_ok").get() + registry.counter("svc.responses_err").get();
-    let queued = accepted.saturating_sub(answered);
-    registry.gauge("svc.queued").set(queued);
-    queued
 }
 
 /// Per-method latency quantiles from the `svc.method.*.latency_ns`

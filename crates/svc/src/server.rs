@@ -651,6 +651,16 @@ impl ServerState {
         lock(&self.peers).to_json()
     }
 
+    /// Requests accepted but not yet answered, from the accepted and
+    /// answered counters. Includes the request asking, so an idle
+    /// daemon reports 1 while answering.
+    pub fn queued(&self) -> u64 {
+        let accepted = self.registry.counter("svc.requests").get();
+        let answered = self.registry.counter("svc.responses_ok").get()
+            + self.registry.counter("svc.responses_err").get();
+        accepted.saturating_sub(answered)
+    }
+
     /// Evaluates the health plane and publishes it.
     ///
     /// * `live` — true whenever the daemon can run the evaluation;
@@ -664,10 +674,7 @@ impl ServerState {
     /// edge-triggered `health` trace event whenever the packed verdict
     /// changes (including the first evaluation).
     pub fn evaluate_health(&self) -> HealthReport {
-        let accepted = self.registry.counter("svc.requests").get();
-        let answered = self.registry.counter("svc.responses_ok").get()
-            + self.registry.counter("svc.responses_err").get();
-        let queued = accepted.saturating_sub(answered);
+        let queued = self.queued();
         let (peer_count, peers_alive) = {
             let peers = lock(&self.peers);
             (peers.len(), peers.alive())

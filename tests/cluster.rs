@@ -14,10 +14,9 @@
 use minobs_bench::lint::lint;
 use minobs_chaos::link::{LinkFault, LinkFaultPlan};
 use minobs_obs::TraceContext;
-use minobs_svc::client::SvcClient;
+use minobs_svc::client::{RetryPolicy, SvcClient};
 use minobs_svc::gossip::{LinkPolicy, LinkVerdict};
 use minobs_svc::server::{serve, Server, SvcConfig};
-use minobs_svc::ClusterClient;
 use serde_json::{Map, Value};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -195,15 +194,13 @@ fn three_nodes_converge_and_serve_each_others_verdicts() {
         .map(|server| server.local_addr().to_string())
         .collect();
 
-    // Prove a key on one node through the real RPC surface, routed by
-    // the consistent-hash ring like a production client would.
-    let mut cluster_client = ClusterClient::new(&addrs);
-    let fresh = cluster_client
-        .call("classic:r1|binary", "check_horizon", check_params("r1", 3))
-        .unwrap();
+    // Prove a key on node 0 through the real RPC surface; any node
+    // answers any key, so no routing is involved.
+    let mut client = SvcClient::connect(addrs[0].as_str()).unwrap();
+    let fresh = client.call("check_horizon", check_params("r1", 3)).unwrap();
     assert_eq!(fresh.get("cached").and_then(Value::as_bool), Some(false));
 
-    // Every node — owner or not — must come to serve it from cache.
+    // Every node must come to serve it from cache.
     // Wait on the node's *snapshot*, not on a check_horizon probe: a probe
     // would prove the verdict locally on its first miss, and the eventual
     // cache hit would say nothing about replication. With the snapshot
@@ -410,7 +407,15 @@ fn fleet_dump_trace_reassembles_a_cross_node_trace() {
     let hex = ctx.trace_id_hex();
     let mut client = SvcClient::connect(addrs[NODES - 1].as_str()).unwrap();
     let fresh = client
-        .call_with_ctx("check_horizon", check_params("r1", 3), &ctx)
+        .call_with(
+            "check_horizon",
+            check_params("r1", 3),
+            &RetryPolicy {
+                budget: 0,
+                ..RetryPolicy::default()
+            },
+            &ctx,
+        )
         .unwrap();
     assert_eq!(fresh.get("cached").and_then(Value::as_bool), Some(false));
 
