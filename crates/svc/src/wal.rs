@@ -69,10 +69,12 @@ pub const MAX_RECORD: u32 = 16 * 1024 * 1024;
 /// window without putting an fsync on the request path.
 const FLUSH_EVERY: u64 = 64;
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the bytewise table, and
+/// `CRC_TABLES[t][b]` is the CRC of byte `b` followed by `t` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -85,17 +87,41 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-/// CRC-32 (IEEE 802.3) over `bytes`.
+/// CRC-32 (IEEE 802.3) over `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -556,6 +582,41 @@ mod tests {
     }
 
     #[test]
+    fn crc32_matches_a_bytewise_reference() {
+        fn bytewise(bytes: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &byte in bytes {
+                crc ^= byte as u32;
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ 0xEDB8_8320
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        }
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let buffer: Vec<u8> = (0..1 << 20)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for len in 0..=64 {
+            // Every length at every alignment within a word.
+            for start in 0..8 {
+                let bytes = &buffer[start..start + len];
+                assert_eq!(crc32(bytes), bytewise(bytes), "len {len} at {start}");
+            }
+        }
+        assert_eq!(crc32(&buffer), bytewise(&buffer));
+    }
+
+    #[test]
     fn records_round_trip() {
         let records = [
             WalRecord::Horizon {
@@ -881,5 +942,101 @@ mod tests {
         assert_eq!(warm.snapshot()[0].1.max_unsolvable(), Some(11));
         assert_eq!(warm.snapshot()[1].1.min_solvable(), Some(3));
         let _ = std::fs::remove_file(&path);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A valid log over four keys (solvable iff `k >= 2 + key`, one
+        /// fixed memo per key), with the end offset of every frame.
+        fn valid_log(writes: &[(usize, usize, bool)]) -> (Vec<u8>, Vec<usize>) {
+            let mut bytes = MAGIC.to_vec();
+            let mut ends = Vec::new();
+            for &(idx, k, memo) in writes {
+                let record = if memo {
+                    WalRecord::Theorem {
+                        key: format!("classic:s{idx}|theorem"),
+                        result: Value::from(idx as u64),
+                    }
+                } else {
+                    WalRecord::Horizon {
+                        key: format!("classic:s{idx}|gamma"),
+                        k,
+                        solvable: k >= 2 + idx,
+                    }
+                };
+                bytes.extend_from_slice(&record.encode());
+                ends.push(bytes.len());
+            }
+            (bytes, ends)
+        }
+
+        /// Truncates, flips a byte, inserts bytes or overwrites a span.
+        fn mutate(log: &[u8], kind: u8, at: u64, noise: u64) -> Vec<u8> {
+            let at = (at % (log.len() as u64 + 1)) as usize;
+            let noise = noise.to_le_bytes();
+            let mut out = log.to_vec();
+            match kind {
+                0 => out.truncate(at),
+                1 if at < out.len() => out[at] ^= noise[0] | 1,
+                2 => {
+                    out.splice(at..at, noise[..1 + (noise[1] % 8) as usize].iter().copied());
+                }
+                _ => {
+                    for (slot, byte) in out[at..].iter_mut().zip(noise) {
+                        *slot = byte;
+                    }
+                }
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Replay of a damaged log admits exactly the frames that lie
+            /// wholly before the first damaged byte, and counts no cache
+            /// lookup.
+            #[test]
+            fn damaged_logs_replay_a_prefix_and_move_no_cache_counter(
+                writes in proptest::collection::vec((0..4usize, 0..10usize, any::<bool>()), 0..24),
+                mutation in (0..4u8, any::<u64>(), any::<u64>()),
+            ) {
+                let (log, ends) = valid_log(&writes);
+                let (kind, at, noise) = mutation;
+                let damaged = mutate(&log, kind, at, noise);
+                let intact = log
+                    .iter()
+                    .zip(&damaged)
+                    .take_while(|(a, b)| a == b)
+                    .count();
+                let whole = ends.iter().take_while(|&&end| end <= intact).count();
+                let prefix = if intact < MAGIC.len() {
+                    0
+                } else {
+                    ends.get(whole.wrapping_sub(1)).copied().unwrap_or(MAGIC.len())
+                };
+
+                let registry = MetricsRegistry::new();
+                let replayed = VerdictCache::new(&registry);
+                let report = replay_bytes(&damaged, &replayed);
+                let expected = cache();
+                replay_bytes(&log[..prefix], &expected);
+                if damaged == log {
+                    prop_assert_eq!(report.records, ends.len() as u64);
+                } else {
+                    prop_assert_eq!(report.records, whole as u64);
+                    prop_assert_eq!(report.bytes, prefix as u64);
+                }
+                prop_assert_eq!(replayed.snapshot(), expected.snapshot());
+                let counters = registry.snapshot();
+                for (name, value) in counters.get("counters").unwrap().as_object().unwrap().iter() {
+                    if name.starts_with("svc.cache_") {
+                        prop_assert_eq!(value.as_u64(), Some(0), "{}", name);
+                    }
+                }
+            }
+        }
     }
 }

@@ -388,8 +388,10 @@ macro_rules! prop_assert_ne {
 ///
 /// Supports the block form used across this workspace:
 /// an optional `#![proptest_config(...)]` header followed by
-/// `fn name(pattern in strategy, ...) { body }` items, each compiled to a
-/// `#[test]` that runs `cases` deterministic draws.
+/// `#[test] fn name(pattern in strategy, ...) { body }` items, each
+/// compiled to a function that runs `cases` deterministic draws. As in
+/// upstream proptest, the caller writes `#[test]` (and any other
+/// attribute); the macro adds none, so each test registers once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -400,7 +402,6 @@ macro_rules! proptest {
         fn $name:ident($($pat:pat in $strategy:expr),+ $(,)?) $body:block
     )*) => {$(
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
             for case in 0..config.cases {
@@ -472,6 +473,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
+        #[test]
         fn macro_generates_cases(x in 0u64..100, s in "[ab]{2,3}") {
             prop_assert!(x < 100);
             prop_assert!(s.len() == 2 || s.len() == 3);
@@ -480,6 +482,7 @@ mod tests {
     }
 
     proptest! {
+        #[test]
         fn macro_default_config(pair in (any::<u32>(), any::<bool>())) {
             let (x, b) = pair;
             prop_assert_eq!(x.count_ones() + x.count_zeros(), 32);

@@ -99,6 +99,42 @@ impl Map {
         }
     }
 
+    /// Builds an object from entries in document order, resolving a
+    /// repeated key the way successive [`Map::insert`] calls would: it
+    /// keeps the position where it first appeared and the value it was
+    /// given last. O(k log k) in the number of entries `k`.
+    pub fn from_entries(mut entries: Vec<(String, Value)>) -> Map {
+        if entries.len() < 2 {
+            return Map { entries };
+        }
+        // A stable sort keeps each key's occurrences in document order.
+        let mut order: Vec<usize> = (0..entries.len()).collect();
+        order.sort_by(|&a, &b| entries[a].0.cmp(&entries[b].0));
+        let same_key = |a: &usize, b: &usize| entries[*a].0 == entries[*b].0;
+        if !order.windows(2).any(|pair| same_key(&pair[0], &pair[1])) {
+            return Map { entries };
+        }
+        let mut keep = vec![true; entries.len()];
+        let mut moves = Vec::new();
+        for run in order.chunk_by(same_key) {
+            if let [first, .., last] = *run {
+                moves.push((first, last));
+                for &later in &run[1..] {
+                    keep[later] = false;
+                }
+            }
+        }
+        for (first, last) in moves {
+            entries[first].1 = std::mem::replace(&mut entries[last].1, Value::Null);
+        }
+        let mut index = 0;
+        entries.retain(|_| {
+            index += 1;
+            keep[index - 1]
+        });
+        Map { entries }
+    }
+
     /// Looks a key up.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -286,6 +322,27 @@ mod tests {
         let keys: Vec<&str> = m.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["b", "a"]);
         assert_eq!(m.get("b").unwrap().as_u64(), Some(3));
+    }
+
+    #[test]
+    fn from_entries_matches_an_insert_loop() {
+        // Every sequence of up to six keys drawn from three, each entry
+        // carrying its own position as the value.
+        for len in 0..=6u32 {
+            for code in 0..3u32.pow(len) {
+                let entries: Vec<(String, Value)> = (0..len)
+                    .map(|i| {
+                        let key = ["a", "b", ""][(code / 3u32.pow(i) % 3) as usize];
+                        (key.to_string(), Value::from(i))
+                    })
+                    .collect();
+                let mut expected = Map::new();
+                for (key, value) in entries.clone() {
+                    expected.insert(key, value);
+                }
+                assert_eq!(Map::from_entries(entries.clone()), expected, "{entries:?}");
+            }
+        }
     }
 
     #[test]

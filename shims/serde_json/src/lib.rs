@@ -3,9 +3,11 @@
 //! Renders and parses the [`Value`] model from the sibling `serde` shim:
 //! `to_string` / `to_string_pretty` over anything implementing
 //! `serde::Serialize`, and a recursive-descent `from_str` returning a
-//! `Value` tree. Covers the full JSON grammar (escapes included) at the
-//! scale this workspace needs — experiment artifacts and trace lines.
-//! Like upstream, `from_str` rejects arrays and objects nested deeper than
+//! `Value` tree. Covers the full JSON grammar (escapes included).
+//! Decoding is linear in the input: a string copies each run of plain
+//! bytes in one step, and an object resolves repeated keys in one pass
+//! over its entries (O(k log k) in its `k` keys). Like upstream,
+//! `from_str` rejects arrays and objects nested deeper than
 //! [`RECURSION_LIMIT`], so hostile input cannot overflow the stack.
 
 pub use serde::value::{Map, Number, Value};
@@ -117,6 +119,7 @@ fn write_value(value: &Value, out: &mut String, indent: Option<usize>, depth: us
 /// Parses a JSON document into a [`Value`].
 pub fn from_str(input: &str) -> Result<Value, Error> {
     let mut parser = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -131,6 +134,7 @@ pub fn from_str(input: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open around `pos`.
@@ -202,13 +206,22 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one step.
+            // Both are ASCII, so the run ends on a character boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: nothing else ends a run.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -236,15 +249,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.error("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -316,11 +320,11 @@ impl<'a> Parser<'a> {
 
     fn parse_object(&mut self) -> Result<Value, Error> {
         self.expect(b'{')?;
-        let mut map = Map::new();
+        let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(Value::Object(Map::new()));
         }
         loop {
             self.skip_ws();
@@ -328,7 +332,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             let value = self.parse_value()?;
-            map.insert(key, value);
+            entries.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -336,7 +340,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(map));
+                    return Ok(Value::Object(Map::from_entries(entries)));
                 }
                 _ => return Err(self.error("expected ',' or '}'")),
             }
@@ -415,5 +419,193 @@ mod tests {
         assert_eq!(v.as_u64(), Some(u64::MAX));
         let v = from_str("-9007199254740993").unwrap();
         assert_eq!(v.as_i64(), Some(-9007199254740993));
+    }
+
+    #[test]
+    fn strings_keep_escapes_and_multibyte_characters_across_runs() {
+        let v = from_str(r#""ab\u00e9π\"\\😀\n\/c\ud800""#).unwrap();
+        assert_eq!(v.as_str(), Some("abéπ\"\\😀\n/c\u{fffd}"));
+        let err = from_str(r#""abc"#).unwrap_err();
+        assert_eq!(err.to_string(), "unterminated string at byte 4");
+        let err = from_str(r#""abc\"#).unwrap_err();
+        assert_eq!(err.to_string(), "invalid escape at byte 5");
+        let err = from_str(r#""π\q""#).unwrap_err();
+        assert_eq!(err.to_string(), "invalid escape at byte 4");
+    }
+
+    /// Decoding is linear in the input: at the old per-character and
+    /// per-key costs each of these took minutes or more.
+    #[test]
+    fn large_strings_and_objects_parse_in_linear_time() {
+        let bound = std::time::Duration::from_secs(10);
+        let unit = "plain text é😀 \\n\\\" ";
+        let text = format!("\"{}\"", unit.repeat(4 * 1024 * 1024 / unit.len()));
+        let start = std::time::Instant::now();
+        let parsed = from_str(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert!(elapsed < bound, "4 MiB string took {elapsed:?}");
+        let expected = "plain text é😀 \n\" ".repeat(4 * 1024 * 1024 / unit.len());
+        assert_eq!(parsed.as_str(), Some(expected.as_str()));
+
+        let keys = 200_000;
+        let body: Vec<String> = (0..keys).map(|i| format!("\"k{i}\":{i}")).collect();
+        let text = format!("{{{}}}", body.join(","));
+        let start = std::time::Instant::now();
+        let parsed = from_str(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert!(elapsed < bound, "200k-key object took {elapsed:?}");
+        let map = parsed.as_object().unwrap();
+        assert_eq!(map.len(), keys);
+        let (last_key, last_value) = map.iter().last().unwrap();
+        assert_eq!((last_key.as_str(), last_value.as_u64()), ("k199999", Some(199_999)));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::TestRng;
+
+        /// Characters that stress the string codec: every escape the
+        /// writer emits, other control characters, and multi-byte text.
+        const CHARS: &[char] = &[
+            'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}',
+            '\u{1f}', '\u{7f}', 'é', 'π', '\u{2028}', '😀',
+        ];
+
+        fn arbitrary_string(rng: &mut TestRng, max: u64) -> String {
+            (0..rng.below(max + 1))
+                .map(|_| CHARS[rng.below(CHARS.len() as u64) as usize])
+                .collect()
+        }
+
+        /// Arbitrary [`Value`] trees up to `depth` levels of nesting.
+        /// Floats carry a fractional part, so their text reads back as a
+        /// float rather than an integer.
+        struct ArbitraryValue {
+            depth: u32,
+        }
+
+        impl ArbitraryValue {
+            fn draw(&self, rng: &mut TestRng, depth: u32) -> Value {
+                let kinds = if depth == 0 { 6 } else { 8 };
+                match rng.below(kinds) {
+                    0 => Value::Null,
+                    1 => Value::Bool(rng.below(2) == 1),
+                    2 => Value::from(rng.next_u64()),
+                    3 => Value::from(-(rng.below(1 << 62) as i64) - 1),
+                    4 => Value::from(
+                        (rng.below(1 << 20) as f64 + (1 + rng.below(7)) as f64 / 8.0)
+                            * if rng.below(2) == 1 { -1.0 } else { 1.0 },
+                    ),
+                    5 => Value::String(arbitrary_string(rng, 12)),
+                    6 => Value::Array(
+                        (0..rng.below(5)).map(|_| self.draw(rng, depth - 1)).collect(),
+                    ),
+                    _ => {
+                        let mut map = Map::new();
+                        for _ in 0..rng.below(5) {
+                            map.insert(arbitrary_string(rng, 4), self.draw(rng, depth - 1));
+                        }
+                        Value::Object(map)
+                    }
+                }
+            }
+        }
+
+        impl Strategy for ArbitraryValue {
+            type Value = Value;
+            fn generate(&self, rng: &mut TestRng) -> Value {
+                self.draw(rng, self.depth)
+            }
+        }
+
+        /// Fragments of JSON, valid and not, concatenated at random.
+        struct JsonishText;
+
+        const FRAGMENTS: &[&str] = &[
+            "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "\\u00e9", "\\ud83d", "\\x",
+            "0", "-", "12", "1.5", "e", "E+", ".", "true", "nul", "null", "false", " ", "\n",
+            "é", "😀", "\u{0}", "\"k\"", "x", "+", "/", "\\n",
+        ];
+
+        impl Strategy for JsonishText {
+            type Value = String;
+            fn generate(&self, rng: &mut TestRng) -> String {
+                (0..rng.below(24))
+                    .map(|_| FRAGMENTS[rng.below(FRAGMENTS.len() as u64) as usize])
+                    .collect()
+            }
+        }
+
+        /// The document with one character removed, one fragment
+        /// inserted, or its tail cut, at a random character boundary.
+        fn mutate(text: &str, rng: &mut TestRng) -> String {
+            let boundaries: Vec<usize> = text
+                .char_indices()
+                .map(|(i, _)| i)
+                .chain([text.len()])
+                .collect();
+            let at = boundaries[rng.below(boundaries.len() as u64) as usize];
+            let mut out = text[..at].to_string();
+            match rng.below(3) {
+                0 => out.push_str(text[at..].get(1..).unwrap_or("")),
+                1 => {
+                    out.push_str(FRAGMENTS[rng.below(FRAGMENTS.len() as u64) as usize]);
+                    out.push_str(&text[at..]);
+                }
+                _ => {}
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn arbitrary_text_is_a_value_or_a_typed_error(text in JsonishText) {
+                match from_str(&text) {
+                    Ok(value) => prop_assert_eq!(from_str(&to_string(&value).unwrap()).unwrap(), value),
+                    Err(err) => prop_assert!(err.position <= text.len(), "{err} in {text:?}"),
+                }
+            }
+
+            #[test]
+            fn values_round_trip_through_both_writers(value in ArbitraryValue { depth: 3 }) {
+                prop_assert_eq!(from_str(&to_string(&value).unwrap()).unwrap(), value.clone());
+                prop_assert_eq!(from_str(&to_string_pretty(&value).unwrap()).unwrap(), value);
+            }
+
+            #[test]
+            fn mutated_documents_are_a_value_or_a_typed_error(
+                value in ArbitraryValue { depth: 3 },
+                seed in any::<u64>(),
+            ) {
+                let text = to_string(&value).unwrap();
+                let mut rng = TestRng::deterministic(seed, 0);
+                let mutated = mutate(&text, &mut rng);
+                if let Err(err) = from_str(&mutated) {
+                    prop_assert!(err.position <= mutated.len(), "{err} in {mutated:?}");
+                }
+            }
+
+            #[test]
+            fn repeated_keys_decode_as_an_insert_loop(
+                keys in proptest::collection::vec("[ab\"é]{0,2}", 0..12),
+                values in proptest::collection::vec(ArbitraryValue { depth: 1 }, 12),
+            ) {
+                let mut expected = Map::new();
+                let mut members = Vec::new();
+                for (key, value) in keys.iter().zip(values) {
+                    members.push(format!(
+                        "{}:{}",
+                        to_string(&Value::from(key.as_str())).unwrap(),
+                        to_string(&value).unwrap()
+                    ));
+                    expected.insert(key.clone(), value);
+                }
+                let text = format!("{{{}}}", members.join(","));
+                prop_assert_eq!(from_str(&text).unwrap(), Value::Object(expected));
+            }
+        }
     }
 }

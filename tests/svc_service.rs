@@ -1,8 +1,8 @@
 //! End-to-end tests for the solvability-query service: wire round trips
 //! over real sockets, concurrent-vs-serial verdict equivalence, graceful
 //! shutdown under load and when idle, the control-plane lane and the
-//! checker-permit cap, hostile nesting, and (ignored by default) the
-//! warm-cache speedup acceptance check.
+//! checker-permit cap, hostile nesting, huge frames, and (ignored by
+//! default) the warm-cache speedup acceptance check.
 
 use minobs_svc::client::SvcClient;
 use minobs_svc::server::{serve, SvcConfig};
@@ -745,6 +745,53 @@ fn deeply_nested_frame_is_a_bad_frame_not_a_crash() {
     let mut client = SvcClient::connect(addr.as_str()).unwrap();
     let health = client.call("health", Value::Null).unwrap();
     assert_eq!(health.get("ready").and_then(Value::as_bool), Some(true));
+    client.call("shutdown", Value::Null).unwrap();
+    server.join();
+}
+
+/// A frame holding one 1 MiB string and a frame holding a 100k-key
+/// object are each answered within seconds, because decoding is linear
+/// in the frame's size; afterwards the daemon is ready and still serves
+/// a pinned query from its cache.
+#[test]
+fn huge_string_and_wide_object_frames_are_answered_promptly() {
+    let (server, addr) = start();
+    let mut client = SvcClient::connect(addr.as_str()).unwrap();
+    client.call("check_horizon", check_params("s1", 2)).unwrap();
+
+    let long = "x".repeat(1 << 20);
+    let wide: Vec<String> = (0..100_000).map(|i| format!("\"k{i}\":{i}")).collect();
+    let envelope = |id: u64, params: &str| {
+        format!(
+            "{{\"rpc\":\"{}\",\"id\":{id},\"method\":\"check_horizon\",\"params\":{params}}}",
+            wire::RPC_VERSION
+        )
+    };
+    let frames = [
+        envelope(1, &format!("{{\"scheme\":\"{long}\",\"horizon\":2}}")),
+        envelope(2, &format!("{{{}}}", wide.join(","))),
+    ];
+    let bound = Duration::from_secs(5);
+    for (id, body) in (1u64..).zip(frames) {
+        let mut stream = std::net::TcpStream::connect(addr.as_str()).unwrap();
+        stream.set_read_timeout(Some(bound)).unwrap();
+        let started = Instant::now();
+        stream
+            .write_all(&(body.len() as u32).to_be_bytes())
+            .unwrap();
+        stream.write_all(body.as_bytes()).unwrap();
+        let reply = wire::read_frame(&mut stream)
+            .unwrap_or_else(|e| panic!("frame {id} unanswered after {:?}: {e}", started.elapsed()))
+            .expect("the daemon answers before hanging up");
+        let elapsed = started.elapsed();
+        assert!(elapsed < bound, "frame {id} took {elapsed:?}");
+        assert_eq!(reply.get("id").and_then(Value::as_u64), Some(id), "{reply:?}");
+    }
+
+    let health = client.call("health", Value::Null).unwrap();
+    assert_eq!(health.get("ready").and_then(Value::as_bool), Some(true));
+    let pinned = client.call("check_horizon", check_params("s1", 2)).unwrap();
+    assert_eq!(pinned.get("cached").and_then(Value::as_bool), Some(true));
     client.call("shutdown", Value::Null).unwrap();
     server.join();
 }
