@@ -489,4 +489,80 @@ mod tests {
             let _ = b;
         }
     }
+
+    std::thread_local! {
+        static DRAWN: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    // No `#[test]` here: the macro adds no attribute of its own, so this
+    // is a plain function that the test below calls.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(7))]
+
+        fn records_its_draws(x in any::<u64>()) {
+            DRAWN.with(|drawn| drawn.borrow_mut().push(x));
+        }
+    }
+
+    #[test]
+    fn macro_runs_the_configured_cases_with_seeds_from_name_and_index() {
+        records_its_draws();
+        let first = DRAWN.with(|drawn| drawn.take());
+        records_its_draws();
+        let second = DRAWN.with(|drawn| drawn.take());
+        assert_eq!(first.len(), 7);
+        assert_eq!(first, second, "cases are reproducible run to run");
+        let expected: Vec<u64> = (0..7)
+            .map(|case| TestRng::deterministic(super::fxhash("records_its_draws"), case).next_u64())
+            .collect();
+        assert_eq!(first, expected);
+    }
+
+    #[test]
+    fn fxhash_is_64_bit_fnv1a() {
+        assert_eq!(super::fxhash(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fxhash("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fxhash("foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn rngs_differ_by_case_and_test_and_stay_fixed_per_pair() {
+        let draw = |hash: u64, case: u32| {
+            let mut rng = TestRng::deterministic(hash, case);
+            [rng.next_u64(), rng.next_u64()]
+        };
+        assert_eq!(draw(1, 0), draw(1, 0));
+        assert_ne!(draw(1, 0), draw(1, 1));
+        assert_ne!(draw(1, 0), draw(2, 0));
+        let mut rng = TestRng::deterministic(9, 9);
+        assert!((0..100).all(|_| rng.below(3) < 3));
+    }
+
+    #[test]
+    fn btree_set_size_is_bounded_by_attempts_and_the_domain() {
+        let mut rng = TestRng::deterministic(4, 0);
+        for _ in 0..50 {
+            let set = crate::collection::btree_set(0u8..4, 10usize).generate(&mut rng);
+            assert!(!set.is_empty() && set.len() <= 4);
+            assert!(set.iter().all(|&x| x < 4));
+            let small = crate::collection::btree_set(any::<u64>(), 0..3usize).generate(&mut rng);
+            assert!(small.len() < 3);
+        }
+    }
+
+    #[test]
+    fn full_width_and_single_value_ranges_generate() {
+        let mut rng = TestRng::deterministic(5, 0);
+        for _ in 0..50 {
+            assert_eq!((7u8..=7).generate(&mut rng), 7);
+            assert_eq!((3usize..4).generate(&mut rng), 3);
+            let _ = (0u64..=u64::MAX).generate(&mut rng);
+            assert!((250u8..).generate(&mut rng) >= 250);
+        }
+        assert_eq!("[x]".generate(&mut rng), "x");
+        assert_eq!("[ab]{3}".generate(&mut rng).len(), 3);
+        assert_eq!("literal".generate(&mut rng), "literal");
+        assert!(parse_class_pattern("[ab]{4,2}").is_none());
+        assert!(parse_class_pattern("[]{1,2}").is_none());
+    }
 }

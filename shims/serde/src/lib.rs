@@ -130,4 +130,50 @@ mod tests {
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[2].as_u64(), Some(3));
     }
+
+    #[test]
+    fn signed_and_float_primitives_serialize_as_numbers() {
+        use super::value::Number;
+        assert_eq!((-3i8).to_json_value(), Value::Number(Number::NegInt(-3)));
+        assert_eq!(4isize.to_json_value(), Value::Number(Number::PosInt(4)));
+        assert_eq!(
+            i64::MIN.to_json_value(),
+            Value::Number(Number::NegInt(i64::MIN))
+        );
+        assert_eq!(
+            u16::MAX.to_json_value(),
+            Value::Number(Number::PosInt(65535))
+        );
+        assert_eq!(0.5f32.to_json_value(), Value::Number(Number::Float(0.5)));
+        assert_eq!(
+            (-2.25f64).to_json_value(),
+            Value::Number(Number::Float(-2.25))
+        );
+    }
+
+    #[test]
+    fn btree_maps_serialize_as_objects_in_key_order() {
+        let map: std::collections::BTreeMap<String, Option<u8>> =
+            [("b".to_string(), Some(1)), ("a".to_string(), None)].into();
+        let value = map.to_json_value();
+        let entries: Vec<(&str, &Value)> = value
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.as_str(), v))
+            .collect();
+        assert_eq!(entries, [("a", &Value::Null), ("b", &Value::from(1u64))]);
+    }
+
+    #[test]
+    fn references_slices_and_values_serialize_like_their_targets() {
+        let items = [String::from("x"), String::from("y")];
+        let slice: &[String] = &items;
+        assert_eq!(slice.to_json_value(), items.to_vec().to_json_value());
+        assert_eq!((&&7u8).to_json_value(), 7u8.to_json_value());
+        let nested = vec![vec![1u8], vec![]];
+        let value = nested.to_json_value();
+        assert_eq!(value.to_json_value(), value);
+        assert_eq!(value.as_array().unwrap()[1], Value::Array(Vec::new()));
+    }
 }

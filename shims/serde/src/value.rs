@@ -353,4 +353,139 @@ mod tests {
         assert!(!v.is_null());
         assert_eq!(Value::from(-3i64).as_i64(), Some(-3));
     }
+
+    #[test]
+    fn from_i64_normalises_non_negative_values() {
+        assert_eq!(Number::from_i64(5), Number::PosInt(5));
+        assert_eq!(Number::from_i64(0), Number::PosInt(0));
+        assert_eq!(Number::from_i64(-1), Number::NegInt(-1));
+        assert_eq!(Number::from_i64(i64::MIN), Number::NegInt(i64::MIN));
+        assert_eq!(Value::from(4i64), Value::from(4u64));
+    }
+
+    #[test]
+    fn number_conversions_refuse_what_does_not_fit() {
+        assert_eq!(Number::PosInt(u64::MAX).as_i64(), None);
+        assert_eq!(Number::PosInt(i64::MAX as u64).as_i64(), Some(i64::MAX));
+        assert_eq!(Number::NegInt(-1).as_u64(), None);
+        assert_eq!(Number::Float(1.0).as_u64(), None);
+        assert_eq!(Number::Float(1.0).as_i64(), None);
+        assert_eq!(Number::PosInt(3).as_f64(), 3.0);
+        assert_eq!(Number::NegInt(-3).as_f64(), -3.0);
+        assert_eq!(Number::Float(-0.5).as_f64(), -0.5);
+    }
+
+    #[test]
+    fn number_display_is_exact_for_integers_and_null_for_non_finite_floats() {
+        assert_eq!(Number::PosInt(u64::MAX).to_string(), "18446744073709551615");
+        assert_eq!(Number::NegInt(i64::MIN).to_string(), "-9223372036854775808");
+        assert_eq!(Number::Float(0.5).to_string(), "0.5");
+        assert_eq!(Number::Float(-1e-7).to_string(), "-0.0000001");
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Number::Float(x).to_string(), "null");
+        }
+    }
+
+    #[test]
+    fn map_remove_returns_the_value_and_keeps_the_rest_in_order() {
+        let mut m = Map::new();
+        for (i, key) in ["c", "a", "b", "d"].into_iter().enumerate() {
+            m.insert(key, Value::from(i));
+        }
+        assert_eq!(m.remove("a"), Some(Value::from(1u64)));
+        assert_eq!(m.remove("a"), None);
+        assert_eq!(m.remove("zz"), None);
+        let keys: Vec<&str> = m.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["c", "b", "d"]);
+        // A removed key inserted again goes to the end.
+        m.insert("a", Value::Null);
+        assert_eq!(m.iter().last().unwrap().0, "a");
+    }
+
+    #[test]
+    fn map_len_and_membership_track_entries() {
+        let mut m = Map::new();
+        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
+        assert!(!m.contains_key(""));
+        m.insert("", Value::Null);
+        m.insert("", Value::Bool(true));
+        assert_eq!(m.len(), 1);
+        assert!(m.contains_key(""));
+        // A key whose value is null is still present.
+        m.insert("n", Value::Null);
+        assert!(m.contains_key("n"));
+        assert_eq!(m.get("n"), Some(&Value::Null));
+        assert_eq!(m.get("missing"), None);
+    }
+
+    #[test]
+    fn from_entries_keeps_distinct_keys_in_document_order() {
+        let keys = ["delta", "alpha", "charlie", "bravo", ""];
+        let entries: Vec<(String, Value)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (k.to_string(), Value::from(i)))
+            .collect();
+        let map = Map::from_entries(entries);
+        let got: Vec<(&str, u64)> = map
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_u64().unwrap()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("delta", 0),
+                ("alpha", 1),
+                ("charlie", 2),
+                ("bravo", 3),
+                ("", 4)
+            ]
+        );
+    }
+
+    #[test]
+    fn from_entries_collapses_a_long_run_of_one_key() {
+        let mut entries: Vec<(String, Value)> = (0..1000u64)
+            .map(|i| ("k".to_string(), Value::from(i)))
+            .collect();
+        entries.insert(500, ("m".to_string(), Value::Bool(true)));
+        entries.insert(0, ("z".to_string(), Value::Null));
+        let map = Map::from_entries(entries);
+        let keys: Vec<&str> = map.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["z", "k", "m"]);
+        assert_eq!(map.get("k").unwrap().as_u64(), Some(999));
+        assert_eq!(map.get("m"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn accessors_and_lookups_are_none_on_other_variants() {
+        let array = Value::from(vec![1u64]);
+        assert_eq!(array.get("0"), None);
+        assert_eq!(array.as_object(), None);
+        assert_eq!(array.as_array().map(<[Value]>::len), Some(1));
+        assert_eq!(Value::from("s").get("s"), None);
+        assert_eq!(Value::Null.as_bool(), None);
+        assert!(Value::Null.is_null());
+        assert_eq!(Value::Bool(false).as_bool(), Some(false));
+        assert_eq!(Value::Bool(false).as_u64(), None);
+        assert_eq!(Value::from(2u64).as_f64(), Some(2.0));
+        assert_eq!(Value::from("2").as_f64(), None);
+        assert_eq!(Value::from(0.5).as_u64(), None);
+        assert!(Value::Object(Map::new()).as_object().unwrap().is_empty());
+    }
+
+    #[test]
+    fn from_impls_pick_the_matching_variant() {
+        assert_eq!(Value::from(3usize), Value::Number(Number::PosInt(3)));
+        assert_eq!(Value::from(3u32), Value::Number(Number::PosInt(3)));
+        assert_eq!(Value::from(-3i64), Value::Number(Number::NegInt(-3)));
+        assert_eq!(Value::from(0.25), Value::Number(Number::Float(0.25)));
+        assert_eq!(Value::from(true), Value::Bool(true));
+        assert_eq!(Value::from(String::from("s")), Value::String("s".into()));
+        assert_eq!(
+            Value::from(vec!["a", "b"]),
+            Value::Array(vec![Value::String("a".into()), Value::String("b".into())])
+        );
+    }
 }

@@ -460,6 +460,235 @@ mod tests {
         assert_eq!((last_key.as_str(), last_value.as_u64()), ("k199999", Some(199_999)));
     }
 
+    fn error_text(input: &str) -> String {
+        from_str(input).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn numbers_keep_their_integer_or_float_kind() {
+        let number = |text: &str| match from_str(text).unwrap() {
+            Value::Number(n) => n,
+            other => panic!("{text} decoded as {other:?}"),
+        };
+        assert_eq!(number("0"), Number::PosInt(0));
+        assert_eq!(number("-0"), Number::PosInt(0));
+        assert_eq!(number("-12"), Number::NegInt(-12));
+        assert_eq!(number("-9223372036854775808"), Number::NegInt(i64::MIN));
+        assert_eq!(number("1.0"), Number::Float(1.0));
+        assert_eq!(number("1e3"), Number::Float(1000.0));
+        assert_eq!(number("2.5E-3"), Number::Float(0.0025));
+        assert_eq!(number("-4e+2"), Number::Float(-400.0));
+        // Integers past the 64-bit range fall back to a float.
+        assert_eq!(
+            number("18446744073709551616"),
+            Number::Float(18446744073709551616.0)
+        );
+        assert_eq!(
+            number("-9223372036854775809"),
+            Number::Float(-9223372036854775809.0)
+        );
+    }
+
+    #[test]
+    fn malformed_numbers_are_errors_at_their_end() {
+        assert_eq!(error_text("-"), "invalid number at byte 1");
+        assert_eq!(error_text("[-x]"), "invalid number at byte 2");
+        assert_eq!(error_text("1e"), "invalid number at byte 2");
+        assert_eq!(error_text("+1"), "expected a JSON value at byte 0");
+        assert_eq!(error_text(".5"), "expected a JSON value at byte 0");
+        assert_eq!(error_text("1.5.2"), "trailing characters at byte 3");
+    }
+
+    #[test]
+    fn structural_errors_name_what_was_expected_and_where() {
+        assert_eq!(error_text(""), "expected a JSON value at byte 0");
+        assert_eq!(error_text("   "), "expected a JSON value at byte 3");
+        assert_eq!(error_text("[1 2]"), "expected ',' or ']' at byte 3");
+        assert_eq!(error_text("[1,]"), "expected a JSON value at byte 3");
+        assert_eq!(error_text("{\"a\" 1}"), "expected ':' at byte 5");
+        assert_eq!(
+            error_text("{\"a\":1 \"b\":2}"),
+            "expected ',' or '}' at byte 7"
+        );
+        assert_eq!(error_text("{1:2}"), "expected '\"' at byte 1");
+        assert_eq!(error_text("{\"a\":1,}"), "expected '\"' at byte 7");
+        assert_eq!(error_text("\"a\" x"), "trailing characters at byte 4");
+        assert_eq!(error_text("[1]]"), "trailing characters at byte 3");
+    }
+
+    #[test]
+    fn error_positions_count_bytes_not_characters() {
+        assert_eq!(error_text("[\"é\", x]"), "expected a JSON value at byte 7");
+        assert_eq!(error_text("{\"😀\":1,,}"), "expected '\"' at byte 10");
+    }
+
+    #[test]
+    fn literals_must_be_complete_and_lowercase() {
+        assert_eq!(
+            from_str("[true,false,null]")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .len(),
+            3
+        );
+        for bad in ["nul", "tru", "fals", "True", "NULL", "nan", "Infinity"] {
+            assert_eq!(
+                error_text(bad),
+                "expected a JSON value at byte 0",
+                "{bad:?}"
+            );
+        }
+        assert_eq!(error_text("truex"), "trailing characters at byte 4");
+        assert_eq!(error_text("[nullx]"), "expected ',' or ']' at byte 5");
+    }
+
+    #[test]
+    fn whitespace_between_tokens_is_skipped() {
+        let v = from_str(" \t\n\r{ \"a\" :\n[ 1 ,\t2 ] ,\r\n\"b\" : { } } \n").unwrap();
+        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 2);
+        assert!(v.get("b").unwrap().as_object().unwrap().is_empty());
+        // Only JSON's four whitespace bytes count: not form feed or NBSP.
+        assert_eq!(error_text("\u{c}1"), "expected a JSON value at byte 0");
+        assert_eq!(error_text("1\u{a0}"), "trailing characters at byte 1");
+    }
+
+    #[test]
+    fn unicode_escapes_are_bounds_and_hex_checked() {
+        assert_eq!(
+            from_str(r#""\u0041\u00e9\u03c0""#).unwrap().as_str(),
+            Some("Aéπ")
+        );
+        assert_eq!(from_str(r#""\u00E9""#).unwrap().as_str(), Some("é"));
+        assert_eq!(error_text(r#""\u00""#), "truncated \\u escape at byte 2");
+        assert_eq!(error_text(r#""\u"#), "truncated \\u escape at byte 2");
+        assert_eq!(error_text(r#""\u12G4""#), "invalid \\u escape at byte 2");
+        // A multi-byte character cut by the four-byte window is an error,
+        // not a slice across a character boundary.
+        assert_eq!(error_text("\"\\u000é\""), "invalid \\u escape at byte 2");
+        // Surrogates are not paired: each half becomes U+FFFD.
+        assert_eq!(
+            from_str(r#""\ud83d\ude00""#).unwrap().as_str(),
+            Some("\u{fffd}\u{fffd}")
+        );
+    }
+
+    #[test]
+    fn writer_escapes_quotes_backslashes_and_control_characters() {
+        let text = to_string(&Value::from("a\"b\\c\n\r\t\u{0}\u{8}\u{1f} /é\u{7f}")).unwrap();
+        // `/` and DEL pass through unescaped.
+        assert_eq!(
+            text,
+            "\"a\\\"b\\\\c\\n\\r\\t\\u0000\\u0008\\u001f /é\u{7f}\""
+        );
+        assert_eq!(to_string(&Value::from("")).unwrap(), "\"\"");
+    }
+
+    #[test]
+    fn non_finite_floats_are_written_as_null() {
+        let values = Value::from(vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5]);
+        let text = to_string(&values).unwrap();
+        assert_eq!(text, "[null,null,null,0.5]");
+        let back = from_str(&text).unwrap();
+        assert!(back.as_array().unwrap()[..3].iter().all(Value::is_null));
+    }
+
+    #[test]
+    fn floats_read_back_to_the_same_f64() {
+        for x in [0.1, -2.5e-8, 1e300, 5e-324, 123456.789, -0.75, 3.0, 1e21] {
+            let text = to_string(&Value::from(x)).unwrap();
+            assert_eq!(from_str(&text).unwrap().as_f64(), Some(x), "{x} as {text}");
+        }
+    }
+
+    #[test]
+    fn compact_and_pretty_layouts_are_exact() {
+        let mut inner = Map::new();
+        inner.insert(
+            "a",
+            Value::from(vec![Value::from(1u64), Value::Object(Map::new())]),
+        );
+        inner.insert("b", Value::Array(Vec::new()));
+        inner.insert("c", Value::Null);
+        let value = Value::Object(inner);
+        assert_eq!(
+            to_string(&value).unwrap(),
+            r#"{"a":[1,{}],"b":[],"c":null}"#
+        );
+        assert_eq!(
+            to_string_pretty(&value).unwrap(),
+            "{\n  \"a\": [\n    1,\n    {}\n  ],\n  \"b\": [],\n  \"c\": null\n}"
+        );
+        assert_eq!(to_string_pretty(&Value::from(7u64)).unwrap(), "7");
+    }
+
+    #[test]
+    fn writers_accept_anything_serializable() {
+        assert_eq!(to_string(&vec![1u32, 2]).unwrap(), "[1,2]");
+        assert_eq!(to_string(&Some("x")).unwrap(), "\"x\"");
+        assert_eq!(to_string(&Option::<u8>::None).unwrap(), "null");
+        assert_eq!(to_string(&-3i32).unwrap(), "-3");
+        let map: std::collections::BTreeMap<String, bool> =
+            [("z".to_string(), true), ("a".to_string(), false)].into();
+        assert_eq!(to_string(&map).unwrap(), r#"{"a":false,"z":true}"#);
+        assert_eq!(to_string("plain").unwrap(), "\"plain\"");
+    }
+
+    #[test]
+    fn repeated_keys_keep_the_first_position_and_the_last_value() {
+        let v = from_str(r#"{"a":1,"b":2,"a":3,"c":4,"b":5}"#).unwrap();
+        let entries: Vec<(&str, u64)> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_u64().unwrap()))
+            .collect();
+        assert_eq!(entries, [("a", 3), ("b", 5), ("c", 4)]);
+        // Each object resolves its own keys, at any depth.
+        let v = from_str(r#"[{"x":1,"x":2},{"x":3,"y":{"x":4,"x":5}}]"#).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].get("x").unwrap().as_u64(), Some(2));
+        assert_eq!(items[1].get("x").unwrap().as_u64(), Some(3));
+        assert_eq!(
+            items[1].get("y").unwrap().get("x").unwrap().as_u64(),
+            Some(5)
+        );
+        assert_eq!(items[1].get("y").unwrap().as_object().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn empty_keys_and_strings_are_ordinary_members() {
+        let v = from_str(r#"{"":"","a":"","":"x"}"#).unwrap();
+        let map = v.as_object().unwrap();
+        assert_eq!(map.len(), 2);
+        assert_eq!(map.get("").unwrap().as_str(), Some("x"));
+        assert_eq!(map.get("a").unwrap().as_str(), Some(""));
+        assert_eq!(to_string(&v).unwrap(), r#"{"":"x","a":""}"#);
+    }
+
+    #[test]
+    fn the_depth_limit_counts_open_containers_not_total_ones() {
+        // Arrays and objects share one limit.
+        let mixed = |depth: usize| {
+            let opens: String = (0..depth)
+                .map(|i| if i % 2 == 0 { "[" } else { "{\"k\":" })
+                .collect();
+            let closes: String = (0..depth)
+                .rev()
+                .map(|i| if i % 2 == 0 { "]" } else { "}" })
+                .collect();
+            format!("{opens}0{closes}")
+        };
+        assert!(from_str(&mixed(RECURSION_LIMIT)).is_ok());
+        assert!(from_str(&mixed(RECURSION_LIMIT + 1)).is_err());
+        // Closing a container frees its level: siblings each reach the limit.
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deepest = nested(RECURSION_LIMIT - 1);
+        assert!(from_str(&format!("[{deepest},{deepest},{deepest}]")).is_ok());
+        let too_deep = nested(RECURSION_LIMIT);
+        assert!(from_str(&format!("[{deepest},{too_deep}]")).is_err());
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
