@@ -64,5 +64,10 @@ fn bench_incremental_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ind, bench_ind_inv, bench_incremental_ablation);
+criterion_group!(
+    benches,
+    bench_ind,
+    bench_ind_inv,
+    bench_incremental_ablation
+);
 criterion_main!(benches);

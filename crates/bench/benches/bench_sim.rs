@@ -16,20 +16,19 @@ fn bench_two_process(c: &mut Criterion) {
     // Long-running A_w: witness (b), scenario that diverges slowly.
     let w: Scenario = "(b)".parse().unwrap();
     for rounds in [32usize, 128, 512] {
-        group.bench_with_input(BenchmarkId::new("against_clean", rounds), &rounds, |b, &r| {
-            b.iter(|| {
-                // Run on the forbidden scenario itself: never decides, so
-                // the round budget controls the measured work exactly.
-                let mut white = AwProcess::new(Role::White, true, w.clone());
-                let mut black = AwProcess::new(Role::Black, false, w.clone());
-                black_box(run_two_process(
-                    &mut white,
-                    &mut black,
-                    &w,
-                    r,
-                ))
-            })
-        });
+        group.bench_with_input(
+            BenchmarkId::new("against_clean", rounds),
+            &rounds,
+            |b, &r| {
+                b.iter(|| {
+                    // Run on the forbidden scenario itself: never decides, so
+                    // the round budget controls the measured work exactly.
+                    let mut white = AwProcess::new(Role::White, true, w.clone());
+                    let mut black = AwProcess::new(Role::Black, false, w.clone());
+                    black_box(run_two_process(&mut white, &mut black, &w, r))
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -81,7 +81,11 @@ fn main() -> ExitCode {
     for k in HORIZONS {
         let mut recorder = MemoryRecorder::new();
         let solvable = check.at(&scheme, k, &mut recorder).is_solvable();
-        assert_eq!(solvable, k == 5, "total_budget(4) at horizon {k} (instrumented)");
+        assert_eq!(
+            solvable,
+            k == 5,
+            "total_budget(4) at horizon {k} (instrumented)"
+        );
         states_explored += states_of(&recorder);
         for event in recorder.events() {
             if let TraceEvent::CheckerRound {

@@ -18,14 +18,26 @@ fn main() {
     println!("== TAB-BIVAL: bivalency chains from the model checker ==\n");
     let mut report = Report::new(
         "bivalency",
-        &["scheme", "horizon k", "solvable by k", "chain length", "views"],
+        &[
+            "scheme",
+            "horizon k",
+            "solvable by k",
+            "chain length",
+            "views",
+        ],
     );
 
     let gamma = gamma_alphabet();
     let schemes: Vec<(&str, Box<dyn OmissionScheme>)> = vec![
         ("R1 = Γω", Box::new(classic::r1())),
-        ("canonical minimal obstruction", Box::new(CanonicalMinimalObstruction)),
-        ("Γω \\ {-(w)}", Box::new(ClassicScheme::GammaMinus(vec!["-(w)".parse().unwrap()]))),
+        (
+            "canonical minimal obstruction",
+            Box::new(CanonicalMinimalObstruction),
+        ),
+        (
+            "Γω \\ {-(w)}",
+            Box::new(ClassicScheme::GammaMinus(vec!["-(w)".parse().unwrap()])),
+        ),
         ("S1", Box::new(classic::s1())),
         ("C1", Box::new(classic::c1())),
         ("S0", Box::new(classic::s0())),
@@ -52,7 +64,13 @@ fn main() {
             CheckResult::Unsolvable { chain } => chain.len().to_string(),
             _ => "—".into(),
         };
-        report.row(&[&"S2 = Σω", &k, &mark(result.is_solvable()), &chain_len, &"—"]);
+        report.row(&[
+            &"S2 = Σω",
+            &k,
+            &mark(result.is_solvable()),
+            &chain_len,
+            &"—",
+        ]);
     }
     minobs_bench::cli::require_artifact(report.finish());
 
@@ -63,10 +81,7 @@ fn main() {
         for (i, step) in chain.iter().enumerate() {
             println!(
                 "  {:>2}. prefix {}  inputs (White={}, Black={})",
-                i,
-                step.prefix,
-                step.white_input as u8,
-                step.black_input as u8
+                i, step.prefix, step.white_input as u8, step.black_input as u8
             );
         }
         println!(

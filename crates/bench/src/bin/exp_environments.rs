@@ -53,7 +53,12 @@ fn main() {
 
     for (i, scheme) in classic::seven_environments().into_iter().enumerate() {
         let verdict = decide_classic(&scheme);
-        assert_eq!(verdict.is_solvable(), expected_solvable[i], "{}", scheme.name());
+        assert_eq!(
+            verdict.is_solvable(),
+            expected_solvable[i],
+            "{}",
+            scheme.name()
+        );
 
         let witness = verdict
             .witness()
@@ -86,7 +91,9 @@ fn main() {
         } else {
             first_solvable_horizon(&scheme, 4, &gamma_alphabet())
         };
-        let horizon = horizon.map(|h| h.to_string()).unwrap_or_else(|| "> max".into());
+        let horizon = horizon
+            .map(|h| h.to_string())
+            .unwrap_or_else(|| "> max".into());
 
         report.row(&[
             &(i + 1),
@@ -100,5 +107,7 @@ fn main() {
     }
     minobs_bench::cli::require_artifact(report.finish());
 
-    println!("\nPaper: envs 1-5 solvable (1,1,1,2,2 rounds); envs 6-7 obstructions. All reproduced.");
+    println!(
+        "\nPaper: envs 1-5 solvable (1,1,1,2,2 rounds); envs 6-7 obstructions. All reproduced."
+    );
 }

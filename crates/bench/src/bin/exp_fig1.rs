@@ -26,7 +26,17 @@ fn main() {
     minobs_bench::cli::require_artifact(report.finish());
 
     println!("\nBijectivity audit (Lemma III.2): ind is a bijection Γ^r → [0, 3^r - 1]");
-    let mut audit = Report::new("fig1_bijectivity", &["r", "words", "distinct indexes", "max index", "3^r - 1", "roundtrip ok"]);
+    let mut audit = Report::new(
+        "fig1_bijectivity",
+        &[
+            "r",
+            "words",
+            "distinct indexes",
+            "max index",
+            "3^r - 1",
+            "roundtrip ok",
+        ],
+    );
     for r in 0..=9usize {
         let mut seen = std::collections::BTreeSet::new();
         let mut max = 0u64;
@@ -40,7 +50,10 @@ fn main() {
             roundtrip &= ind_inv(r, &v) == Some(w);
             count += 1;
         }
-        let expect = pow3(r as u32).pred().map(|p| p.to_u64().unwrap()).unwrap_or(0);
+        let expect = pow3(r as u32)
+            .pred()
+            .map(|p| p.to_u64().unwrap())
+            .unwrap_or(0);
         audit.row(&[&r, &count, &seen.len(), &max, &expect, &roundtrip]);
         assert_eq!(seen.len(), count, "injective");
         assert_eq!(max, expect, "surjective onto the range");

@@ -13,11 +13,11 @@ use minobs_net::{DecisionRule, FloodConsensus};
 use minobs_obs::{
     MetricsRecorder, MetricsRegistry, NullRecorder, Recorder, RoundTimer, TeeRecorder, TraceEvent,
 };
-use std::sync::Arc;
 use minobs_sim::adversary::{BudgetChecked, CutAdversary, GreedyCutAdversary, RandomOmissions};
 use minobs_sim::network::run_network_with_recorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn families() -> Vec<(String, Graph)> {
     let mut v: Vec<(String, Graph)> = vec![
@@ -159,7 +159,13 @@ fn main() {
     println!("\nPossibility-side round complexity (deadline n-1 vs early deciding):");
     let mut rounds = Report::new(
         "network_rounds",
-        &["graph", "n", "deadline rounds", "messages sent", "early decide (min..max round)"],
+        &[
+            "graph",
+            "n",
+            "deadline rounds",
+            "messages sent",
+            "early decide (min..max round)",
+        ],
     );
     for (name, g) in families().into_iter().take(8) {
         let n = g.vertex_count();
@@ -171,14 +177,20 @@ fn main() {
         let mut tee = TeeRecorder::new(&mut metrics, sink);
         let recorder: &mut dyn Recorder = &mut tee;
         let nodes = FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId);
-        let out =
-            run_network_with_recorder(&g, nodes, &mut minobs_sim::adversary::NoFault, 2 * n, recorder);
+        let out = run_network_with_recorder(
+            &g,
+            nodes,
+            &mut minobs_sim::adversary::NoFault,
+            2 * n,
+            recorder,
+        );
         assert!(out.verdict.is_consensus());
 
-        let early: Vec<FloodConsensus> = FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId)
-            .into_iter()
-            .map(|node| node.early_deciding())
-            .collect();
+        let early: Vec<FloodConsensus> =
+            FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId)
+                .into_iter()
+                .map(|node| node.early_deciding())
+                .collect();
         // Manual stepping bypasses run_with_recorder, so frame the rounds
         // ourselves — trace consumers expect run_start .. run_end scoping.
         let mut net = minobs_sim::network::SyncNetwork::new(&g, early);
@@ -203,7 +215,13 @@ fn main() {
             early_rounds.iter().min().unwrap(),
             early_rounds.iter().max().unwrap()
         );
-        rounds.row(&[&name, &n, &out.stats.rounds, &out.stats.messages_sent, &span]);
+        rounds.row(&[
+            &name,
+            &n,
+            &out.stats.rounds,
+            &out.stats.messages_sent,
+            &span,
+        ]);
     }
     if let Some(path) = &trace_path {
         rounds.note_trace(path);

@@ -42,7 +42,13 @@ fn main() {
     println!("== TAB-RED: emulation equivalence (Algorithms 2-3) ==\n");
     let mut report = Report::new(
         "reduction",
-        &["graph", "scenario", "net rounds", "emu rounds", "decisions equal"],
+        &[
+            "graph",
+            "scenario",
+            "net rounds",
+            "emu rounds",
+            "decisions equal",
+        ],
     );
 
     let graphs = [

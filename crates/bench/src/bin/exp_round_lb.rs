@@ -32,7 +32,9 @@ fn main() {
 
     // One forbidden word per length, lengths 1..=8 (checker horizons kept
     // to ≤ 6 for runtime; beyond that only theory+measurement).
-    let words = ["w", "wb", "bw-", "w-b-", "bbwww", "w-b-w-", "bwbwbwb", "w-bw-bw-"];
+    let words = [
+        "w", "wb", "bw-", "w-b-", "bbwww", "w-b-w-", "bwbwbwb", "w-bw-bw-",
+    ];
     for w0_text in words {
         let w0: GammaWord = w0_text.parse().unwrap();
         let scheme = ClassicScheme::AvoidPrefix(w0.to_word());

@@ -20,18 +20,20 @@ use minobs_core::prelude::*;
 use minobs_synth::checker::{first_solvable_horizon, sigma_alphabet, solvable_by, CheckResult};
 
 fn main() {
-    minobs_bench::cli::handle_common_flags(
-        "exp_sigma",
-        "Σ-scheme solvability tables",
-        "exp_sigma",
-    );
+    minobs_bench::cli::handle_common_flags("exp_sigma", "Σ-scheme solvability tables", "exp_sigma");
     println!("== TAB-SIGMA: double omission, explored with the model checker ==\n");
     let sigma = sigma_alphabet();
 
     println!("Σω avoiding one prefix — unsolvable at EVERY horizon (unlike Γ):");
     let mut avoid = Report::new(
         "sigma_avoid_prefix",
-        &["forbidden w0", "|w0|", "Γ-twin horizon", "Σ horizons 0..=4", "chain len @ |w0|"],
+        &[
+            "forbidden w0",
+            "|w0|",
+            "Γ-twin horizon",
+            "Σ horizons 0..=4",
+            "chain len @ |w0|",
+        ],
     );
     for w0 in ["x", "w", "xx", "wx", "-x", "xbx", "wxb"] {
         let word: Word = w0.parse().unwrap();
@@ -47,7 +49,11 @@ fn main() {
         // The Γ twin (when w0 is a Γ-word) IS solvable at |w0|:
         let gamma_twin = word.to_gamma().map(|g| {
             use minobs_synth::checker::gamma_alphabet;
-            first_solvable_horizon(&ClassicScheme::AvoidPrefix(g.to_word()), 4, &gamma_alphabet())
+            first_solvable_horizon(
+                &ClassicScheme::AvoidPrefix(g.to_word()),
+                4,
+                &gamma_alphabet(),
+            )
         });
         let twin_text = match gamma_twin {
             Some(Some(h)) => h.to_string(),
@@ -79,10 +85,17 @@ fn main() {
     minobs_bench::cli::require_artifact(budget.finish());
 
     println!("\nΣω minus finitely many scenarios — never helps at bounded horizons:");
-    let mut minus = Report::new("sigma_minus", &["excluded", "horizons 0..=3 all unsolvable"]);
+    let mut minus = Report::new(
+        "sigma_minus",
+        &["excluded", "horizons 0..=3 all unsolvable"],
+    );
     let exclusions: Vec<Vec<Scenario>> = vec![
         vec!["(x)".parse().unwrap()],
-        vec!["(x)".parse().unwrap(), "(w)".parse().unwrap(), "(b)".parse().unwrap()],
+        vec![
+            "(x)".parse().unwrap(),
+            "(w)".parse().unwrap(),
+            "(b)".parse().unwrap(),
+        ],
         vec!["(-)".parse().unwrap()],
     ];
     for excluded in exclusions {

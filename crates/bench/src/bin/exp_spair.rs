@@ -88,7 +88,9 @@ fn main() {
     minobs_bench::cli::require_artifact(minimality.finish());
 
     println!("\nLower/upper classification (parity rule) for a few unfair lassos:");
-    for s in ["-(w)", "b(w)", "w(b)", "-(b)", "--(b)", "-w(b)", "(w)", "(b)"] {
+    for s in [
+        "-(w)", "b(w)", "w(b)", "-(b)", "--(b)", "-w(b)", "(w)", "(b)",
+    ] {
         let sc: Scenario = s.parse().unwrap();
         let class = match is_lower_pair_member(&sc) {
             Some(true) => "LOWER member of its pair",

@@ -77,7 +77,9 @@ fn main() {
 
         report.row(&[
             &cls.name(),
-            &missing_fair.map(|f| f.to_string()).unwrap_or_else(|| "none".into()),
+            &missing_fair
+                .map(|f| f.to_string())
+                .unwrap_or_else(|| "none".into()),
             &mark(missing_w),
             &mark(missing_b),
             &missing_pair

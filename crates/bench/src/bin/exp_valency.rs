@@ -18,11 +18,7 @@ fn show(v: &Valency) -> String {
 }
 
 fn main() {
-    minobs_bench::cli::handle_common_flags(
-        "exp_valency",
-        "valency analysis tables",
-        "exp_valency",
-    );
+    minobs_bench::cli::handle_common_flags("exp_valency", "valency analysis tables", "exp_valency");
     println!("== TAB-VALENCY: valency maps under A_w (initial configuration I = (0, 1)) ==\n");
     let basis = default_extension_basis();
 
@@ -48,7 +44,12 @@ fn main() {
 
     println!("\nDecisive prefixes (Definition III.10) for bounded schemes, via capped A_w:");
     let mut decisive = Report::new("decisive_prefixes", &["scheme", "p", "decisive prefix"]);
-    for scheme in [classic::s0(), classic::t_white(), classic::c1(), classic::s1()] {
+    for scheme in [
+        classic::s0(),
+        classic::t_white(),
+        classic::c1(),
+        classic::s1(),
+    ] {
         let (p, w0) = min_excluded_prefix(&scheme, 4).unwrap();
         let w = Scenario::new(w0.to_word(), "b".parse().unwrap());
         let factory = {

@@ -57,8 +57,7 @@ fn main() -> ExitCode {
     };
 
     let load = |path: &str| -> Result<Value, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         serde_json::from_str(&text).map_err(|e| format!("{path} is not JSON: {e:?}"))
     };
     let (current, baseline) = match (load(current_path), load(baseline_path)) {
@@ -182,7 +181,10 @@ mod tests {
         let current = artifact(800.0, 5.0e6); // 20% drop > 15%
         let regressions = compare(&current, &baseline, 15.0, 25.0).unwrap();
         assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].contains("throughput dropped 20.0%"), "{regressions:?}");
+        assert!(
+            regressions[0].contains("throughput dropped 20.0%"),
+            "{regressions:?}"
+        );
     }
 
     #[test]
@@ -191,7 +193,10 @@ mod tests {
         let current = artifact(1000.0, 7.0e6); // 40% rise > 25%
         let regressions = compare(&current, &baseline, 15.0, 25.0).unwrap();
         assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].contains("p99 latency rose 40.0%"), "{regressions:?}");
+        assert!(
+            regressions[0].contains("p99 latency rose 40.0%"),
+            "{regressions:?}"
+        );
     }
 
     #[test]

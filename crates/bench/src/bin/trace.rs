@@ -424,9 +424,8 @@ fn diff_cmd(args: &[String]) -> ExitCode {
     for name in names {
         match (a.by_name.get(name), b.by_name.get(name)) {
             (Some(sa), Some(sb)) => {
-                let delta = (sb.total_ns as f64 - sa.total_ns as f64)
-                    / (sa.total_ns.max(1)) as f64
-                    * 100.0;
+                let delta =
+                    (sb.total_ns as f64 - sa.total_ns as f64) / (sa.total_ns.max(1)) as f64 * 100.0;
                 println!(
                     "  {:<24} {:>12.3} {:>12.3} {:>+8.1}%",
                     name,
@@ -723,10 +722,8 @@ fn stitch_cmd(args: &[String]) -> ExitCode {
                     format!("{}@{} ({:.3} ms)", span.name, span.node, ms(span.nanos))
                 })
                 .collect();
-            let crossed: std::collections::BTreeSet<&str> = path
-                .iter()
-                .map(|&i| trace.spans[i].node.as_str())
-                .collect();
+            let crossed: std::collections::BTreeSet<&str> =
+                path.iter().map(|&i| trace.spans[i].node.as_str()).collect();
             println!(
                 "  critical path: {} — {} hop(s), {} node(s)",
                 hops.join(" → "),
@@ -784,7 +781,9 @@ mod tests {
             event(r#"{"event":"span_start","round":0,"span_id":2,"parent":0,"name":"inner"}"#),
             event(r#"{"event":"span_end","round":0,"span_id":2,"name":"inner","nanos":200}"#),
             event(r#"{"event":"span_end","round":0,"span_id":0,"name":"outer","nanos":1000}"#),
-            event(r#"{"event":"run_end","round":3,"sent":0,"delivered":0,"dropped":0,"misaddressed":0,"nanos":1100}"#),
+            event(
+                r#"{"event":"run_end","round":3,"sent":0,"delivered":0,"dropped":0,"misaddressed":0,"nanos":1100}"#,
+            ),
         ];
         let prof = profile(&events).unwrap();
         assert_eq!(prof.spans, 3);
@@ -839,7 +838,9 @@ mod tests {
     #[test]
     fn root_coverage_is_rooted_at_the_wall_anchor() {
         let events = vec![
-            event(r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.stats"}"#),
+            event(
+                r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.stats"}"#,
+            ),
             event(r#"{"event":"span_end","round":0,"span_id":0,"name":"rpc.stats","nanos":100}"#),
             event(
                 r#"{"event":"svc_response","round":0,"seq":0,"method":"stats","ok":true,"cache":"none","nanos":1000}"#,
@@ -887,7 +888,10 @@ mod tests {
         );
         // The --sampled flag waives the gate for the same stream.
         assert_eq!(
-            exit_of(profile_cmd(&[bare.display().to_string(), "--sampled".to_string()])),
+            exit_of(profile_cmd(&[
+                bare.display().to_string(),
+                "--sampled".to_string()
+            ])),
             exit_of(ExitCode::SUCCESS)
         );
         // So does an in-stream trace_sampled marker.
@@ -934,7 +938,10 @@ mod tests {
         ];
         assert_eq!(exit_of(diff_cmd(&gated)), exit_of(ExitCode::FAILURE));
         // Without a gate the removal is reported but not fatal.
-        let ungated = [baseline.display().to_string(), candidate.display().to_string()];
+        let ungated = [
+            baseline.display().to_string(),
+            candidate.display().to_string(),
+        ];
         assert_eq!(exit_of(diff_cmd(&ungated)), exit_of(ExitCode::SUCCESS));
         std::fs::remove_file(&baseline).ok();
         std::fs::remove_file(&candidate).ok();
@@ -943,7 +950,9 @@ mod tests {
     #[test]
     fn svc_responses_anchor_the_wall_clock() {
         let events = vec![
-            event(r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.stats"}"#),
+            event(
+                r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.stats"}"#,
+            ),
             event(r#"{"event":"span_end","round":0,"span_id":0,"name":"rpc.stats","nanos":90}"#),
             event(
                 r#"{"event":"svc_response","round":0,"seq":0,"method":"stats","ok":true,"cache":"none","nanos":100}"#,
@@ -966,18 +975,27 @@ mod tests {
             event(
                 r#"{"event":"span_start","round":0,"span_id":1,"parent":0,"name":"check.eval","node_id":"a"}"#,
             ),
-            event(r#"{"event":"span_end","round":0,"span_id":1,"name":"check.eval","nanos":400,"node_id":"a"}"#),
-            event(r#"{"event":"span_end","round":0,"span_id":0,"name":"rpc.check_horizon","nanos":1000,"node_id":"a"}"#),
+            event(
+                r#"{"event":"span_end","round":0,"span_id":1,"name":"check.eval","nanos":400,"node_id":"a"}"#,
+            ),
+            event(
+                r#"{"event":"span_end","round":0,"span_id":0,"name":"rpc.check_horizon","nanos":1000,"node_id":"a"}"#,
+            ),
             event(
                 r#"{"event":"span_start","round":0,"span_id":1048576,"parent":null,"name":"gossip.exchange","trace_id":"000000000000000000000000000000aa","ctx_parent":0,"node_id":"a"}"#,
             ),
-            event(r#"{"event":"span_end","round":0,"span_id":1048576,"name":"gossip.exchange","nanos":800,"node_id":"a"}"#),
+            event(
+                r#"{"event":"span_end","round":0,"span_id":1048576,"name":"gossip.exchange","nanos":800,"node_id":"a"}"#,
+            ),
         ];
-        let node_b = vec![event(
-            r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.gossip","trace_id":"000000000000000000000000000000aa","ctx_parent":1048576,"node_id":"b"}"#,
-        ), event(
-            r#"{"event":"span_end","round":0,"span_id":0,"name":"rpc.gossip","nanos":300,"node_id":"b"}"#,
-        )];
+        let node_b = vec![
+            event(
+                r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.gossip","trace_id":"000000000000000000000000000000aa","ctx_parent":1048576,"node_id":"b"}"#,
+            ),
+            event(
+                r#"{"event":"span_end","round":0,"span_id":0,"name":"rpc.gossip","nanos":300,"node_id":"b"}"#,
+            ),
+        ];
         vec![("a".to_string(), node_a), ("b".to_string(), node_b)]
     }
 
@@ -988,7 +1006,10 @@ mod tests {
         assert!(stitched.orphans.is_empty(), "{:?}", stitched.orphans);
         assert_eq!(stitched.traces.len(), 1);
         let trace = &stitched.traces[0];
-        assert_eq!(format!("{:032x}", trace.trace_id), "000000000000000000000000000000aa");
+        assert_eq!(
+            format!("{:032x}", trace.trace_id),
+            "000000000000000000000000000000aa"
+        );
         assert_eq!(trace.spans.len(), 4);
         assert_eq!(trace.nodes, vec!["a".to_string(), "b".to_string()]);
 
@@ -1015,7 +1036,10 @@ mod tests {
         // Critical path follows the heaviest chain across both nodes.
         let path = trace.critical_path();
         let names: Vec<&str> = path.iter().map(|&i| trace.spans[i].name.as_str()).collect();
-        assert_eq!(names, vec!["rpc.check_horizon", "gossip.exchange", "rpc.gossip"]);
+        assert_eq!(
+            names,
+            vec!["rpc.check_horizon", "gossip.exchange", "rpc.gossip"]
+        );
         let nodes: std::collections::BTreeSet<&str> =
             path.iter().map(|&i| trace.spans[i].node.as_str()).collect();
         assert_eq!(nodes.len(), 2);
@@ -1106,8 +1130,12 @@ mod tests {
         let files = vec![(
             "a".to_string(),
             vec![
-                event(r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.stats"}"#),
-                event(r#"{"event":"span_end","round":0,"span_id":0,"name":"rpc.stats","nanos":10}"#),
+                event(
+                    r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.stats"}"#,
+                ),
+                event(
+                    r#"{"event":"span_end","round":0,"span_id":0,"name":"rpc.stats","nanos":10}"#,
+                ),
                 event(
                     r#"{"event":"span_start","round":0,"span_id":5,"parent":null,"name":"rpc.check","trace_id":"000000000000000000000000000000bb"}"#,
                 ),

@@ -148,7 +148,10 @@ impl Report {
                 .join("  ")
         };
         println!("{}", line(&self.header, &self.widths));
-        println!("{}", "-".repeat(self.widths.iter().sum::<usize>() + 2 * self.widths.len()));
+        println!(
+            "{}",
+            "-".repeat(self.widths.iter().sum::<usize>() + 2 * self.widths.len())
+        );
         for row in &self.rows {
             println!("{}", line(row, &self.widths));
         }
@@ -239,7 +242,10 @@ fn sampling_meta(sample: Option<&str>, slow_ms: Option<&str>) -> Option<Value> {
         return None;
     }
     let mut block = Map::new();
-    block.insert("sample", Value::from(sample.map_or(1.0, |v| v.clamp(0.0, 1.0))));
+    block.insert(
+        "sample",
+        Value::from(sample.map_or(1.0, |v| v.clamp(0.0, 1.0))),
+    );
     if let Some(ms) = slow_ms {
         block.insert("slow_ms", Value::from(ms));
     }

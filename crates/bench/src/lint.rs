@@ -294,7 +294,9 @@ mod tests {
         let err = lint_bench(&bench_text("150", "90.0")).unwrap().unwrap_err();
         assert!(err.contains("monotone"), "{err}");
         // achieved above offered is a violation.
-        let err = lint_bench(&bench_text("300", "120.0")).unwrap().unwrap_err();
+        let err = lint_bench(&bench_text("300", "120.0"))
+            .unwrap()
+            .unwrap_err();
         assert!(err.contains("exceeds offered"), "{err}");
         // A JSONL trace line is NOT a bench artifact: falls through.
         assert!(lint_bench(&line(
@@ -395,8 +397,9 @@ mod tests {
         .join("\n");
         assert_eq!(lint(&ok), Ok((4, 1)));
 
-        let bad_budget =
-            line(r#"{"schema":"SCHEMA","event":"budget_exhausted","round":1,"frontier":50,"states":10}"#);
+        let bad_budget = line(
+            r#"{"schema":"SCHEMA","event":"budget_exhausted","round":1,"frontier":50,"states":10}"#,
+        );
         assert!(lint(&bad_budget).unwrap_err().contains("frontier"));
     }
 
@@ -412,9 +415,8 @@ mod tests {
         .join("\n");
         assert_eq!(lint(&ok), Ok((4, 0)));
 
-        let unanswered = line(
-            r#"{"schema":"SCHEMA","event":"svc_request","round":0,"seq":7,"method":"stats"}"#,
-        );
+        let unanswered =
+            line(r#"{"schema":"SCHEMA","event":"svc_request","round":0,"seq":7,"method":"stats"}"#);
         assert!(lint(&unanswered).unwrap_err().contains("never answered"));
 
         let orphan = line(
@@ -514,7 +516,9 @@ mod tests {
         let orphan_end = line(
             r#"{"schema":"SCHEMA","event":"span_end","round":0,"span_id":9,"name":"x","nanos":1}"#,
         );
-        assert!(lint(&orphan_end).unwrap_err().contains("without an open span"));
+        assert!(lint(&orphan_end)
+            .unwrap_err()
+            .contains("without an open span"));
 
         let bad_parent = [
             r#"{"schema":"SCHEMA","event":"span_start","round":0,"span_id":0,"parent":null,"name":"a"}"#,
@@ -627,8 +631,9 @@ mod tests {
 
     #[test]
     fn validates_node_id_and_health_events() {
-        let empty_node =
-            line(r#"{"schema":"SCHEMA","event":"health","round":0,"status":"ok","ready":true,"live":true,"node_id":""}"#);
+        let empty_node = line(
+            r#"{"schema":"SCHEMA","event":"health","round":0,"status":"ok","ready":true,"live":true,"node_id":""}"#,
+        );
         assert!(lint(&empty_node).unwrap_err().contains("non-empty"));
 
         let mixed_nodes = [
@@ -705,8 +710,7 @@ mod tests {
             line(r#"{"schema":"SCHEMA","event":"trace_sampled","round":0,"slow_ms":50}"#);
         assert!(lint(&no_sample).unwrap_err().contains("sample"));
 
-        let no_slow =
-            line(r#"{"schema":"SCHEMA","event":"trace_sampled","round":0,"sample":0.5}"#);
+        let no_slow = line(r#"{"schema":"SCHEMA","event":"trace_sampled","round":0,"sample":0.5}"#);
         assert!(lint(&no_slow).unwrap_err().contains("slow_ms"));
     }
 

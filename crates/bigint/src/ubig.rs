@@ -385,7 +385,17 @@ mod tests {
 
     #[test]
     fn small_roundtrip() {
-        for v in [0u128, 1, 2, 12, 255, 4096, u32::MAX as u128, u64::MAX as u128, u128::MAX] {
+        for v in [
+            0u128,
+            1,
+            2,
+            12,
+            255,
+            4096,
+            u32::MAX as u128,
+            u64::MAX as u128,
+            u128::MAX,
+        ] {
             assert_eq!(UBig::from(v).to_u128(), Some(v));
         }
     }

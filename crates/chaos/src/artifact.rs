@@ -108,9 +108,7 @@ impl Reproducer {
             .and_then(Value::as_str)
             .ok_or("missing schema")?;
         if schema != REPRODUCER_SCHEMA {
-            return Err(format!(
-                "schema {schema:?}, expected {REPRODUCER_SCHEMA:?}"
-            ));
+            return Err(format!("schema {schema:?}, expected {REPRODUCER_SCHEMA:?}"));
         }
         let graph_name = value
             .get("graph")

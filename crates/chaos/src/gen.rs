@@ -63,9 +63,7 @@ impl AdversaryGen {
                 .max()
                 .unwrap_or(0),
             AdversaryGen::Quiescent { inner, .. } => inner.bound(graph),
-            AdversaryGen::Stacked(parts) => {
-                parts.iter().map(|p| p.bound(graph)).sum()
-            }
+            AdversaryGen::Stacked(parts) => parts.iter().map(|p| p.bound(graph)).sum(),
         }
     }
 
@@ -157,7 +155,13 @@ impl AdversaryGen {
             },
             3 => AdversaryGen::Quiescent {
                 after: rng.random_below(max_rounds + 1),
-                inner: Box::new(Self::sample_depth(rng, graph, budget, max_rounds, depth - 1)),
+                inner: Box::new(Self::sample_depth(
+                    rng,
+                    graph,
+                    budget,
+                    max_rounds,
+                    depth - 1,
+                )),
             },
             _ => {
                 let first = rng.random_below(budget + 1);

@@ -101,7 +101,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         // bound fits the contract.
         let expect_consensus = gen.bound(&graph) <= contract_f;
         let adversary = gen.instantiate(&graph, &mut rng);
-        let (outcome, script, breaches) = execute(&graph, &inputs, adversary, contract_f, max_rounds);
+        let (outcome, script, breaches) =
+            execute(&graph, &inputs, adversary, contract_f, max_rounds);
         let violations = check_run(&outcome, &breaches, expect_consensus);
         let Some(first) = violations.first() else {
             continue;
@@ -174,7 +175,8 @@ pub fn replay_with_trace(rep: &Reproducer) -> (ReplayOutcome, Vec<TraceEvent>) {
     );
     let nodes = FloodConsensus::fleet(&graph, &rep.inputs, DecisionRule::ValueOfMinId);
     let mut recorder = MemoryRecorder::new();
-    let outcome = run_network_with_recorder(&graph, nodes, &mut checked, rep.max_rounds, &mut recorder);
+    let outcome =
+        run_network_with_recorder(&graph, nodes, &mut checked, rep.max_rounds, &mut recorder);
     let (_, breaches) = checked.into_parts();
     let violations = check_run(&outcome, &breaches, true);
     (
@@ -204,7 +206,8 @@ mod tests {
                     over_budget: false,
                 });
                 assert_eq!(
-                    report.violating_runs, 0,
+                    report.violating_runs,
+                    0,
                     "{graph} seed {seed}: {:?}",
                     report.reproducers.first().map(|r| &r.violation)
                 );
@@ -245,7 +248,10 @@ mod tests {
         let a = run_chaos(&cfg);
         let b = run_chaos(&cfg);
         let bytes = |r: &ChaosReport| -> Vec<String> {
-            r.reproducers.iter().map(Reproducer::to_json_string).collect()
+            r.reproducers
+                .iter()
+                .map(Reproducer::to_json_string)
+                .collect()
         };
         assert_eq!(bytes(&a), bytes(&b));
         assert!(!a.reproducers.is_empty());

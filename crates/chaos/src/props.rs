@@ -77,10 +77,16 @@ impl std::fmt::Display for Violation {
                 write!(f, "agreement broken: decisions {a} and {b}")
             }
             Violation::Validity { proposed, decided } => {
-                write!(f, "validity broken: all proposed {proposed}, decided {decided}")
+                write!(
+                    f,
+                    "validity broken: all proposed {proposed}, decided {decided}"
+                )
             }
             Violation::Termination { undecided } => {
-                write!(f, "termination broken: {undecided} nodes undecided at the round bound")
+                write!(
+                    f,
+                    "termination broken: {undecided} nodes undecided at the round bound"
+                )
             }
             Violation::BudgetExceeded {
                 round,

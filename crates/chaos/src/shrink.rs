@@ -99,9 +99,8 @@ mod tests {
             edges(&[(0, 1), (1, 0), (2, 3)]),
             edges(&[(3, 2)]),
         ];
-        let mut fails = |s: &[Vec<DirectedEdge>]| {
-            s.iter().flatten().any(|e| *e == DirectedEdge::new(0, 1))
-        };
+        let mut fails =
+            |s: &[Vec<DirectedEdge>]| s.iter().flatten().any(|e| *e == DirectedEdge::new(0, 1));
         let minimal = shrink_script(noisy, &mut fails);
         assert_eq!(minimal, vec![vec![], edges(&[(0, 1)])]);
     }
@@ -126,13 +125,9 @@ mod tests {
 
     #[test]
     fn shrinking_is_deterministic() {
-        let noisy = vec![
-            edges(&[(0, 1), (1, 2), (2, 0)]),
-            edges(&[(1, 0), (2, 1)]),
-        ];
+        let noisy = vec![edges(&[(0, 1), (1, 2), (2, 0)]), edges(&[(1, 0), (2, 1)])];
         let run = || {
-            let mut fails =
-                |s: &[Vec<DirectedEdge>]| s.iter().map(Vec::len).sum::<usize>() >= 2;
+            let mut fails = |s: &[Vec<DirectedEdge>]| s.iter().map(Vec::len).sum::<usize>() >= 2;
             shrink_script(noisy.clone(), &mut fails)
         };
         assert_eq!(run(), run());

@@ -297,9 +297,7 @@ mod tests {
 
     #[test]
     fn aw_rejects_non_gamma_parameter() {
-        let res = std::panic::catch_unwind(|| {
-            AwProcess::new(Role::White, true, sc("(x)"))
-        });
+        let res = std::panic::catch_unwind(|| AwProcess::new(Role::White, true, sc("(x)")));
         assert!(res.is_err());
     }
 
@@ -314,7 +312,9 @@ mod tests {
         // w = DropBlack^ω forbidden; every other Γ-scenario must reach
         // consensus (Corollary IV.1).
         let w = sc("(b)");
-        for s in ["(-)", "(w)", "(wb)", "b(w)", "bb(-)", "-(b)", "w(b)", "bw(b)"] {
+        for s in [
+            "(-)", "(w)", "(wb)", "b(w)", "bb(-)", "-(b)", "w(b)", "bw(b)",
+        ] {
             assert_aw_consensus(&w, &sc(s), 64);
         }
     }
@@ -382,7 +382,9 @@ mod tests {
         // Forbidden word w0·(anything): w0 = "wb" ∉ Pref(S1), extended
         // arbitrarily — use wb(b).
         let w = sc("wb(b)");
-        let s1_scenarios = ["(-)", "(w)", "(b)", "w(-)", "b(-)", "-(w)", "-(b)", "ww(-)", "bb(b)"];
+        let s1_scenarios = [
+            "(-)", "(w)", "(b)", "w(-)", "b(-)", "-(w)", "-(b)", "ww(-)", "bb(b)",
+        ];
         for s in s1_scenarios {
             for wi in [false, true] {
                 for bi in [false, true] {
@@ -394,7 +396,11 @@ mod tests {
                         "early A_w under {s} inputs ({wi},{bi}): {:?}",
                         out.verdict
                     );
-                    assert!(out.rounds <= 2, "halts within p=2 rounds, got {}", out.rounds);
+                    assert!(
+                        out.rounds <= 2,
+                        "halts within p=2 rounds, got {}",
+                        out.rounds
+                    );
                 }
             }
         }
@@ -411,7 +417,11 @@ mod tests {
                     let mut white = AwProcess::new(Role::White, wi, w.clone()).with_round_cap(2);
                     let mut black = AwProcess::new(Role::Black, bi, w.clone()).with_round_cap(2);
                     let out = run_two_process(&mut white, &mut black, &sc(s), 16);
-                    assert!(out.verdict.is_consensus(), "{s} ({wi},{bi}): {:?}", out.verdict);
+                    assert!(
+                        out.verdict.is_consensus(),
+                        "{s} ({wi},{bi}): {:?}",
+                        out.verdict
+                    );
                 }
             }
         }
@@ -464,11 +474,12 @@ mod tests {
                     let mut in_b = IntuitiveAlmostFair::new(Role::Black, bi);
                     let in_out = run_two_process(&mut in_w, &mut in_b, &s, 256);
 
+                    assert_eq!(aw_out.verdict, in_out.verdict, "{s} ({wi},{bi})");
                     assert_eq!(
-                        aw_out.verdict, in_out.verdict,
-                        "{s} ({wi},{bi})"
+                        aw_out.verdict,
+                        Verdict::Consensus(bi),
+                        "{s}: Black dictates"
                     );
-                    assert_eq!(aw_out.verdict, Verdict::Consensus(bi), "{s}: Black dictates");
                     assert!(
                         aw_out.rounds.abs_diff(in_out.rounds) <= 1,
                         "{s} ({wi},{bi}): rounds {} vs {}",
@@ -518,7 +529,11 @@ mod tests {
         let mut black = AwProcess::new(Role::Black, true, w.clone());
         let out = run_two_process(&mut white, &mut black, &v, 32);
         assert!(out.verdict.is_consensus());
-        assert!(out.rounds <= 4, "expected fast divergence, took {}", out.rounds);
+        assert!(
+            out.rounds <= 4,
+            "expected fast divergence, took {}",
+            out.rounds
+        );
     }
 
     #[test]
@@ -590,20 +605,27 @@ mod tests {
         let w = sc("(b)"); // any Γ parameter; state evolution is what matters
         for r in 1..=4usize {
             for v in GammaWord::enumerate_all(r) {
-                let Some(v2) = index_successor(&v) else { continue };
+                let Some(v2) = index_successor(&v) else {
+                    continue;
+                };
                 let even = ind(&v).is_even();
                 let confused = confused_process(even);
 
-                let run = |word: &GammaWord| -> (minobs_bigint::UBig, Option<bool>, minobs_bigint::UBig, Option<bool>) {
+                let run = |word: &GammaWord| -> (
+                    minobs_bigint::UBig,
+                    Option<bool>,
+                    minobs_bigint::UBig,
+                    Option<bool>,
+                ) {
                     let mut white = AwProcess::new(Role::White, true, w.clone());
                     let mut black = AwProcess::new(Role::Black, false, w.clone());
                     for a in word.iter() {
-                        let to_white = a.delivers_from(Role::Black).then(|| {
-                            black.outgoing().unwrap()
-                        });
-                        let to_black = a.delivers_from(Role::White).then(|| {
-                            white.outgoing().unwrap()
-                        });
+                        let to_white = a
+                            .delivers_from(Role::Black)
+                            .then(|| black.outgoing().unwrap());
+                        let to_black = a
+                            .delivers_from(Role::White)
+                            .then(|| white.outgoing().unwrap());
                         white.advance(to_white);
                         black.advance(to_black);
                     }
@@ -681,9 +703,8 @@ mod tests {
                 if s.prefix_word(2).to_gamma() == Some(w0.clone()) {
                     continue; // scenario must avoid the forbidden prefix
                 }
-                let mut white = WrongTieAw(
-                    AwProcess::new(Role::White, true, w.clone()).with_round_cap(2),
-                );
+                let mut white =
+                    WrongTieAw(AwProcess::new(Role::White, true, w.clone()).with_round_cap(2));
                 let mut black = AwProcess::new(Role::Black, false, w.clone()).with_round_cap(2);
                 let out = run_two_process(&mut white, &mut black, &s, 16);
                 if matches!(out.verdict, Verdict::Disagreement { .. }) {

@@ -151,8 +151,16 @@ where
         let decided_before = (white.decision().is_some(), black.decision().is_some());
 
         let letter = scenario.letter_at(rounds);
-        let from_white = if white.halted() { None } else { white.outgoing() };
-        let from_black = if black.halted() { None } else { black.outgoing() };
+        let from_white = if white.halted() {
+            None
+        } else {
+            white.outgoing()
+        };
+        let from_black = if black.halted() {
+            None
+        } else {
+            black.outgoing()
+        };
         let white_sent = from_white.is_some();
         let black_sent = from_black.is_some();
         let mut counts = RoundCounts {
@@ -217,12 +225,7 @@ where
 
     let white_decision = white.decision();
     let black_decision = black.decision();
-    let verdict = audit(
-        white.input(),
-        black.input(),
-        white_decision,
-        black_decision,
-    );
+    let verdict = audit(white.input(), black.input(), white_decision, black_decision);
     recorder.record(TraceEvent::RunEnd {
         rounds,
         totals: RoundCounts {
@@ -372,8 +375,14 @@ mod tests {
 
     #[test]
     fn mixed_inputs_cannot_violate_validity() {
-        assert_eq!(audit(true, false, Some(false), Some(false)), Verdict::Consensus(false));
-        assert_eq!(audit(true, false, Some(true), Some(true)), Verdict::Consensus(true));
+        assert_eq!(
+            audit(true, false, Some(false), Some(false)),
+            Verdict::Consensus(false)
+        );
+        assert_eq!(
+            audit(true, false, Some(true), Some(true)),
+            Verdict::Consensus(true)
+        );
     }
 
     #[test]

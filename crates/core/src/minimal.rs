@@ -43,7 +43,10 @@ pub struct SPairGraph {
 impl SPairGraph {
     /// Degree of vertex `i`.
     pub fn degree(&self, i: usize) -> usize {
-        self.edges.iter().filter(|(a, b)| *a == i || *b == i).count()
+        self.edges
+            .iter()
+            .filter(|(a, b)| *a == i || *b == i)
+            .count()
     }
 
     /// `true` iff no vertex has degree > 1 — the matching property.
@@ -139,10 +142,7 @@ pub fn is_lower_pair_member(w: &Scenario) -> Option<bool> {
         return None; // constants are unmatched
     }
     let c = w.canonicalize();
-    let settled_prefix = c
-        .lasso_prefix()
-        .to_gamma()
-        .expect("Γ scenario");
+    let settled_prefix = c.lasso_prefix().to_gamma().expect("Γ scenario");
     let even = ind_parity_is_even(&settled_prefix);
     let tail_drops_black = c.eventually_always_drops(Role::Black);
     // Tail letters have δ ≠ 0, so parity is settled at the transient's end.
@@ -271,7 +271,11 @@ mod tests {
     fn lower_member_classification_matches_pair_order() {
         let g = build_spair_graph(2);
         for &(a, b) in &g.edges {
-            let (lo, hi) = if g.node_is_lower(a, b) { (a, b) } else { (b, a) };
+            let (lo, hi) = if g.node_is_lower(a, b) {
+                (a, b)
+            } else {
+                (b, a)
+            };
             assert_eq!(
                 is_lower_pair_member(&g.nodes[lo]),
                 Some(true),

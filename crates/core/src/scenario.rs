@@ -192,8 +192,8 @@ impl PartialEq for Scenario {
     fn eq(&self, other: &Self) -> bool {
         // Two ultimately periodic words are equal iff they agree on a
         // prefix of length max(|u|,|u'|) + lcm(|v|,|v'|).
-        let horizon = self.prefix.len().max(other.prefix.len())
-            + lcm(self.cycle.len(), other.cycle.len());
+        let horizon =
+            self.prefix.len().max(other.prefix.len()) + lcm(self.cycle.len(), other.cycle.len());
         (0..horizon).all(|i| self.letter_at(i) == other.letter_at(i))
     }
 }
@@ -246,7 +246,9 @@ impl FromStr for Scenario {
         if cycle_s.is_empty() {
             return Err(ParseScenarioError::EmptyCycle);
         }
-        let prefix: Word = prefix_s.parse().map_err(|_| ParseScenarioError::BadSyntax)?;
+        let prefix: Word = prefix_s
+            .parse()
+            .map_err(|_| ParseScenarioError::BadSyntax)?;
         let cycle: Word = cycle_s.parse().map_err(|_| ParseScenarioError::BadSyntax)?;
         Ok(Scenario::new(prefix, cycle))
     }
@@ -409,9 +411,8 @@ mod tests {
     }
 
     fn arb_scenario() -> impl Strategy<Value = Scenario> {
-        ("[-wbx]{0,6}", "[-wbx]{1,5}").prop_map(|(p, c)| {
-            Scenario::new(p.parse().unwrap(), c.parse().unwrap())
-        })
+        ("[-wbx]{0,6}", "[-wbx]{1,5}")
+            .prop_map(|(p, c)| Scenario::new(p.parse().unwrap(), c.parse().unwrap()))
     }
 
     proptest! {

@@ -142,9 +142,7 @@ impl OmissionScheme for ClassicScheme {
             ClassicScheme::AlmostFair(role) => {
                 w.is_gamma() && *w != Scenario::constant_gamma(GammaLetter::dropping(*role))
             }
-            ClassicScheme::GammaMinus(excluded) => {
-                w.is_gamma() && !excluded.contains(w)
-            }
+            ClassicScheme::GammaMinus(excluded) => w.is_gamma() && !excluded.contains(w),
             ClassicScheme::AvoidPrefix(w0) => w.is_gamma() && !w.has_prefix(w0),
             ClassicScheme::TotalBudget(k) => {
                 // Ultimately periodic: finitely many losses iff the cycle
@@ -152,14 +150,22 @@ impl OmissionScheme for ClassicScheme {
                 w.is_gamma() && {
                     let c = w.canonicalize();
                     c.lasso_cycle().iter().all(|a| a == Letter::Full)
-                        && c.lasso_prefix().iter().filter(|&a| a != Letter::Full).count() <= *k
+                        && c.lasso_prefix()
+                            .iter()
+                            .filter(|&a| a != Letter::Full)
+                            .count()
+                            <= *k
                 }
             }
             ClassicScheme::SigmaAvoidPrefix(w0) => !w.has_prefix(w0),
             ClassicScheme::SigmaTotalBudget(k) => {
                 let c = w.canonicalize();
                 c.lasso_cycle().iter().all(|a| a == Letter::Full)
-                    && c.lasso_prefix().iter().filter(|&a| a != Letter::Full).count() <= *k
+                    && c.lasso_prefix()
+                        .iter()
+                        .filter(|&a| a != Letter::Full)
+                        .count()
+                        <= *k
             }
         }
     }
@@ -167,16 +173,18 @@ impl OmissionScheme for ClassicScheme {
     fn allows_prefix(&self, u: &Word) -> bool {
         match self {
             ClassicScheme::S0 => u.iter().all(|a| a == Letter::Full),
-            ClassicScheme::T(role) => {
-                u.iter().all(|a| a == Letter::Full || a == GammaLetter::dropping(*role).to_letter())
-            }
+            ClassicScheme::T(role) => u
+                .iter()
+                .all(|a| a == Letter::Full || a == GammaLetter::dropping(*role).to_letter()),
             ClassicScheme::C1 => {
                 // Prefix of a crash scenario: Full^a · drop(x)^b for one x.
                 is_crash_prefix(u)
             }
             ClassicScheme::S1 => {
-                u.iter().all(|a| a == Letter::Full || a == Letter::DropWhite)
-                    || u.iter().all(|a| a == Letter::Full || a == Letter::DropBlack)
+                u.iter()
+                    .all(|a| a == Letter::Full || a == Letter::DropWhite)
+                    || u.iter()
+                        .all(|a| a == Letter::Full || a == Letter::DropBlack)
             }
             ClassicScheme::R1 | ClassicScheme::FairGamma => u.is_gamma(),
             ClassicScheme::S2 => true,
@@ -190,9 +198,7 @@ impl OmissionScheme for ClassicScheme {
                 // every Γ-prefix has uncountably many extensions.
                 u.is_gamma()
             }
-            ClassicScheme::AvoidPrefix(w0) => {
-                u.is_gamma() && !w0.is_prefix_of(u)
-            }
+            ClassicScheme::AvoidPrefix(w0) => u.is_gamma() && !w0.is_prefix_of(u),
             ClassicScheme::TotalBudget(k) => {
                 u.is_gamma() && u.iter().filter(|&a| a != Letter::Full).count() <= *k
             }
@@ -362,7 +368,10 @@ mod tests {
         assert!(c1.contains(&sc("(-)")), "no crash at all");
         assert!(c1.contains(&sc("(w)")), "White crashes at round 0");
         assert!(c1.contains(&sc("---(b)")), "Black crashes at round 3");
-        assert!(!c1.contains(&sc("w-(w)")), "recovered then re-lost is not a crash");
+        assert!(
+            !c1.contains(&sc("w-(w)")),
+            "recovered then re-lost is not a crash"
+        );
         assert!(!c1.contains(&sc("(wb)")), "alternating loss is not a crash");
         assert!(!c1.contains(&sc("-(-w)")), "intermittent is not a crash");
     }
@@ -424,7 +433,10 @@ mod tests {
         assert!(!af.contains(&sc("(b)")));
         assert!(!af.contains(&sc("b(bb)")), "same scenario, other lasso");
         assert!(af.contains(&sc("(w)")));
-        assert!(af.contains(&sc("-(b)")), "crash after one clean round is kept");
+        assert!(
+            af.contains(&sc("-(b)")),
+            "crash after one clean round is kept"
+        );
         assert!(af.contains(&sc("(-)")));
     }
 
@@ -447,7 +459,10 @@ mod tests {
         assert!(l.contains(&sc("(-)")));
         assert!(!l.allows_prefix(&"wbw".parse().unwrap()));
         assert!(l.allows_prefix(&"w-".parse().unwrap()));
-        assert!(l.allows_prefix(&"w".parse().unwrap()), "shorter than w0 is fine");
+        assert!(
+            l.allows_prefix(&"w".parse().unwrap()),
+            "shorter than w0 is fine"
+        );
     }
 
     #[test]
@@ -479,7 +494,10 @@ mod tests {
     fn sigma_avoid_prefix_membership() {
         let l = ClassicScheme::SigmaAvoidPrefix("x".parse().unwrap());
         assert!(!l.contains(&sc("x(-)")));
-        assert!(l.contains(&sc("(x)").suffix(0).prepend(&"-".parse().unwrap())), "-x… allowed");
+        assert!(
+            l.contains(&sc("(x)").suffix(0).prepend(&"-".parse().unwrap())),
+            "-x… allowed"
+        );
         assert!(l.contains(&sc("(-)")));
         assert!(l.contains(&sc("w(x)")), "double omission later is fine");
         assert!(!l.allows_prefix(&"xw".parse().unwrap()));

@@ -185,13 +185,22 @@ mod tests {
 
     #[test]
     fn equal_words_are_not_special() {
-        assert_eq!(classify_pair(&sc("(w)"), &sc("w(ww)")), SPairVerdict::EqualWords);
-        assert_eq!(classify_pair(&sc("(-)"), &sc("(-)")), SPairVerdict::EqualWords);
+        assert_eq!(
+            classify_pair(&sc("(w)"), &sc("w(ww)")),
+            SPairVerdict::EqualWords
+        );
+        assert_eq!(
+            classify_pair(&sc("(-)"), &sc("(-)")),
+            SPairVerdict::EqualWords
+        );
     }
 
     #[test]
     fn double_omission_rejected() {
-        assert_eq!(classify_pair(&sc("(x)"), &sc("(w)")), SPairVerdict::NotGamma);
+        assert_eq!(
+            classify_pair(&sc("(x)"), &sc("(w)")),
+            SPairVerdict::NotGamma
+        );
     }
 
     #[test]
@@ -278,7 +287,10 @@ mod tests {
         assert!(!partners.is_empty());
         for p in &partners {
             assert!(is_special_pair(&sc("-(w)"), p), "{p}");
-            assert!(p.is_unfair(), "partners of unfair scenarios are unfair: {p}");
+            assert!(
+                p.is_unfair(),
+                "partners of unfair scenarios are unfair: {p}"
+            );
         }
     }
 
@@ -287,7 +299,9 @@ mod tests {
         // Every unfair Γ-scenario except the two constants has a special
         // partner: the parity of the settled index picks the `+1` or `-1`
         // neighbour, and exactly one of the two is always available.
-        for s in ["-(w)", "--(b)", "wb(w)", "b-(b)", "w-(w)", "-w(b)", "bbb-(b)"] {
+        for s in [
+            "-(w)", "--(b)", "wb(w)", "b-(b)", "w-(w)", "-w(b)", "bbb-(b)",
+        ] {
             let w = sc(s);
             let p = special_partner(&w);
             assert!(p.is_some(), "no partner for {s}");
@@ -319,8 +333,14 @@ mod tests {
         for a in &lassos {
             for b in &lassos {
                 if is_special_pair(a, b) {
-                    assert!(a.is_unfair(), "{a} of special pair ({a},{b}) must be unfair");
-                    assert!(b.is_unfair(), "{b} of special pair ({a},{b}) must be unfair");
+                    assert!(
+                        a.is_unfair(),
+                        "{a} of special pair ({a},{b}) must be unfair"
+                    );
+                    assert!(
+                        b.is_unfair(),
+                        "{b} of special pair ({a},{b}) must be unfair"
+                    );
                 }
             }
         }

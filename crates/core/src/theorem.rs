@@ -136,8 +136,14 @@ pub fn upper_member(u: &Scenario, u2: &Scenario) -> Scenario {
     // Once the indexes diverge they keep their order; compare at a round
     // past both representations.
     let r = u.repr_len().max(u2.repr_len()) + u.lasso_cycle().len() * u2.lasso_cycle().len() + 1;
-    let iu = ind(&u.prefix_word(r).to_gamma().expect("special pairs live in Γ"));
-    let iv = ind(&u2.prefix_word(r).to_gamma().expect("special pairs live in Γ"));
+    let iu = ind(&u
+        .prefix_word(r)
+        .to_gamma()
+        .expect("special pairs live in Γ"));
+    let iv = ind(&u2
+        .prefix_word(r)
+        .to_gamma()
+        .expect("special pairs live in Γ"));
     if iu >= iv {
         u.clone()
     } else {
@@ -175,9 +181,10 @@ impl GammaScheme for ClassicScheme {
             ClassicScheme::T(Role::Black) => Some("(w-)".parse().unwrap()),
             // These contain every fair Γ-scenario:
             ClassicScheme::R1 | ClassicScheme::FairGamma | ClassicScheme::AlmostFair(_) => None,
-            ClassicScheme::GammaMinus(excluded) => {
-                excluded.iter().find(|s| s.is_gamma() && s.is_fair()).cloned()
-            }
+            ClassicScheme::GammaMinus(excluded) => excluded
+                .iter()
+                .find(|s| s.is_gamma() && s.is_fair())
+                .cloned(),
             ClassicScheme::AvoidPrefix(w0) => {
                 // w0 · Full^ω is fair and starts with the forbidden prefix.
                 if w0.is_gamma() {
@@ -267,7 +274,10 @@ fn missing_pair_for_prefix(w0: &GammaWord) -> (Scenario, Scenario) {
     let tail: Word = "b".parse().unwrap();
     let a = Scenario::new(w0.push(lo).to_word(), tail.clone());
     let b = Scenario::new(w0.push(hi).to_word(), tail);
-    debug_assert!(is_special_pair(&a, &b), "constructed pair {a}/{b} not special");
+    debug_assert!(
+        is_special_pair(&a, &b),
+        "constructed pair {a}/{b} not special"
+    );
     (a, b)
 }
 
@@ -294,7 +304,11 @@ mod tests {
     fn witnesses_are_truly_missing() {
         for env in classic::seven_environments() {
             if let Solvability::Solvable { witness, .. } = decide_classic(&env) {
-                assert!(!env.contains(&witness), "{}: witness {witness} in L", env.name());
+                assert!(
+                    !env.contains(&witness),
+                    "{}: witness {witness} in L",
+                    env.name()
+                );
             }
         }
     }
@@ -424,10 +438,7 @@ mod tests {
             let (p, w0) = min_excluded_prefix(&scheme, 6).expect("bounded");
             assert_eq!(p, k + 1, "budget {k}");
             // The excluded word has exactly k + 1 losses.
-            let losses = w0
-                .iter()
-                .filter(|a| *a != GammaLetter::Full)
-                .count();
+            let losses = w0.iter().filter(|a| *a != GammaLetter::Full).count();
             assert_eq!(losses, k + 1);
         }
     }
@@ -542,7 +553,11 @@ mod tests {
             assert!(!scheme.contains(&f), "{}: {f}", scheme.name());
         }
         for scheme in [classic::r1(), classic::fair_gamma(), classic::almost_fair()] {
-            assert!(scheme.missing_fair_scenario().is_none(), "{}", scheme.name());
+            assert!(
+                scheme.missing_fair_scenario().is_none(),
+                "{}",
+                scheme.name()
+            );
         }
     }
 }

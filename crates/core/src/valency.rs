@@ -74,10 +74,12 @@ where
 /// cycles, and the clean tail — enough to separate the valencies of every
 /// classic scheme.
 pub fn default_extension_basis() -> Vec<Scenario> {
-    ["(-)", "(w)", "(b)", "(wb)", "(bw)", "(w-)", "(b-)", "(-w)", "(-b)"]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect()
+    [
+        "(-)", "(w)", "(b)", "(wb)", "(bw)", "(w-)", "(b-)", "(-w)", "(-b)",
+    ]
+    .iter()
+    .map(|s| s.parse().unwrap())
+    .collect()
 }
 
 /// Classifies the valency of `prefix` for algorithm `A` (via `factory`)
@@ -262,16 +264,8 @@ mod tests {
         let scheme = classic::s1();
         let (p, w0) = crate::theorem::min_excluded_prefix(&scheme, 4).unwrap();
         let w = Scenario::new(w0.to_word(), "b".parse().unwrap());
-        let factory = move |role, input| {
-            AwProcess::new(role, input, w.clone()).with_round_cap(p)
-        };
-        let decisive = find_decisive_prefix(
-            &factory,
-            &scheme,
-            &default_extension_basis(),
-            3,
-            64,
-        );
+        let factory = move |role, input| AwProcess::new(role, input, w.clone()).with_round_cap(p);
+        let decisive = find_decisive_prefix(&factory, &scheme, &default_extension_basis(), 3, 64);
         let v = decisive.expect("a decisive prefix must exist for capped A_w on S1");
         assert!(v.len() < p, "decisive before the decision round, got {v}");
     }
@@ -283,9 +277,7 @@ mod tests {
         let scheme = classic::s1();
         let (p, w0) = crate::theorem::min_excluded_prefix(&scheme, 4).unwrap();
         let w = Scenario::new(w0.to_word(), "b".parse().unwrap());
-        let factory = move |role, input| {
-            AwProcess::new(role, input, w.clone()).with_round_cap(p)
-        };
+        let factory = move |role, input| AwProcess::new(role, input, w.clone()).with_round_cap(p);
         let v = valency(
             &factory,
             &scheme,
@@ -322,13 +314,7 @@ mod tests {
         let scheme = classic::r1();
         let w: Scenario = "(b)".parse().unwrap(); // not a valid witness: R1 has none
         let factory = aw_factory(&w);
-        let decisive = find_decisive_prefix(
-            &factory,
-            &scheme,
-            &default_extension_basis(),
-            3,
-            128,
-        );
+        let decisive = find_decisive_prefix(&factory, &scheme, &default_extension_basis(), 3, 128);
         assert_eq!(decisive, None);
     }
 }

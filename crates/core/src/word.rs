@@ -106,7 +106,14 @@ impl Word {
             next: Some(vec![0u8; r]),
             radix: 4,
         }
-        .map(|digits| Word(digits.into_iter().map(|d| Letter::ALL[d as usize]).collect()))
+        .map(|digits| {
+            Word(
+                digits
+                    .into_iter()
+                    .map(|d| Letter::ALL[d as usize])
+                    .collect(),
+            )
+        })
     }
 }
 
@@ -302,7 +309,14 @@ mod tests {
     fn parse_display_roundtrip() {
         for s in ["-", "w", "b", "-wb", "wwbb--", "ε"] {
             let w: GammaWord = s.parse().unwrap();
-            assert_eq!(w.to_string(), if s == "ε" { "ε".into() } else { s.to_string() });
+            assert_eq!(
+                w.to_string(),
+                if s == "ε" {
+                    "ε".into()
+                } else {
+                    s.to_string()
+                }
+            );
         }
         let w: Word = "-wbx".parse().unwrap();
         assert_eq!(w.to_string(), "-wbx");
@@ -332,10 +346,7 @@ mod tests {
     fn concat_and_push() {
         assert_eq!(gw("-w").concat(&gw("b")), gw("-wb"));
         assert_eq!(gw("-w").push(GammaLetter::DropBlack), gw("-wb"));
-        assert_eq!(
-            GammaWord::repeat(GammaLetter::DropWhite, 3),
-            gw("www")
-        );
+        assert_eq!(GammaWord::repeat(GammaLetter::DropWhite, 3), gw("www"));
     }
 
     #[test]

@@ -44,7 +44,10 @@ pub fn is_connected(g: &Graph) -> bool {
 ///
 /// Returns 0 for the empty graph.
 pub fn min_degree(g: &Graph) -> usize {
-    (0..g.vertex_count()).map(|v| g.degree(v)).min().unwrap_or(0)
+    (0..g.vertex_count())
+        .map(|v| g.degree(v))
+        .min()
+        .unwrap_or(0)
 }
 
 fn unit_network(g: &Graph) -> FlowNetwork {

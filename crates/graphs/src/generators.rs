@@ -220,9 +220,7 @@ fn check_parse_size(name: &str, args: &[usize], spec: &str) -> Result<(), String
     let size: Option<(u128, u128)> = match (name, args) {
         ("complete", &[n]) => Some((n as u128, n as u128 * n.saturating_sub(1) as u128 / 2)),
         ("cycle" | "path" | "star", &[n]) => Some((n as u128, n as u128)),
-        ("grid" | "torus", &[r, c]) => {
-            Some((r as u128 * c as u128, 2 * r as u128 * c as u128))
-        }
+        ("grid" | "torus", &[r, c]) => Some((r as u128 * c as u128, 2 * r as u128 * c as u128)),
         ("hypercube", &[d]) => {
             if d >= 64 {
                 Some((u128::MAX, u128::MAX))
@@ -230,9 +228,7 @@ fn check_parse_size(name: &str, args: &[usize], spec: &str) -> Result<(), String
                 Some((1u128 << d, (d as u128) << d.saturating_sub(1)))
             }
         }
-        ("complete_bipartite", &[a, b]) => {
-            Some((a as u128 + b as u128, a as u128 * b as u128))
-        }
+        ("complete_bipartite", &[a, b]) => Some((a as u128 + b as u128, a as u128 * b as u128)),
         ("barbell", &[m, bridges]) => Some((
             2 * m as u128,
             m as u128 * m.saturating_sub(1) as u128 + bridges as u128,

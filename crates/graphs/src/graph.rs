@@ -176,10 +176,7 @@ impl Graph {
 
     /// All `2·|E|` directed edges of `G↔`.
     pub fn directed_edges(&self) -> Vec<DirectedEdge> {
-        self.edges
-            .iter()
-            .flat_map(|e| e.directions())
-            .collect()
+        self.edges.iter().flat_map(|e| e.directions()).collect()
     }
 
     /// The subgraph induced by a vertex set, with vertices *renumbered*

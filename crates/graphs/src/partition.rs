@@ -169,7 +169,11 @@ mod tests {
         let g = generators::cycle(6);
         let p = cut_partition(&g).unwrap();
         assert_eq!(p.f(), 2);
-        assert!(validate_partition(&g, &p).is_empty(), "{:?}", validate_partition(&g, &p));
+        assert!(
+            validate_partition(&g, &p).is_empty(),
+            "{:?}",
+            validate_partition(&g, &p)
+        );
     }
 
     #[test]

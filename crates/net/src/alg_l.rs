@@ -205,7 +205,11 @@ mod tests {
         // reach consensus.
         let g = generators::barbell(3, 2);
         for v in ["(-)", "(w)", "(wb)", "-(b)", "w(b)", "bw(-)"] {
-            for inputs in [[0u64, 0, 0, 1, 1, 1], [1, 1, 1, 1, 1, 1], [0, 1, 0, 1, 0, 1]] {
+            for inputs in [
+                [0u64, 0, 0, 1, 1, 1],
+                [1, 1, 1, 1, 1, 1],
+                [0, 1, 0, 1, 0, 1],
+            ] {
                 let out = run_al(&g, v, "(b)", &inputs, 128);
                 assert!(
                     out.verdict.is_consensus(),
@@ -236,7 +240,11 @@ mod tests {
 
     #[test]
     fn al_works_on_other_topologies() {
-        for g in [generators::cycle(6), generators::theta(3, 2), generators::star(5)] {
+        for g in [
+            generators::cycle(6),
+            generators::theta(3, 2),
+            generators::star(5),
+        ] {
             let n = g.vertex_count();
             let inputs: Vec<u64> = (0..n).map(|v| (v % 2) as u64).collect();
             let out = run_al(&g, "(wb)", "(b)", &inputs, 256);

@@ -215,7 +215,11 @@ mod tests {
 
     #[test]
     fn fault_free_decides_in_n_minus_1_rounds() {
-        for g in [generators::cycle(6), generators::complete(5), generators::grid(3, 3)] {
+        for g in [
+            generators::cycle(6),
+            generators::complete(5),
+            generators::grid(3, 3),
+        ] {
             let n = g.vertex_count();
             let nodes = FloodConsensus::fleet(&g, &inputs(n), DecisionRule::ValueOfMinId);
             let out = run_network(&g, nodes, &mut NoFault, 2 * n);
@@ -241,10 +245,8 @@ mod tests {
         let n = g.vertex_count();
         for seed in 0..10u64 {
             let nodes = FloodConsensus::fleet(&g, &inputs(n), DecisionRule::ValueOfMinId);
-            let mut adv = BudgetChecked::new(
-                RandomOmissions::new(3, StdRng::seed_from_u64(seed)),
-                3,
-            );
+            let mut adv =
+                BudgetChecked::new(RandomOmissions::new(3, StdRng::seed_from_u64(seed)), 3);
             let out = run_network(&g, nodes, &mut adv, 2 * n);
             assert_eq!(out.verdict, NetVerdict::Consensus(3), "seed {seed}");
         }
@@ -290,10 +292,7 @@ mod tests {
         let g = generators::cycle(6);
         let nodes = FloodConsensus::fleet(&g, &inputs(6), DecisionRule::ValueOfMinId);
         let mut net = minobs_sim::network::SyncNetwork::new(&g, nodes);
-        let mut adv = BudgetChecked::new(
-            RandomOmissions::new(1, StdRng::seed_from_u64(5)),
-            1,
-        );
+        let mut adv = BudgetChecked::new(RandomOmissions::new(1, StdRng::seed_from_u64(5)), 1);
         let mut prev_total = 6; // each node knows itself
         for _ in 0..5 {
             net.step(&mut adv);
@@ -302,7 +301,10 @@ mod tests {
             // At least one value crosses any cut each round: the global
             // count grows until complete.
             if prev_total < 36 {
-                assert!(total > prev_total, "knowledge must grow: {prev_total} → {total}");
+                assert!(
+                    total > prev_total,
+                    "knowledge must grow: {prev_total} → {total}"
+                );
             }
             prev_total = total;
         }
@@ -314,14 +316,19 @@ mod tests {
         // On dense graphs knowledge completes long before n-1 rounds; the
         // early-deciding variant records the earlier round while producing
         // the same verdict as the deadline variant.
-        for g in [generators::complete(8), generators::torus(3, 3), generators::cycle(9)] {
+        for g in [
+            generators::complete(8),
+            generators::torus(3, 3),
+            generators::cycle(9),
+        ] {
             let n = g.vertex_count();
             let vals = inputs(n);
             let plain = FloodConsensus::fleet(&g, &vals, DecisionRule::ValueOfMinId);
-            let early: Vec<FloodConsensus> = FloodConsensus::fleet(&g, &vals, DecisionRule::ValueOfMinId)
-                .into_iter()
-                .map(|node| node.early_deciding())
-                .collect();
+            let early: Vec<FloodConsensus> =
+                FloodConsensus::fleet(&g, &vals, DecisionRule::ValueOfMinId)
+                    .into_iter()
+                    .map(|node| node.early_deciding())
+                    .collect();
             let out_plain = run_network(&g, plain, &mut NoFault, 2 * n);
 
             let mut net = minobs_sim::network::SyncNetwork::new(&g, early);
@@ -333,17 +340,24 @@ mod tests {
                 .iter()
                 .map(|node| node.decided_at().unwrap())
                 .collect();
-            let decisions: Vec<Option<u64>> = net.nodes().iter().map(|p| {
-                use minobs_sim::network::NodeProtocol as _;
-                p.decision()
-            }).collect();
+            let decisions: Vec<Option<u64>> = net
+                .nodes()
+                .iter()
+                .map(|p| {
+                    use minobs_sim::network::NodeProtocol as _;
+                    p.decision()
+                })
+                .collect();
             assert_eq!(decisions, out_plain.decisions, "{g}");
             // On the complete graph everyone completes at round 0.
             if g.vertex_count() == 8 && g.edge_count() == 28 {
                 assert!(early_rounds.iter().all(|&r| r == 0), "{early_rounds:?}");
             }
             // Early rounds never exceed the deadline round.
-            assert!(early_rounds.iter().all(|&r| r <= n - 2), "{g}: {early_rounds:?}");
+            assert!(
+                early_rounds.iter().all(|&r| r <= n - 2),
+                "{g}: {early_rounds:?}"
+            );
         }
     }
 
@@ -353,10 +367,11 @@ mod tests {
         // ring: ⌈(n-1)/2⌉ rounds fault-free.
         let g = generators::cycle(11);
         let n = g.vertex_count();
-        let early: Vec<FloodConsensus> = FloodConsensus::fleet(&g, &inputs(n), DecisionRule::ValueOfMinId)
-            .into_iter()
-            .map(|node| node.early_deciding())
-            .collect();
+        let early: Vec<FloodConsensus> =
+            FloodConsensus::fleet(&g, &inputs(n), DecisionRule::ValueOfMinId)
+                .into_iter()
+                .map(|node| node.early_deciding())
+                .collect();
         let mut net = minobs_sim::network::SyncNetwork::new(&g, early);
         while !net.all_halted() {
             net.step(&mut NoFault);

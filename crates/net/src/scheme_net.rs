@@ -90,11 +90,12 @@ mod tests {
     fn gamma_c_accepts_only_the_three_letters() {
         let g = generators::barbell(3, 2);
         let p = cut_partition(&g).unwrap();
-        let all_ab: Vec<DirectedEdge> =
-            p.cut.iter().map(|&(a, b)| de(a, b)).collect();
-        let all_ba: Vec<DirectedEdge> =
-            p.cut.iter().map(|&(a, b)| de(b, a)).collect();
-        assert!(script_within_gamma_c(&[vec![], all_ab.clone(), all_ba.clone()], &p));
+        let all_ab: Vec<DirectedEdge> = p.cut.iter().map(|&(a, b)| de(a, b)).collect();
+        let all_ba: Vec<DirectedEdge> = p.cut.iter().map(|&(a, b)| de(b, a)).collect();
+        assert!(script_within_gamma_c(
+            &[vec![], all_ab.clone(), all_ba.clone()],
+            &p
+        ));
         // Half a cut is not a Γ_C letter.
         assert!(!script_within_gamma_c(&[vec![all_ab[0]]], &p));
         // Mixing directions is not a Γ_C letter.

@@ -256,10 +256,7 @@ impl Histogram {
         let mut map = Map::new();
         map.insert("count".to_string(), Value::from(self.count()));
         map.insert("sum".to_string(), Value::from(self.sum()));
-        map.insert(
-            "bounds".to_string(),
-            Value::from(self.bounds.clone()),
-        );
+        map.insert("bounds".to_string(), Value::from(self.bounds.clone()));
         map.insert("buckets".to_string(), Value::from(self.bucket_counts()));
         Value::Object(map)
     }
@@ -383,7 +380,12 @@ impl MetricsRegistry {
         }
 
         let mut out = String::new();
-        for (name, counter) in self.counters.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+        for (name, counter) in self
+            .counters
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+        {
             let id = sanitise(name);
             let _ = writeln!(out, "# HELP {id} minobs counter `{name}`");
             let _ = writeln!(out, "# TYPE {id} counter");
@@ -433,7 +435,12 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> Value {
         let mut root = Map::new();
         let mut counters = Map::new();
-        for (name, counter) in self.counters.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+        for (name, counter) in self
+            .counters
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+        {
             counters.insert(name.clone(), Value::from(counter.get()));
         }
         let mut gauges = Map::new();
@@ -813,9 +820,7 @@ mod tests {
         assert_eq!(registry.counter("engine.runs").get(), 1);
         // Untimed rounds (nanos == 0) stay out of the latency histogram.
         assert_eq!(
-            registry
-                .histogram("engine.round_latency_ns", &[])
-                .count(),
+            registry.histogram("engine.round_latency_ns", &[]).count(),
             1
         );
     }
@@ -912,7 +917,8 @@ mod tests {
         assert!(text.contains("# TYPE svc_requests counter"));
         assert!(text.contains("svc_requests 3"));
         assert!(text.contains("# TYPE checker_views gauge"));
-        assert!(text.contains("# HELP engine_round_latency_ns minobs histogram `engine.round_latency_ns`"));
+        assert!(text
+            .contains("# HELP engine_round_latency_ns minobs histogram `engine.round_latency_ns`"));
         assert!(text.contains("# TYPE engine_round_latency_ns histogram"));
         assert!(text.contains("engine_round_latency_ns_bucket{le=\"10\"} 1"));
         assert!(text.contains("engine_round_latency_ns_bucket{le=\"100\"} 2"));
@@ -1010,7 +1016,12 @@ mod tests {
         let solvable = registry.histogram("svc.method.solvable.latency_ns", &[]);
         assert_eq!(solvable.count(), 2);
         assert!(solvable.quantile(0.5).is_some());
-        assert_eq!(registry.histogram("svc.method.stats.latency_ns", &[]).count(), 1);
+        assert_eq!(
+            registry
+                .histogram("svc.method.stats.latency_ns", &[])
+                .count(),
+            1
+        );
     }
 
     #[test]
@@ -1228,11 +1239,15 @@ mod tests {
         registry.histogram("c", &[1]).observe(1);
         let snap = registry.snapshot();
         assert_eq!(
-            snap.get("counters").and_then(|v| v.get("a")).and_then(Value::as_u64),
+            snap.get("counters")
+                .and_then(|v| v.get("a"))
+                .and_then(Value::as_u64),
             Some(1)
         );
         assert_eq!(
-            snap.get("gauges").and_then(|v| v.get("b")).and_then(Value::as_u64),
+            snap.get("gauges")
+                .and_then(|v| v.get("b"))
+                .and_then(Value::as_u64),
             Some(2)
         );
         assert_eq!(

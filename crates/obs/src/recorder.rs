@@ -230,7 +230,10 @@ mod tests {
             tee.record(event);
         }
         let (_, memory) = tee.into_inner();
-        assert_eq!(counter.kinds, ["gossip_round", "gossip_apply", "peer_down", "health"]);
+        assert_eq!(
+            counter.kinds,
+            ["gossip_round", "gossip_apply", "peer_down", "health"]
+        );
         assert_eq!(memory.events(), events);
         // One enabled side is enough to make the tee worth feeding.
         assert!(TeeRecorder::new(NullRecorder, MemoryRecorder::new()).enabled());

@@ -237,7 +237,11 @@ mod tests {
             ("on", Some(default.to_path_buf())),
             ("custom.jsonl", Some(PathBuf::from("custom.jsonl"))),
         ] {
-            assert_eq!(resolve_trace_value(value, default), expected, "value {value:?}");
+            assert_eq!(
+                resolve_trace_value(value, default),
+                expected,
+                "value {value:?}"
+            );
         }
     }
 }

@@ -155,10 +155,7 @@ mod tests {
 
         let events = recorder.into_events();
         assert_eq!(
-            events
-                .iter()
-                .map(TraceEvent::kind)
-                .collect::<Vec<_>>(),
+            events.iter().map(TraceEvent::kind).collect::<Vec<_>>(),
             ["span_start", "span_start", "span_end", "span_end"]
         );
         match &events[1] {
@@ -200,9 +197,7 @@ mod tests {
     fn span_macro_wraps_a_block() {
         let mut recorder = MemoryRecorder::new();
         let mut ids = SpanIds::new();
-        let value = span!(&mut recorder, &mut ids, 3, "work", {
-            21 * 2
-        });
+        let value = span!(&mut recorder, &mut ids, 3, "work", { 21 * 2 });
         assert_eq!(value, 42);
         let kinds: Vec<&str> = recorder.events().iter().map(TraceEvent::kind).collect();
         assert_eq!(kinds, ["span_start", "span_end"]);

@@ -128,8 +128,7 @@ pub fn union_buchi(x: &Obligation, y: &Obligation) -> Obligation {
 /// # Panics
 /// Panics unless both obligations are co-Büchi over the same alphabet.
 pub fn intersect_cobuchi(x: &Obligation, y: &Obligation) -> Obligation {
-    let (Acceptance::CoBuchi(fx), Acceptance::CoBuchi(fy)) = (&x.acceptance, &y.acceptance)
-    else {
+    let (Acceptance::CoBuchi(fx), Acceptance::CoBuchi(fy)) = (&x.acceptance, &y.acceptance) else {
         panic!("intersect_cobuchi needs two co-Büchi obligations");
     };
     let (a, b) = (&x.automaton, &y.automaton);

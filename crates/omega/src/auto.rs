@@ -213,9 +213,7 @@ impl Obligation {
     pub fn letter_recurrence(alphabet: usize, goal: impl Fn(usize) -> bool) -> Obligation {
         // State 1 = "last letter was a goal letter".
         let row = |_: usize| -> Vec<usize> {
-            (0..alphabet)
-                .map(|a| if goal(a) { 1 } else { 0 })
-                .collect()
+            (0..alphabet).map(|a| if goal(a) { 1 } else { 0 }).collect()
         };
         Obligation {
             automaton: DetAutomaton::new(alphabet, vec![row(0), row(1)], 0),
@@ -228,9 +226,7 @@ impl Obligation {
     pub fn letter_eventually(alphabet: usize, goal: impl Fn(usize) -> bool) -> Obligation {
         // State 1 = "a goal letter has occurred" (absorbing).
         let trans = vec![
-            (0..alphabet)
-                .map(|a| if goal(a) { 1 } else { 0 })
-                .collect(),
+            (0..alphabet).map(|a| if goal(a) { 1 } else { 0 }).collect(),
             vec![1; alphabet],
         ];
         Obligation {
@@ -309,7 +305,10 @@ mod tests {
             automaton: o.automaton.with_init(1),
             acceptance: o.acceptance.clone(),
         };
-        assert!(started.accepts_lasso(&[], &[0]), "already in the good state");
+        assert!(
+            started.accepts_lasso(&[], &[0]),
+            "already in the good state"
+        );
     }
 
     #[test]
@@ -324,11 +323,7 @@ mod tests {
         // Cycle alignment requires several traversals when the automaton's
         // period and the cycle length interact; exercise with a mod-3
         // counter against a 2-letter cycle.
-        let trans = vec![
-            vec![1, 1],
-            vec![2, 2],
-            vec![0, 0],
-        ];
+        let trans = vec![vec![1, 1], vec![2, 2], vec![0, 0]];
         let auto = DetAutomaton::new(2, trans, 0);
         let rec = auto.lasso_recurrent_states(&[], &[0, 1]);
         // Cycle of length 2 against period 3: all states recurrent.

@@ -67,7 +67,8 @@ pub fn spair_obligation() -> Obligation {
         for even1 in [false, true] {
             for even2 in [false, true] {
                 let s = encode(d, even1, even2);
-                #[allow(clippy::needless_range_loop)] // indexing by pair code is the clearer reading
+                #[allow(clippy::needless_range_loop)]
+                // indexing by pair code is the clearer reading
                 for p in 0..GAMMA_PAIR {
                     let (a, b) = pair_split(p);
                     let s1 = if even1 { delta(a) } else { -delta(a) };
@@ -103,10 +104,7 @@ pub fn lift_to_pairs(o: &Obligation, second_component: bool) -> Obligation {
     } else {
         project_first
     };
-    Obligation::new(
-        o.automaton.relabel(GAMMA_PAIR, map),
-        o.acceptance.clone(),
-    )
+    Obligation::new(o.automaton.relabel(GAMMA_PAIR, map), o.acceptance.clone())
 }
 
 #[cfg(test)]

@@ -47,7 +47,9 @@ pub fn find_accepted_lasso(obligations: &[Obligation]) -> Option<LassoWitness> {
     assert!(!obligations.is_empty(), "need at least one obligation");
     let alphabet = obligations[0].automaton.alphabet();
     assert!(
-        obligations.iter().all(|o| o.automaton.alphabet() == alphabet),
+        obligations
+            .iter()
+            .all(|o| o.automaton.alphabet() == alphabet),
         "obligations must share an alphabet"
     );
 
@@ -196,12 +198,14 @@ pub fn find_accepted_lasso(obligations: &[Obligation]) -> Option<LassoWitness> {
             }
         }
     }
-    let good_scc = (0..scc_count)
-        .find(|&c| cyclic[c] && colors_in_scc[c].iter().all(|&b| b))?;
+    let good_scc = (0..scc_count).find(|&c| cyclic[c] && colors_in_scc[c].iter().all(|&b| b))?;
 
     // ---- Witness prefix: BFS from the initial state (through any states)
     //      to some vertex of the good SCC. ----
-    let bfs = |sources: &[usize], goal: &dyn Fn(usize) -> bool, clean_only: bool| -> Option<(usize, Vec<usize>)> {
+    let bfs = |sources: &[usize],
+               goal: &dyn Fn(usize) -> bool,
+               clean_only: bool|
+     -> Option<(usize, Vec<usize>)> {
         let mut prev: HashMap<usize, (usize, usize)> = HashMap::new();
         let mut queue: VecDeque<usize> = sources.iter().copied().collect();
         let mut seen: Vec<bool> = vec![false; n];
@@ -243,8 +247,8 @@ pub fn find_accepted_lasso(obligations: &[Obligation]) -> Option<LassoWitness> {
     let mut cycle: Vec<usize> = Vec::new();
     let mut cur = entry;
     for &i in &buchi_colors {
-        let (reached, letters) = bfs(&[cur], &|v| within(v) && has_color(v, i), true)
-            .expect("color present in SCC");
+        let (reached, letters) =
+            bfs(&[cur], &|v| within(v) && has_color(v, i), true).expect("color present in SCC");
         cycle.extend(letters);
         cur = reached;
     }
@@ -372,13 +376,9 @@ mod tests {
         use proptest::prelude::*;
 
         /// A random complete deterministic automaton with random marks.
-        fn arb_obligation(
-            alphabet: usize,
-            max_states: usize,
-        ) -> impl Strategy<Value = Obligation> {
+        fn arb_obligation(alphabet: usize, max_states: usize) -> impl Strategy<Value = Obligation> {
             (2..=max_states).prop_flat_map(move |n| {
-                let trans =
-                    proptest::collection::vec(proptest::collection::vec(0..n, alphabet), n);
+                let trans = proptest::collection::vec(proptest::collection::vec(0..n, alphabet), n);
                 let marks = proptest::collection::btree_set(0..n, 0..=n);
                 let buchi = any::<bool>();
                 (trans, marks, buchi, 0..n).prop_map(move |(t, m, b, init)| {

@@ -8,9 +8,7 @@
 //! emptiness queries consume.
 
 use crate::auto::Obligation;
-use crate::pairs::{
-    gamma_index, gamma_letter, lift_to_pairs, pair_split, spair_obligation, GAMMA,
-};
+use crate::pairs::{gamma_index, gamma_letter, lift_to_pairs, pair_split, spair_obligation, GAMMA};
 use crate::product::{find_accepted_lasso, LassoWitness};
 use minobs_core::letter::{GammaLetter, Role};
 use minobs_core::prelude::*;
@@ -232,12 +230,7 @@ pub fn regular_c1() -> RegularScheme {
 pub fn regular_s1() -> RegularScheme {
     use crate::auto::{Acceptance, DetAutomaton};
     // States: 0 clean, 1 White-only faults, 2 Black-only, 3 dead.
-    let trans = vec![
-        vec![0, 1, 2],
-        vec![1, 1, 3],
-        vec![2, 3, 2],
-        vec![3, 3, 3],
-    ];
+    let trans = vec![vec![0, 1, 2], vec![1, 1, 3], vec![2, 3, 2], vec![3, 3, 3]];
     RegularScheme::new(
         "S1 (regular)",
         vec![Obligation::new(
@@ -268,7 +261,10 @@ pub fn regular_gamma_minus(excluded: &[Scenario]) -> RegularScheme {
         })
         .collect();
     let list: Vec<String> = excluded.iter().map(|s| s.to_string()).collect();
-    RegularScheme::new(format!("Γω \\ {{{}}} (regular)", list.join(", ")), obligations)
+    RegularScheme::new(
+        format!("Γω \\ {{{}}} (regular)", list.join(", ")),
+        obligations,
+    )
 }
 
 /// `Γ^ω \ {DropBlack^ω}` — the almost-fair scheme of Corollary IV.1.
@@ -317,9 +313,7 @@ fn difference_obligation(lasso: &Scenario) -> Obligation {
     let cycle_len = lasso.lasso_cycle().len();
     let total = prefix_len + cycle_len;
     let escaped = total;
-    let expected = |pos: usize| -> usize {
-        gamma_index(lasso.letter_at(pos).to_gamma().unwrap())
-    };
+    let expected = |pos: usize| -> usize { gamma_index(lasso.letter_at(pos).to_gamma().unwrap()) };
     let mut trans = Vec::with_capacity(total + 1);
     for pos in 0..total {
         let next = if pos + 1 < total {

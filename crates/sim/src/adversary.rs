@@ -355,7 +355,9 @@ mod tests {
         let mut adv = CutAdversary::new(&p, "w b (-)".replace(' ', "").parse().unwrap());
         let d0 = adv.select_drops(0, &[]);
         assert_eq!(d0.len(), 2, "DropWhite kills all A→B cut arcs");
-        assert!(d0.iter().all(|e| p.side_a.contains(&e.from) && p.side_b.contains(&e.to)));
+        assert!(d0
+            .iter()
+            .all(|e| p.side_a.contains(&e.from) && p.side_b.contains(&e.to)));
         let d1 = adv.select_drops(1, &[]);
         assert!(d1.iter().all(|e| p.side_b.contains(&e.from)));
         assert!(adv.select_drops(2, &[]).is_empty());
@@ -481,17 +483,17 @@ mod tests {
         // arcs and plenty of non-cut traffic: the omission set is always
         // one direction of the cut, so never more than the cut width.
         let mut rng = StdRng::seed_from_u64(42);
-        let all_arcs: Vec<DirectedEdge> = g
-            .edges()
-            .iter()
-            .flat_map(|e| e.directions())
-            .collect();
+        let all_arcs: Vec<DirectedEdge> = g.edges().iter().flat_map(|e| e.directions()).collect();
         for round in 0..100 {
             let mut pending = all_arcs.clone();
             pending.shuffle(&mut rng);
             pending.truncate(1 + round % all_arcs.len());
             let drops = adv.select_drops(round, &pending);
-            assert!(drops.len() <= width, "round {round}: {} > {width}", drops.len());
+            assert!(
+                drops.len() <= width,
+                "round {round}: {} > {width}",
+                drops.len()
+            );
             let distinct: std::collections::BTreeSet<_> = drops.iter().collect();
             assert_eq!(distinct.len(), drops.len(), "no duplicate arcs");
         }

@@ -164,7 +164,8 @@ impl<'g, P: NodeProtocol> SyncNetwork<'g, P> {
         };
         let mut counts = RoundCounts::default();
         // 1. Collect sends from live nodes, validating targets.
-        let send_span = SpanGuard::begin(recorder, &mut self.span_ids, self.round, None, "net_send");
+        let send_span =
+            SpanGuard::begin(recorder, &mut self.span_ids, self.round, None, "net_send");
         let mut pending: Vec<(DirectedEdge, P::Msg)> = Vec::new();
         for (id, node) in self.nodes.iter().enumerate() {
             if node.halted() {
@@ -195,9 +196,8 @@ impl<'g, P: NodeProtocol> SyncNetwork<'g, P> {
         let drops_list = adversary.select_drops(self.round, &pending_edges);
         let drops: BTreeSet<DirectedEdge> = drops_list.iter().copied().collect();
         // 3. Deliver survivors.
-        let mut inboxes: Vec<Vec<(usize, P::Msg)>> = (0..self.nodes.len())
-            .map(|_| Vec::new())
-            .collect();
+        let mut inboxes: Vec<Vec<(usize, P::Msg)>> =
+            (0..self.nodes.len()).map(|_| Vec::new()).collect();
         // Stats count only effective omissions (drops ∩ pending): the
         // adversary may name edges with no message in flight (the paper's
         // letters also name losses of unsent messages), and those must not
@@ -222,8 +222,7 @@ impl<'g, P: NodeProtocol> SyncNetwork<'g, P> {
                 });
             }
         }
-        self.stats.max_drops_per_round =
-            self.stats.max_drops_per_round.max(effective_drops.len());
+        self.stats.max_drops_per_round = self.stats.max_drops_per_round.max(effective_drops.len());
         // Message conservation: every valid send this round is accounted
         // for exactly once. (Misaddressed sends never enter `sent`.)
         debug_assert_eq!(
@@ -237,8 +236,13 @@ impl<'g, P: NodeProtocol> SyncNetwork<'g, P> {
         self.stats.messages_dropped += counts.dropped;
         self.stats.misaddressed += counts.misaddressed;
         // 4. Advance live nodes.
-        let advance_span =
-            SpanGuard::begin(recorder, &mut self.span_ids, self.round, None, "net_advance");
+        let advance_span = SpanGuard::begin(
+            recorder,
+            &mut self.span_ids,
+            self.round,
+            None,
+            "net_advance",
+        );
         for (id, node) in self.nodes.iter_mut().enumerate() {
             if !node.halted() {
                 node.advance(self.round, std::mem::take(&mut inboxes[id]));
@@ -415,7 +419,10 @@ mod tests {
         }
 
         fn send(&self, _round: usize) -> Vec<(usize, u64)> {
-            self.neighbors.iter().map(|&n| (n, self.inner.best)).collect()
+            self.neighbors
+                .iter()
+                .map(|&n| (n, self.inner.best))
+                .collect()
         }
 
         fn advance(&mut self, round: usize, received: Vec<(usize, u64)>) {
@@ -427,7 +434,11 @@ mod tests {
         }
     }
 
-    fn bcast_nodes(g: &minobs_graphs::Graph, inputs: &[u64], deadline: usize) -> Vec<MaxFloodBcast> {
+    fn bcast_nodes(
+        g: &minobs_graphs::Graph,
+        inputs: &[u64],
+        deadline: usize,
+    ) -> Vec<MaxFloodBcast> {
         inputs
             .iter()
             .enumerate()
@@ -461,7 +472,10 @@ mod tests {
         let g = generators::path(3);
         let nodes = bcast_nodes(&g, &[1, 2, 3], 10);
         let out = run_network(&g, nodes, &mut NoFault, 2);
-        assert!(matches!(out.verdict, NetVerdict::Undecided { undecided: 3 }));
+        assert!(matches!(
+            out.verdict,
+            NetVerdict::Undecided { undecided: 3 }
+        ));
     }
 
     #[test]
@@ -532,15 +546,18 @@ mod tests {
         // Only 1→0 is ever both named and in flight.
         assert_eq!(out.stats.max_drops_per_round, 1);
         assert_eq!(
-            out.stats.messages_dropped,
-            out.stats.rounds,
+            out.stats.messages_dropped, out.stats.rounds,
             "one effective drop per round"
         );
     }
 
     #[test]
     fn fault_free_flood_sends_on_every_directed_edge_each_round() {
-        for g in [generators::cycle(17), generators::complete(9), generators::grid(4, 5)] {
+        for g in [
+            generators::cycle(17),
+            generators::complete(9),
+            generators::grid(4, 5),
+        ] {
             let n = g.vertex_count();
             let inputs: Vec<u64> = (0..n as u64).map(|id| (id * 7) % 23).collect();
             let max = *inputs.iter().max().unwrap();

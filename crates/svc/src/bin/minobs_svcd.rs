@@ -29,7 +29,11 @@ fn main() -> ExitCode {
             "minobs-svcd: wal replayed {} records ({} bytes{})",
             report.records,
             report.bytes,
-            if report.dropped_tail { ", torn tail dropped" } else { "" },
+            if report.dropped_tail {
+                ", torn tail dropped"
+            } else {
+                ""
+            },
         ),
         Some(_) | None if std::env::var("MINOBS_SVC_WAL").is_ok_and(|p| !p.trim().is_empty()) => {
             eprintln!("minobs-svcd: wal unavailable, running memory-only (degraded)");

@@ -127,7 +127,8 @@ fn call(args: &[String]) -> ExitCode {
         eprintln!("svc call: no address (pass --addr or set MINOBS_SVC_ADDR)");
         return ExitCode::FAILURE;
     };
-    let connect_timeout = (connect_timeout_s > 0.0).then(|| Duration::from_secs_f64(connect_timeout_s));
+    let connect_timeout =
+        (connect_timeout_s > 0.0).then(|| Duration::from_secs_f64(connect_timeout_s));
     let mut client = match SvcClient::connect_with_timeout(addr.as_str(), connect_timeout) {
         Ok(client) => client,
         Err(err) => {
@@ -410,7 +411,11 @@ fn print_summary(summary: &OpenLoopSummary) {
         summary.busy,
         summary.elapsed_s,
     );
-    print_latency("deadline→response", &summary.latency, summary.max_latency_ns);
+    print_latency(
+        "deadline→response",
+        &summary.latency,
+        summary.max_latency_ns,
+    );
 }
 
 fn bench_open_loop(opts: &BenchOpts) -> ExitCode {
@@ -461,10 +466,7 @@ fn attach_daemon_view(body: &mut Map, addr: &str) {
         body.insert("cache_hit_ratio", cache_hit_ratio(&stats));
         body.insert(
             "queued",
-            stats
-                .get("queued")
-                .cloned()
-                .unwrap_or(Value::Null),
+            stats.get("queued").cloned().unwrap_or(Value::Null),
         );
         body.insert("daemon_stats", stats);
     }
@@ -705,10 +707,11 @@ fn render_top_frame(addr: &str, stats: &Value, previous: Option<&TopSample>) -> 
     println!(
         "  {qps:.1} req/s | {requests} requests ({responses_ok} ok, {responses_err} err) | {queued} queued"
     );
+    println!("  cache: {hit_ratio:.1}% hit ({hits} hit, {subsumed} subsumed, {misses} miss)");
     println!(
-        "  cache: {hit_ratio:.1}% hit ({hits} hit, {subsumed} subsumed, {misses} miss)"
+        "  {:<16} {:>8} {:>10} {:>10} {:>10}",
+        "method", "count", "p50 µs", "p95 µs", "p99 µs"
     );
-    println!("  {:<16} {:>8} {:>10} {:>10} {:>10}", "method", "count", "p50 µs", "p95 µs", "p99 µs");
     let empty = serde_json::Map::new();
     let latency = stats
         .get("latency")
@@ -819,10 +822,7 @@ fn discover_fleet(seed: &str, seed_stats: &Value) -> Vec<String> {
 /// one histogram, so a node (and, by merging again, the fleet) gets
 /// overall latency quantiles with single-histogram semantics.
 fn node_latency(stats: &Value) -> Option<Histogram> {
-    let histograms = stats
-        .get("metrics")?
-        .get("histograms")?
-        .as_object()?;
+    let histograms = stats.get("metrics")?.get("histograms")?.as_object()?;
     let merged = Histogram::new(&Histogram::latency_bounds());
     let mut any = false;
     for (name, snap) in histograms.iter() {
@@ -900,7 +900,17 @@ fn render_cluster_frame(
     println!("minobs-svc cluster — {} nodes via {seed}", fleet.len());
     println!(
         "  {:<34} {:>9} {:>9} {:>9} {:>9} {:>6} {:>7} {:>4} {:>4} {:>5} {:>9}",
-        "node", "health", "req/s", "p50 µs", "p99 µs", "hit%", "queued", "wal", "lag", "down", "slo_viol"
+        "node",
+        "health",
+        "req/s",
+        "p50 µs",
+        "p99 µs",
+        "hit%",
+        "queued",
+        "wal",
+        "lag",
+        "down",
+        "slo_viol"
     );
 
     let fleet_latency = Histogram::new(&Histogram::latency_bounds());
@@ -956,11 +966,8 @@ fn render_cluster_frame(
             }
             None => {
                 // First sight of this node: report the lifetime average.
-                let uptime_s = stats
-                    .get("uptime_ms")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0) as f64
-                    / 1_000.0;
+                let uptime_s =
+                    stats.get("uptime_ms").and_then(Value::as_u64).unwrap_or(0) as f64 / 1_000.0;
                 responses as f64 / uptime_s.max(1e-9)
             }
         };
@@ -1279,10 +1286,8 @@ mod tests {
             "seed first, peers deduped in table order"
         );
         // A single-node daemon (empty table) discovers just itself.
-        let lone: Value = serde_json::from_str(
-            r#"{"peers": {"count": 0, "alive": 0, "table": []}}"#,
-        )
-        .unwrap();
+        let lone: Value =
+            serde_json::from_str(r#"{"peers": {"count": 0, "alive": 0, "table": []}}"#).unwrap();
         assert_eq!(discover_fleet("a:1", &lone), vec!["a:1".to_string()]);
     }
 
@@ -1316,8 +1321,7 @@ mod tests {
         assert_eq!(merged.count(), 2, "only the rpc-method histogram merges");
 
         // No method histograms at all → None, so callers render "-".
-        let empty: Value =
-            serde_json::from_str(r#"{"metrics": {"histograms": {}}}"#).unwrap();
+        let empty: Value = serde_json::from_str(r#"{"metrics": {"histograms": {}}}"#).unwrap();
         assert!(node_latency(&empty).is_none());
     }
 }

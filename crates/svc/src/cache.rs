@@ -264,7 +264,10 @@ mod tests {
         ));
         assert!(matches!(
             cache.lookup_horizon("classic:s1|gamma", 7),
-            Some(CacheAnswer::Subsumed { solvable: true, proven_at: 2 })
+            Some(CacheAnswer::Subsumed {
+                solvable: true,
+                proven_at: 2
+            })
         ));
         // Another key is independent.
         assert!(cache.lookup_horizon("classic:r1|gamma", 2).is_none());

@@ -360,11 +360,18 @@ mod tests {
         };
         for attempt in 0..8 {
             let a = policy.backoff(3, attempt);
-            assert_eq!(a, policy.backoff(3, attempt), "jitter must be deterministic");
+            assert_eq!(
+                a,
+                policy.backoff(3, attempt),
+                "jitter must be deterministic"
+            );
             let exp = Duration::from_millis(10)
                 .saturating_mul(1 << attempt)
                 .min(Duration::from_millis(100));
-            assert!(a >= exp / 2 && a <= exp, "attempt {attempt}: {a:?} vs {exp:?}");
+            assert!(
+                a >= exp / 2 && a <= exp,
+                "attempt {attempt}: {a:?} vs {exp:?}"
+            );
         }
         // Different ids jitter differently (with overwhelming likelihood).
         assert_ne!(policy.backoff(3, 4), policy.backoff(4, 4));
@@ -379,8 +386,11 @@ mod tests {
             // acceptor sends it — id 0, then hang up.
             let (stream, _) = listener.accept().unwrap();
             let mut writer = &stream;
-            write_frame(&mut writer, &err_response(0, "busy", "connection limit reached"))
-                .unwrap();
+            write_frame(
+                &mut writer,
+                &err_response(0, "busy", "connection limit reached"),
+            )
+            .unwrap();
             drop(stream);
             // Second connection: answer properly.
             let (stream, _) = listener.accept().unwrap();
@@ -539,7 +549,9 @@ mod tests {
     }
 
     fn request_field<'a>(request: &'a Value, field: &str) -> &'a Value {
-        request.get(field).unwrap_or_else(|| panic!("request lacks {field:?}"))
+        request
+            .get(field)
+            .unwrap_or_else(|| panic!("request lacks {field:?}"))
     }
 
     fn parse(text: &str) -> Value {
@@ -679,9 +691,15 @@ mod tests {
             ids
         });
         let mut client = connect_local(addr);
-        assert_eq!(client.call("stats", Value::Null).unwrap(), Value::from(1u64));
+        assert_eq!(
+            client.call("stats", Value::Null).unwrap(),
+            Value::from(1u64)
+        );
         client.reconnect().unwrap();
-        assert_eq!(client.call("stats", Value::Null).unwrap(), Value::from(2u64));
+        assert_eq!(
+            client.call("stats", Value::Null).unwrap(),
+            Value::from(2u64)
+        );
         assert_eq!(server.join().unwrap(), [1, 2]);
     }
 
@@ -705,7 +723,10 @@ mod tests {
         let started = std::time::Instant::now();
         match client.call("stats", Value::Null) {
             Err(SvcError::Io(e)) => assert!(
-                matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+                matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
                 "expected a read timeout, got {e:?}"
             ),
             other => panic!("expected a read timeout, got {other:?}"),
@@ -744,7 +765,10 @@ mod tests {
             write_frame(&mut writer, &ok_response(id, Value::from("live"))).unwrap();
         });
         let mut client = SvcClient::connect(&[dead, live][..]).unwrap();
-        assert_eq!(client.call("stats", Value::Null).unwrap(), Value::from("live"));
+        assert_eq!(
+            client.call("stats", Value::Null).unwrap(),
+            Value::from("live")
+        );
         server.join().unwrap();
     }
 
@@ -752,11 +776,17 @@ mod tests {
     fn malformed_envelopes_are_protocol_errors() {
         assert_eq!(RPC_VERSION, "minobs/rpc/v1");
         for (text, why) in [
-            (r#"{"rpc":"other/v9","id":1,"ok":true,"result":1}"#, "foreign version"),
+            (
+                r#"{"rpc":"other/v9","id":1,"ok":true,"result":1}"#,
+                "foreign version",
+            ),
             (r#"{"id":1,"ok":true,"result":1}"#, "no version"),
             (r#"{"rpc":"minobs/rpc/v1","id":1,"result":1}"#, "no ok flag"),
             (r#"{"rpc":"minobs/rpc/v1","ok":true,"result":1}"#, "no id"),
-            (r#"{"rpc":"minobs/rpc/v1","id":"1","ok":true,"result":1}"#, "string id"),
+            (
+                r#"{"rpc":"minobs/rpc/v1","id":"1","ok":true,"result":1}"#,
+                "string id",
+            ),
         ] {
             match decode_response(&parse(text), 1) {
                 Err(SvcError::Protocol(_)) => {}
@@ -789,7 +819,10 @@ mod tests {
     fn frame_errors_map_transport_to_io_and_the_rest_to_protocol() {
         let io_err: SvcError = FrameError::Io(io::Error::other("reset")).into();
         assert!(matches!(io_err, SvcError::Io(_)) && io_err.is_retryable());
-        for frame_err in [FrameError::TooLarge(usize::MAX), FrameError::BadJson("x".into())] {
+        for frame_err in [
+            FrameError::TooLarge(usize::MAX),
+            FrameError::BadJson("x".into()),
+        ] {
             let err: SvcError = frame_err.into();
             assert!(matches!(err, SvcError::Protocol(_)), "{err:?}");
             assert!(!err.is_retryable(), "a malformed frame is definitive");
@@ -825,7 +858,10 @@ mod tests {
         let cases = [
             (SvcError::Io(io::Error::other("reset")), "i/o error: reset"),
             (SvcError::Busy("full".into()), "daemon busy: full"),
-            (SvcError::Protocol("bad id".into()), "protocol error: bad id"),
+            (
+                SvcError::Protocol("bad id".into()),
+                "protocol error: bad id",
+            ),
             (
                 SvcError::Rpc {
                     code: "bad_params".into(),

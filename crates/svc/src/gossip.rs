@@ -595,7 +595,10 @@ mod tests {
         });
         let snap_a = a.state().cache().snapshot();
         let snap_b = b.state().cache().snapshot();
-        assert!(converged, "nodes did not converge: {snap_a:?} vs {snap_b:?}");
+        assert!(
+            converged,
+            "nodes did not converge: {snap_a:?} vs {snap_b:?}"
+        );
         assert_eq!(snap_a.len(), 3, "all three records on both nodes");
 
         // The replicated verdict answers from b's cache, subsumption
@@ -665,10 +668,7 @@ mod tests {
             result: Value::from(false),
         }];
         assert_eq!(ingest_deltas(state, "peer:1", &conflict), 0);
-        assert_eq!(
-            state.cache().lookup_theorem("k|t"),
-            Some(Value::from(true))
-        );
+        assert_eq!(state.cache().lookup_theorem("k|t"), Some(Value::from(true)));
 
         let registry = state.registry();
         assert_eq!(registry.counter("svc.gossip_applied").get(), 2);

@@ -382,8 +382,11 @@ impl Dispatch for SocketDispatch {
             .send((seq, deadline_ns, method_idx))
             .map_err(|_| "reader thread gone".to_string())?;
         self.in_flight.fetch_add(1, Ordering::AcqRel);
-        wire::write_frame(&mut self.writer, &wire::request(seq, method, params.clone()))
-            .map_err(|e| e.to_string())
+        wire::write_frame(
+            &mut self.writer,
+            &wire::request(seq, method, params.clone()),
+        )
+        .map_err(|e| e.to_string())
     }
 }
 
@@ -711,7 +714,10 @@ mod tests {
 
         fn send(&mut self, seq: u64, method_idx: usize, deadline_ns: u64) -> Result<(), String> {
             self.clock.advance(self.service_delay_ns);
-            self.sends.lock().unwrap().push((seq, method_idx, deadline_ns));
+            self.sends
+                .lock()
+                .unwrap()
+                .push((seq, method_idx, deadline_ns));
             Ok(())
         }
     }
@@ -875,15 +881,34 @@ mod tests {
     #[test]
     fn knee_finder_locates_first_saturated_trial() {
         let trials = [
-            TrialPoint { offered_qps: 100.0, achieved_qps: 100.0, p99_ns: Some(1.0e6) },
-            TrialPoint { offered_qps: 200.0, achieved_qps: 198.0, p99_ns: Some(2.0e6) },
-            TrialPoint { offered_qps: 300.0, achieved_qps: 250.0, p99_ns: Some(9.0e6) },
-            TrialPoint { offered_qps: 400.0, achieved_qps: 240.0, p99_ns: Some(50.0e6) },
+            TrialPoint {
+                offered_qps: 100.0,
+                achieved_qps: 100.0,
+                p99_ns: Some(1.0e6),
+            },
+            TrialPoint {
+                offered_qps: 200.0,
+                achieved_qps: 198.0,
+                p99_ns: Some(2.0e6),
+            },
+            TrialPoint {
+                offered_qps: 300.0,
+                achieved_qps: 250.0,
+                p99_ns: Some(9.0e6),
+            },
+            TrialPoint {
+                offered_qps: 400.0,
+                achieved_qps: 240.0,
+                p99_ns: Some(50.0e6),
+            },
         ];
         // 250 < 0.9 * 300 → the knee is the third trial.
         assert_eq!(find_knee(&trials, &KneeCriteria::default()), Some(2));
         // A p99 bound can pull the knee earlier.
-        let strict = KneeCriteria { achieved_ratio: 0.9, p99_bound_ns: Some(1.5e6) };
+        let strict = KneeCriteria {
+            achieved_ratio: 0.9,
+            p99_bound_ns: Some(1.5e6),
+        };
         assert_eq!(find_knee(&trials, &strict), Some(1));
         // An unsaturated sweep has no knee.
         assert_eq!(find_knee(&trials[..2], &KneeCriteria::default()), None);

@@ -659,7 +659,11 @@ fn health(state: &ServerState) -> Value {
             obj(&[
                 (
                     "wal",
-                    Value::from(if report.wal_degraded { "degraded" } else { "ok" }),
+                    Value::from(if report.wal_degraded {
+                        "degraded"
+                    } else {
+                        "ok"
+                    }),
                 ),
                 (
                     "peers",

@@ -187,7 +187,9 @@ mod tests {
         let json = table.to_json();
         assert_eq!(json.get("count").and_then(Value::as_u64), Some(0));
         assert_eq!(
-            json.get("table").and_then(Value::as_array).map(<[Value]>::len),
+            json.get("table")
+                .and_then(Value::as_array)
+                .map(<[Value]>::len),
             Some(0)
         );
     }

@@ -349,7 +349,9 @@ mod tests {
         assert!(scheme.default_alphabet().contains(&Letter::DropBoth));
         let gamma = ParsedScheme::parse(&Value::from("s1")).unwrap();
         assert!(!gamma.default_alphabet().contains(&Letter::DropBoth));
-        assert!(scheme.cache_key(&scheme.default_alphabet()).ends_with("|sigma"));
+        assert!(scheme
+            .cache_key(&scheme.default_alphabet())
+            .ends_with("|sigma"));
     }
 
     #[test]
@@ -459,11 +461,20 @@ mod tests {
             Value::from("mystery"),
             Value::from(3u64),
             Value::Null,
-            obj(&[("name", Value::from("avoid_prefix")), ("prefix", Value::from("-wx?"))]),
-            obj(&[("name", Value::from("avoid_prefix")), ("prefix", Value::from("-x"))]),
+            obj(&[
+                ("name", Value::from("avoid_prefix")),
+                ("prefix", Value::from("-wx?")),
+            ]),
+            obj(&[
+                ("name", Value::from("avoid_prefix")),
+                ("prefix", Value::from("-x")),
+            ]),
             obj(&[("name", Value::from("gamma_minus"))]),
             obj(&[("name", Value::from("total_budget"))]),
-            obj(&[("name", Value::from("regular_sigma_total_budget")), ("k", Value::from(1u64))]),
+            obj(&[
+                ("name", Value::from("regular_sigma_total_budget")),
+                ("k", Value::from(1u64)),
+            ]),
         ] {
             assert!(ParsedScheme::parse(&bad).is_err(), "{bad:?}");
         }

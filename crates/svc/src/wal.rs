@@ -640,15 +640,17 @@ mod tests {
             },
         ];
         for record in &records {
-            assert_eq!(WalRecord::from_json(&record.to_json()).as_ref(), Some(record));
+            assert_eq!(
+                WalRecord::from_json(&record.to_json()).as_ref(),
+                Some(record)
+            );
         }
     }
 
     #[test]
     fn append_then_replay_is_identity() {
         let file = MemoryWalFile::new();
-        let mut wal =
-            Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
+        let mut wal = Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
         wal.append(&WalRecord::Horizon {
             key: "a".to_string(),
             k: 2,
@@ -682,8 +684,7 @@ mod tests {
     #[test]
     fn torn_and_corrupt_tails_are_dropped_not_fatal() {
         let file = MemoryWalFile::new();
-        let mut wal =
-            Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
+        let mut wal = Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
         for k in 0..4usize {
             wal.append(&WalRecord::Horizon {
                 key: "a".to_string(),
@@ -721,8 +722,7 @@ mod tests {
     #[test]
     fn contradictory_record_ends_replay() {
         let file = MemoryWalFile::new();
-        let mut wal =
-            Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
+        let mut wal = Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
         wal.append(&WalRecord::Horizon {
             key: "a".to_string(),
             k: 3,
@@ -747,8 +747,7 @@ mod tests {
     #[test]
     fn a_differing_theorem_memo_ends_replay() {
         let file = MemoryWalFile::new();
-        let mut wal =
-            Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
+        let mut wal = Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
         for result in [1u64, 1, 2] {
             wal.append(&WalRecord::Theorem {
                 key: "a|theorem".to_string(),
@@ -820,8 +819,7 @@ mod tests {
 
         {
             let cache = cache();
-            let (mut wal, report) =
-                Wal::open(&path, &cache, CompactionPolicy::default()).unwrap();
+            let (mut wal, report) = Wal::open(&path, &cache, CompactionPolicy::default()).unwrap();
             assert_eq!(report, ReplayReport::default());
             wal.append(&WalRecord::Horizon {
                 key: "a".to_string(),
@@ -837,8 +835,7 @@ mod tests {
             let f = OpenOptions::new().write(true).open(&path).unwrap();
             f.set_len(len - 3).unwrap();
             let cache = cache();
-            let (mut wal, report) =
-                Wal::open(&path, &cache, CompactionPolicy::default()).unwrap();
+            let (mut wal, report) = Wal::open(&path, &cache, CompactionPolicy::default()).unwrap();
             assert_eq!(report.records, 0);
             assert!(report.dropped_tail);
             assert!(cache.snapshot().is_empty());

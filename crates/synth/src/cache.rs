@@ -367,8 +367,14 @@ mod tests {
         assert!(cache.is_empty());
         // An exhausted sweep keeps only the horizons it decided: here 0.
         let (out, _) = cached_first(&mut cache, &classic::r1(), 6, Budget::states(2));
-        assert!(matches!(out, HorizonOutcome::BudgetExhausted { at_horizon: 1, .. }));
-        assert_eq!((cache.max_unsolvable(), cache.min_solvable()), (Some(0), None));
+        assert!(matches!(
+            out,
+            HorizonOutcome::BudgetExhausted { at_horizon: 1, .. }
+        ));
+        assert_eq!(
+            (cache.max_unsolvable(), cache.min_solvable()),
+            (Some(0), None)
+        );
     }
 
     #[test]
@@ -377,7 +383,10 @@ mod tests {
         let mut cache = HorizonVerdicts::new();
         let cold = cached_first(&mut cache, &s1, 5, Budget::UNLIMITED);
         assert_eq!(cold, (HorizonOutcome::Solvable(2), Some(0..=5)));
-        assert_eq!((cache.max_unsolvable(), cache.min_solvable()), (Some(1), Some(2)));
+        assert_eq!(
+            (cache.max_unsolvable(), cache.min_solvable()),
+            (Some(1), Some(2))
+        );
         // Warm: the boundaries answer without any checker run; the ceiling
         // short-circuits even when the sweep range is empty.
         let warm = cached_first(&mut cache, &s1, 5, Budget::states(1));
@@ -385,7 +394,10 @@ mod tests {
 
         let mut cache = HorizonVerdicts::new();
         let unsolvable = cached_first(&mut cache, &r1, 3, Budget::UNLIMITED);
-        assert_eq!(unsolvable, (HorizonOutcome::UnsolvableWithin(3), Some(0..=3)));
+        assert_eq!(
+            unsolvable,
+            (HorizonOutcome::UnsolvableWithin(3), Some(0..=3))
+        );
         assert_eq!(cache.max_unsolvable(), Some(3));
         // A narrower request is answered by the recorded boundary; a
         // wider one sweeps only the horizons above it.
@@ -403,7 +415,10 @@ mod tests {
         cache.record(4, true);
         let gap = cached_first(&mut cache, &classic::total_budget(2), 6, Budget::UNLIMITED);
         assert_eq!(gap, (HorizonOutcome::Solvable(3), Some(1..=3)));
-        assert_eq!((cache.max_unsolvable(), cache.min_solvable()), (Some(2), Some(3)));
+        assert_eq!(
+            (cache.max_unsolvable(), cache.min_solvable()),
+            (Some(2), Some(3))
+        );
     }
 
     mod properties {

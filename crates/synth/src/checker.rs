@@ -888,8 +888,16 @@ mod tests {
     #[test]
     fn c1_and_s1_need_exactly_two_rounds() {
         for scheme in [classic::c1(), classic::s1()] {
-            assert!(!solvable_by(&scheme, 1, GAMMA).is_solvable(), "{}", scheme.name());
-            assert!(solvable_by(&scheme, 2, GAMMA).is_solvable(), "{}", scheme.name());
+            assert!(
+                !solvable_by(&scheme, 1, GAMMA).is_solvable(),
+                "{}",
+                scheme.name()
+            );
+            assert!(
+                solvable_by(&scheme, 2, GAMMA).is_solvable(),
+                "{}",
+                scheme.name()
+            );
             assert_eq!(
                 first_solvable_horizon(&scheme, 4, GAMMA),
                 Some(2),
@@ -1065,7 +1073,10 @@ mod tests {
         assert!(horizon_reached < 6, "stopped at {horizon_reached}");
         assert!(frontier_size > 0);
         // Determinism: the same budget stops at the same point.
-        assert_eq!(check(Budget::states(50)).at(&classic::r1(), 6, &mut NullRecorder), r);
+        assert_eq!(
+            check(Budget::states(50)).at(&classic::r1(), 6, &mut NullRecorder),
+            r
+        );
     }
 
     #[test]

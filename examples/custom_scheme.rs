@@ -78,7 +78,10 @@ fn main() {
     );
 
     println!("Scheme: {}", scheme.name());
-    println!("Sample member: {:?}\n", scheme.sample_member().map(|s| s.to_string()));
+    println!(
+        "Sample member: {:?}\n",
+        scheme.sample_member().map(|s| s.to_string())
+    );
 
     // Membership spot checks.
     for s in ["(-)", "(wb)", "wb(-)", "(wwb)", "(b)", "www(-)", "(w)"] {

@@ -49,7 +49,9 @@ fn main() {
                     let nodes = FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId);
                     let mut adv =
                         BudgetChecked::new(RandomOmissions::new(f, StdRng::seed_from_u64(seed)), f);
-                    run_network(&g, nodes, &mut adv, 2 * n).verdict.is_consensus()
+                    run_network(&g, nodes, &mut adv, 2 * n)
+                        .verdict
+                        .is_consensus()
                 })
             } else {
                 // f = c(G): the Γ_C cut adversary silences one direction.
@@ -57,14 +59,13 @@ fn main() {
                 let inputs: Vec<u64> = (0..n as u64).collect();
                 let nodes = FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId);
                 let mut adv = CutAdversary::new(&p, "(w)".parse().unwrap());
-                run_network(&g, nodes, &mut adv, 2 * n).verdict.is_consensus()
+                run_network(&g, nodes, &mut adv, 2 * n)
+                    .verdict
+                    .is_consensus()
             };
             cells.push(format!("f={f}:{}", if ok { "✓" } else { "✗" }));
         }
-        println!(
-            "{name:<14} {n:>4} {c:>5} {d:>5}   {}",
-            cells.join("  ")
-        );
+        println!("{name:<14} {n:>4} {c:>5} {d:>5}   {}", cells.join("  "));
     }
 
     println!("\n-- Inside the Santoro–Widmayer gap (barbell: c(G) < deg(G)) --");
@@ -84,7 +85,10 @@ fn main() {
         let fleet = AlgorithmL::fleet(&g, &p, &"(b)".parse().unwrap(), &inputs);
         let mut adv = CutAdversary::new(&p, v.parse().unwrap());
         let out = run_network(&g, fleet, &mut adv, 128);
-        println!("  A_L under ρ⁻¹({v:<5}) → {:?} in {} rounds", out.verdict, out.stats.rounds);
+        println!(
+            "  A_L under ρ⁻¹({v:<5}) → {:?} in {} rounds",
+            out.verdict, out.stats.rounds
+        );
     }
 
     println!("\n-- The forbidden scenario itself --");

@@ -53,22 +53,17 @@ fn main() {
     let cmo = CanonicalMinimalObstruction;
     println!("\nThe canonical minimal obstruction (drop all lower members):");
     println!("  decide_gamma → {:?}", decide_gamma(&cmo));
-    for s in ["(-)", "(wb)", "(w)", "(b)", "b(w)", "-(w)", "-w(b)", "--(b)"] {
+    for s in [
+        "(-)", "(wb)", "(w)", "(b)", "b(w)", "-(w)", "-w(b)", "--(b)",
+    ] {
         let scenario: Scenario = s.parse().unwrap();
-        println!(
-            "  contains {s:<8} = {}",
-            cmo.contains(&scenario)
-        );
+        println!("  contains {s:<8} = {}", cmo.contains(&scenario));
     }
 
     // 4. The descending chain: no least obstruction.
     println!("\nThe descending chain L_0 ⊋ L_1 ⊋ … (all obstructions):");
     for (i, l) in descending_chain(4).iter().enumerate() {
-        println!(
-            "  L_{i} = {:<48} → {:?}",
-            l.name(),
-            decide_gamma(l)
-        );
+        println!("  L_{i} = {:<48} → {:?}", l.name(), decide_gamma(l));
     }
 
     // 5. How far Γω is from minimality.

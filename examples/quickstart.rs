@@ -16,7 +16,10 @@ fn main() {
         let verdict = decide_classic(&scheme);
         match &verdict {
             Solvability::Solvable { witness, condition } => {
-                println!("  {:<38} SOLVABLE  (witness {witness}, via {condition:?})", scheme.name());
+                println!(
+                    "  {:<38} SOLVABLE  (witness {witness}, via {condition:?})",
+                    scheme.name()
+                );
             }
             Solvability::Obstruction => {
                 println!("  {:<38} OBSTRUCTION", scheme.name());
@@ -28,7 +31,10 @@ fn main() {
     let s1 = classic::s1();
     let verdict = decide_classic(&s1);
     let w = verdict.witness().expect("S1 is solvable").clone();
-    println!("\nRunning A_w (w = {w}) for {} on a few scenarios:", s1.name());
+    println!(
+        "\nRunning A_w (w = {w}) for {} on a few scenarios:",
+        s1.name()
+    );
 
     for scenario_text in ["(-)", "(w)", "ww(-)", "-(b)", "(b)"] {
         let scenario: Scenario = scenario_text.parse().unwrap();

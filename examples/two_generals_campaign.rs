@@ -41,7 +41,10 @@ fn main() {
                 worst = worst.max(out.rounds);
             }
         }
-        println!("  {:<38} theory p = {p}, measured worst = {worst}", scheme.name());
+        println!(
+            "  {:<38} theory p = {p}, measured worst = {worst}",
+            scheme.name()
+        );
     }
 
     // 2. The almost-fair environment and its intuitive algorithm.
@@ -51,7 +54,10 @@ fn main() {
         let mut white = IntuitiveAlmostFair::new(Role::White, true);
         let mut black = IntuitiveAlmostFair::new(Role::Black, false);
         let out = run_two_process(&mut white, &mut black, &scenario, 64);
-        println!("  intuitive algorithm on {s:<8} → {:?} in {} rounds", out.verdict, out.rounds);
+        println!(
+            "  intuitive algorithm on {s:<8} → {:?} in {} rounds",
+            out.verdict, out.rounds
+        );
     }
 
     // 3. Mechanical bivalency: why Γω is an obstruction.

@@ -62,7 +62,12 @@ impl<'a> BenchmarkGroup<'a> {
     }
 
     /// Benchmarks `f` with a borrowed input.
-    pub fn bench_with_input<I: ?Sized, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
+    pub fn bench_with_input<I: ?Sized, F>(
+        &mut self,
+        id: BenchmarkId,
+        input: &I,
+        mut f: F,
+    ) -> &mut Self
     where
         F: FnMut(&mut Bencher, &I),
     {

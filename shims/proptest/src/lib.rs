@@ -361,8 +361,7 @@ pub mod collection {
 pub mod prelude {
     //! The proptest prelude subset.
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Just, ProptestConfig,
-        Strategy,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Just, ProptestConfig, Strategy,
     };
 }
 
@@ -460,9 +459,7 @@ mod tests {
     #[test]
     fn composite_strategies_compose() {
         let mut rng = TestRng::deterministic(3, 2);
-        let strat = (2usize..=5).prop_flat_map(|n| {
-            (crate::collection::vec(0usize..n, n), Just(n))
-        });
+        let strat = (2usize..=5).prop_flat_map(|n| (crate::collection::vec(0usize..n, n), Just(n)));
         for _ in 0..50 {
             let (v, n) = strat.generate(&mut rng);
             assert_eq!(v.len(), n);

@@ -457,7 +457,10 @@ mod tests {
         let map = parsed.as_object().unwrap();
         assert_eq!(map.len(), keys);
         let (last_key, last_value) = map.iter().last().unwrap();
-        assert_eq!((last_key.as_str(), last_value.as_u64()), ("k199999", Some(199_999)));
+        assert_eq!(
+            (last_key.as_str(), last_value.as_u64()),
+            ("k199999", Some(199_999))
+        );
     }
 
     fn error_text(input: &str) -> String {
@@ -697,8 +700,8 @@ mod tests {
         /// Characters that stress the string codec: every escape the
         /// writer emits, other control characters, and multi-byte text.
         const CHARS: &[char] = &[
-            'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}',
-            '\u{1f}', '\u{7f}', 'é', 'π', '\u{2028}', '😀',
+            'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}', '\u{1f}',
+            '\u{7f}', 'é', 'π', '\u{2028}', '😀',
         ];
 
         fn arbitrary_string(rng: &mut TestRng, max: u64) -> String {
@@ -728,7 +731,9 @@ mod tests {
                     ),
                     5 => Value::String(arbitrary_string(rng, 12)),
                     6 => Value::Array(
-                        (0..rng.below(5)).map(|_| self.draw(rng, depth - 1)).collect(),
+                        (0..rng.below(5))
+                            .map(|_| self.draw(rng, depth - 1))
+                            .collect(),
                     ),
                     _ => {
                         let mut map = Map::new();
@@ -752,9 +757,9 @@ mod tests {
         struct JsonishText;
 
         const FRAGMENTS: &[&str] = &[
-            "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "\\u00e9", "\\ud83d", "\\x",
-            "0", "-", "12", "1.5", "e", "E+", ".", "true", "nul", "null", "false", " ", "\n",
-            "é", "😀", "\u{0}", "\"k\"", "x", "+", "/", "\\n",
+            "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "\\u00e9", "\\ud83d", "\\x", "0", "-",
+            "12", "1.5", "e", "E+", ".", "true", "nul", "null", "false", " ", "\n", "é", "😀",
+            "\u{0}", "\"k\"", "x", "+", "/", "\\n",
         ];
 
         impl Strategy for JsonishText {

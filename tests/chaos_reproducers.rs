@@ -22,8 +22,8 @@ fn load_all() -> Vec<(String, Reproducer)> {
         .map(|path| {
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             let text = std::fs::read_to_string(&path).expect("readable artifact");
-            let rep = Reproducer::from_json_str(&text)
-                .unwrap_or_else(|err| panic!("{name}: {err}"));
+            let rep =
+                Reproducer::from_json_str(&text).unwrap_or_else(|err| panic!("{name}: {err}"));
             (name, rep)
         })
         .collect();
@@ -73,9 +73,8 @@ fn pinned_seed_rederives_the_artifact_byte_for_byte() {
     });
     assert_eq!(report.violating_runs, 1);
     let derived = report.reproducers[0].to_json_string();
-    let pinned = std::fs::read_to_string(
-        reproducer_dir().join("c4_seed7_run0_budget_exceeded.json"),
-    )
-    .expect("pinned c4 artifact");
+    let pinned =
+        std::fs::read_to_string(reproducer_dir().join("c4_seed7_run0_budget_exceeded.json"))
+            .expect("pinned c4 artifact");
     assert_eq!(derived, pinned);
 }

@@ -45,7 +45,12 @@ fn scheme(family: usize, n: usize, letters: &[usize]) -> (Box<dyn OmissionScheme
             let scheme = ClassicScheme::SigmaAvoidPrefix(sigma_word.parse().unwrap());
             return (Box::new(scheme), sigma_alphabet());
         }
-        21 => return (Box::new(ClassicScheme::SigmaTotalBudget(n)), sigma_alphabet()),
+        21 => {
+            return (
+                Box::new(ClassicScheme::SigmaTotalBudget(n)),
+                sigma_alphabet(),
+            )
+        }
         _ => unreachable!("family index below FAMILIES"),
     };
     (gamma, gamma_alphabet())
@@ -65,7 +70,10 @@ fn swept_and_expected(
     };
     let swept = check.first(scheme, from..=to, &mut NullRecorder);
     let first = (from..=to).find(|&k| check.at(scheme, k, &mut NullRecorder).is_solvable());
-    let expected = first.map_or(HorizonOutcome::UnsolvableWithin(to), HorizonOutcome::Solvable);
+    let expected = first.map_or(
+        HorizonOutcome::UnsolvableWithin(to),
+        HorizonOutcome::Solvable,
+    );
     (swept, expected)
 }
 

@@ -51,8 +51,7 @@ fn boot_cluster(plan: Option<LinkFaultPlan>) -> Vec<Server> {
     let mut addrs: Vec<String> = Vec::with_capacity(NODES);
     for index in 0..NODES {
         let link_policy = plan.clone().map(|plan| {
-            let addr_index: HashMap<String, usize> =
-                addrs.iter().cloned().zip(0..).collect();
+            let addr_index: HashMap<String, usize> = addrs.iter().cloned().zip(0..).collect();
             LinkPolicy::new(move |round, peer| {
                 let to = *addr_index.get(peer).expect("peers come from the boot list");
                 match plan.verdict(round, index, to) {
@@ -96,17 +95,15 @@ fn warm_nodes(servers: &[Server]) {
     for (server, (key, k, solvable)) in servers.iter().zip(seeds) {
         server.state().record_horizon(key, k, solvable);
     }
-    servers[0].state().record_horizon("cluster:a|alpha2", 1, false);
+    servers[0]
+        .state()
+        .record_horizon("cluster:a|alpha2", 1, false);
     servers[1]
         .state()
         .record_theorem("cluster:b|theorem", Value::from("memo-b"));
 }
 
-type Snapshot = Vec<(
-    String,
-    minobs_synth::cache::HorizonVerdicts,
-    Option<Value>,
-)>;
+type Snapshot = Vec<(String, minobs_synth::cache::HorizonVerdicts, Option<Value>)>;
 
 fn snapshots(servers: &[Server]) -> Vec<Snapshot> {
     servers
@@ -209,11 +206,12 @@ fn three_nodes_converge_and_serve_each_others_verdicts() {
         let replicated = wait_until(CONVERGE_DEADLINE, || {
             !server.state().cache().snapshot().is_empty()
         });
-        assert!(replicated, "node {addr} never received the verdict via gossip");
+        assert!(
+            replicated,
+            "node {addr} never received the verdict via gossip"
+        );
         let mut client = SvcClient::connect(addr.as_str()).unwrap();
-        let check = client
-            .call("check_horizon", check_params("r1", 3))
-            .unwrap();
+        let check = client.call("check_horizon", check_params("r1", 3)).unwrap();
         assert_eq!(
             check.get("cached").and_then(Value::as_bool),
             Some(true),
@@ -221,9 +219,7 @@ fn three_nodes_converge_and_serve_each_others_verdicts() {
         );
         // Subsumption works on replicated bounds too (unsolvable@3 ⇒ @2).
         let mut client = SvcClient::connect(addr.as_str()).unwrap();
-        let lower = client
-            .call("check_horizon", check_params("r1", 2))
-            .unwrap();
+        let lower = client.call("check_horizon", check_params("r1", 2)).unwrap();
         assert_eq!(lower.get("solvable").and_then(Value::as_bool), Some(false));
         assert_eq!(lower.get("cached").and_then(Value::as_bool), Some(true));
     }
@@ -251,7 +247,9 @@ fn single_node_stats_report_an_empty_peer_table() {
     let server = serve(SvcConfig::default()).unwrap();
     let mut client = SvcClient::connect(server.local_addr().to_string().as_str()).unwrap();
     let stats = client.call("stats", Value::Null).unwrap();
-    let peers = stats.get("peers").expect("peers present in single-node mode");
+    let peers = stats
+        .get("peers")
+        .expect("peers present in single-node mode");
     assert_eq!(peers.get("count").and_then(Value::as_u64), Some(0));
     assert_eq!(peers.get("max_lag").and_then(Value::as_u64), Some(0));
     assert_eq!(
@@ -297,9 +295,7 @@ fn traced_request_threads_one_trace_id_across_nodes() {
     // others, so its miss is guaranteed to trigger a ctx-carrying
     // exchange. `SvcClient::call` mints the root trace context.
     let mut client = SvcClient::connect(addrs[NODES - 1].as_str()).unwrap();
-    let fresh = client
-        .call("check_horizon", check_params("r1", 3))
-        .unwrap();
+    let fresh = client.call("check_horizon", check_params("r1", 3)).unwrap();
     assert_eq!(fresh.get("cached").and_then(Value::as_bool), Some(false));
 
     // Full replication implies the serving node completed exchanges
@@ -331,7 +327,11 @@ fn traced_request_threads_one_trace_id_across_nodes() {
         let _ = std::fs::remove_file(path);
     }
     let field = |v: &Value, k: &str| v.get(k).and_then(Value::as_u64);
-    let trace_of = |v: &Value| v.get("trace_id").and_then(Value::as_str).map(str::to_string);
+    let trace_of = |v: &Value| {
+        v.get("trace_id")
+            .and_then(Value::as_str)
+            .map(str::to_string)
+    };
 
     // The client's request root: rpc.check_horizon on the serving node,
     // stamped with the client's trace but with no remote parent (the

@@ -104,7 +104,9 @@ fn concurrent_dumps_never_tear_or_deadlock() {
 
 #[test]
 fn keep_decisions_are_fleet_consistent_and_monotone() {
-    let trace_ids: Vec<u128> = (1..=2_000u128).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+    let trace_ids: Vec<u128> = (1..=2_000u128)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .collect();
     let mut kept_at_low = 0usize;
     for &id in &trace_ids {
         // Two nodes deciding independently about the same trace agree —

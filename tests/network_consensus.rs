@@ -4,8 +4,7 @@
 //! (`c(G)`, `deg(G)`, cut partitions) line up with the theory.
 
 use minobs_graphs::{
-    cut_partition, edge_connectivity, generators, min_degree, partition::validate_partition,
-    Graph,
+    cut_partition, edge_connectivity, generators, min_degree, partition::validate_partition, Graph,
 };
 use minobs_net::{DecisionRule, FloodConsensus};
 use minobs_sim::adversary::{BudgetChecked, CutAdversary, GreedyCutAdversary, RandomOmissions};
@@ -71,13 +70,19 @@ fn cut_adversary_at_connectivity_breaks_flooding_on_all_families() {
             out.verdict
         );
         // And the adversary never exceeded f = c(G) drops per round.
-        assert!(out.stats.max_drops_per_round <= edge_connectivity(&g), "{name}");
+        assert!(
+            out.stats.max_drops_per_round <= edge_connectivity(&g),
+            "{name}"
+        );
     }
 }
 
 #[test]
 fn greedy_cut_adversary_also_breaks_flooding() {
-    for (name, g) in [("barbell(4,2)", generators::barbell(4, 2)), ("cycle(7)", generators::cycle(7))] {
+    for (name, g) in [
+        ("barbell(4,2)", generators::barbell(4, 2)),
+        ("cycle(7)", generators::cycle(7)),
+    ] {
         let n = g.vertex_count();
         let p = cut_partition(&g).unwrap();
         let nodes = FloodConsensus::fleet(&g, &distinct_inputs(n), DecisionRule::ValueOfMinId);

@@ -142,7 +142,12 @@ fn unfair_direction_breaks_flooding_exactly_when_it_hides_the_minimum() {
         let fleet = FloodConsensus::fleet(&g, &inputs, DecisionRule::MinValue);
         let mut adv = CutAdversary::new(&p, sc(v));
         let out = run_network(&g, fleet, &mut adv, 64);
-        assert_eq!(out.verdict.is_consensus(), expect_consensus, "A-min {v}: {:?}", out.verdict);
+        assert_eq!(
+            out.verdict.is_consensus(),
+            expect_consensus,
+            "A-min {v}: {:?}",
+            out.verdict
+        );
     }
     // Minimum on the B side: the harmful direction flips.
     for (v, expect_consensus) in [("(w)", true), ("(b)", false)] {
@@ -150,6 +155,11 @@ fn unfair_direction_breaks_flooding_exactly_when_it_hides_the_minimum() {
         let fleet = FloodConsensus::fleet(&g, &inputs, DecisionRule::MinValue);
         let mut adv = CutAdversary::new(&p, sc(v));
         let out = run_network(&g, fleet, &mut adv, 64);
-        assert_eq!(out.verdict.is_consensus(), expect_consensus, "B-min {v}: {:?}", out.verdict);
+        assert_eq!(
+            out.verdict.is_consensus(),
+            expect_consensus,
+            "B-min {v}: {:?}",
+            out.verdict
+        );
     }
 }

@@ -178,7 +178,10 @@ fn all_methods_answer_over_the_wire() {
         )
         .unwrap();
     assert_eq!(net.get("solvable").and_then(Value::as_bool), Some(true));
-    assert_eq!(net.get("edge_connectivity").and_then(Value::as_u64), Some(3));
+    assert_eq!(
+        net.get("edge_connectivity").and_then(Value::as_u64),
+        Some(3)
+    );
 
     let sim = client
         .call(
@@ -199,7 +202,11 @@ fn all_methods_answer_over_the_wire() {
         .get("metrics")
         .and_then(|m| m.get("counters"))
         .expect("stats carries metric counters");
-    for counter in ["svc.cache_hits", "svc.cache_misses", "svc.cache_subsumptions"] {
+    for counter in [
+        "svc.cache_hits",
+        "svc.cache_misses",
+        "svc.cache_subsumptions",
+    ] {
         assert!(
             counters.get(counter).and_then(Value::as_u64).is_some(),
             "{counter} missing from stats: {stats:?}"
@@ -207,7 +214,12 @@ fn all_methods_answer_over_the_wire() {
     }
     // This connection produced one exact hit and one subsumption above.
     assert!(counters.get("svc.cache_hits").and_then(Value::as_u64) >= Some(1));
-    assert!(counters.get("svc.cache_subsumptions").and_then(Value::as_u64) >= Some(1));
+    assert!(
+        counters
+            .get("svc.cache_subsumptions")
+            .and_then(Value::as_u64)
+            >= Some(1)
+    );
 
     // Unknown methods and bad params answer errors, not hangups.
     assert!(client.call("no_such_method", Value::Null).is_err());
@@ -344,9 +356,7 @@ fn telemetry_plane_exposes_spans_quantiles_and_exposition() {
     let mut client = SvcClient::connect(addr.as_str()).unwrap();
 
     for _ in 0..3 {
-        client
-            .call("check_horizon", check_params("s1", 2))
-            .unwrap();
+        client.call("check_horizon", check_params("s1", 2)).unwrap();
         client
             .call("solvable", obj(&[("scheme", Value::from("s1"))]))
             .unwrap();
@@ -448,11 +458,18 @@ fn open_loop_bench_drives_the_service_end_to_end() {
     };
     let summary = run_open_loop(&addr, &config).expect("open-loop bench runs");
 
-    assert_eq!(summary.errors, 0, "no transport errors against a live daemon");
+    assert_eq!(
+        summary.errors, 0,
+        "no transport errors against a live daemon"
+    );
     // The comb fires ~freq × duration deadlines; every sent request is
     // answered (the reader drains pending entries before returning), and
     // each answer lands in the latency histogram.
-    assert!(summary.sent >= 80, "only {} of ~100 deadlines sent", summary.sent);
+    assert!(
+        summary.sent >= 80,
+        "only {} of ~100 deadlines sent",
+        summary.sent
+    );
     assert_eq!(summary.completed, summary.sent);
     assert_eq!(summary.latency.count(), summary.completed);
     assert!(summary.achieved_qps > 0.0);
@@ -473,7 +490,10 @@ fn client_side_queued_is_visible(addr: &str) {
         .get("queued")
         .and_then(Value::as_u64)
         .unwrap_or_else(|| panic!("stats carries a queued gauge: {stats:?}"));
-    assert_eq!(queued, 1, "idle daemon: only the stats call itself in flight");
+    assert_eq!(
+        queued, 1,
+        "idle daemon: only the stats call itself in flight"
+    );
 }
 
 #[test]
@@ -501,8 +521,7 @@ fn wal_degradation_auto_dumps_the_flight_ring() {
     let dump_path = flight_dir.join("flight-000-wal_degraded.trace.jsonl");
     let dump = std::fs::read_to_string(&dump_path)
         .unwrap_or_else(|e| panic!("auto-dump missing at {}: {e}", dump_path.display()));
-    minobs_bench::lint::lint(&dump)
-        .unwrap_or_else(|err| panic!("auto-dump not lint-clean: {err}"));
+    minobs_bench::lint::lint(&dump).unwrap_or_else(|err| panic!("auto-dump not lint-clean: {err}"));
     let header: Value = serde_json::from_str(dump.lines().next().unwrap()).unwrap();
     assert_eq!(
         header.get("event").and_then(Value::as_str),
@@ -528,9 +547,7 @@ fn dump_trace_rpc_is_lint_clean_and_kept_requests_surface_exemplars() {
     let addr = server.local_addr().to_string();
     let mut client = SvcClient::connect(addr.as_str()).unwrap();
     for _ in 0..3 {
-        client
-            .call("check_horizon", check_params("s1", 2))
-            .unwrap();
+        client.call("check_horizon", check_params("s1", 2)).unwrap();
     }
 
     // The flight ring replays as a well-formed bounded trace on demand.
@@ -587,9 +604,7 @@ fn tail_sampling_drops_unremarkable_span_blocks_but_keeps_pairing() {
     let addr = server.local_addr().to_string();
     let mut client = SvcClient::connect(addr.as_str()).unwrap();
     for _ in 0..5 {
-        client
-            .call("check_horizon", check_params("s1", 2))
-            .unwrap();
+        client.call("check_horizon", check_params("s1", 2)).unwrap();
     }
     client.call("shutdown", Value::Null).unwrap();
     server.join();
@@ -692,13 +707,19 @@ fn control_plane_answers_past_busy_checker_and_permits_cap_compute() {
             !a_done.load(Ordering::SeqCst),
             "health and stats waited for the checker ({b_elapsed:?})"
         );
-        assert!(b_elapsed < Duration::from_millis(BUDGET_MS / 2), "{b_elapsed:?}");
+        assert!(
+            b_elapsed < Duration::from_millis(BUDGET_MS / 2),
+            "{b_elapsed:?}"
+        );
         assert_eq!(health.get("live").and_then(Value::as_bool), Some(true));
         assert_eq!(stats.get("workers").and_then(Value::as_u64), Some(1));
 
         // Connection C: a second compute request waits for A's permit.
         let mut c = SvcClient::connect(addr.as_str()).unwrap();
-        assert!(!a_done.load(Ordering::SeqCst), "A finished before C was sent");
+        assert!(
+            !a_done.load(Ordering::SeqCst),
+            "A finished before C was sent"
+        );
         c.call("check_horizon", check_params("s1", 2)).unwrap();
         let c_answered = a_sent.elapsed();
 
@@ -785,7 +806,11 @@ fn huge_string_and_wide_object_frames_are_answered_promptly() {
             .expect("the daemon answers before hanging up");
         let elapsed = started.elapsed();
         assert!(elapsed < bound, "frame {id} took {elapsed:?}");
-        assert_eq!(reply.get("id").and_then(Value::as_u64), Some(id), "{reply:?}");
+        assert_eq!(
+            reply.get("id").and_then(Value::as_u64),
+            Some(id),
+            "{reply:?}"
+        );
     }
 
     let health = client.call("health", Value::Null).unwrap();
@@ -889,7 +914,10 @@ fn first_horizon_logs_only_its_boundaries() {
     // Two records per cold sweep, none per warm one; replayed, they
     // rebuild exactly the boundaries the sweeps found.
     let replayed = VerdictCache::new(&MetricsRegistry::new());
-    let report = replay_bytes(&std::fs::read(&wal_path).expect("the log exists"), &replayed);
+    let report = replay_bytes(
+        &std::fs::read(&wal_path).expect("the log exists"),
+        &replayed,
+    );
     let _ = std::fs::remove_file(&wal_path);
     assert_eq!(report.records, 4);
     let bounds: Vec<(Option<usize>, Option<usize>)> = replayed

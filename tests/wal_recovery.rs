@@ -285,14 +285,21 @@ fn daemon_restart_serves_warm_verdicts_from_the_wal() {
         wal_path: Some(wal_path.clone()),
         ..SvcConfig::default()
     };
-    let pinned = || obj(&[("scheme", Value::from("s1")), ("horizon", Value::from(2u64))]);
+    let pinned = || {
+        obj(&[
+            ("scheme", Value::from("s1")),
+            ("horizon", Value::from(2u64)),
+        ])
+    };
 
     // First life: prove the pinned verdict, then drain cleanly.
     let solvable = {
         let server = serve(config()).expect("bind");
         let addr = server.local_addr().to_string();
         let mut client = connect(&addr);
-        let first = client.call("check_horizon", pinned()).expect("pinned query");
+        let first = client
+            .call("check_horizon", pinned())
+            .expect("pinned query");
         assert_eq!(
             first.get("cached"),
             Some(&Value::from(false)),
