@@ -53,7 +53,7 @@
 //! `profile`, `diff` and `stitch` pair spans with one walker, `spans`.
 
 use minobs_bench::lint::decode_line;
-use minobs_obs::TraceEvent;
+use minobs_obs::{SpanCtx, TraceEvent};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -133,23 +133,26 @@ fn spans(fallback_node: &str, events: &[Line]) -> Result<Vec<Span>, String> {
                 span_id,
                 parent,
                 name,
-                trace_id,
-                ctx_parent,
+                ctx,
                 ..
             } => {
+                let SpanCtx {
+                    trace_id,
+                    ctx_parent,
+                } = ctx.as_deref().copied().unwrap_or_default();
                 let enclosing = stack.last().map(|open| &open.span);
                 let span = Span {
                     node: node.as_deref().unwrap_or(fallback_node).to_string(),
                     span_id: *span_id,
-                    name: name.clone(),
+                    name: name.to_string(),
                     local_parent: *parent,
-                    ctx_parent: *ctx_parent,
+                    ctx_parent,
                     trace_id: trace_id.or(enclosing.and_then(|span| span.trace_id)),
                     nanos: 0,
                     self_ns: 0,
                     path: match enclosing {
                         Some(span) => format!("{};{name}", span.path),
-                        None => name.clone(),
+                        None => name.to_string(),
                     },
                     root: enclosing.is_none(),
                 };
@@ -1205,25 +1208,25 @@ mod tests {
 
     #[test]
     fn profile_and_stitch_read_a_real_flight_dump() {
-        let start = |span_id, parent, name: &str, trace_id, ctx_parent| TraceEvent::SpanStart {
+        let start =
+            |span_id, parent, name: &'static str, trace_id, ctx_parent| TraceEvent::SpanStart {
+                round: 0,
+                span_id,
+                parent,
+                name: name.into(),
+                ctx: SpanCtx::boxed(trace_id, ctx_parent),
+            };
+        let end = |span_id, name: &'static str, nanos| TraceEvent::SpanEnd {
             round: 0,
             span_id,
-            parent,
-            name: name.to_string(),
-            trace_id,
-            ctx_parent,
-        };
-        let end = |span_id, name: &str, nanos| TraceEvent::SpanEnd {
-            round: 0,
-            span_id,
-            name: name.to_string(),
+            name: name.into(),
             nanos,
         };
         let flight = FlightRecorder::with_meta(64, Some("node-a".to_string()), true);
         flight.push_block(&[
             TraceEvent::SvcRequest {
                 seq: 0,
-                method: "check_horizon".to_string(),
+                method: "check_horizon".into(),
             },
             start(0, None, "rpc.check_horizon", Some(0xaa), None),
             start(1, Some(0), "check.eval", None, None),
@@ -1231,7 +1234,7 @@ mod tests {
             end(0, "rpc.check_horizon", 1000),
             TraceEvent::SvcResponse {
                 seq: 0,
-                method: "check_horizon".to_string(),
+                method: "check_horizon".into(),
                 ok: true,
                 cache: "miss",
                 nanos: 1000,

@@ -7,7 +7,9 @@
 //! list; [`lint`] is the JSONL-trace checker and [`lint_bench`] the
 //! `minobs/bench/v1` artifact checker.
 
-use minobs_obs::{validate_bench_artifact, MessageStatus, RoundCounts, TraceEvent, BENCH_SCHEMA};
+use minobs_obs::{
+    validate_bench_artifact, MessageStatus, Name, RoundCounts, SpanCtx, TraceEvent, BENCH_SCHEMA,
+};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
 
@@ -50,9 +52,9 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
     let mut lines_checked = 0usize;
     let mut current: Option<RunTally> = None;
     // In-flight service requests: seq → method.
-    let mut pending_svc: HashMap<u64, String> = HashMap::new();
+    let mut pending_svc: HashMap<u64, Name> = HashMap::new();
     // Open profiling spans, innermost last: (span_id, name).
-    let mut span_stack: Vec<(u64, String)> = Vec::new();
+    let mut span_stack: Vec<(u64, Name)> = Vec::new();
     let mut span_ids_seen: HashSet<u64> = HashSet::new();
     // First node_id seen: one trace file is one node's stream.
     let mut node_seen: Option<String> = None;
@@ -169,10 +171,13 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
                 span_id,
                 parent,
                 name,
-                trace_id,
-                ctx_parent,
+                ctx,
                 ..
             } => {
+                let SpanCtx {
+                    trace_id,
+                    ctx_parent,
+                } = ctx.as_deref().copied().unwrap_or_default();
                 if trace_id == Some(0) {
                     return Err(format!(
                         "line {line_no}: trace_id is zero — TraceContext::root never mints it"

@@ -19,7 +19,7 @@
 //! malformed `ctx` is treated as absent rather than failing the RPC —
 //! tracing must never take down the data plane.
 
-use crate::event::TraceEvent;
+use crate::event::{SpanCtx, TraceEvent};
 use serde_json::{Map, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -129,13 +129,11 @@ pub fn stamp_root_span(events: &mut [TraceEvent], ctx: &TraceContext) {
     for event in events.iter_mut() {
         if let TraceEvent::SpanStart {
             parent: None,
-            trace_id,
-            ctx_parent,
+            ctx: span_ctx,
             ..
         } = event
         {
-            *trace_id = Some(ctx.trace_id);
-            *ctx_parent = ctx.parent_span;
+            *span_ctx = SpanCtx::boxed(Some(ctx.trace_id), ctx.parent_span);
             return;
         }
     }
@@ -222,32 +220,26 @@ mod tests {
                 span_id: 1,
                 parent: None,
                 name: "rpc.check_horizon".into(),
-                trace_id: None,
-                ctx_parent: None,
+                ctx: None,
             },
             TraceEvent::SpanStart {
                 round: 0,
                 span_id: 2,
                 parent: Some(1),
                 name: "check.run".into(),
-                trace_id: None,
-                ctx_parent: None,
+                ctx: None,
             },
         ];
         stamp_root_span(&mut events, &ctx);
         match &events[0] {
-            TraceEvent::SpanStart {
-                trace_id,
-                ctx_parent,
-                ..
-            } => {
-                assert_eq!(*trace_id, Some(0xfeed));
-                assert_eq!(*ctx_parent, Some(9));
+            TraceEvent::SpanStart { ctx, .. } => {
+                assert_eq!(ctx.as_deref().and_then(|c| c.trace_id), Some(0xfeed));
+                assert_eq!(ctx.as_deref().and_then(|c| c.ctx_parent), Some(9));
             }
             other => panic!("unexpected {other:?}"),
         }
         match &events[1] {
-            TraceEvent::SpanStart { trace_id: None, .. } => {}
+            TraceEvent::SpanStart { ctx: None, .. } => {}
             other => panic!("child span must stay unstamped: {other:?}"),
         }
     }

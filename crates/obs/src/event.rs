@@ -7,9 +7,82 @@
 //! field renames or removals bump it.
 
 use serde_json::{Map, Value};
+use std::borrow::Cow;
+use std::fmt;
 
 /// Version tag stamped on every emitted event line.
 pub const SCHEMA: &str = "minobs/trace/v1";
+
+/// A span name or RPC method label.
+///
+/// Every name the workspace emits is a `&'static str` and is held
+/// borrowed, so recording a span or a request allocates nothing; only
+/// [`TraceEvent::from_json`] owns the text it decodes. Compares, hashes,
+/// prints and debug-prints exactly as the string it holds.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Name(Cow<'static, str>);
+
+impl Name {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(name: &'static str) -> Name {
+        Name(Cow::Borrowed(name))
+    }
+}
+
+impl From<String> for Name {
+    fn from(name: String) -> Name {
+        Name(Cow::Owned(name))
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// The distributed-trace fields of a [`TraceEvent::SpanStart`].
+///
+/// Only the root span of a request that carried a
+/// [`crate::TraceContext`] has them, so they live behind one pointer and
+/// a local span pays 8 bytes for both. Build them with
+/// [`SpanCtx::boxed`], which keeps "neither field" as `None`, so every
+/// event has exactly one representation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanCtx {
+    /// Distributed trace id this span belongs to. Serialised as 32
+    /// lowercase hex digits.
+    pub trace_id: Option<u128>,
+    /// Span id on the *sending* node this root span is parented under.
+    /// Only meaningful together with `trace_id`; resolved by `trace
+    /// stitch`, never by in-process tooling (the local `parent` chain
+    /// stays self-contained).
+    pub ctx_parent: Option<u64>,
+}
+
+impl SpanCtx {
+    /// The fields boxed, or `None` when both are absent.
+    pub fn boxed(trace_id: Option<u128>, ctx_parent: Option<u64>) -> Option<Box<SpanCtx>> {
+        (trace_id.is_some() || ctx_parent.is_some()).then(|| {
+            Box::new(SpanCtx {
+                trace_id,
+                ctx_parent,
+            })
+        })
+    }
+}
 
 /// What happened to a single message in a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -116,16 +189,10 @@ pub enum TraceEvent {
         /// `span_id` of the enclosing open span, if any.
         parent: Option<u64>,
         /// Stable section name, e.g. `"checker_expand"`.
-        name: String,
-        /// Distributed trace id this span belongs to, when the request
-        /// carried a [`crate::TraceContext`]. Serialised as 32 lowercase
-        /// hex digits; absent on purely local spans.
-        trace_id: Option<u128>,
-        /// Span id on the *sending* node this root span is parented
-        /// under. Only meaningful together with `trace_id`; resolved by
-        /// `trace stitch`, never by in-process tooling (the local
-        /// `parent` chain stays self-contained).
-        ctx_parent: Option<u64>,
+        name: Name,
+        /// `trace_id` and `ctx_parent`, when the request carried a
+        /// [`crate::TraceContext`]; `None` on purely local spans.
+        ctx: Option<Box<SpanCtx>>,
     },
     /// A profiling span closed, with its measured duration.
     SpanEnd {
@@ -134,7 +201,7 @@ pub enum TraceEvent {
         /// Identifier of the span being closed.
         span_id: u64,
         /// Section name, echoed from the matching start.
-        name: String,
+        name: Name,
         /// Wall-clock nanoseconds between start and end (never 0 when the
         /// span was actually timed).
         nanos: u64,
@@ -197,15 +264,16 @@ pub enum TraceEvent {
     SvcRequest {
         /// Daemon-wide accept sequence number.
         seq: u64,
-        /// RPC method name, e.g. `"check_horizon"`.
-        method: String,
+        /// RPC method label, e.g. `"check_horizon"`; the daemon records
+        /// a method it does not serve as `"unknown"`.
+        method: Name,
     },
     /// The solvability service finished a request. `round` is always 0.
     SvcResponse {
         /// Accept sequence number of the request being answered.
         seq: u64,
-        /// RPC method name, echoed from the request.
-        method: String,
+        /// RPC method label, echoed from the request.
+        method: Name,
         /// Whether the request succeeded (an RPC-level error is `false`).
         ok: bool,
         /// Verdict-cache disposition: `"hit"`, `"miss"`, `"subsumed"`,
@@ -316,6 +384,12 @@ pub enum TraceEvent {
     },
 }
 
+// A flight-ring slot is a `(u64, TraceEvent)`: at 72 bytes and align 8
+// the slot is 80 bytes. A field that grows a variant past this fails the
+// build here rather than silently growing every ring.
+const _: () =
+    assert!(std::mem::size_of::<TraceEvent>() <= 72 && std::mem::align_of::<TraceEvent>() == 8);
+
 impl TraceEvent {
     /// Stable wire name of the variant.
     pub fn kind(&self) -> &'static str {
@@ -413,8 +487,7 @@ impl TraceEvent {
                 span_id,
                 parent,
                 name,
-                trace_id,
-                ctx_parent,
+                ctx,
                 ..
             } => {
                 map.insert("span_id".to_string(), Value::from(*span_id));
@@ -426,11 +499,15 @@ impl TraceEvent {
                 // Additive distributed-tracing fields: only present when
                 // the request carried a context, so uninstrumented
                 // streams are byte-identical to pre-ctx traces.
+                let SpanCtx {
+                    trace_id,
+                    ctx_parent,
+                } = ctx.as_deref().copied().unwrap_or_default();
                 if let Some(id) = trace_id {
                     map.insert("trace_id".to_string(), Value::from(format!("{id:032x}")));
                 }
                 if let Some(ctx_parent) = ctx_parent {
-                    map.insert("ctx_parent".to_string(), Value::from(*ctx_parent));
+                    map.insert("ctx_parent".to_string(), Value::from(ctx_parent));
                 }
             }
             TraceEvent::SpanEnd {
@@ -620,20 +697,20 @@ impl TraceEvent {
                     Some(Value::Null) => None,
                     _ => Some(f.u64("parent")?),
                 },
-                name: f.string("name")?,
-                trace_id: map
-                    .contains_key("trace_id")
-                    .then(|| f.trace_id())
-                    .transpose()?,
-                ctx_parent: map
-                    .contains_key("ctx_parent")
-                    .then(|| f.u64("ctx_parent"))
-                    .transpose()?,
+                name: f.name("name")?,
+                ctx: SpanCtx::boxed(
+                    map.contains_key("trace_id")
+                        .then(|| f.trace_id())
+                        .transpose()?,
+                    map.contains_key("ctx_parent")
+                        .then(|| f.u64("ctx_parent"))
+                        .transpose()?,
+                ),
             },
             "span_end" => TraceEvent::SpanEnd {
                 round,
                 span_id: f.u64("span_id")?,
-                name: f.string("name")?,
+                name: f.name("name")?,
                 nanos: f.u64("nanos")?,
             },
             "checker_progress" => TraceEvent::CheckerProgress {
@@ -664,11 +741,11 @@ impl TraceEvent {
             },
             "svc_request" => TraceEvent::SvcRequest {
                 seq: f.u64("seq")?,
-                method: f.string("method")?,
+                method: f.name("method")?,
             },
             "svc_response" => TraceEvent::SvcResponse {
                 seq: f.u64("seq")?,
-                method: f.string("method")?,
+                method: f.name("method")?,
                 ok: f.bool("ok")?,
                 cache: f.one_of("cache", CACHE_DISPOSITIONS)?,
                 nanos: f.u64("nanos")?,
@@ -777,6 +854,10 @@ impl<'a> Fields<'a> {
         self.str(key).map(str::to_string)
     }
 
+    fn name(&self, key: &str) -> Result<Name, String> {
+        self.string(key).map(Name::from)
+    }
+
     fn one_of(&self, key: &str, allowed: &[&'static str]) -> Result<&'static str, String> {
         let value = self.str(key)?;
         allowed
@@ -863,14 +944,13 @@ mod tests {
                 round: 1,
                 span_id: 0,
                 parent: None,
-                name: "net_send".to_string(),
-                trace_id: Some(0x0af7_6519_16cd_43dd_8448_eb21_1c80_319c),
-                ctx_parent: Some(12),
+                name: "net_send".into(),
+                ctx: SpanCtx::boxed(Some(0x0af7_6519_16cd_43dd_8448_eb21_1c80_319c), Some(12)),
             },
             TraceEvent::SpanEnd {
                 round: 1,
                 span_id: 0,
-                name: "net_send".to_string(),
+                name: "net_send".into(),
                 nanos: 77,
             },
             TraceEvent::CheckerProgress {
@@ -901,11 +981,11 @@ mod tests {
             },
             TraceEvent::SvcRequest {
                 seq: 17,
-                method: "check_horizon".to_string(),
+                method: "check_horizon".into(),
             },
             TraceEvent::SvcResponse {
                 seq: 17,
-                method: "check_horizon".to_string(),
+                method: "check_horizon".into(),
                 ok: true,
                 cache: "subsumed",
                 nanos: 42,
@@ -995,7 +1075,7 @@ mod tests {
             Ok(TraceEvent::SpanEnd {
                 round: 2,
                 span_id: 9,
-                name: "rpc.stats".to_string(),
+                name: "rpc.stats".into(),
                 nanos: 0,
             })
         );
@@ -1077,9 +1157,8 @@ mod tests {
             round: 0,
             span_id: 3,
             parent: None,
-            name: "net_send".to_string(),
-            trace_id: None,
-            ctx_parent: None,
+            name: "net_send".into(),
+            ctx: None,
         };
         assert_eq!(root.to_json().get("parent"), Some(&Value::Null));
         // Local spans without a context stay byte-identical to pre-ctx
@@ -1091,9 +1170,8 @@ mod tests {
             round: 0,
             span_id: 4,
             parent: Some(3),
-            name: "net_send".to_string(),
-            trace_id: None,
-            ctx_parent: None,
+            name: "net_send".into(),
+            ctx: None,
         };
         let json = child.to_json();
         assert_eq!(json.get("parent").and_then(Value::as_u64), Some(3));
@@ -1106,9 +1184,8 @@ mod tests {
             round: 0,
             span_id: 5,
             parent: None,
-            name: "rpc.check_horizon".to_string(),
-            trace_id: Some(0xabc),
-            ctx_parent: Some(17),
+            name: "rpc.check_horizon".into(),
+            ctx: SpanCtx::boxed(Some(0xabc), Some(17)),
         };
         let json = stamped.to_json();
         assert_eq!(
@@ -1374,15 +1451,17 @@ mod tests {
                     round,
                     span_id: num(rng),
                     parent: (rng.below(2) == 1).then(|| num(rng)),
-                    name: text(rng),
-                    trace_id: (rng.below(2) == 1)
-                        .then(|| (u128::from(num(rng)) << 64) | u128::from(rng.next_u64())),
-                    ctx_parent: (rng.below(2) == 1).then(|| num(rng)),
+                    name: text(rng).into(),
+                    ctx: SpanCtx::boxed(
+                        (rng.below(2) == 1)
+                            .then(|| (u128::from(num(rng)) << 64) | u128::from(rng.next_u64())),
+                        (rng.below(2) == 1).then(|| num(rng)),
+                    ),
                 },
                 5 => TraceEvent::SpanEnd {
                     round,
                     span_id: num(rng),
-                    name: text(rng),
+                    name: text(rng).into(),
                     nanos: num(rng),
                 },
                 6 => TraceEvent::CheckerProgress {
@@ -1413,11 +1492,11 @@ mod tests {
                 },
                 11 => TraceEvent::SvcRequest {
                     seq: num(rng),
-                    method: text(rng),
+                    method: text(rng).into(),
                 },
                 12 => TraceEvent::SvcResponse {
                     seq: num(rng),
-                    method: text(rng),
+                    method: text(rng).into(),
                     ok: rng.below(2) == 1,
                     cache: pick(rng, CACHE_DISPOSITIONS),
                     nanos: num(rng),

@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 
 use serde_json::Value;
 
-use crate::event::TraceEvent;
+use crate::event::{Name, TraceEvent};
 use crate::recorder::Recorder;
 
 /// Default ring capacity per node, overridable via `MINOBS_FLIGHT_EVENTS`.
@@ -194,7 +194,7 @@ impl FlightRecorder {
         // sees properly nested spans; an end with no matching open start
         // lost its start to eviction.
         let mut lines: Vec<Value> = Vec::new();
-        let mut open: Vec<(u64, String)> = Vec::new();
+        let mut open: Vec<(u64, Name)> = Vec::new();
         let mut dropped = 0u64;
         for (_, event) in &entries {
             match event {
@@ -310,19 +310,19 @@ pub fn sample_keep(trace_id: u128, sample: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::MessageStatus;
+    use crate::event::{MessageStatus, SpanCtx};
 
     fn request(seq: u64) -> TraceEvent {
         TraceEvent::SvcRequest {
             seq,
-            method: "stats".to_string(),
+            method: "stats".into(),
         }
     }
 
     fn response(seq: u64, nanos: u64) -> TraceEvent {
         TraceEvent::SvcResponse {
             seq,
-            method: "stats".to_string(),
+            method: "stats".into(),
             ok: true,
             cache: "none",
             nanos,
@@ -338,11 +338,11 @@ mod tests {
         }
     }
 
-    fn span_end(span_id: u64, name: &str, nanos: u64) -> TraceEvent {
+    fn span_end(span_id: u64, name: &'static str, nanos: u64) -> TraceEvent {
         TraceEvent::SpanEnd {
             round: 0,
             span_id,
-            name: name.to_string(),
+            name: name.into(),
             nanos,
         }
     }
@@ -400,17 +400,15 @@ mod tests {
                 round: 0,
                 span_id: 7,
                 parent: None,
-                name: "rpc.check".to_string(),
-                trace_id: Some(0xabc),
-                ctx_parent: None,
+                name: "rpc.check".into(),
+                ctx: SpanCtx::boxed(Some(0xabc), None),
             },
             TraceEvent::SpanStart {
                 round: 0,
                 span_id: 8,
                 parent: Some(7),
-                name: "check.eval".to_string(),
-                trace_id: None,
-                ctx_parent: None,
+                name: "check.eval".into(),
+                ctx: None,
             },
         ]);
         let snap = flight.dump("panic");
@@ -454,9 +452,8 @@ mod tests {
             round: 0,
             span_id: 1,
             parent: None,
-            name: "early".to_string(),
-            trace_id: None,
-            ctx_parent: None,
+            name: "early".into(),
+            ctx: None,
         });
         for round in 0..7 {
             rec.record(delivered(round));
@@ -529,14 +526,13 @@ mod tests {
                                 round: 0,
                                 span_id,
                                 parent: None,
-                                name: format!("worker{w}"),
-                                trace_id: None,
-                                ctx_parent: None,
+                                name: format!("worker{w}").into(),
+                                ctx: None,
                             },
                             TraceEvent::SpanEnd {
                                 round: 0,
                                 span_id,
-                                name: format!("worker{w}"),
+                                name: format!("worker{w}").into(),
                                 nanos: 1,
                             },
                         ]);
@@ -637,9 +633,8 @@ mod tests {
                     round: 0,
                     span_id: b,
                     parent: None,
-                    name: "block".to_string(),
-                    trace_id: None,
-                    ctx_parent: None,
+                    name: "block".into(),
+                    ctx: None,
                 },
                 delivered(b as usize),
                 span_end(b, "block", 1),
@@ -673,5 +668,81 @@ mod tests {
             // Seqs 3(b+1)-16.. survive: the newest five blocks whole.
             assert_eq!(whole, (b + 1).min(5), "after {b} blocks");
         }
+    }
+
+    /// The dump of a fixed sequence that overwrites the ring, orphans a
+    /// response and leaves a span open, byte for byte.
+    #[test]
+    fn dump_bytes_match_the_golden_jsonl() {
+        let flight = FlightRecorder::with_meta(16, Some("node-a".to_string()), false);
+        for seq in 0..4u64 {
+            let root = seq << 20;
+            flight.push(TraceEvent::SvcRequest {
+                seq,
+                method: "check_horizon".into(),
+            });
+            flight.push_block(&[
+                TraceEvent::SpanStart {
+                    round: 0,
+                    span_id: root,
+                    parent: None,
+                    name: "rpc.check_horizon".into(),
+                    ctx: SpanCtx::boxed(Some(0xabc + u128::from(seq)), (seq % 2 == 1).then_some(7)),
+                },
+                TraceEvent::SpanStart {
+                    round: 0,
+                    span_id: root + 1,
+                    parent: Some(root),
+                    name: "check.eval".into(),
+                    ctx: None,
+                },
+                span_end(root + 1, "check.eval", 40 + seq),
+                span_end(root, "rpc.check_horizon", 100 + seq),
+            ]);
+            flight.push(TraceEvent::SvcResponse {
+                seq,
+                method: "check_horizon".into(),
+                ok: seq != 2,
+                cache: "miss",
+                nanos: 120 + seq,
+            });
+        }
+        flight.push(TraceEvent::SpanStart {
+            round: 0,
+            span_id: 9 << 20,
+            parent: None,
+            name: "gossip.exchange".into(),
+            ctx: SpanCtx::boxed(None, Some(3)),
+        });
+        flight.push(TraceEvent::SvcRequest {
+            seq: 4,
+            method: "unknown".into(),
+        });
+        flight.push(TraceEvent::SvcResponse {
+            seq: 4,
+            method: "unknown".into(),
+            ok: false,
+            cache: "none",
+            nanos: 5,
+        });
+        let golden = r#"{"schema":"minobs/trace/v1","event":"flight_dump","round":0,"reason":"rpc","events":16,"dropped":1,"truncated":1,"sampled":false,"node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"svc_request","round":0,"seq":2,"method":"check_horizon","node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"span_start","round":0,"span_id":2097152,"parent":null,"name":"rpc.check_horizon","trace_id":"00000000000000000000000000000abe","node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"span_start","round":0,"span_id":2097153,"parent":2097152,"name":"check.eval","node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"span_end","round":0,"span_id":2097153,"name":"check.eval","nanos":42,"node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"span_end","round":0,"span_id":2097152,"name":"rpc.check_horizon","nanos":102,"node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"svc_response","round":0,"seq":2,"method":"check_horizon","ok":false,"cache":"miss","nanos":122,"node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"svc_request","round":0,"seq":3,"method":"check_horizon","node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"span_start","round":0,"span_id":3145728,"parent":null,"name":"rpc.check_horizon","trace_id":"00000000000000000000000000000abf","ctx_parent":7,"node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"span_start","round":0,"span_id":3145729,"parent":3145728,"name":"check.eval","node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"span_end","round":0,"span_id":3145729,"name":"check.eval","nanos":43,"node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"span_end","round":0,"span_id":3145728,"name":"rpc.check_horizon","nanos":103,"node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"svc_response","round":0,"seq":3,"method":"check_horizon","ok":true,"cache":"miss","nanos":123,"node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"span_start","round":0,"span_id":9437184,"parent":null,"name":"gossip.exchange","ctx_parent":3,"node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"svc_request","round":0,"seq":4,"method":"unknown","node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"svc_response","round":0,"seq":4,"method":"unknown","ok":false,"cache":"none","nanos":5,"node_id":"node-a"}
+{"schema":"minobs/trace/v1","event":"span_end","round":0,"span_id":9437184,"name":"gossip.exchange","nanos":0,"truncated":true,"node_id":"node-a"}
+"#;
+        assert_eq!(flight.dump("rpc").jsonl, golden);
     }
 }

@@ -639,7 +639,7 @@ impl MetricsRecorder {
             }
             TraceEvent::SpanEnd { name, nanos, .. } => {
                 if *nanos > 0 {
-                    self.span_histogram(name).observe(*nanos);
+                    self.span_histogram(name.as_str()).observe(*nanos);
                 }
             }
             TraceEvent::CheckerProgress { states, .. } => {
@@ -676,7 +676,7 @@ impl MetricsRecorder {
                 }
                 if *nanos > 0 {
                     self.svc_request_latency.observe(*nanos);
-                    self.method_histogram(method).observe(*nanos);
+                    self.method_histogram(method.as_str()).observe(*nanos);
                 }
             }
             TraceEvent::WalAppend { bytes, .. } => {
@@ -971,14 +971,13 @@ mod tests {
             round: 0,
             span_id: 0,
             parent: None,
-            name: "net_send".to_string(),
-            trace_id: None,
-            ctx_parent: None,
+            name: "net_send".into(),
+            ctx: None,
         });
-        let span_end = |round, span_id, name: &str, nanos| TraceEvent::SpanEnd {
+        let span_end = |round, span_id, name: &'static str, nanos| TraceEvent::SpanEnd {
             round,
             span_id,
-            name: name.to_string(),
+            name: name.into(),
             nanos,
         };
         recorder.observe(&span_end(0, 0, "net_send", 1_500));
@@ -1007,7 +1006,7 @@ mod tests {
         ] {
             recorder.observe(&TraceEvent::SvcResponse {
                 seq,
-                method: method.to_string(),
+                method: method.into(),
                 ok: true,
                 cache,
                 nanos,
@@ -1130,9 +1129,8 @@ mod tests {
                 round: 0,
                 span_id: 0,
                 parent: None,
-                name: "net_send".to_string(),
-                trace_id: None,
-                ctx_parent: None,
+                name: "net_send".into(),
+                ctx: None,
             },
             TraceEvent::Health {
                 status: "degraded".to_string(),
@@ -1171,7 +1169,7 @@ mod tests {
             },
             TraceEvent::SvcResponse {
                 seq: 1,
-                method: "check".to_string(),
+                method: "check".into(),
                 ok: false,
                 cache: "miss",
                 nanos: 80_000,
@@ -1179,7 +1177,7 @@ mod tests {
             TraceEvent::SpanEnd {
                 round: 0,
                 span_id: 2,
-                name: "rpc.check".to_string(),
+                name: "rpc.check".into(),
                 nanos: 70_000,
             },
         ];

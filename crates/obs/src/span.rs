@@ -91,9 +91,8 @@ impl SpanGuard {
             round,
             span_id,
             parent,
-            name: name.to_string(),
-            trace_id: None,
-            ctx_parent: None,
+            name: name.into(),
+            ctx: None,
         });
         Some(SpanGuard {
             span_id,
@@ -116,7 +115,7 @@ impl SpanGuard {
         recorder.record(TraceEvent::SpanEnd {
             round: self.round,
             span_id: self.span_id,
-            name: self.name.to_string(),
+            name: self.name.into(),
             nanos: self.timer.elapsed_nanos().max(1),
         });
     }

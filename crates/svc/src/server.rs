@@ -759,7 +759,7 @@ impl ServerState {
 /// The distributed trace id carried by a request's span block, if any.
 fn block_trace_id(spans: &[TraceEvent]) -> Option<u128> {
     spans.iter().find_map(|event| match event {
-        TraceEvent::SpanStart { trace_id, .. } => *trace_id,
+        TraceEvent::SpanStart { ctx, .. } => ctx.as_ref().and_then(|ctx| ctx.trace_id),
         _ => None,
     })
 }
@@ -976,32 +976,37 @@ fn serve_connection(stream: TcpStream, state: &ServerState) {
 /// Decodes, answers and writes one framed value. Returns false when the
 /// connection should close (the write failed).
 fn handle_frame<W: Write>(writer: &mut W, state: &ServerState, value: &Value) -> bool {
-    let reply = match wire::parse_request(value) {
-        Ok(request) => answer(state, &request),
+    match wire::parse_request(value) {
+        Ok(request) => send(writer, answer(state, &request)),
         Err(message) => {
             let id = value.get("id").and_then(Value::as_u64).unwrap_or(0);
-            wire::err_response(id, "bad_request", &message)
+            write_reply(writer, &wire::err_response(id, "bad_request", &message))
         }
-    };
-    write_reply(writer, &reply)
+    }
 }
 
-/// Writes one reply frame; returns false when the write failed. A reply
-/// too large for one frame is answered with a typed `internal` error
-/// carrying its id and the refused size, so the client gets an answer
-/// and the connection stays open.
-fn write_reply<W: Write>(writer: &mut W, reply: &Value) -> bool {
-    let frame = match wire::encode_frame(reply) {
+/// Encodes one reply frame. A reply too large for one frame is replaced
+/// by a typed `internal` error carrying its id and the refused size, so
+/// the client gets an answer and the connection stays open; the flag is
+/// false exactly then.
+fn encode_reply(reply: &Value) -> (Result<Vec<u8>, FrameError>, bool) {
+    match wire::encode_frame(reply) {
         Err(FrameError::TooLarge(len)) => {
             let id = reply.get("id").and_then(Value::as_u64).unwrap_or(0);
             let message = format!(
                 "reply of {len} bytes exceeds the {}-byte frame limit",
                 wire::MAX_FRAME
             );
-            wire::encode_frame(&wire::err_response(id, "internal", &message))
+            let error = wire::err_response(id, "internal", &message);
+            (wire::encode_frame(&error), false)
         }
-        frame => frame,
-    };
+        frame => (frame, true),
+    }
+}
+
+/// Writes one encoded frame; returns false when there is none or the
+/// write failed.
+fn send<W: Write>(writer: &mut W, frame: Result<Vec<u8>, FrameError>) -> bool {
     frame.is_ok_and(|frame| {
         writer
             .write_all(&frame)
@@ -1010,11 +1015,20 @@ fn write_reply<W: Write>(writer: &mut W, reply: &Value) -> bool {
     })
 }
 
-/// A static span name per known method, so request spans carry stable
-/// `rpc.*` labels without leaking attacker-chosen method strings into
-/// span-name keyed metrics.
-fn method_span(method: &str) -> &'static str {
-    match method {
+/// Writes one reply frame as [`encode_reply`] encodes it; returns false
+/// when the write failed.
+fn write_reply<W: Write>(writer: &mut W, reply: &Value) -> bool {
+    send(writer, encode_reply(reply).0)
+}
+
+/// The telemetry names of a method: the name of its request span and the
+/// bare label its `svc_request`/`svc_response` events and
+/// `svc.method.{label}.latency_ns` histograms carry. A method the daemon
+/// does not serve reads `rpc.unknown` / `unknown`, so the names a caller
+/// can make the daemon record are a closed set and no method string from
+/// the network reaches an event, a metric name or the flight ring.
+fn method_names(method: &str) -> (&'static str, &'static str) {
+    let span = match method {
         "solvable" => "rpc.solvable",
         "check_horizon" => "rpc.check_horizon",
         "first_horizon" => "rpc.first_horizon",
@@ -1027,21 +1041,25 @@ fn method_span(method: &str) -> &'static str {
         "dump_trace" => "rpc.dump_trace",
         "shutdown" => "rpc.shutdown",
         _ => "rpc.unknown",
-    }
+    };
+    (span, &span["rpc.".len()..])
 }
 
-/// Runs one request's handler and folds the outcome into the telemetry
-/// planes; returns the response envelope.
-fn answer(state: &ServerState, request: &Request) -> Value {
+/// Runs one request's handler, encodes the reply and folds the outcome
+/// into the telemetry planes; returns the encoded reply frame. The reply
+/// is encoded before the outcome is recorded, so a reply refused for its
+/// size counts as the error the caller receives.
+fn answer(state: &ServerState, request: &Request) -> Result<Vec<u8>, FrameError> {
     let seq = state.next_seq();
+    let (span_name, method) = method_names(&request.method);
     state.emit(TraceEvent::SvcRequest {
         seq,
-        method: request.method.clone(),
+        method: method.into(),
     });
     // Compute methods hold a checker permit while their handler runs;
     // the control plane never waits for one.
     let compute = matches!(
-        request.method.as_str(),
+        method,
         "solvable" | "check_horizon" | "first_horizon" | "net_solvable" | "simulate"
     );
     let permit = compute.then(|| state.permits.acquire());
@@ -1051,13 +1069,7 @@ fn answer(state: &ServerState, request: &Request) -> Value {
     // disjoint id block so ids stay unique across the shared stream.
     let mut request_spans = MemoryRecorder::new();
     let mut span_ids = SpanIds::starting_at(seq << 20);
-    let span = SpanGuard::begin(
-        &mut request_spans,
-        &mut span_ids,
-        0,
-        None,
-        method_span(&request.method),
-    );
+    let span = SpanGuard::begin(&mut request_spans, &mut span_ids, 0, None, span_name);
     let root_span = span.as_ref().map(SpanGuard::id);
     let outcome = catch_unwind(AssertUnwindSafe(|| methods::handle(state, request)));
     drop(permit);
@@ -1073,7 +1085,7 @@ fn answer(state: &ServerState, request: &Request) -> Value {
             "none",
         )
     });
-    let ok = result.is_ok();
+    let handled = result.is_ok();
     let nanos = (start.elapsed().as_nanos() as u64).max(1);
     let mut events = request_spans.into_events();
     if let Some(ctx) = &request.ctx {
@@ -1082,7 +1094,7 @@ fn answer(state: &ServerState, request: &Request) -> Value {
         // parenting stays `None`, so per-stream span bracketing is
         // untouched — `trace stitch` resolves the cross-node edge.
         stamp_root_span(&mut events, ctx);
-        if ok && disposition == "miss" {
+        if handled && disposition == "miss" {
             // A fresh verdict will ship on the next gossip round;
             // stash a child context so that exchange is attributable
             // to the request that produced the delta.
@@ -1095,6 +1107,12 @@ fn answer(state: &ServerState, request: &Request) -> Value {
         value.get("budget_exhausted").is_some()
             || value.get("outcome").and_then(Value::as_str) == Some("budget_exhausted")
     });
+    let reply = match result {
+        Ok(value) => wire::ok_response(request.id, value),
+        Err(e) => wire::err_response(request.id, e.code, &e.message),
+    };
+    let (frame, fits) = encode_reply(&reply);
+    let ok = handled && fits;
     let keep = state.keep_trace(
         seq,
         ok,
@@ -1110,7 +1128,7 @@ fn answer(state: &ServerState, request: &Request) -> Value {
         keep,
         TraceEvent::SvcResponse {
             seq,
-            method: request.method.clone(),
+            method: method.into(),
             ok,
             cache: disposition,
             nanos,
@@ -1119,7 +1137,6 @@ fn answer(state: &ServerState, request: &Request) -> Value {
     if keep {
         if let Some(trace_id) = block_trace_id(&events) {
             let bounds = Histogram::latency_bounds();
-            let method = &request.method;
             state
                 .registry
                 .histogram("svc.request_latency_ns", &bounds)
@@ -1130,10 +1147,7 @@ fn answer(state: &ServerState, request: &Request) -> Value {
                 .record_exemplar(nanos, trace_id);
         }
     }
-    match result {
-        Ok(value) => wire::ok_response(request.id, value),
-        Err(e) => wire::err_response(request.id, e.code, &e.message),
-    }
+    frame
 }
 
 #[cfg(test)]

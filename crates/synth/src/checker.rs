@@ -1218,7 +1218,7 @@ mod tests {
                 TraceEvent::SpanStart { span_id, name, .. } => {
                     assert!(seen_ids.insert(*span_id), "span ids must be unique");
                     stack.push(*span_id);
-                    names.push(name.clone());
+                    names.push(name.to_string());
                 }
                 TraceEvent::SpanEnd { span_id, .. } => {
                     assert_eq!(stack.pop(), Some(*span_id), "spans must nest");

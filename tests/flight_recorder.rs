@@ -4,7 +4,7 @@
 //! a fleet (it is a pure function of the trace id).
 
 use minobs_bench::lint::lint;
-use minobs_obs::{sample_keep, FlightRecorder, TraceEvent};
+use minobs_obs::{sample_keep, FlightRecorder, SpanCtx, TraceEvent};
 use serde_json::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,25 +15,24 @@ fn request_block(seq: u64) -> Vec<TraceEvent> {
     vec![
         TraceEvent::SvcRequest {
             seq,
-            method: "stats".to_string(),
+            method: "stats".into(),
         },
         TraceEvent::SpanStart {
             round: 0,
             span_id: seq << 20,
             parent: None,
-            name: "rpc.stats".to_string(),
-            trace_id: Some(u128::from(seq) + 1),
-            ctx_parent: None,
+            name: "rpc.stats".into(),
+            ctx: SpanCtx::boxed(Some(u128::from(seq) + 1), None),
         },
         TraceEvent::SpanEnd {
             round: 0,
             span_id: seq << 20,
-            name: "rpc.stats".to_string(),
+            name: "rpc.stats".into(),
             nanos: 10 + seq,
         },
         TraceEvent::SvcResponse {
             seq,
-            method: "stats".to_string(),
+            method: "stats".into(),
             ok: true,
             cache: "none",
             nanos: 20 + seq,

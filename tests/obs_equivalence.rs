@@ -58,7 +58,7 @@ fn well_formed_span_names(events: &[TraceEvent]) -> Vec<String> {
             TraceEvent::SpanStart { span_id, name, .. } => {
                 assert!(ids.insert(*span_id), "duplicate span id {span_id}");
                 stack.push(*span_id);
-                names.push(name.clone());
+                names.push(name.to_string());
             }
             TraceEvent::SpanEnd { span_id, .. } => {
                 assert_eq!(stack.pop(), Some(*span_id), "spans must nest properly");

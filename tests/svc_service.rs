@@ -927,3 +927,96 @@ fn first_horizon_logs_only_its_boundaries() {
         .collect();
     assert_eq!(bounds, [(Some(0), Some(1)), (Some(1), Some(2))]);
 }
+
+/// Method names arrive off the network. The daemon records every method
+/// it does not serve under one `unknown` label: were each name kept, a
+/// few hundred long ones would pin megabytes of histograms for good and
+/// grow `stats` and `metrics` past the frame limit.
+#[test]
+fn unknown_methods_share_one_label_and_leave_the_registry_bounded() {
+    let (server, addr) = start();
+    let mut client = SvcClient::connect(addr.as_str()).unwrap();
+    for i in 0..300 {
+        let method = format!("no_such_method_{i:03}_{}", "x".repeat(10_000));
+        match client.call(&method, Value::Null) {
+            Err(minobs_svc::SvcError::Rpc { code, message }) => {
+                assert_eq!(code, "unknown_method");
+                // The caller still hears the name it sent.
+                assert!(message.contains(&method), "{}", &message[..80]);
+            }
+            other => panic!("unknown method answered {other:?}"),
+        }
+    }
+
+    let snapshot = server.state().registry().snapshot();
+    let methods: Vec<&str> = snapshot
+        .get("histograms")
+        .and_then(Value::as_object)
+        .expect("the snapshot lists histograms")
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .filter(|name| name.starts_with("svc.method."))
+        .collect();
+    assert_eq!(methods, ["svc.method.unknown.latency_ns"]);
+
+    let stats = client.call("stats", Value::Null).unwrap();
+    assert!(stats
+        .get("latency")
+        .and_then(|l| l.get("unknown"))
+        .is_some());
+    let metrics = client.call("metrics", Value::Null).unwrap();
+    let text = metrics.get("text").and_then(Value::as_str).unwrap();
+    assert!(text.contains("svc_method_unknown_latency_ns_bucket"));
+    assert!(!text.contains("no_such_method"));
+    let dump = server.state().flight().dump("test").jsonl;
+    assert!(dump.contains(r#""method":"unknown""#));
+    assert!(dump.contains(r#""name":"rpc.unknown""#));
+    assert!(!dump.contains("no_such_method"));
+
+    client.call("shutdown", Value::Null).unwrap();
+    server.join();
+}
+
+/// A reply too large for one frame is answered with a typed `internal`
+/// error, and the telemetry counts the request as that error: the reply
+/// is encoded before the outcome is recorded.
+#[test]
+fn oversized_reply_counts_as_an_error() {
+    let (server, addr) = start();
+    let state = server.state();
+    // Seventeen 1 MiB counter names push `stats` past the 16 MiB limit.
+    for i in 0..17 {
+        state
+            .registry()
+            .counter(&format!("{i:02}{}", "n".repeat(1 << 20)));
+    }
+    let mut client = SvcClient::connect(addr.as_str()).unwrap();
+    match client.call("stats", Value::Null) {
+        Err(minobs_svc::SvcError::Rpc { code, message }) => {
+            assert_eq!(code, "internal");
+            assert!(
+                message.contains("exceeds the 16777216-byte frame limit"),
+                "{message}"
+            );
+        }
+        other => panic!("an oversized stats reply answered {other:?}"),
+    }
+
+    let registry = state.registry();
+    assert_eq!(registry.counter("svc.responses_ok").get(), 0);
+    assert_eq!(registry.counter("svc.responses_err").get(), 1);
+    let dump = state.flight().dump("test").jsonl;
+    let response: Value = dump
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .find(|line| line.get("event").and_then(Value::as_str) == Some("svc_response"))
+        .expect("the ring holds the response");
+    assert_eq!(
+        response.get("method").and_then(Value::as_str),
+        Some("stats")
+    );
+    assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
+
+    client.call("shutdown", Value::Null).unwrap();
+    server.join();
+}
