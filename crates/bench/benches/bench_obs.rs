@@ -104,9 +104,10 @@ fn bench_span_guard(c: &mut Criterion) {
 /// <2% on hypercube(4) flooding. Both sides run the span-instrumented
 /// engine (`run_network` wraps the recorder-threaded path), so the gate
 /// measures the guards' disabled-path cost directly. Comparing the
-/// *minimum* of repeated interleaved trials estimates the true cost with
-/// the scheduler noise stripped, so a loaded CI host cannot fail the
-/// gate spuriously.
+/// *minimum* of repeated interleaved trials, each trial timing the two
+/// sides in the opposite order of the last, estimates the true cost with
+/// the scheduler noise and any order effect stripped, so a loaded CI host
+/// cannot fail the gate spuriously.
 fn bench_span_overhead_gate(_c: &mut Criterion) {
     let g = generators::hypercube(4);
     let n = g.vertex_count();
@@ -120,16 +121,15 @@ fn bench_span_overhead_gate(_c: &mut Criterion) {
         black_box(run_network(&g, nodes, &mut NoFault, 2 * n));
     }
 
-    let mut baseline_ns: Vec<u64> = Vec::with_capacity(TRIALS);
-    let mut instrumented_ns: Vec<u64> = Vec::with_capacity(TRIALS);
-    for _ in 0..TRIALS {
+    let time_baseline = || {
         let start = Instant::now();
         for _ in 0..REPS {
             let nodes = FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId);
             black_box(run_network(&g, nodes, &mut NoFault, 2 * n));
         }
-        baseline_ns.push(start.elapsed().as_nanos() as u64);
-
+        start.elapsed().as_nanos() as u64
+    };
+    let time_instrumented = || {
         let start = Instant::now();
         for _ in 0..REPS {
             let nodes = FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId);
@@ -141,7 +141,20 @@ fn bench_span_overhead_gate(_c: &mut Criterion) {
                 &mut NullRecorder,
             ));
         }
-        instrumented_ns.push(start.elapsed().as_nanos() as u64);
+        start.elapsed().as_nanos() as u64
+    };
+    // Both sides run the same code, so whichever runs first in a trial
+    // must not always be the same one: alternate the order per trial.
+    let mut baseline_ns: Vec<u64> = Vec::with_capacity(TRIALS);
+    let mut instrumented_ns: Vec<u64> = Vec::with_capacity(TRIALS);
+    for trial in 0..TRIALS {
+        if trial % 2 == 0 {
+            baseline_ns.push(time_baseline());
+            instrumented_ns.push(time_instrumented());
+        } else {
+            instrumented_ns.push(time_instrumented());
+            baseline_ns.push(time_baseline());
+        }
     }
     let baseline = baseline_ns.iter().copied().min().unwrap_or(1);
     let instrumented = instrumented_ns.iter().copied().min().unwrap_or(1);

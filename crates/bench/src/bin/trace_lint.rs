@@ -39,13 +39,13 @@
 //! When handed a file that parses as a single JSON object under the
 //! `minobs/bench/v1` schema instead of a JSONL trace, it validates the
 //! bench artifact (required fields present, quantiles monotone
-//! `p50 ≤ p95 ≤ p99 ≤ max`, `achieved ≤ offered`) via
+//! `p50 ≤ p95 ≤ p99 ≤ max`, `completed ≤ sent`) via
 //! `minobs_obs::validate_bench_artifact`.
 //!
 //! Exits non-zero with a description of the first violation. CI runs this
 //! over the trace emitted by `exp_network` under `MINOBS_TRACE=1`, over
 //! the daemon trace from the `svc` job, over flight-recorder dumps pulled
-//! with `svc dump`, and over the bench artifacts the `perf` job produces.
+//! with `svc dump`, and over the committed `BENCH_checker.json`.
 //!
 //! The checks themselves live in [`minobs_bench::lint`] so test suites
 //! can assert lint-cleanliness in-process.

@@ -284,9 +284,9 @@ mod tests {
         s.replace("SCHEMA", minobs_obs::SCHEMA)
     }
 
-    fn bench_text(p99: &str, achieved: &str) -> String {
+    fn bench_text(p99: &str, completed: &str) -> String {
         format!(
-            r#"{{"schema":"{}","id":"t","kind":"svc_open_loop","meta":{{"timestamp":"2026-08-07T00:00:00Z","rustc":"rustc","threads":1}},"offered_qps":100.0,"achieved_qps":{achieved},"latency_ns":{{"count":10,"p50":100,"p95":200,"p99":{p99},"max":5000}}}}"#,
+            r#"{{"schema":"{}","id":"t","kind":"checker","meta":{{"timestamp":"2026-08-07T00:00:00Z","rustc":"rustc","threads":1}},"sent":40,"completed":{completed},"achieved_qps":90.0,"latency_ns":{{"count":10,"p50":100,"p95":200,"p99":{p99},"max":5000}}}}"#,
             minobs_obs::BENCH_SCHEMA
         )
     }
@@ -294,15 +294,13 @@ mod tests {
     #[test]
     fn bench_artifacts_are_detected_and_validated() {
         // A valid artifact passes the bench path.
-        assert_eq!(lint_bench(&bench_text("300", "90.0")), Some(Ok(())));
+        assert_eq!(lint_bench(&bench_text("300", "40")), Some(Ok(())));
         // Non-monotone quantiles are a violation (p99 < p95).
-        let err = lint_bench(&bench_text("150", "90.0")).unwrap().unwrap_err();
+        let err = lint_bench(&bench_text("150", "40")).unwrap().unwrap_err();
         assert!(err.contains("monotone"), "{err}");
-        // achieved above offered is a violation.
-        let err = lint_bench(&bench_text("300", "120.0"))
-            .unwrap()
-            .unwrap_err();
-        assert!(err.contains("exceeds offered"), "{err}");
+        // More calls completed than were sent is a violation.
+        let err = lint_bench(&bench_text("300", "41")).unwrap().unwrap_err();
+        assert!(err.contains("exceeds sent"), "{err}");
         // A JSONL trace line is NOT a bench artifact: falls through.
         assert!(lint_bench(&line(
             r#"{"schema":"SCHEMA","event":"svc_request","round":0,"seq":0,"method":"stats"}"#

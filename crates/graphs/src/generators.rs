@@ -305,12 +305,15 @@ pub fn parse(spec: &str) -> Result<Graph, String> {
     let name = name.trim().to_ascii_lowercase();
 
     // Short forms: a single family letter fused with its one argument.
-    if args.is_empty() && name.len() > 1 {
-        if let Ok(n) = name[1..].parse::<usize>() {
-            match &name[..1] {
-                "k" => return parse(&format!("complete({n})")),
-                "c" => return parse(&format!("cycle({n})")),
-                "q" | "h" => return parse(&format!("hypercube({n})")),
+    // Split at the first character, not the first byte: the name comes
+    // off the network and may start with any character.
+    let mut chars = name.chars();
+    if let (true, Some(family)) = (args.is_empty(), chars.next()) {
+        if let Ok(n) = chars.as_str().parse::<usize>() {
+            match family {
+                'k' => return parse(&format!("complete({n})")),
+                'c' => return parse(&format!("cycle({n})")),
+                'q' | 'h' => return parse(&format!("hypercube({n})")),
                 _ => {}
             }
         }
@@ -449,8 +452,124 @@ mod tests {
             "petersen(1)",
             "hypercube(64)",
             "",
+            // A non-ASCII first character must not be split mid-byte.
+            "ж5",
+            "éx",
+            "ж",
+            "kж",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::TestRng;
+
+        /// Descriptions spliced from family names, digits, separators and
+        /// multi-byte characters, so both the short form and the
+        /// parenthesised form see every kind of first character.
+        struct Descriptions;
+
+        impl Strategy for Descriptions {
+            type Value = String;
+            fn generate(&self, rng: &mut TestRng) -> String {
+                const PIECES: &[&str] = &[
+                    "k",
+                    "c",
+                    "q",
+                    "h",
+                    "K",
+                    "complete",
+                    "cycle",
+                    "path",
+                    "star",
+                    "grid",
+                    "torus",
+                    "hypercube",
+                    "petersen",
+                    "barbell",
+                    "theta",
+                    "complete_bipartite",
+                    "0",
+                    "1",
+                    "3",
+                    "5",
+                    "12",
+                    "99999999999999999999",
+                    "(",
+                    ")",
+                    ",",
+                    " ",
+                    "-",
+                    "+",
+                    "ж",
+                    "é",
+                    "€",
+                    "😀",
+                    "\u{0}",
+                    "İ",
+                    "ſ",
+                ];
+                (0..rng.below(7))
+                    .map(|_| PIECES[rng.below(PIECES.len() as u64) as usize])
+                    .collect()
+            }
+        }
+
+        /// Arbitrary characters, ASCII or not.
+        struct AnyText;
+
+        impl Strategy for AnyText {
+            type Value = String;
+            fn generate(&self, rng: &mut TestRng) -> String {
+                (0..rng.below(6))
+                    .filter_map(|_| match rng.below(3) {
+                        0 => char::from_u32(rng.below(0x80) as u32),
+                        1 => char::from_u32(rng.below(0x800) as u32),
+                        _ => char::from_u32(rng.below(0x11_0000) as u32),
+                    })
+                    .collect()
+            }
+        }
+
+        /// `parse` answers every description with a graph or an error
+        /// message; it never panics.
+        fn parses_or_errors(spec: &str) {
+            if let Err(message) = parse(spec) {
+                prop_assert!(!message.is_empty(), "{spec:?}");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn spliced_descriptions_parse_or_error(spec in Descriptions) {
+                parses_or_errors(&spec);
+            }
+
+            #[test]
+            fn arbitrary_text_parses_or_errors(spec in AnyText) {
+                parses_or_errors(&spec);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(200_000))]
+
+            #[test]
+            #[ignore = "long sweep; run with -- --ignored"]
+            fn sweep_spliced_descriptions(spec in Descriptions) {
+                parses_or_errors(&spec);
+            }
+
+            #[test]
+            #[ignore = "long sweep; run with -- --ignored"]
+            fn sweep_arbitrary_text(spec in AnyText) {
+                parses_or_errors(&spec);
+            }
         }
     }
 

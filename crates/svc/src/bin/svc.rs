@@ -2,29 +2,14 @@
 //!
 //! ```text
 //! svc call <method> [params-json] [--addr HOST:PORT]
-//! svc bench --freq N [--addr HOST:PORT] [--duration S] [--threads N]
-//!           [--mix solvable=8,check_horizon=1] [--inflight-cap N]
-//!           [--tick S] [--out PATH] [--id NAME]
-//! svc bench --sweep lo:hi:steps [--duration S] [--p99-bound-ms X]
-//!           [--expect-knee] [...open-loop flags]
 //! svc top [--addr HOST:PORT] [--interval SECS] [--iterations N]
 //!         [--no-clear] [--cluster]
 //! svc metrics [--addr HOST:PORT] [--all]
 //! svc dump [--addr HOST:PORT] [--all] [--out DIR]
 //! ```
 //!
-//! The address defaults to `MINOBS_SVC_ADDR`. `bench` is an open-loop
-//! driver: requests are issued on a fixed virtual-deadline schedule that
-//! never waits for responses, and latency is measured from the send
-//! *deadline*, so queueing delay is not hidden (no coordinated omission)
-//! — see `docs/BENCHMARKING.md`. It needs exactly one of `--freq` (one
-//! run) or `--sweep` (a run per frequency); `--open-loop` is accepted
-//! and changes nothing.
-//!
-//! Every bench run emits a `minobs/bench/v1` artifact (via
-//! `minobs-bench`), and `--sweep` additionally locates the saturation
-//! knee: the first frequency where achieved throughput falls below 90%
-//! of offered, or p99 exceeds `--p99-bound-ms`.
+//! The address defaults to `MINOBS_SVC_ADDR`. Load is generated by the
+//! benchmark, `perfbench/` (see `docs/BENCHMARKING.md`).
 //!
 //! `top` polls `stats` and renders a live view: request rate, queued
 //! backlog, cache hit ratio, and per-method latency percentiles. With
@@ -43,18 +28,14 @@
 
 use minobs_obs::{Histogram, TraceContext};
 use minobs_svc::client::{RetryPolicy, SvcClient};
-use minobs_svc::loadgen::{
-    find_knee, parse_mix, run_open_loop, KneeCriteria, MixEntry, OpenLoopConfig, OpenLoopSummary,
-    SweepSpec, TrialPoint,
-};
-use serde_json::{Map, Value};
+use serde_json::Value;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  svc call <method> [params-json] [--addr HOST:PORT] [--timeout S] [--connect-timeout S] [--retries N]\n  svc bench --freq N [--addr HOST:PORT] [--duration S] [--threads N] [--mix m1=w1,m2=w2] [--inflight-cap N] [--tick S] [--out PATH] [--id NAME]\n  svc bench --sweep lo:hi:steps [--duration S] [--p99-bound-ms X] [--expect-knee] [open-loop flags]\n  svc top [--addr HOST:PORT] [--interval SECS] [--iterations N] [--no-clear] [--cluster]\n  svc metrics [--addr HOST:PORT] [--all]\n  svc dump [--addr HOST:PORT] [--all] [--out DIR]"
+        "usage:\n  svc call <method> [params-json] [--addr HOST:PORT] [--timeout S] [--connect-timeout S] [--retries N]\n  svc top [--addr HOST:PORT] [--interval SECS] [--iterations N] [--no-clear] [--cluster]\n  svc metrics [--addr HOST:PORT] [--all]\n  svc dump [--addr HOST:PORT] [--all] [--out DIR]"
     );
     ExitCode::FAILURE
 }
@@ -69,12 +50,11 @@ fn env_addr() -> Option<String> {
 fn main() -> ExitCode {
     let args = minobs_bench::cli::handle_common_flags(
         "svc",
-        "client and load generator for the solvability-query daemon",
-        "svc call stats | svc bench --open-loop --freq 200 --duration 5",
+        "client for the solvability-query daemon",
+        "svc call stats | svc top --iterations 1 --no-clear",
     );
     match args.first().map(String::as_str) {
         Some("call") => call(&args[1..]),
-        Some("bench") => bench(&args[1..]),
         Some("top") => top(&args[1..]),
         Some("metrics") => metrics_cmd(&args[1..]),
         Some("dump") => dump_cmd(&args[1..]),
@@ -159,73 +139,6 @@ fn call(args: &[String]) -> ExitCode {
     }
 }
 
-/// Default params for every method the bench mixes know how to call.
-/// Pinned values so runs stay comparable across sessions.
-fn default_params(method: &str) -> Option<Value> {
-    let text = match method {
-        "solvable" => r#"{"scheme":"s1"}"#,
-        "check_horizon" => r#"{"scheme":"s1","horizon":6}"#,
-        "first_horizon" => r#"{"scheme":"s1","max_horizon":4}"#,
-        "net_solvable" => r#"{"graph":"petersen","f":2}"#,
-        "stats" => "null",
-        _ => return None,
-    };
-    serde_json::from_str(text).ok()
-}
-
-/// Turns a `--mix` spec into full entries, rejecting methods the bench
-/// has no pinned params for.
-fn build_mix(spec: &str) -> Result<Vec<MixEntry>, String> {
-    parse_mix(spec)?
-        .into_iter()
-        .map(|(method, weight)| {
-            let params = default_params(&method)
-                .ok_or_else(|| format!("mix method {method:?} has no pinned bench params"))?;
-            Ok(MixEntry {
-                method,
-                params,
-                weight,
-            })
-        })
-        .collect()
-}
-
-/// Serialises a latency histogram into the `minobs/bench/v1`
-/// `latency_ns` block. Quantiles are clamped to the exact observed
-/// maximum: bucket interpolation can overestimate inside the top
-/// occupied bucket, and the schema requires `p99 <= max`.
-fn latency_block(latency: &Histogram, max_ns: u64) -> Value {
-    let q = |q: f64| {
-        latency
-            .quantile(q)
-            .map(|v| v.min(max_ns as f64))
-            .unwrap_or(0.0)
-    };
-    let mut block = Map::new();
-    block.insert("count", Value::from(latency.count()));
-    block.insert("p50", Value::from(q(0.50)));
-    block.insert("p95", Value::from(q(0.95)));
-    block.insert("p99", Value::from(q(0.99)));
-    block.insert("max", Value::from(max_ns as f64));
-    Value::Object(block)
-}
-
-fn print_latency(label: &str, latency: &Histogram, max_ns: u64) {
-    let q = |q: f64| {
-        latency
-            .quantile(q)
-            .map(|v| v.min(max_ns as f64) / 1_000.0)
-            .unwrap_or(0.0)
-    };
-    println!(
-        "  {label} latency µs: p50 {:.1} p95 {:.1} p99 {:.1} max {:.1}",
-        q(0.50),
-        q(0.95),
-        q(0.99),
-        max_ns as f64 / 1_000.0
-    );
-}
-
 fn counter(stats: &Value, name: &str) -> u64 {
     stats
         .get("metrics")
@@ -233,359 +146,6 @@ fn counter(stats: &Value, name: &str) -> u64 {
         .and_then(|c| c.get(name))
         .and_then(Value::as_u64)
         .unwrap_or(0)
-}
-
-/// `(hits + subsumed) / lookups`, or `Null` before any cache traffic.
-fn cache_hit_ratio(stats: &Value) -> Value {
-    let hits = counter(stats, "svc.cache_hits");
-    let misses = counter(stats, "svc.cache_misses");
-    let subsumed = counter(stats, "svc.cache_subsumptions");
-    let lookups = hits + misses + subsumed;
-    if lookups == 0 {
-        Value::Null
-    } else {
-        Value::from((hits + subsumed) as f64 / lookups as f64)
-    }
-}
-
-fn fetch_stats(addr: &str) -> Option<Value> {
-    SvcClient::connect_with_timeout(addr, Some(Duration::from_secs(5)))
-        .and_then(|mut c| {
-            c.set_timeout(Some(Duration::from_secs(30)))?;
-            c.call("stats", Value::Null)
-        })
-        .map_err(|err| eprintln!("svc bench: stats snapshot failed: {err}"))
-        .ok()
-}
-
-struct BenchOpts {
-    addr: String,
-    threads: usize,
-    freq: Option<f64>,
-    duration_s: f64,
-    mix_spec: String,
-    inflight_cap: usize,
-    tick_s: f64,
-    sweep: Option<SweepSpec>,
-    p99_bound_ms: Option<f64>,
-    expect_knee: bool,
-    out: Option<PathBuf>,
-    id: String,
-}
-
-fn bench(args: &[String]) -> ExitCode {
-    let mut opts = BenchOpts {
-        addr: String::new(),
-        threads: 2,
-        freq: None,
-        duration_s: 5.0,
-        mix_spec: "solvable=8,check_horizon=1,net_solvable=1".to_string(),
-        inflight_cap: 64,
-        tick_s: 1.0,
-        sweep: None,
-        p99_bound_ms: None,
-        expect_knee: false,
-        out: None,
-        id: "bench_svc".to_string(),
-    };
-    let mut addr = env_addr();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => addr = Some(a.clone()),
-                None => return usage(),
-            },
-            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => opts.threads = n,
-                _ => return usage(),
-            },
-            // Open loop is the only mode; scripts still spell it out.
-            "--open-loop" => {}
-            "--freq" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(f) if f > 0.0 && f.is_finite() => opts.freq = Some(f),
-                _ => return usage(),
-            },
-            "--duration" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 && s.is_finite() => opts.duration_s = s,
-                _ => return usage(),
-            },
-            "--mix" => match it.next() {
-                Some(m) => opts.mix_spec = m.clone(),
-                None => return usage(),
-            },
-            "--inflight-cap" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => opts.inflight_cap = n,
-                _ => return usage(),
-            },
-            "--tick" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(s) if s >= 0.0 => opts.tick_s = s,
-                _ => return usage(),
-            },
-            "--sweep" => match it.next().map(|s| SweepSpec::parse(s)) {
-                Some(Ok(spec)) => opts.sweep = Some(spec),
-                Some(Err(err)) => {
-                    eprintln!("svc bench: {err}");
-                    return usage();
-                }
-                None => return usage(),
-            },
-            "--p99-bound-ms" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(b) if b > 0.0 => opts.p99_bound_ms = Some(b),
-                _ => return usage(),
-            },
-            "--expect-knee" => opts.expect_knee = true,
-            "--out" => match it.next() {
-                Some(p) => opts.out = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--id" => match it.next() {
-                Some(i) => opts.id = i.clone(),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    if opts.sweep.is_some() == opts.freq.is_some() {
-        eprintln!("svc bench: pass exactly one of --freq N or --sweep lo:hi:steps");
-        return usage();
-    }
-    let Some(addr) = addr else {
-        eprintln!("svc bench: no address (pass --addr or set MINOBS_SVC_ADDR)");
-        return ExitCode::FAILURE;
-    };
-    opts.addr = addr;
-
-    if opts.sweep.is_some() {
-        bench_sweep(&opts)
-    } else {
-        bench_open_loop(&opts)
-    }
-}
-
-/// Builds the open-loop config shared by single runs and sweep trials.
-fn open_loop_config(opts: &BenchOpts, freq: f64) -> Result<OpenLoopConfig, String> {
-    Ok(OpenLoopConfig {
-        freq,
-        duration: Duration::from_secs_f64(opts.duration_s),
-        threads: opts.threads,
-        mix: build_mix(&opts.mix_spec)?,
-        inflight_cap: opts.inflight_cap,
-        tick: (opts.tick_s > 0.0).then(|| Duration::from_secs_f64(opts.tick_s)),
-    })
-}
-
-fn mix_value(mix: &[MixEntry]) -> Value {
-    let mut map = Map::new();
-    for entry in mix {
-        map.insert(entry.method.clone(), Value::from(entry.weight));
-    }
-    Value::Object(map)
-}
-
-/// The per-run fields shared by open-loop artifacts and sweep trials.
-fn summary_fields(map: &mut Map, summary: &OpenLoopSummary) {
-    map.insert("offered_qps", Value::from(summary.offered_qps));
-    map.insert("achieved_qps", Value::from(summary.achieved_qps));
-    map.insert("sent", Value::from(summary.sent));
-    map.insert("completed", Value::from(summary.completed));
-    map.insert("errors", Value::from(summary.errors));
-    map.insert("dropped_by_cap", Value::from(summary.dropped_by_cap));
-    map.insert("busy", Value::from(summary.busy));
-    map.insert("elapsed_s", Value::from(summary.elapsed_s));
-    map.insert(
-        "latency_ns",
-        latency_block(&summary.latency, summary.max_latency_ns),
-    );
-}
-
-fn print_summary(summary: &OpenLoopSummary) {
-    println!(
-        "  offered {:.1}/s → achieved {:.1}/s ({} sent, {} completed, {} errors, {} dropped_by_cap, {} busy) in {:.2}s",
-        summary.offered_qps,
-        summary.achieved_qps,
-        summary.sent,
-        summary.completed,
-        summary.errors,
-        summary.dropped_by_cap,
-        summary.busy,
-        summary.elapsed_s,
-    );
-    print_latency(
-        "deadline→response",
-        &summary.latency,
-        summary.max_latency_ns,
-    );
-}
-
-fn bench_open_loop(opts: &BenchOpts) -> ExitCode {
-    let freq = opts.freq.expect("--freq checked by caller");
-    let config = match open_loop_config(opts, freq) {
-        Ok(config) => config,
-        Err(err) => {
-            eprintln!("svc bench: {err}");
-            return usage();
-        }
-    };
-    println!(
-        "svc bench (open-loop): {:.1}/s for {:.1}s, {} threads, mix {}, cap {} against {}",
-        freq, opts.duration_s, opts.threads, opts.mix_spec, opts.inflight_cap, opts.addr
-    );
-    let summary = match run_open_loop(&opts.addr, &config) {
-        Ok(summary) => summary,
-        Err(err) => {
-            eprintln!("svc bench: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print_summary(&summary);
-
-    let mut body = Map::new();
-    body.insert("kind", Value::from("svc_open_loop"));
-    body.insert("freq", Value::from(freq));
-    body.insert("duration_s", Value::from(opts.duration_s));
-    body.insert("threads", Value::from(opts.threads));
-    body.insert("inflight_cap", Value::from(opts.inflight_cap));
-    body.insert("mix", mix_value(&config.mix));
-    summary_fields(&mut body, &summary);
-    attach_daemon_view(&mut body, &opts.addr);
-    if minobs_bench::write_bench_artifact(opts.out.as_deref(), &opts.id, body).is_none() {
-        return ExitCode::FAILURE;
-    }
-    if summary.errors == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Adds the daemon's own post-run view: cache hit ratio, queued depth,
-/// and the full `stats` snapshot (per-method histograms included).
-fn attach_daemon_view(body: &mut Map, addr: &str) {
-    if let Some(stats) = fetch_stats(addr) {
-        body.insert("cache_hit_ratio", cache_hit_ratio(&stats));
-        body.insert(
-            "queued",
-            stats.get("queued").cloned().unwrap_or(Value::Null),
-        );
-        body.insert("daemon_stats", stats);
-    }
-}
-
-fn bench_sweep(opts: &BenchOpts) -> ExitCode {
-    let spec = opts.sweep.expect("sweep spec checked by caller");
-    println!(
-        "svc bench (sweep): {:.1}..{:.1}/s in {} steps, {:.1}s per trial, mix {} against {}",
-        spec.lo, spec.hi, spec.steps, opts.duration_s, opts.mix_spec, opts.addr
-    );
-    let mut trials = Vec::with_capacity(spec.steps);
-    let mut rows = Vec::with_capacity(spec.steps);
-    for freq in spec.frequencies() {
-        let config = match open_loop_config(opts, freq) {
-            Ok(config) => config,
-            Err(err) => {
-                eprintln!("svc bench: {err}");
-                return usage();
-            }
-        };
-        let summary = match run_open_loop(&opts.addr, &config) {
-            Ok(summary) => summary,
-            Err(err) => {
-                eprintln!("svc bench: trial at {freq:.1}/s failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let p99 = summary
-            .latency
-            .quantile(0.99)
-            .map(|v| v.min(summary.max_latency_ns as f64));
-        println!(
-            "  freq {:>8.1}/s → achieved {:>8.1}/s  p99 {:>8.2} ms  dropped_by_cap {}",
-            freq,
-            summary.achieved_qps,
-            p99.unwrap_or(0.0) / 1.0e6,
-            summary.dropped_by_cap,
-        );
-        trials.push(TrialPoint {
-            offered_qps: summary.offered_qps,
-            achieved_qps: summary.achieved_qps,
-            p99_ns: p99,
-        });
-        rows.push(summary);
-    }
-
-    let criteria = KneeCriteria {
-        achieved_ratio: 0.9,
-        p99_bound_ns: opts.p99_bound_ms.map(|ms| ms * 1.0e6),
-    };
-    let knee = find_knee(&trials, &criteria);
-    match knee {
-        Some(i) => println!(
-            "  saturation knee at {:.1}/s (trial {}): achieved {:.1}/s, p99 {:.2} ms",
-            trials[i].offered_qps,
-            i,
-            trials[i].achieved_qps,
-            trials[i].p99_ns.unwrap_or(0.0) / 1.0e6,
-        ),
-        None => println!("  no saturation knee located in this range"),
-    }
-
-    let mut body = Map::new();
-    body.insert("kind", Value::from("svc_open_loop_sweep"));
-    body.insert("duration_s", Value::from(opts.duration_s));
-    body.insert("threads", Value::from(opts.threads));
-    body.insert("inflight_cap", Value::from(opts.inflight_cap));
-    body.insert(
-        "mix",
-        match build_mix(&opts.mix_spec) {
-            Ok(mix) => mix_value(&mix),
-            Err(_) => Value::Null,
-        },
-    );
-    // Root-level rates describe the top-of-sweep point; per-trial data
-    // is under `sweep`.
-    if let Some(last) = rows.last() {
-        summary_fields(&mut body, last);
-    }
-    body.insert(
-        "sweep",
-        Value::Array(
-            rows.iter()
-                .map(|summary| {
-                    let mut trial = Map::new();
-                    trial.insert("freq", Value::from(summary.offered_qps));
-                    summary_fields(&mut trial, summary);
-                    Value::Object(trial)
-                })
-                .collect(),
-        ),
-    );
-    body.insert(
-        "knee",
-        match knee {
-            Some(i) => {
-                let mut k = Map::new();
-                k.insert("index", Value::from(i));
-                k.insert("offered_qps", Value::from(trials[i].offered_qps));
-                k.insert("achieved_qps", Value::from(trials[i].achieved_qps));
-                k.insert(
-                    "p99_ns",
-                    trials[i].p99_ns.map(Value::from).unwrap_or(Value::Null),
-                );
-                Value::Object(k)
-            }
-            None => Value::Null,
-        },
-    );
-    attach_daemon_view(&mut body, &opts.addr);
-    if minobs_bench::write_bench_artifact(opts.out.as_deref(), &opts.id, body).is_none() {
-        return ExitCode::FAILURE;
-    }
-    if opts.expect_knee && knee.is_none() {
-        eprintln!("svc bench: --expect-knee, but the sweep never saturated");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// One polled frame of the `top` view, with the counters needed to turn
@@ -1238,6 +798,7 @@ fn dump_cmd(args: &[String]) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Map;
 
     fn stats_fixture() -> Value {
         serde_json::from_str(

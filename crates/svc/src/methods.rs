@@ -55,38 +55,134 @@ impl RpcError {
     }
 }
 
-/// Dispatches one request to its handler.
-pub fn handle(state: &ServerState, request: &Request) -> (Result<Value, RpcError>, &'static str) {
-    let params = &request.params;
-    match request.method.as_str() {
-        "solvable" => solvable(state, params),
-        "check_horizon" => check_horizon(state, params),
-        "first_horizon" => first_horizon(state, params),
-        "net_solvable" => (net_solvable(params), "none"),
-        "simulate" => (simulate(params), "none"),
-        "stats" => (Ok(stats(state)), "none"),
-        "health" => (Ok(health(state)), "none"),
-        "dump_trace" => (Ok(dump_trace(state)), "none"),
-        "gossip" => (crate::gossip::handle(state, params), "none"),
-        "metrics" => (
-            Ok(obj(&[(
-                "text",
-                Value::from(state.registry().render_text()),
-            )])),
-            "none",
-        ),
-        "shutdown" => {
+/// A method handler: the reply or error, and the cache disposition.
+type Handler = fn(&ServerState, &Request) -> (Result<Value, RpcError>, &'static str);
+
+/// One method the daemon serves, with the names its telemetry records.
+pub(crate) struct Method {
+    /// The method name a request carries. It is also the label of the
+    /// `svc_request`/`svc_response` events and of the
+    /// `svc.method.{name}.latency_ns` histogram.
+    pub(crate) name: &'static str,
+    /// The name of the request's root span.
+    pub(crate) span: &'static str,
+    /// Whether the handler runs under a checker permit. The control
+    /// plane never waits for one.
+    pub(crate) compute: bool,
+    run: Handler,
+}
+
+impl Method {
+    /// Runs this method's handler on `request`.
+    pub(crate) fn run(
+        &self,
+        state: &ServerState,
+        request: &Request,
+    ) -> (Result<Value, RpcError>, &'static str) {
+        (self.run)(state, request)
+    }
+}
+
+/// Every method the daemon serves.
+const METHODS: &[Method] = &[
+    Method {
+        name: "solvable",
+        span: "rpc.solvable",
+        compute: true,
+        run: |state, request| solvable(state, &request.params),
+    },
+    Method {
+        name: "check_horizon",
+        span: "rpc.check_horizon",
+        compute: true,
+        run: |state, request| check_horizon(state, &request.params),
+    },
+    Method {
+        name: "first_horizon",
+        span: "rpc.first_horizon",
+        compute: true,
+        run: |state, request| first_horizon(state, &request.params),
+    },
+    Method {
+        name: "net_solvable",
+        span: "rpc.net_solvable",
+        compute: true,
+        run: |_, request| (net_solvable(&request.params), "none"),
+    },
+    Method {
+        name: "simulate",
+        span: "rpc.simulate",
+        compute: true,
+        run: |_, request| (simulate(&request.params), "none"),
+    },
+    Method {
+        name: "stats",
+        span: "rpc.stats",
+        compute: false,
+        run: |state, _| (Ok(stats(state)), "none"),
+    },
+    Method {
+        name: "metrics",
+        span: "rpc.metrics",
+        compute: false,
+        run: |state, _| {
+            let text = state.registry().render_text();
+            (Ok(obj(&[("text", Value::from(text))])), "none")
+        },
+    },
+    Method {
+        name: "gossip",
+        span: "rpc.gossip",
+        compute: false,
+        run: |state, request| (crate::gossip::handle(state, &request.params), "none"),
+    },
+    Method {
+        name: "health",
+        span: "rpc.health",
+        compute: false,
+        run: |state, _| (Ok(health(state)), "none"),
+    },
+    Method {
+        name: "dump_trace",
+        span: "rpc.dump_trace",
+        compute: false,
+        run: |state, _| (Ok(dump_trace(state)), "none"),
+    },
+    Method {
+        name: "shutdown",
+        span: "rpc.shutdown",
+        compute: false,
+        run: |state, _| {
             state.begin_shutdown();
             (Ok(obj(&[("draining", Value::from(true))])), "none")
-        }
-        other => (
-            Err(RpcError::new(
-                "unknown_method",
-                format!("unknown method {other:?}"),
-            )),
-            "none",
-        ),
-    }
+        },
+    },
+];
+
+/// What a method the daemon does not serve records under: one label for
+/// every such name, so the names a caller can make the daemon record are
+/// a closed set. Only the error message echoes the name sent.
+static UNKNOWN: Method = Method {
+    name: "unknown",
+    span: "rpc.unknown",
+    compute: false,
+    run: |_, request| {
+        let message = format!("unknown method {:?}", request.method);
+        (Err(RpcError::new("unknown_method", message)), "none")
+    },
+};
+
+/// The table entry for method `name`, or the `unknown` entry.
+pub(crate) fn lookup(name: &str) -> &'static Method {
+    METHODS
+        .iter()
+        .find(|method| method.name == name)
+        .unwrap_or(&UNKNOWN)
+}
+
+/// Dispatches one request to its handler.
+pub fn handle(state: &ServerState, request: &Request) -> (Result<Value, RpcError>, &'static str) {
+    lookup(&request.method).run(state, request)
 }
 
 fn obj(pairs: &[(&str, Value)]) -> Value {

@@ -75,9 +75,9 @@ impl Default for Limits {
 pub struct SvcConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Checker permits: how many compute requests (`solvable`,
-    /// `check_horizon`, `first_horizon`, `net_solvable`, `simulate`) may
-    /// run at once across all connections.
+    /// Checker permits: how many compute requests (the methods marked
+    /// `compute` in the `methods` table) may run at once across all
+    /// connections.
     pub workers: usize,
     /// Cap on concurrent connection threads; connections past it are
     /// answered with a `busy` error and closed, so a peer opening
@@ -1021,57 +1021,31 @@ fn write_reply<W: Write>(writer: &mut W, reply: &Value) -> bool {
     send(writer, encode_reply(reply).0)
 }
 
-/// The telemetry names of a method: the name of its request span and the
-/// bare label its `svc_request`/`svc_response` events and
-/// `svc.method.{label}.latency_ns` histograms carry. A method the daemon
-/// does not serve reads `rpc.unknown` / `unknown`, so the names a caller
-/// can make the daemon record are a closed set and no method string from
-/// the network reaches an event, a metric name or the flight ring.
-fn method_names(method: &str) -> (&'static str, &'static str) {
-    let span = match method {
-        "solvable" => "rpc.solvable",
-        "check_horizon" => "rpc.check_horizon",
-        "first_horizon" => "rpc.first_horizon",
-        "net_solvable" => "rpc.net_solvable",
-        "simulate" => "rpc.simulate",
-        "stats" => "rpc.stats",
-        "metrics" => "rpc.metrics",
-        "gossip" => "rpc.gossip",
-        "health" => "rpc.health",
-        "dump_trace" => "rpc.dump_trace",
-        "shutdown" => "rpc.shutdown",
-        _ => "rpc.unknown",
-    };
-    (span, &span["rpc.".len()..])
-}
-
 /// Runs one request's handler, encodes the reply and folds the outcome
 /// into the telemetry planes; returns the encoded reply frame. The reply
 /// is encoded before the outcome is recorded, so a reply refused for its
 /// size counts as the error the caller receives.
 fn answer(state: &ServerState, request: &Request) -> Result<Vec<u8>, FrameError> {
     let seq = state.next_seq();
-    let (span_name, method) = method_names(&request.method);
+    // Telemetry carries the table's names, never the string sent, so no
+    // method name from the network reaches an event, a metric name or
+    // the flight ring.
+    let entry = methods::lookup(&request.method);
+    let method = entry.name;
     state.emit(TraceEvent::SvcRequest {
         seq,
         method: method.into(),
     });
-    // Compute methods hold a checker permit while their handler runs;
-    // the control plane never waits for one.
-    let compute = matches!(
-        method,
-        "solvable" | "check_horizon" | "first_horizon" | "net_solvable" | "simulate"
-    );
-    let permit = compute.then(|| state.permits.acquire());
+    let permit = entry.compute.then(|| state.permits.acquire());
     let start = Instant::now();
     // Spans are buffered request-locally and flushed with the
     // response; `starting_at(seq << 20)` carves each request a
     // disjoint id block so ids stay unique across the shared stream.
     let mut request_spans = MemoryRecorder::new();
     let mut span_ids = SpanIds::starting_at(seq << 20);
-    let span = SpanGuard::begin(&mut request_spans, &mut span_ids, 0, None, span_name);
+    let span = SpanGuard::begin(&mut request_spans, &mut span_ids, 0, None, entry.span);
     let root_span = span.as_ref().map(SpanGuard::id);
-    let outcome = catch_unwind(AssertUnwindSafe(|| methods::handle(state, request)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| entry.run(state, request)));
     drop(permit);
     if let Some(span) = span {
         span.end(&mut request_spans);

@@ -47,35 +47,44 @@ cargo run --release --quiet --bin bench_checker -- --out BENCH_checker.json
 
 echo
 echo "================================================================"
-echo ">>> bench_svc (open-loop frequency sweep, saturation knee)"
+echo ">>> perfbench (hit, then miss: the service's recorded trajectory)"
 echo "================================================================"
-# The service-side trajectory: an open-loop sweep that must locate the
-# saturation knee (--expect-knee). The range spans well past the ~20k
-# req/s a single-core box sustains so the knee is inside the sweep.
-# The WAL is on so the recorded numbers include the durability tax
-# (see docs/PERSISTENCE.md).
-cargo build --release --quiet -p minobs-svc
-mkdir -p target/svc
-rm -f target/svc/bench_verdicts.wal
-MINOBS_SVC_ADDR=127.0.0.1:0 \
-MINOBS_SVC_WAL=target/svc/bench_verdicts.wal \
-  target/release/minobs-svcd \
-  > target/svc/bench_daemon.out 2>&1 &
-DAEMON=$!
-trap 'kill "$DAEMON" 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-  grep -q "listening on" target/svc/bench_daemon.out && break
-  sleep 0.2
+# The service-side trajectory is the benchmark itself (perfbench/, the
+# workloads BENCHMARK.json declares): per workload, five end-to-end runs
+# (--trace 0, seeds 11-15) and one per-layer run (--trace 1, seed 11),
+# each at BENCHMARK.json's run_seconds, collected into BENCH_<workload>.json
+# as {"workload", "seconds", "runs": [five results], "layers": result}.
+# `perf_gate parent/BENCH_hit.json BENCH_hit.json` compares two such
+# recordings made on the same machine. A run that exits non-zero (a
+# wrong verdict, or an invalid run) stops the script; it is not retried.
+# The benchmark measures the daemon's default regime, not the sampling
+# regime exported above for bench_checker.
+unset MINOBS_TRACE_SAMPLE MINOBS_TRACE_SLOW_MS
+RUN_SECONDS=$(sed -n 's/^ *"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
+test -n "$RUN_SECONDS"
+perfbench_run() { # perfbench_run WORKLOAD SEED TRACE -> the result line
+  local out status=0
+  out=$(bash perfbench/run.sh --workload "$1" --seed "$2" \
+    --seconds "$RUN_SECONDS" --trace "$3") || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "perfbench --workload $1 --seed $2 --trace $3 exited $status" >&2
+    exit 1
+  fi
+  printf '%s\n' "$out" | tail -n 1
+}
+for workload in hit miss; do
+  runs=""
+  for seed in 11 12 13 14 15; do
+    result=$(perfbench_run "$workload" "$seed" 0)
+    echo "$workload seed $seed: $result"
+    runs="${runs:+$runs,}$result"
+  done
+  layers=$(perfbench_run "$workload" 11 1)
+  echo "$workload traced: $layers"
+  printf '{"workload":"%s","seconds":%s,"runs":[%s],"layers":%s}\n' \
+    "$workload" "$RUN_SECONDS" "$runs" "$layers" > "BENCH_$workload.json"
 done
-ADDR=$(sed -n 's/.*listening on //p' target/svc/bench_daemon.out | head -1)
-test -n "$ADDR"
-target/release/svc bench --addr "$ADDR" \
-  --sweep 5000:60000:5 --duration 3 --expect-knee \
-  --out BENCH_svc.json --id bench_svc
-target/release/svc call shutdown --addr "$ADDR" > /dev/null
-wait "$DAEMON" 2>/dev/null || true
-trap - EXIT
 
 echo
 echo "All experiments reproduced. Artifacts: target/experiments/*.json"
-echo "Perf trajectory: BENCH_checker.json, BENCH_svc.json (repo root)"
+echo "Perf trajectory: BENCH_checker.json, BENCH_hit.json, BENCH_miss.json (repo root)"

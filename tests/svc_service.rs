@@ -431,60 +431,60 @@ fn telemetry_plane_exposes_spans_quantiles_and_exposition() {
     let _ = std::fs::remove_file(&trace_path);
 }
 
+/// A graph description arrives off the network, so its first character
+/// may be any character. A non-ASCII one is a bad description: the
+/// daemon answers `bad_params`, its handler does not panic, and no
+/// flight dump is written.
 #[test]
-fn open_loop_bench_drives_the_service_end_to_end() {
-    use minobs_svc::loadgen::{run_open_loop, MixEntry, OpenLoopConfig};
-    use std::time::Duration;
-
-    let (server, addr) = start();
-    let config = OpenLoopConfig {
-        freq: 200.0,
-        duration: Duration::from_millis(500),
-        threads: 2,
-        mix: vec![
-            MixEntry {
-                method: "check_horizon".to_string(),
-                params: check_params("s1", 2),
-                weight: 3,
-            },
-            MixEntry {
-                method: "stats".to_string(),
-                params: Value::Null,
-                weight: 1,
-            },
-        ],
-        inflight_cap: 64,
-        tick: None,
+fn non_ascii_graph_descriptions_are_bad_params_not_panics() {
+    let base = std::env::temp_dir().join(format!("minobs_svc_non_ascii_{}", std::process::id()));
+    let config = SvcConfig {
+        flight_dir: Some(base.join("flight")),
+        ..SvcConfig::default()
     };
-    let summary = run_open_loop(&addr, &config).expect("open-loop bench runs");
-
+    let server = serve(config).expect("bind an ephemeral port");
+    let mut client = SvcClient::connect(server.local_addr().to_string().as_str()).unwrap();
+    let requests = [
+        (
+            "net_solvable",
+            obj(&[("graph", Value::from("ж5")), ("f", Value::from(1u64))]),
+        ),
+        (
+            "net_solvable",
+            obj(&[("graph", Value::from("éx")), ("f", Value::from(1u64))]),
+        ),
+        (
+            "simulate",
+            obj(&[
+                ("target", Value::from("flooding")),
+                ("graph", Value::from("ж5")),
+            ]),
+        ),
+    ];
+    for (method, params) in requests {
+        match client.call(method, params.clone()) {
+            Err(minobs_svc::SvcError::Rpc { code, message }) => {
+                assert_eq!(code, "bad_params", "{method} {params:?}: {message}");
+            }
+            other => panic!("{method} {params:?} answered {other:?}"),
+        }
+    }
     assert_eq!(
-        summary.errors, 0,
-        "no transport errors against a live daemon"
+        server.state().registry().counter("svc.flight_dumps").get(),
+        0
     );
-    // The comb fires ~freq × duration deadlines; every sent request is
-    // answered (the reader drains pending entries before returning), and
-    // each answer lands in the latency histogram.
-    assert!(
-        summary.sent >= 80,
-        "only {} of ~100 deadlines sent",
-        summary.sent
-    );
-    assert_eq!(summary.completed, summary.sent);
-    assert_eq!(summary.latency.count(), summary.completed);
-    assert!(summary.achieved_qps > 0.0);
-    assert!(summary.achieved_qps <= summary.offered_qps * (1.0 + 1e-9));
-    client_side_queued_is_visible(&addr);
-    let mut client = SvcClient::connect(addr.as_str()).unwrap();
     client.call("shutdown", Value::Null).unwrap();
     server.join();
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// `stats` reports the `queued` gauge (accepted − answered). The stats
 /// request itself is accepted but not yet answered while the handler
 /// runs, so an otherwise idle daemon reports exactly 1.
-fn client_side_queued_is_visible(addr: &str) {
-    let mut client = SvcClient::connect(addr).unwrap();
+#[test]
+fn client_side_queued_is_visible() {
+    let (server, addr) = start();
+    let mut client = SvcClient::connect(addr.as_str()).unwrap();
     let stats = client.call("stats", Value::Null).unwrap();
     let queued = stats
         .get("queued")
@@ -494,6 +494,8 @@ fn client_side_queued_is_visible(addr: &str) {
         queued, 1,
         "idle daemon: only the stats call itself in flight"
     );
+    client.call("shutdown", Value::Null).unwrap();
+    server.join();
 }
 
 #[test]
