@@ -1,7 +1,7 @@
 //! Offline analytics over minobs JSONL traces.
 //!
 //! ```text
-//! trace profile <trace.jsonl> [--flamegraph OUT.folded] [--sampled]
+//! trace profile <trace.jsonl> [--flamegraph OUT.folded]
 //! trace summary <trace.jsonl>
 //! trace diff <a.jsonl> <b.jsonl> [--threshold PCT]
 //! trace stitch <a.jsonl> <b.jsonl> ... [--flamegraph OUT.folded] [--strict]
@@ -14,11 +14,8 @@
 //! `flamegraph.pl`-style renderers. It exits non-zero when the trace
 //! has no spans at all, or when root spans cover less than 90% of the
 //! wall-clock anchor, so CI can assert instrumented binaries stay
-//! instrumented end to end. The coverage gate is skipped for streams
-//! that are incomplete by design: tail-sampled daemon traces (detected
-//! via their `trace_sampled` marker), flight-recorder dumps whose
-//! `flight_dump` header says `sampled:true`, or any stream passed with
-//! an explicit `--sampled` flag.
+//! instrumented end to end. The gate applies to every stream: a
+//! daemon trace keeps every request's span block.
 //!
 //! `summary` counts events by kind, rounds, and messages by status.
 //!
@@ -62,7 +59,7 @@ type Line = (TraceEvent, Option<String>);
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  trace profile <trace.jsonl> [--flamegraph OUT.folded] [--sampled]\n  trace summary <trace.jsonl>\n  trace diff <a.jsonl> <b.jsonl> [--threshold PCT]\n  trace stitch <a.jsonl> <b.jsonl> ... [--flamegraph OUT.folded] [--strict]"
+        "usage:\n  trace profile <trace.jsonl> [--flamegraph OUT.folded]\n  trace summary <trace.jsonl>\n  trace diff <a.jsonl> <b.jsonl> [--threshold PCT]\n  trace stitch <a.jsonl> <b.jsonl> ... [--flamegraph OUT.folded] [--strict]"
     );
     ExitCode::FAILURE
 }
@@ -244,21 +241,9 @@ fn ms(ns: u64) -> f64 {
 }
 
 /// Root spans must cover at least this much of the wall-clock anchor for
-/// an unsampled stream to pass `trace profile` — below it, instrumented
-/// request paths ran without emitting their spans.
+/// a stream to pass `trace profile` — below it, instrumented request
+/// paths ran without emitting their spans.
 const MIN_ROOT_COVERAGE_PCT: f64 = 90.0;
-
-/// True when the stream declares itself incomplete by design: it carries
-/// a `trace_sampled` marker (tail-sampled daemon trace) or a
-/// `flight_dump` header with `sampled:true` (dump of a sampled node).
-fn stream_sampled(events: &[Line]) -> bool {
-    events.iter().any(|(event, _)| {
-        matches!(
-            event,
-            TraceEvent::TraceSampled { .. } | TraceEvent::FlightDump { sampled: true, .. }
-        )
-    })
-}
 
 /// Root-span coverage of the wall clock as a percentage, or `None` when
 /// the trace has no timed run/request anchor to compare against.
@@ -269,7 +254,6 @@ fn root_coverage_pct(prof: &Profile) -> Option<f64> {
 fn profile_cmd(args: &[String]) -> ExitCode {
     let mut path = None;
     let mut flamegraph = None;
-    let mut sampled_flag = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -277,7 +261,6 @@ fn profile_cmd(args: &[String]) -> ExitCode {
                 Some(out) => flamegraph = Some(out.clone()),
                 None => return usage(),
             },
-            "--sampled" => sampled_flag = true,
             text if path.is_none() => path = Some(text.to_string()),
             _ => return usage(),
         }
@@ -285,9 +268,8 @@ fn profile_cmd(args: &[String]) -> ExitCode {
     let Some(path) = path else {
         return usage();
     };
-    let loaded = read_events(&path).and_then(|events| Ok((profile(&events)?, events)));
-    let (prof, events) = match loaded {
-        Ok(loaded) => loaded,
+    let prof = match read_events(&path).and_then(|events| profile(&events)) {
+        Ok(prof) => prof,
         Err(err) => {
             eprintln!("trace profile: {err}");
             return ExitCode::FAILURE;
@@ -324,16 +306,11 @@ fn profile_cmd(args: &[String]) -> ExitCode {
             ms(prof.wall_ns)
         );
         if coverage < MIN_ROOT_COVERAGE_PCT {
-            if sampled_flag || stream_sampled(&events) {
-                println!("  (coverage gate skipped: sampled stream)");
-            } else {
-                eprintln!(
-                    "trace profile: {path}: root spans cover {coverage:.1}% of wall-clock, \
-                     need >= {MIN_ROOT_COVERAGE_PCT}% — requests ran without emitting spans \
-                     (pass --sampled for tail-sampled streams)"
-                );
-                return ExitCode::FAILURE;
-            }
+            eprintln!(
+                "trace profile: {path}: root spans cover {coverage:.1}% of wall-clock, \
+                 need >= {MIN_ROOT_COVERAGE_PCT}% — requests ran without emitting spans"
+            );
+            return ExitCode::FAILURE;
         }
     } else {
         println!(
@@ -817,28 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_streams_are_detected_by_their_markers() {
-        let plain = vec![event(
-            r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"a"}"#,
-        )];
-        assert!(!stream_sampled(&plain));
-        let tail = vec![event(
-            r#"{"event":"trace_sampled","round":0,"sample":0.01,"slow_ms":50}"#,
-        )];
-        assert!(stream_sampled(&tail));
-        let sampled_dump = vec![event(
-            r#"{"event":"flight_dump","round":0,"reason":"rpc","events":1,"dropped":0,"truncated":0,"sampled":true}"#,
-        )];
-        assert!(stream_sampled(&sampled_dump));
-        // A dump from an unsampled node records everything: full
-        // coverage is still expected of it.
-        let full_dump = vec![event(
-            r#"{"event":"flight_dump","round":0,"reason":"rpc","events":1,"dropped":0,"truncated":0,"sampled":false}"#,
-        )];
-        assert!(!stream_sampled(&full_dump));
-    }
-
-    #[test]
     fn root_coverage_is_rooted_at_the_wall_anchor() {
         let events = vec![
             event(
@@ -874,43 +829,39 @@ mod tests {
     }
 
     #[test]
-    fn profile_gates_on_root_coverage_unless_sampled() {
+    fn profile_gates_on_root_coverage() {
+        let stream = |span_nanos: u64| {
+            format!(
+                "{}\n{}\n{}\n",
+                r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.stats"}"#,
+                format_args!(
+                    r#"{{"event":"span_end","round":0,"span_id":0,"name":"rpc.stats","nanos":{span_nanos}}}"#
+                ),
+                r#"{"event":"svc_response","round":0,"seq":0,"method":"stats","ok":true,"cache":"none","nanos":1000}"#,
+            )
+        };
         // Root span covers 10% of the 1000 ns request: fails the gate.
-        let low = concat!(
-            r#"{"event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.stats"}"#,
-            "\n",
-            r#"{"event":"span_end","round":0,"span_id":0,"name":"rpc.stats","nanos":100}"#,
-            "\n",
-            r#"{"event":"svc_response","round":0,"seq":0,"method":"stats","ok":true,"cache":"none","nanos":1000}"#,
-            "\n",
-        );
-        let bare = write_temp("cov_bare", low);
+        let low = write_temp("cov_low", &stream(100));
         assert_eq!(
-            exit_of(profile_cmd(&[bare.display().to_string()])),
+            exit_of(profile_cmd(&[low.display().to_string()])),
             exit_of(ExitCode::FAILURE)
         );
-        // The --sampled flag waives the gate for the same stream.
+        // 95% passes it.
+        let high = write_temp("cov_high", &stream(950));
+        assert_eq!(
+            exit_of(profile_cmd(&[high.display().to_string()])),
+            exit_of(ExitCode::SUCCESS)
+        );
+        // No flag waives the gate: an unknown argument is a usage error.
         assert_eq!(
             exit_of(profile_cmd(&[
-                bare.display().to_string(),
+                high.display().to_string(),
                 "--sampled".to_string()
             ])),
-            exit_of(ExitCode::SUCCESS)
+            exit_of(ExitCode::FAILURE)
         );
-        // So does an in-stream trace_sampled marker.
-        let marked = write_temp(
-            "cov_marked",
-            &format!(
-                "{}\n{low}",
-                r#"{"event":"trace_sampled","round":0,"sample":0.01,"slow_ms":50}"#
-            ),
-        );
-        assert_eq!(
-            exit_of(profile_cmd(&[marked.display().to_string()])),
-            exit_of(ExitCode::SUCCESS)
-        );
-        std::fs::remove_file(&bare).ok();
-        std::fs::remove_file(&marked).ok();
+        std::fs::remove_file(&low).ok();
+        std::fs::remove_file(&high).ok();
     }
 
     #[test]
@@ -1222,7 +1173,7 @@ mod tests {
             name: name.into(),
             nanos,
         };
-        let flight = FlightRecorder::with_meta(64, Some("node-a".to_string()), true);
+        let flight = FlightRecorder::with_meta(64, Some("node-a".to_string()));
         flight.push_block(&[
             TraceEvent::SvcRequest {
                 seq: 0,
@@ -1252,16 +1203,11 @@ mod tests {
         let events = read_events(&shown).unwrap();
         assert!(matches!(
             events[0].0,
-            TraceEvent::FlightDump {
-                truncated: 1,
-                sampled: true,
-                ..
-            }
+            TraceEvent::FlightDump { truncated: 1, .. }
         ));
         assert!(events
             .iter()
             .all(|(_, node)| node.as_deref() == Some("node-a")));
-        assert!(stream_sampled(&events));
 
         let prof = profile(&events).unwrap();
         assert_eq!(prof.spans, 3);

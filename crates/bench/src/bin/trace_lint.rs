@@ -32,8 +32,7 @@
 //!    line-level `node_id` is a non-empty string and consistent across
 //!    the whole stream (one file is one node's trace), `health` carries
 //!    a known status (`ok`/`degraded`), `gossip_apply` never carries a
-//!    `snapshot`, a `flight_dump` reason is non-empty, a
-//!    `trace_sampled` keep probability lies inside `[0, 1]`, and a
+//!    `snapshot`, a `flight_dump` reason is non-empty, and a
 //!    `budget_exhausted` frontier never exceeds the states explored.
 //!
 //! When handed a file that parses as a single JSON object under the

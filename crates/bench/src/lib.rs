@@ -219,37 +219,7 @@ pub fn artifact_meta(trace: Option<&Path>) -> Value {
         "node_id",
         Value::from(minobs_obs::node_id_from_env("local")),
     );
-    // When the run was traced under tail sampling, stamp the sampling
-    // config so a bench number can be matched to the trace policy that
-    // was active when it was produced.
-    if let Some(sampling) = sampling_meta(
-        std::env::var("MINOBS_TRACE_SAMPLE").ok().as_deref(),
-        std::env::var("MINOBS_TRACE_SLOW_MS").ok().as_deref(),
-    ) {
-        meta.insert("sampling", sampling);
-    }
     Value::Object(meta)
-}
-
-/// Builds the `meta.sampling` block from the raw
-/// `MINOBS_TRACE_SAMPLE`/`MINOBS_TRACE_SLOW_MS` values, or `None` when
-/// neither is set (the artifact then omits the key entirely, keeping
-/// untraced runs byte-identical to pre-sampling artifacts).
-fn sampling_meta(sample: Option<&str>, slow_ms: Option<&str>) -> Option<Value> {
-    let sample = sample.and_then(|s| s.trim().parse::<f64>().ok().filter(|v| v.is_finite()));
-    let slow_ms = slow_ms.and_then(|s| s.trim().parse::<u64>().ok());
-    if sample.is_none() && slow_ms.is_none() {
-        return None;
-    }
-    let mut block = Map::new();
-    block.insert(
-        "sample",
-        Value::from(sample.map_or(1.0, |v| v.clamp(0.0, 1.0))),
-    );
-    if let Some(ms) = slow_ms {
-        block.insert("slow_ms", Value::from(ms));
-    }
-    Some(Value::Object(block))
 }
 
 fn host_name() -> String {
@@ -421,24 +391,6 @@ mod tests {
     fn arity_checked() {
         let mut r = Report::new("x", &["a", "b"]);
         r.row(&[&1]);
-    }
-
-    #[test]
-    fn sampling_meta_reflects_env_shapes() {
-        // Neither variable set: no block at all.
-        assert!(sampling_meta(None, None).is_none());
-        // Sample alone: stamped, clamped into [0, 1].
-        let block = sampling_meta(Some("0.01"), None).unwrap();
-        assert_eq!(block.get("sample").and_then(Value::as_f64), Some(0.01));
-        assert!(block.get("slow_ms").is_none());
-        let clamped = sampling_meta(Some("7.5"), None).unwrap();
-        assert_eq!(clamped.get("sample").and_then(Value::as_f64), Some(1.0));
-        // Slow threshold alone: sample defaults to keep-everything.
-        let block = sampling_meta(None, Some("0")).unwrap();
-        assert_eq!(block.get("sample").and_then(Value::as_f64), Some(1.0));
-        assert_eq!(block.get("slow_ms").and_then(Value::as_u64), Some(0));
-        // Garbage values behave like unset.
-        assert!(sampling_meta(Some("nope"), Some("fast")).is_none());
     }
 
     #[test]

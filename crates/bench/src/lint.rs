@@ -236,11 +236,6 @@ pub fn lint(text: &str) -> Result<(usize, usize), String> {
                     "line {line_no}: flight_dump reason must be non-empty"
                 ));
             }
-            TraceEvent::TraceSampled { sample, .. } if !(0.0..=1.0).contains(&sample) => {
-                return Err(format!(
-                    "line {line_no}: trace_sampled sample {sample} outside [0, 1]"
-                ));
-            }
             // Every other event is fully described by its decoded shape.
             _ => {}
         }
@@ -668,7 +663,7 @@ mod tests {
         // The header a flight-recorder dump leads with, followed by a
         // truncated-span close — the shape `FlightRecorder::dump` emits.
         let ok = [
-            r#"{"schema":"SCHEMA","event":"flight_dump","round":0,"reason":"wal_degraded","events":3,"dropped":1,"truncated":1,"sampled":true,"node_id":"n1"}"#,
+            r#"{"schema":"SCHEMA","event":"flight_dump","round":0,"reason":"wal_degraded","events":3,"dropped":1,"truncated":1,"node_id":"n1"}"#,
             r#"{"schema":"SCHEMA","event":"span_start","round":0,"span_id":0,"parent":null,"name":"rpc.stats","node_id":"n1"}"#,
             r#"{"schema":"SCHEMA","event":"span_end","round":0,"span_id":0,"name":"rpc.stats","nanos":0,"truncated":true,"node_id":"n1"}"#,
         ]
@@ -677,44 +672,18 @@ mod tests {
         assert_eq!(lint(&ok), Ok((3, 0)));
 
         let no_reason = line(
-            r#"{"schema":"SCHEMA","event":"flight_dump","round":0,"events":3,"dropped":0,"truncated":0,"sampled":false}"#,
+            r#"{"schema":"SCHEMA","event":"flight_dump","round":0,"events":3,"dropped":0,"truncated":0}"#,
         );
         assert!(lint(&no_reason).unwrap_err().contains("reason"));
 
         let empty_reason = line(
-            r#"{"schema":"SCHEMA","event":"flight_dump","round":0,"reason":"","events":3,"dropped":0,"truncated":0,"sampled":false}"#,
+            r#"{"schema":"SCHEMA","event":"flight_dump","round":0,"reason":"","events":3,"dropped":0,"truncated":0}"#,
         );
         assert!(lint(&empty_reason).unwrap_err().contains("non-empty"));
 
-        let no_counts = line(
-            r#"{"schema":"SCHEMA","event":"flight_dump","round":0,"reason":"rpc","sampled":false}"#,
-        );
+        let no_counts =
+            line(r#"{"schema":"SCHEMA","event":"flight_dump","round":0,"reason":"rpc"}"#);
         assert!(lint(&no_counts).unwrap_err().contains("events"));
-
-        let no_sampled = line(
-            r#"{"schema":"SCHEMA","event":"flight_dump","round":0,"reason":"rpc","events":0,"dropped":0,"truncated":0}"#,
-        );
-        assert!(lint(&no_sampled).unwrap_err().contains("sampled"));
-    }
-
-    #[test]
-    fn validates_trace_sampled_markers() {
-        let ok = line(
-            r#"{"schema":"SCHEMA","event":"trace_sampled","round":0,"sample":0.01,"slow_ms":50,"node_id":"n1"}"#,
-        );
-        assert_eq!(lint(&ok), Ok((1, 0)));
-
-        let out_of_range = line(
-            r#"{"schema":"SCHEMA","event":"trace_sampled","round":0,"sample":1.5,"slow_ms":50}"#,
-        );
-        assert!(lint(&out_of_range).unwrap_err().contains("outside"));
-
-        let no_sample =
-            line(r#"{"schema":"SCHEMA","event":"trace_sampled","round":0,"slow_ms":50}"#);
-        assert!(lint(&no_sample).unwrap_err().contains("sample"));
-
-        let no_slow = line(r#"{"schema":"SCHEMA","event":"trace_sampled","round":0,"sample":0.5}"#);
-        assert!(lint(&no_slow).unwrap_err().contains("slow_ms"));
     }
 
     #[test]

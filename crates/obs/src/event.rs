@@ -369,18 +369,6 @@ pub enum TraceEvent {
         /// Still-open spans closed with a synthesized, `truncated:true`
         /// span_end.
         truncated: u64,
-        /// Whether the stream behind this dump was tail-sampled (so
-        /// coverage checks must not expect every request).
-        sampled: bool,
-    },
-    /// Tail-based trace sampling is active on this stream. Written once
-    /// at sink start so offline tooling (`trace profile`) knows dropped
-    /// requests are policy, not data loss. `round` is always 0.
-    TraceSampled {
-        /// Keep probability for unremarkable traces, in `[0, 1]`.
-        sample: f64,
-        /// Root spans at or above this many milliseconds are always kept.
-        slow_ms: u64,
     },
 }
 
@@ -415,7 +403,6 @@ impl TraceEvent {
             TraceEvent::PeerDown { .. } => "peer_down",
             TraceEvent::Health { .. } => "health",
             TraceEvent::FlightDump { .. } => "flight_dump",
-            TraceEvent::TraceSampled { .. } => "trace_sampled",
         }
     }
 
@@ -433,8 +420,7 @@ impl TraceEvent {
             | TraceEvent::GossipApply { .. }
             | TraceEvent::PeerDown { .. }
             | TraceEvent::Health { .. }
-            | TraceEvent::FlightDump { .. }
-            | TraceEvent::TraceSampled { .. } => 0,
+            | TraceEvent::FlightDump { .. } => 0,
             TraceEvent::Message { round, .. }
             | TraceEvent::Decision { round, .. }
             | TraceEvent::RoundEnd { round, .. }
@@ -626,17 +612,11 @@ impl TraceEvent {
                 events,
                 dropped,
                 truncated,
-                sampled,
             } => {
                 map.insert("reason".to_string(), Value::from(reason.as_str()));
                 map.insert("events".to_string(), Value::from(*events));
                 map.insert("dropped".to_string(), Value::from(*dropped));
                 map.insert("truncated".to_string(), Value::from(*truncated));
-                map.insert("sampled".to_string(), Value::from(*sampled));
-            }
-            TraceEvent::TraceSampled { sample, slow_ms } => {
-                map.insert("sample".to_string(), Value::from(*sample));
-                map.insert("slow_ms".to_string(), Value::from(*slow_ms));
             }
         }
         Value::Object(map)
@@ -789,11 +769,6 @@ impl TraceEvent {
                 events: f.u64("events")?,
                 dropped: f.u64("dropped")?,
                 truncated: f.u64("truncated")?,
-                sampled: f.bool("sampled")?,
-            },
-            "trace_sampled" => TraceEvent::TraceSampled {
-                sample: f.get("sample", "a number", Value::as_f64)?,
-                slow_ms: f.u64("slow_ms")?,
             },
             other => return Err(format!("unknown event {other:?}")),
         };
@@ -1029,11 +1004,6 @@ mod tests {
                 events: 64,
                 dropped: 2,
                 truncated: 1,
-                sampled: true,
-            },
-            TraceEvent::TraceSampled {
-                sample: 0.01,
-                slow_ms: 250,
             },
         ]
     }
@@ -1295,9 +1265,6 @@ mod tests {
             "reason",
             "events",
             "truncated",
-            "sampled",
-            "sample",
-            "slow_ms",
             "parent_span",
             "node_id",
             "",
@@ -1418,7 +1385,7 @@ mod tests {
         /// One event of a random variant with random fields.
         fn draw_event(rng: &mut TestRng) -> TraceEvent {
             let round = num(rng) as usize;
-            match rng.below(22) {
+            match rng.below(21) {
                 0 => TraceEvent::RunStart {
                     engine: pick(rng, ENGINES),
                     nodes: num(rng) as usize,
@@ -1533,16 +1500,11 @@ mod tests {
                     ready: rng.below(2) == 1,
                     live: rng.below(2) == 1,
                 },
-                20 => TraceEvent::FlightDump {
+                _ => TraceEvent::FlightDump {
                     reason: text(rng),
                     events: num(rng),
                     dropped: num(rng),
                     truncated: num(rng),
-                    sampled: rng.below(2) == 1,
-                },
-                _ => TraceEvent::TraceSampled {
-                    sample: rng.below(1 << 20) as f64 / (1 << 20) as f64,
-                    slow_ms: num(rng),
                 },
             }
         }

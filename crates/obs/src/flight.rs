@@ -1,4 +1,4 @@
-//! The always-on flight recorder and the tail-sampling keep policy.
+//! The always-on flight recorder.
 //!
 //! A [`FlightRecorder`] is a lock-sharded, fixed-capacity ring of the
 //! most recent [`TraceEvent`]s. It is cheap enough to leave attached to
@@ -19,10 +19,10 @@
 //! `svc_request`/`svc_response` halves are dropped. The pass makes every
 //! dump a valid stream, not a best-effort fragment.
 //!
-//! [`sample_keep`] is the companion tail-sampling primitive: a pure,
-//! deterministic keep/drop decision on the trace id, so every node in a
-//! fleet keeps or drops the *same* traces without coordination and
-//! `trace stitch` never sees a request with half its nodes missing.
+//! The daemon's ring holds [`DEFAULT_FLIGHT_EVENTS`] events and sees
+//! every event the daemon emits, the same ones a configured trace file
+//! receives, so a dump is the recent tail of that stream. Without a
+//! trace file it is the only record.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -32,7 +32,7 @@ use serde_json::Value;
 use crate::event::{Name, TraceEvent};
 use crate::recorder::Recorder;
 
-/// Default ring capacity per node, overridable via `MINOBS_FLIGHT_EVENTS`.
+/// Ring capacity per node: the daemon's ring holds this many events.
 pub const DEFAULT_FLIGHT_EVENTS: usize = 65_536;
 
 /// Shard count: small enough that `dump` holding every lock is cheap,
@@ -55,9 +55,6 @@ struct Inner {
     shards: Vec<Mutex<Ring>>,
     /// Stamped on every dumped line, like `JsonlSink::set_node_id`.
     node_id: Option<String>,
-    /// Recorded into each dump's `flight_dump` header so offline tooling
-    /// knows whether the stream behind the ring was tail-sampled.
-    sampled: bool,
 }
 
 /// Statistics and rendered JSONL from one [`FlightRecorder::dump`].
@@ -86,14 +83,13 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A ring holding at most `capacity` events (clamped to ≥ 8, one per shard),
-    /// with no node stamp and sampling reported off.
+    /// with no node stamp.
     pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder::with_meta(capacity, None, false)
+        FlightRecorder::with_meta(capacity, None)
     }
 
-    /// A ring that stamps `node_id` on dumped lines and reports `sampled`
-    /// in every dump header.
-    pub fn with_meta(capacity: usize, node_id: Option<String>, sampled: bool) -> FlightRecorder {
+    /// A ring that stamps `node_id` on dumped lines.
+    pub fn with_meta(capacity: usize, node_id: Option<String>) -> FlightRecorder {
         let per_shard = capacity.max(SHARDS).div_ceil(SHARDS);
         let shards = (0..SHARDS)
             .map(|_| {
@@ -109,7 +105,6 @@ impl FlightRecorder {
                 seq: AtomicU64::new(0),
                 shards,
                 node_id: node_id.filter(|id| !id.is_empty()),
-                sampled,
             }),
         }
     }
@@ -246,7 +241,6 @@ impl FlightRecorder {
             events,
             dropped,
             truncated,
-            sampled: self.inner.sampled,
         }
         .to_json();
         let mut jsonl = String::new();
@@ -277,34 +271,6 @@ impl Recorder for FlightRecorder {
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The deterministic tail-sampling keep decision for an unremarkable
-/// trace: `true` iff `trace_id` hashes under the `sample` fraction of
-/// the 64-bit space.
-///
-/// The decision is a pure function of the trace id (finalizer-mixed so
-/// sequential ids spread uniformly), which is what makes independent
-/// per-node decisions fleet-consistent: every node that sees a span of
-/// trace `T` computes the same verdict, so a kept trace is kept whole
-/// across the cluster and a dropped one vanishes everywhere.
-pub fn sample_keep(trace_id: u128, sample: f64) -> bool {
-    if sample >= 1.0 {
-        return true;
-    }
-    if sample <= 0.0 {
-        return false;
-    }
-    let mut x = (trace_id as u64) ^ ((trace_id >> 64) as u64);
-    // splitmix64-style avalanche: every input bit affects every output bit.
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    // Compare in integer space: sample of the full u64 range, no float
-    // rounding at the boundary.
-    (x as f64) < sample * (u64::MAX as f64)
 }
 
 #[cfg(test)]
@@ -476,8 +442,8 @@ mod tests {
     }
 
     #[test]
-    fn dump_stamps_node_id_and_sampled_flag() {
-        let flight = FlightRecorder::with_meta(32, Some("127.0.0.1:7400".to_string()), true);
+    fn dump_stamps_node_id_on_every_line() {
+        let flight = FlightRecorder::with_meta(32, Some("127.0.0.1:7400".to_string()));
         flight.push(TraceEvent::Health {
             status: "ok".to_string(),
             ready: true,
@@ -490,26 +456,6 @@ mod tests {
                 Some("127.0.0.1:7400")
             );
         }
-        assert_eq!(lines[0].get("sampled").and_then(Value::as_bool), Some(true));
-    }
-
-    #[test]
-    fn sample_keep_is_deterministic_and_roughly_proportional() {
-        let sample = 0.25;
-        let kept: Vec<u128> = (0..4000u128)
-            .filter(|&id| sample_keep(id, sample))
-            .collect();
-        // Deterministic: the same ids are kept on a "second node".
-        let again: Vec<u128> = (0..4000u128)
-            .filter(|&id| sample_keep(id, sample))
-            .collect();
-        assert_eq!(kept, again);
-        // Roughly a quarter of sequential ids survive the mixed hash.
-        let frac = kept.len() as f64 / 4000.0;
-        assert!((0.18..0.32).contains(&frac), "kept fraction {frac}");
-        // Degenerate rates short-circuit.
-        assert!(sample_keep(42, 1.0));
-        assert!(!sample_keep(42, 0.0));
     }
 
     #[test]
@@ -674,7 +620,7 @@ mod tests {
     /// response and leaves a span open, byte for byte.
     #[test]
     fn dump_bytes_match_the_golden_jsonl() {
-        let flight = FlightRecorder::with_meta(16, Some("node-a".to_string()), false);
+        let flight = FlightRecorder::with_meta(16, Some("node-a".to_string()));
         for seq in 0..4u64 {
             let root = seq << 20;
             flight.push(TraceEvent::SvcRequest {
@@ -725,7 +671,7 @@ mod tests {
             cache: "none",
             nanos: 5,
         });
-        let golden = r#"{"schema":"minobs/trace/v1","event":"flight_dump","round":0,"reason":"rpc","events":16,"dropped":1,"truncated":1,"sampled":false,"node_id":"node-a"}
+        let golden = r#"{"schema":"minobs/trace/v1","event":"flight_dump","round":0,"reason":"rpc","events":16,"dropped":1,"truncated":1,"node_id":"node-a"}
 {"schema":"minobs/trace/v1","event":"svc_request","round":0,"seq":2,"method":"check_horizon","node_id":"node-a"}
 {"schema":"minobs/trace/v1","event":"span_start","round":0,"span_id":2097152,"parent":null,"name":"rpc.check_horizon","trace_id":"00000000000000000000000000000abe","node_id":"node-a"}
 {"schema":"minobs/trace/v1","event":"span_start","round":0,"span_id":2097153,"parent":2097152,"name":"check.eval","node_id":"node-a"}

@@ -38,7 +38,7 @@ mod span;
 pub use bench::{validate_bench_artifact, BENCH_SCHEMA};
 pub use ctx::{node_id_from_env, stamp_root_span, TraceContext};
 pub use event::{MessageStatus, Name, RoundCounts, SpanCtx, TraceEvent, SCHEMA};
-pub use flight::{sample_keep, FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_EVENTS};
+pub use flight::{FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_EVENTS};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRecorder, MetricsRegistry};
 pub use recorder::{MemoryRecorder, NullRecorder, Recorder, TeeRecorder};
 pub use sink::{resolve_trace_value, trace_path_from_env, JsonlSink};

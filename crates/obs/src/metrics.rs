@@ -711,8 +711,7 @@ impl MetricsRecorder {
             | TraceEvent::SpanStart { .. }
             | TraceEvent::BudgetExhausted { .. }
             | TraceEvent::Health { .. }
-            | TraceEvent::FlightDump { .. }
-            | TraceEvent::TraceSampled { .. } => {}
+            | TraceEvent::FlightDump { .. } => {}
         }
     }
 }
@@ -1142,11 +1141,6 @@ mod tests {
                 events: 3,
                 dropped: 0,
                 truncated: 0,
-                sampled: false,
-            },
-            TraceEvent::TraceSampled {
-                sample: 0.5,
-                slow_ms: 10,
             },
         ] {
             metrics.record(event);

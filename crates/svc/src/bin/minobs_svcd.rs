@@ -17,6 +17,7 @@ fn main() -> ExitCode {
 
     keep_freed_memory();
     let config = SvcConfig::from_env();
+    let wal_configured = config.wal_path.is_some();
     let server = match serve(config) {
         Ok(server) => server,
         Err(err) => {
@@ -35,7 +36,7 @@ fn main() -> ExitCode {
                 ""
             },
         ),
-        Some(_) | None if std::env::var("MINOBS_SVC_WAL").is_ok_and(|p| !p.trim().is_empty()) => {
+        Some(_) | None if wal_configured => {
             eprintln!("minobs-svcd: wal unavailable, running memory-only (degraded)");
         }
         _ => {}

@@ -973,4 +973,128 @@ mod tests {
         server.shutdown();
         server.join();
     }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::TestRng;
+
+        /// A value of any JSON shape, for fields that expect another.
+        fn junk(rng: &mut TestRng) -> Value {
+            match rng.below(6) {
+                0 => Value::Null,
+                1 => Value::from(rng.below(2) == 1),
+                2 => Value::from(rng.next_u64()),
+                3 => Value::from("snapshot"),
+                4 => Value::from(rng.below(1000) as f64 / 7.0),
+                _ => Value::Array(vec![Value::from(rng.below(40))]),
+            }
+        }
+
+        /// One wire delta: a horizon, theorem or (WAL-valid) snapshot
+        /// record, sometimes with a field replaced by junk.
+        fn delta(rng: &mut TestRng) -> Value {
+            let key = format!("classic:s{}|gamma", rng.below(4));
+            let k = rng.below(8) as usize;
+            let record = match rng.below(3) {
+                0 => horizon(&key, k, rng.below(2) == 1),
+                1 => WalRecord::Theorem {
+                    key,
+                    result: junk(rng),
+                },
+                _ => WalRecord::Snapshot {
+                    key,
+                    verdicts: HorizonVerdicts::from_boundaries(Some(k + 1), Some(k))
+                        .expect("k < k + 1"),
+                    theorem: (rng.below(2) == 1).then(|| junk(rng)),
+                },
+            };
+            let mut value = record.to_json();
+            if rng.below(4) == 0 {
+                if let Value::Object(map) = &mut value {
+                    const FIELDS: &[&str] = &["wal", "op", "key", "k", "solvable", "verdicts"];
+                    let field = FIELDS[rng.below(FIELDS.len() as u64) as usize];
+                    map.insert(field, junk(rng));
+                }
+            }
+            value
+        }
+
+        /// Gossip request params: a well-formed digest or sync request,
+        /// then zero or more fields replaced by junk or dropped.
+        struct GossipParams;
+
+        impl Strategy for GossipParams {
+            type Value = Value;
+            fn generate(&self, rng: &mut TestRng) -> Value {
+                let mut params = if rng.below(2) == 0 {
+                    let mut fps = [0u64; SHARDS];
+                    fps.iter_mut().for_each(|fp| *fp = rng.next_u64());
+                    digest_params("n1:1", &fps)
+                } else {
+                    let shards: Vec<usize> = (0..rng.below(4))
+                        .map(|_| rng.below(SHARDS as u64 + 2) as usize)
+                        .collect();
+                    let mut params = sync_params("n2:2", &shards, &[]);
+                    let deltas = (0..rng.below(4)).map(|_| delta(rng)).collect();
+                    if let Value::Object(map) = &mut params {
+                        map.insert("deltas", Value::Array(deltas));
+                    }
+                    params
+                };
+                const FIELDS: &[&str] = &["gossip", "from", "phase", "shards", "deltas"];
+                if let Value::Object(map) = &mut params {
+                    for _ in 0..rng.below(3) {
+                        let field = FIELDS[rng.below(FIELDS.len() as u64) as usize];
+                        if rng.below(4) == 0 {
+                            map.remove(field);
+                        } else {
+                            map.insert(field, junk(rng));
+                        }
+                    }
+                }
+                if rng.below(16) == 0 {
+                    return junk(rng);
+                }
+                params
+            }
+        }
+
+        /// `parse_params` answers with a request or a reason, and a
+        /// request it accepts never carries a snapshot delta.
+        fn parses_without_snapshots(params: &Value) {
+            match parse_params(params) {
+                Ok(GossipRequest {
+                    body: GossipBody::Sync { deltas, .. },
+                    ..
+                }) => prop_assert!(
+                    deltas
+                        .iter()
+                        .all(|d| !matches!(d, WalRecord::Snapshot { .. })),
+                    "{params:?}"
+                ),
+                Ok(_) => {}
+                Err(message) => prop_assert!(!message.is_empty(), "{params:?}"),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn prop_params_parse_without_snapshot_deltas(params in GossipParams) {
+                parses_without_snapshots(&params);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(200_000))]
+
+            #[test]
+            #[ignore = "long sweep; run with -- --ignored"]
+            fn sweep_params_parse_without_snapshot_deltas(params in GossipParams) {
+                parses_without_snapshots(&params);
+            }
+        }
+    }
 }

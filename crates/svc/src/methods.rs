@@ -11,7 +11,7 @@
 //! hostile `check_horizon` cannot hold a checker permit past the configured
 //! wall-clock cap no matter what the request asks for.
 
-use crate::server::{Limits, ServerState};
+use crate::server::{Limits, ServerState, MAX_CONNECTIONS, SLO_P99_MS};
 use crate::spec::{parse_alphabet, ParsedScheme};
 use crate::wire::Request;
 use minobs_core::engine::run_two_process_with_recorder;
@@ -772,7 +772,7 @@ fn health(state: &ServerState) -> Value {
                     "queue",
                     obj(&[
                         ("depth", Value::from(report.queued)),
-                        ("cap", Value::from(state.max_connections() as u64)),
+                        ("cap", Value::from(MAX_CONNECTIONS as u64)),
                     ]),
                 ),
             ]),
@@ -780,7 +780,7 @@ fn health(state: &ServerState) -> Value {
         (
             "slo",
             obj(&[
-                ("p99_target_ms", Value::from(state.slo_p99_ms())),
+                ("p99_target_ms", Value::from(SLO_P99_MS)),
                 ("violations", Value::from(state.slo_violations())),
                 ("requests", Value::from(requests)),
             ]),

@@ -23,9 +23,9 @@ use crate::peers::PeerTable;
 use crate::wal::{CompactionPolicy, Wal, WalRecord};
 use crate::wire::{self, FrameError, Request};
 use minobs_obs::{
-    sample_keep, stamp_root_span, Counter, FlightRecorder, Gauge, Histogram, JsonlSink,
-    MemoryRecorder, MetricsRecorder, MetricsRegistry, Recorder, SpanGuard, SpanIds, TraceContext,
-    TraceEvent,
+    stamp_root_span, Counter, FlightRecorder, Gauge, Histogram, JsonlSink, MemoryRecorder,
+    MetricsRecorder, MetricsRegistry, Recorder, SpanGuard, SpanIds, TraceContext, TraceEvent,
+    DEFAULT_FLIGHT_EVENTS,
 };
 use serde_json::Value;
 use std::fs::File;
@@ -51,6 +51,14 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 /// compaction check) — keeps appends off the request critical path while
 /// bounding the crash-loss window.
 const WAL_MAINTENANCE: Duration = Duration::from_secs(1);
+/// Cap on concurrent connection threads; connections past it are
+/// answered with a `busy` error and closed, so a peer opening sockets in
+/// a loop cannot drive unbounded thread creation. It also bounds the
+/// health plane's accept queue.
+pub const MAX_CONNECTIONS: usize = 256;
+/// The p99 latency target, in milliseconds, that the SLO burn counter
+/// (`svc.slo_p99_violations`) measures against.
+pub const SLO_P99_MS: u64 = 50;
 
 /// Server-side caps applied to every request's budget.
 #[derive(Debug, Clone, Copy)]
@@ -79,10 +87,6 @@ pub struct SvcConfig {
     /// `compute` in the `methods` table) may run at once across all
     /// connections.
     pub workers: usize,
-    /// Cap on concurrent connection threads; connections past it are
-    /// answered with a `busy` error and closed, so a peer opening
-    /// sockets in a loop cannot drive unbounded thread creation.
-    pub max_connections: usize,
     /// Per-request budget caps.
     pub limits: Limits,
     /// Where to write the `svc_*` event trace, if anywhere.
@@ -101,26 +105,12 @@ pub struct SvcConfig {
     /// seeded policy here.
     pub link_policy: Option<LinkPolicy>,
     /// Stable node identity stamped on trace lines and reported by
-    /// `health`; defaults to the bound `host:port` (after the
-    /// `MINOBS_NODE_ID` environment variable).
+    /// `health`; defaults to the bound `host:port`.
     pub node_id: Option<String>,
-    /// The p99 latency target the SLO burn counter
-    /// (`svc.slo_p99_violations`) measures against, in milliseconds.
-    pub slo_p99_ms: u64,
-    /// Flight-recorder ring capacity in events. The ring is always on;
-    /// this only bounds how much history a dump can recover.
-    pub flight_events: usize,
     /// Where automatic flight dumps land on panic, WAL degradation,
     /// `peer_down`, and degrading health edges; unset disables auto-dumps
     /// (the `dump_trace` RPC still works).
     pub flight_dir: Option<PathBuf>,
-    /// Tail-sampling keep probability for unremarkable request traces in
-    /// `[0, 1]`; `1.0` (the default) keeps every trace, preserving
-    /// pre-sampling behaviour byte for byte.
-    pub trace_sample: f64,
-    /// Root requests at or above this many milliseconds are always kept
-    /// regardless of `trace_sample`; `None` falls back to `slo_p99_ms`.
-    pub trace_slow_ms: Option<u64>,
 }
 
 impl Default for SvcConfig {
@@ -128,7 +118,6 @@ impl Default for SvcConfig {
         SvcConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: default_workers(),
-            max_connections: 256,
             limits: Limits::default(),
             trace_path: None,
             wal_path: None,
@@ -136,11 +125,7 @@ impl Default for SvcConfig {
             gossip_interval: Duration::from_millis(500),
             link_policy: None,
             node_id: None,
-            slo_p99_ms: 50,
-            flight_events: minobs_obs::DEFAULT_FLIGHT_EVENTS,
             flight_dir: None,
-            trace_sample: 1.0,
-            trace_slow_ms: None,
         }
     }
 }
@@ -155,21 +140,14 @@ fn default_workers() -> usize {
 impl SvcConfig {
     /// Configuration from `MINOBS_SVC_ADDR` (default `127.0.0.1:0`),
     /// `MINOBS_SVC_WORKERS` (default: available parallelism, clamped to
-    /// `[2, 16]`), `MINOBS_SVC_MAX_CONNS` (default 256, clamped to
-    /// `[1, 4096]`), `MINOBS_SVC_TRACE` (a JSONL path; unset = no
+    /// `[2, 16]`), `MINOBS_SVC_TRACE` (a JSONL path; unset = no
     /// trace), `MINOBS_SVC_WAL` (a verdict-log path; unset = no
     /// persistence), `MINOBS_SVC_PEERS` (comma-separated `host:port`
     /// cluster peers; unset = single-node), `MINOBS_SVC_GOSSIP_MS`
     /// (anti-entropy interval, default 500, clamped to `[10, 60000]`),
     /// `MINOBS_NODE_ID` (stable node identity; default: the bound
-    /// `host:port`), `MINOBS_SVC_SLO_P99_MS` (SLO p99 target,
-    /// default 50, clamped to `[1, 60000]`), `MINOBS_FLIGHT_EVENTS`
-    /// (flight-ring capacity, default 65536, clamped to `[64, 1048576]`),
-    /// `MINOBS_FLIGHT_DIR` (auto-dump directory; unset = no auto-dumps),
-    /// `MINOBS_TRACE_SAMPLE` (tail-sampling keep probability, default
-    /// 1.0, clamped to `[0, 1]`), and `MINOBS_TRACE_SLOW_MS`
-    /// (always-keep latency threshold; default: the SLO p99 target; `0`
-    /// keeps every timed request).
+    /// `host:port`) and `MINOBS_FLIGHT_DIR` (auto-dump directory; unset =
+    /// no auto-dumps). This is the daemon's only environment reader.
     pub fn from_env() -> SvcConfig {
         let mut config = SvcConfig::default();
         if let Some(addr) = env_var("MINOBS_SVC_ADDR") {
@@ -177,9 +155,6 @@ impl SvcConfig {
         }
         if let Some(n) = env_var::<usize>("MINOBS_SVC_WORKERS") {
             config.workers = n.clamp(1, 256);
-        }
-        if let Some(n) = env_var::<usize>("MINOBS_SVC_MAX_CONNS") {
-            config.max_connections = n.clamp(1, 4096);
         }
         config.trace_path = env_var("MINOBS_SVC_TRACE");
         config.wal_path = env_var("MINOBS_SVC_WAL");
@@ -195,17 +170,7 @@ impl SvcConfig {
             config.gossip_interval = Duration::from_millis(ms.clamp(10, 60_000));
         }
         config.node_id = env_var("MINOBS_NODE_ID");
-        if let Some(ms) = env_var::<u64>("MINOBS_SVC_SLO_P99_MS") {
-            config.slo_p99_ms = ms.clamp(1, 60_000);
-        }
-        if let Some(n) = env_var::<usize>("MINOBS_FLIGHT_EVENTS") {
-            config.flight_events = n.clamp(64, 1_048_576);
-        }
         config.flight_dir = env_var("MINOBS_FLIGHT_DIR");
-        if let Some(p) = env_var::<f64>("MINOBS_TRACE_SAMPLE").filter(|p| p.is_finite()) {
-            config.trace_sample = p.clamp(0.0, 1.0);
-        }
-        config.trace_slow_ms = env_var("MINOBS_TRACE_SLOW_MS");
         config
     }
 }
@@ -266,14 +231,9 @@ pub struct ServerState {
     replay: Option<crate::wal::ReplayReport>,
     /// Gossip health per configured peer; empty in single-node mode.
     peers: Mutex<PeerTable>,
-    /// Stable node identity: config override, else `MINOBS_NODE_ID`,
-    /// else the bound `host:port`. Stamped on every trace line.
+    /// Stable node identity: the configured one, else the bound
+    /// `host:port`. Stamped on every trace line.
     node_id: String,
-    /// The acceptor's connection cap, kept for the health queue check.
-    max_connections: usize,
-    /// SLO p99 target in nanoseconds; responses slower than this burn
-    /// `svc.slo_p99_violations`.
-    slo_target_ns: u64,
     slo_violations: Arc<Counter>,
     ready_gauge: Arc<Gauge>,
     /// Last emitted health verdict, packed as `ready | (status_ok << 1)`;
@@ -285,17 +245,12 @@ pub struct ServerState {
     /// attributable to the request that produced it.
     gossip_ctx: Mutex<Option<TraceContext>>,
     /// The always-on flight ring: a bounded copy of everything the trace
-    /// plane sees (sampled or not), snapshotted by `dump_trace` and the
-    /// auto-dump triggers.
+    /// plane sees, snapshotted by `dump_trace` and the auto-dump triggers.
     flight: FlightRecorder,
     /// Where auto-dumps land; `None` disables them.
     flight_dir: Option<PathBuf>,
     /// Monotone auto-dump counter, naming dump files stably.
     flight_dumps: AtomicU64,
-    /// Tail-sampling keep probability for unremarkable request traces.
-    trace_sample: f64,
-    /// Requests at or above this many nanoseconds are always kept.
-    slow_ns: u64,
 }
 
 impl ServerState {
@@ -305,22 +260,12 @@ impl ServerState {
         let node_id = config
             .node_id
             .clone()
-            .unwrap_or_else(|| minobs_obs::node_id_from_env(&local_addr.to_string()));
-        let sample = config.trace_sample.clamp(0.0, 1.0);
-        let slow_ms = config.trace_slow_ms.unwrap_or(config.slo_p99_ms);
-        let sampled = sample < 1.0;
-        let flight =
-            FlightRecorder::with_meta(config.flight_events, Some(node_id.clone()), sampled);
+            .unwrap_or_else(|| local_addr.to_string());
+        let flight = FlightRecorder::with_meta(DEFAULT_FLIGHT_EVENTS, Some(node_id.clone()));
         let trace = match &config.trace_path {
             Some(path) => {
                 let mut sink = JsonlSink::create(path)?;
                 sink.set_node_id(&node_id);
-                if sampled {
-                    // Mark the stream as tail-sampled so downstream tools
-                    // (`trace profile`'s coverage check) read missing span
-                    // blocks as dropped-by-policy, not instrumentation gaps.
-                    sink.record(TraceEvent::TraceSampled { sample, slow_ms });
-                }
                 Some(sink)
             }
             None => None,
@@ -343,8 +288,6 @@ impl ServerState {
             replay: None,
             peers: Mutex::new(PeerTable::new(&config.peers)),
             node_id,
-            max_connections: config.max_connections.max(1),
-            slo_target_ns: config.slo_p99_ms.max(1).saturating_mul(1_000_000),
             slo_violations: registry.counter("svc.slo_p99_violations"),
             ready_gauge: registry.gauge("svc.ready"),
             health_state: AtomicU64::new(u64::MAX),
@@ -352,8 +295,6 @@ impl ServerState {
             flight,
             flight_dir: config.flight_dir.clone(),
             flight_dumps: AtomicU64::new(0),
-            trace_sample: sample,
-            slow_ns: slow_ms.saturating_mul(1_000_000),
             registry,
         };
         state.open_wal(config)
@@ -519,19 +460,9 @@ impl ServerState {
         &self.node_id
     }
 
-    /// The SLO p99 target, in milliseconds.
-    pub fn slo_p99_ms(&self) -> u64 {
-        self.slo_target_ns / 1_000_000
-    }
-
     /// Timed responses that exceeded the SLO p99 target so far.
     pub fn slo_violations(&self) -> u64 {
         self.slo_violations.get()
-    }
-
-    /// The acceptor's connection cap (the health plane's queue bound).
-    pub fn max_connections(&self) -> usize {
-        self.max_connections
     }
 
     /// Takes the trace context stashed by the last cache-filling
@@ -546,49 +477,18 @@ impl ServerState {
         *lock(&self.gossip_ctx) = Some(ctx);
     }
 
-    /// The tail-sampling verdict for one finished request. Errors,
-    /// budget-exhausted outcomes, requests at or above the slow
-    /// threshold, and anything served while the WAL is degraded are
-    /// always kept; the rest keep with probability `trace_sample`,
-    /// decided by [`sample_keep`] on the trace id so every node in a
-    /// fleet keeps or drops the same distributed trace.
-    pub(crate) fn keep_trace(
-        &self,
-        seq: u64,
-        ok: bool,
-        nanos: u64,
-        budget_exhausted: bool,
-        trace_id: Option<u128>,
-    ) -> bool {
-        if self.trace_sample >= 1.0 {
-            return true;
-        }
-        if !ok || budget_exhausted || nanos >= self.slow_ns {
-            return true;
-        }
-        if self.registry.gauge("svc.wal_degraded").get() != 0 {
-            return true;
-        }
-        // Context-free requests sample on the local seq: still
-        // deterministic, just not fleet-correlated (nothing to stitch).
-        sample_keep(trace_id.unwrap_or(u128::from(seq)), self.trace_sample)
-    }
-
     /// Fans one event out to the three telemetry planes, taking their
     /// locks in a fixed order: the metrics, then the trace file (which
     /// gets a clone only when one is configured), then the flight ring.
     pub(crate) fn emit(&self, event: TraceEvent) {
-        self.emit_after(&[], false, event);
+        self.emit_after(&[], event);
     }
 
     /// [`ServerState::emit`] preceded by a buffered span block. The block
     /// is flushed right before `event` under the same lock acquisitions,
     /// so the shared trace stream interleaves whole blocks — each is
     /// self-balanced and `trace_lint`'s span bracketing holds per stream.
-    /// When `keep_block` is false (tail sampling dropped the trace) the
-    /// block is withheld from the trace file only: metrics still fold
-    /// every span and the flight ring still records everything.
-    fn emit_after(&self, block: &[TraceEvent], keep_block: bool, event: TraceEvent) {
+    fn emit_after(&self, block: &[TraceEvent], event: TraceEvent) {
         {
             let mut metrics = lock(&self.metrics);
             for span in block {
@@ -597,10 +497,8 @@ impl ServerState {
             metrics.observe(&event);
         }
         if let Some(sink) = &mut *lock(&self.trace) {
-            if keep_block {
-                for span in block {
-                    sink.record(span.clone());
-                }
+            for span in block {
+                sink.record(span.clone());
             }
             sink.record(event.clone());
         }
@@ -611,11 +509,6 @@ impl ServerState {
     /// The always-on flight ring; `dump_trace` snapshots it.
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
-    }
-
-    /// The configured tail-sampling keep probability.
-    pub fn trace_sample(&self) -> f64 {
-        self.trace_sample
     }
 
     /// Auto-dumps taken so far (panic, WAL degradation, `peer_down`,
@@ -682,7 +575,7 @@ impl ServerState {
         };
         let wal_degraded = self.registry.gauge("svc.wal_degraded").get() != 0;
         let ready = !self.draining()
-            && queued < self.max_connections as u64
+            && queued < MAX_CONNECTIONS as u64
             && (peer_count == 0 || peers_alive > 0);
         let status_ok = ready && !wal_degraded && peers_alive == peer_count;
         let status = if status_ok { "ok" } else { "degraded" };
@@ -727,12 +620,8 @@ impl ServerState {
         spans: &[TraceEvent],
     ) {
         lock(&self.peers).record_success(peer, sent, received, lag);
-        // Gossip exchanges are never sampled out: one per interval is
-        // cheap, and replication evidence is the first thing a
-        // cross-node incident reconstruction reaches for.
         self.emit_after(
             spans,
-            true,
             TraceEvent::GossipRound {
                 peer: peer.to_string(),
                 sent,
@@ -896,7 +785,7 @@ fn acceptor_loop(listener: &TcpListener, state: &Arc<ServerState>) {
             Ok(_) if state.draining() => {}
             Ok((stream, _)) => {
                 connections.retain(|handle| !handle.is_finished());
-                if connections.len() >= state.max_connections() {
+                if connections.len() >= MAX_CONNECTIONS {
                     // At the cap: answer with `busy` and hang up rather
                     // than spawning an unbounded number of threads.
                     let mut writer = &stream;
@@ -1077,29 +966,17 @@ fn answer(state: &ServerState, request: &Request) -> Result<Vec<u8>, FrameError>
             }
         }
     }
-    let budget_exhausted = result.as_ref().ok().is_some_and(|value| {
-        value.get("budget_exhausted").is_some()
-            || value.get("outcome").and_then(Value::as_str) == Some("budget_exhausted")
-    });
     let reply = match result {
         Ok(value) => wire::ok_response(request.id, value),
         Err(e) => wire::err_response(request.id, e.code, &e.message),
     };
     let (frame, fits) = encode_reply(&reply);
     let ok = handled && fits;
-    let keep = state.keep_trace(
-        seq,
-        ok,
-        nanos,
-        budget_exhausted,
-        request.ctx.as_ref().map(|ctx| ctx.trace_id),
-    );
-    if nanos > state.slo_target_ns {
+    if nanos > SLO_P99_MS * 1_000_000 {
         state.slo_violations.add(1);
     }
     state.emit_after(
         &events,
-        keep,
         TraceEvent::SvcResponse {
             seq,
             method: method.into(),
@@ -1108,18 +985,16 @@ fn answer(state: &ServerState, request: &Request) -> Result<Vec<u8>, FrameError>
             nanos,
         },
     );
-    if keep {
-        if let Some(trace_id) = block_trace_id(&events) {
-            let bounds = Histogram::latency_bounds();
-            state
-                .registry
-                .histogram("svc.request_latency_ns", &bounds)
-                .record_exemplar(nanos, trace_id);
-            state
-                .registry
-                .histogram(&format!("svc.method.{method}.latency_ns"), &bounds)
-                .record_exemplar(nanos, trace_id);
-        }
+    if let Some(trace_id) = block_trace_id(&events) {
+        let bounds = Histogram::latency_bounds();
+        state
+            .registry
+            .histogram("svc.request_latency_ns", &bounds)
+            .record_exemplar(nanos, trace_id);
+        state
+            .registry
+            .histogram(&format!("svc.method.{method}.latency_ns"), &bounds)
+            .record_exemplar(nanos, trace_id);
     }
     frame
 }

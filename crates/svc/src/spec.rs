@@ -140,7 +140,15 @@ impl ParsedScheme {
             ClassicScheme::R1 => regular_r1(),
             ClassicScheme::FairGamma => regular_fair(),
             ClassicScheme::AlmostFair(Role::Black) => regular_almost_fair(),
-            ClassicScheme::GammaMinus(scenarios) => regular_gamma_minus(scenarios),
+            ClassicScheme::GammaMinus(scenarios) => {
+                if scenarios.is_empty() || !scenarios.iter().all(Scenario::is_gamma) {
+                    return Err(
+                        "regular_gamma_minus takes a non-empty list of Γ scenarios (no 'x')"
+                            .to_string(),
+                    );
+                }
+                regular_gamma_minus(scenarios)
+            }
             ClassicScheme::TotalBudget(k) => regular_total_budget(*k),
             ClassicScheme::AvoidPrefix(word) => {
                 let gamma = word.to_gamma().expect("checked Γ above");
@@ -368,9 +376,30 @@ mod tests {
         assert!(regular.decide().unwrap().is_solvable());
     }
 
+    fn gamma_minus(name: &str, scenarios: &[&str]) -> Value {
+        obj(&[
+            ("name", Value::from(name)),
+            (
+                "scenarios",
+                Value::Array(scenarios.iter().map(|&s| Value::from(s)).collect()),
+            ),
+        ])
+    }
+
+    #[test]
+    fn classic_gamma_minus_takes_any_scenario_list() {
+        // Excluding a scenario outside Γ^ω leaves Γ^ω, and excluding none
+        // is Γ^ω; only the automaton family needs a non-empty Γ list.
+        for list in [&["(x)"][..], &["w(x)"], &[]] {
+            assert!(ParsedScheme::parse(&gamma_minus("gamma_minus", list)).is_ok());
+        }
+        assert!(ParsedScheme::parse(&gamma_minus("regular_gamma_minus", &["w(b)", "(-)"])).is_ok());
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use proptest::TestRng;
 
         /// Aliases and spellings that must all resolve to one scheme.
         const SPELLINGS: &[&[&str]] = &[
@@ -391,6 +420,218 @@ mod tests {
             &["(wb)", "(wbwb)", "wb(wb)", "wb(wbwb)"],
             &["b(w)", "b(ww)", "bw(w)", "bw(ww)"],
         ];
+
+        fn pick<'a>(rng: &mut TestRng, from: &[&'a str]) -> &'a str {
+            from[rng.below(from.len() as u64) as usize]
+        }
+
+        /// A value of any JSON shape, for fields that expect another.
+        fn junk(rng: &mut TestRng) -> Value {
+            match rng.below(6) {
+                0 => Value::Null,
+                1 => Value::from(rng.below(2) == 1),
+                2 => Value::from(rng.next_u64()),
+                3 => Value::from(-(rng.below(1000) as i64) - 1),
+                4 => Value::from(rng.below(1000) as f64 / 7.0),
+                _ => Value::Array(Vec::new()),
+            }
+        }
+
+        /// Lasso-shaped text spliced from letters, brackets and
+        /// multi-byte characters; often well formed, often not.
+        fn lasso_text(rng: &mut TestRng) -> String {
+            const PIECES: &[&str] = &["-", "w", "b", "x", "(", ")", "é", "😀", "?", ""];
+            let letters = |rng: &mut TestRng, n: u64| -> String {
+                (0..rng.below(n)).map(|_| pick(rng, &PIECES[..4])).collect()
+            };
+            if rng.below(4) == 0 {
+                return (0..rng.below(6)).map(|_| pick(rng, PIECES)).collect();
+            }
+            format!("{}({})", letters(rng, 3), letters(rng, 4))
+        }
+
+        /// Scheme descriptions: every family name and alias, with and
+        /// without (repeated or misspelt) `regular_` prefixes, plus
+        /// multi-byte names, as a bare string or an object carrying
+        /// arbitrary `scenarios`, `prefix` and `k`.
+        struct Descriptions;
+
+        impl Strategy for Descriptions {
+            type Value = Value;
+            fn generate(&self, rng: &mut TestRng) -> Value {
+                const PREFIXES: &[&str] = &[
+                    "",
+                    "",
+                    "regular_",
+                    "regular_",
+                    "REGULAR_",
+                    "regular_regular_",
+                    "régular_",
+                ];
+                const NAMES: &[&str] = &[
+                    "gamma_minus",
+                    "gamma_minus",
+                    "avoid_prefix",
+                    "sigma_avoid_prefix",
+                    "total_budget",
+                    "sigma_total_budget",
+                    "s0",
+                    "t_white",
+                    "t_black",
+                    "c1",
+                    " S1 ",
+                    "r1",
+                    "gamma_omega",
+                    "s2",
+                    "fair",
+                    "almost_fair",
+                    "almost_fair_white",
+                    "",
+                    "ж",
+                    "😀",
+                    "İ",
+                    "ſ",
+                    "\u{0}",
+                ];
+                let name = format!("{}{}", pick(rng, PREFIXES), pick(rng, NAMES));
+                if rng.below(5) == 0 {
+                    return Value::from(name);
+                }
+                let mut map = serde_json::Map::new();
+                let name = if rng.below(16) == 0 {
+                    junk(rng)
+                } else {
+                    Value::from(name)
+                };
+                map.insert("name", name);
+                if rng.below(4) != 0 {
+                    let scenarios = if rng.below(8) == 0 {
+                        junk(rng)
+                    } else {
+                        Value::Array(
+                            (0..rng.below(4))
+                                .map(|_| match rng.below(8) {
+                                    0 => junk(rng),
+                                    _ => Value::from(lasso_text(rng)),
+                                })
+                                .collect(),
+                        )
+                    };
+                    map.insert("scenarios", scenarios);
+                }
+                if rng.below(2) == 0 {
+                    let prefix = match rng.below(4) {
+                        0 => junk(rng),
+                        _ => Value::from(
+                            (0..rng.below(5))
+                                .map(|_| pick(rng, &["-", "w", "b", "x", "é", "("]))
+                                .collect::<String>(),
+                        ),
+                    };
+                    map.insert("prefix", prefix);
+                }
+                if rng.below(2) == 0 {
+                    let k = match rng.below(3) {
+                        0 => junk(rng),
+                        _ => Value::from(rng.below(80)),
+                    };
+                    map.insert("k", k);
+                }
+                Value::Object(map)
+            }
+        }
+
+        /// `parse` answers every description with a scheme or an error
+        /// message; it never panics.
+        fn parses_or_errors(description: &Value) {
+            match ParsedScheme::parse(description) {
+                Ok(scheme) => {
+                    let alphabet = scheme.default_alphabet();
+                    prop_assert!(!scheme.cache_key(&alphabet).is_empty());
+                }
+                Err(message) => prop_assert!(!message.is_empty(), "{description:?}"),
+            }
+        }
+
+        /// A `gamma_minus` or `regular_gamma_minus` scenario list of Γ
+        /// lassos (classic lists may also use `x`), and the same list
+        /// shuffled with some entries repeated.
+        struct ShuffledLists;
+
+        impl Strategy for ShuffledLists {
+            type Value = (&'static str, Vec<Value>, Vec<Value>);
+            fn generate(&self, rng: &mut TestRng) -> Self::Value {
+                let regular = rng.below(2) == 1;
+                let letters: &[&str] = if regular {
+                    &["-", "w", "b"]
+                } else {
+                    &["-", "w", "b", "x"]
+                };
+                let word = |rng: &mut TestRng, lo: u64, hi: u64| -> String {
+                    (0..lo + rng.below(hi - lo + 1))
+                        .map(|_| pick(rng, letters))
+                        .collect()
+                };
+                let list: Vec<Value> = (0..1 + rng.below(5))
+                    .map(|_| Value::from(format!("{}({})", word(rng, 0, 3), word(rng, 1, 3))))
+                    .collect();
+                let mut shuffled = list.clone();
+                for _ in 0..rng.below(4) {
+                    let copy = shuffled[rng.below(shuffled.len() as u64) as usize].clone();
+                    shuffled.push(copy);
+                }
+                for i in (1..shuffled.len()).rev() {
+                    shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                let name = if regular {
+                    "regular_gamma_minus"
+                } else {
+                    "gamma_minus"
+                };
+                (name, list, shuffled)
+            }
+        }
+
+        /// Both lists name the same scheme, so they share a cache key.
+        fn shuffling_keeps_the_key((name, list, shuffled): (&str, Vec<Value>, Vec<Value>)) {
+            let described = |scenarios: Vec<Value>| {
+                obj(&[
+                    ("name", Value::from(name)),
+                    ("scenarios", Value::Array(scenarios)),
+                ])
+            };
+            prop_assert_eq!(key(&described(list)), key(&described(shuffled)));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn prop_descriptions_parse_or_error(description in Descriptions) {
+                parses_or_errors(&description);
+            }
+
+            #[test]
+            fn prop_shuffled_gamma_minus_lists_share_a_cache_key(lists in ShuffledLists) {
+                shuffling_keeps_the_key(lists);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(200_000))]
+
+            #[test]
+            #[ignore = "long sweep; run with -- --ignored"]
+            fn sweep_descriptions_parse_or_error(description in Descriptions) {
+                parses_or_errors(&description);
+            }
+
+            #[test]
+            #[ignore = "long sweep; run with -- --ignored"]
+            fn sweep_shuffled_gamma_minus_lists_share_a_cache_key(lists in ShuffledLists) {
+                shuffling_keeps_the_key(lists);
+            }
+        }
 
         fn spelled(text: &str, as_object: bool) -> Value {
             if as_object {
@@ -475,6 +716,10 @@ mod tests {
                 ("name", Value::from("regular_sigma_total_budget")),
                 ("k", Value::from(1u64)),
             ]),
+            gamma_minus("regular_gamma_minus", &["(x)"]),
+            gamma_minus("regular_gamma_minus", &["w(x)"]),
+            gamma_minus("regular_gamma_minus", &["(-)", "x(b)"]),
+            gamma_minus("regular_gamma_minus", &[]),
         ] {
             assert!(ParsedScheme::parse(&bad).is_err(), "{bad:?}");
         }

@@ -30,14 +30,6 @@ echo
 echo "================================================================"
 echo ">>> bench_checker (minobs/bench/v1 perf trajectory, checker side)"
 echo "================================================================"
-# The recorded trajectories are measured under the same observation
-# regime CI runs: tail sampling configured (slow_ms=0 keeps every
-# timed request, so nothing is actually dropped) and the always-on
-# flight ring. The artifacts stamp this into meta.sampling so a perf
-# number is attributable to the regime it was measured under.
-export MINOBS_TRACE_SAMPLE=0.01
-export MINOBS_TRACE_SLOW_MS=0
-
 # The recorded checker baseline: the pinned exp_budget configuration
 # (total_budget(4) at horizons 4/5), timed; plus the shape gauges
 # (peak frontier, dedup ratio) from one instrumented pass. Lands at
@@ -57,9 +49,6 @@ echo "================================================================"
 # `perf_gate parent/BENCH_hit.json BENCH_hit.json` compares two such
 # recordings made on the same machine. A run that exits non-zero (a
 # wrong verdict, or an invalid run) stops the script; it is not retried.
-# The benchmark measures the daemon's default regime, not the sampling
-# regime exported above for bench_checker.
-unset MINOBS_TRACE_SAMPLE MINOBS_TRACE_SLOW_MS
 RUN_SECONDS=$(sed -n 's/^ *"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
 test -n "$RUN_SECONDS"
 perfbench_run() { # perfbench_run WORKLOAD SEED TRACE -> the result line

@@ -372,9 +372,7 @@ fn traced_request_threads_one_trace_id_across_nodes() {
     assert_ne!(gossip_node, rpc_node, "the trace must cross nodes");
 }
 
-/// The post-hoc incident path end to end: boot a three-node fleet under
-/// CI's aggressive tail-sampling regime (`sample = 0.01`, but
-/// `slow_ms = 0` so every timed request counts as slow and is kept),
+/// The post-hoc incident path end to end: boot a three-node fleet,
 /// issue one traced request, then pull every node's flight ring through
 /// the `dump_trace` RPC. Each dump must be a lint-clean
 /// `minobs/trace/v1` stream, the request's trace id must appear in at
@@ -391,8 +389,6 @@ fn fleet_dump_trace_reassembles_a_cross_node_trace() {
             peers: addrs.clone(),
             gossip_interval: GOSSIP_INTERVAL,
             node_id: Some(format!("node{index}")),
-            trace_sample: 0.01,
-            trace_slow_ms: Some(0),
             ..SvcConfig::default()
         })
         .expect("bind an ephemeral port");

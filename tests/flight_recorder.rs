@@ -1,10 +1,8 @@
 //! Flight-recorder integration: ring wraparound and concurrent dumps
-//! must always yield lint-clean `minobs/trace/v1` dumps, and the
-//! tail-sampling keep/drop decision must be identical on every node of
-//! a fleet (it is a pure function of the trace id).
+//! must always yield lint-clean `minobs/trace/v1` dumps.
 
 use minobs_bench::lint::lint;
-use minobs_obs::{sample_keep, FlightRecorder, SpanCtx, TraceEvent};
+use minobs_obs::{FlightRecorder, SpanCtx, TraceEvent};
 use serde_json::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -42,7 +40,7 @@ fn request_block(seq: u64) -> Vec<TraceEvent> {
 
 #[test]
 fn wraparound_dump_is_lint_clean() {
-    let flight = FlightRecorder::with_meta(64, Some("n1".to_string()), false);
+    let flight = FlightRecorder::with_meta(64, Some("n1".to_string()));
     // 500 requests × 4 events overwrite the 64-slot ring many times.
     for seq in 0..500u64 {
         flight.push_block(&request_block(seq));
@@ -68,7 +66,7 @@ fn wraparound_dump_is_lint_clean() {
 
 #[test]
 fn concurrent_dumps_never_tear_or_deadlock() {
-    let flight = FlightRecorder::with_meta(256, Some("n1".to_string()), false);
+    let flight = FlightRecorder::with_meta(256, Some("n1".to_string()));
     let stop = Arc::new(AtomicBool::new(false));
 
     let writers: Vec<_> = (0..4u64)
@@ -99,32 +97,4 @@ fn concurrent_dumps_never_tear_or_deadlock() {
     }
     let last = flight.dump("final");
     lint(&last.jsonl).unwrap_or_else(|err| panic!("final dump not clean: {err}"));
-}
-
-#[test]
-fn keep_decisions_are_fleet_consistent_and_monotone() {
-    let trace_ids: Vec<u128> = (1..=2_000u128)
-        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .collect();
-    let mut kept_at_low = 0usize;
-    for &id in &trace_ids {
-        // Two nodes deciding independently about the same trace agree —
-        // the decision depends on nothing but (trace_id, sample).
-        let node_a = sample_keep(id, 0.3);
-        let node_b = sample_keep(id, 0.3);
-        assert_eq!(node_a, node_b, "nodes disagreed on trace {id:x}");
-        // Raising the sample rate never drops a trace that a lower rate
-        // kept, so fleets can be re-tuned without losing continuity.
-        if node_a {
-            kept_at_low += 1;
-            assert!(sample_keep(id, 0.8), "kept at 0.3 but dropped at 0.8");
-        }
-        // The endpoints are exact.
-        assert!(sample_keep(id, 1.0));
-        assert!(!sample_keep(id, 0.0));
-    }
-    // The keep rate tracks the configured probability (loose band: the
-    // ids are arbitrary, the hash is what spreads them).
-    let rate = kept_at_low as f64 / trace_ids.len() as f64;
-    assert!((0.2..0.4).contains(&rate), "keep rate {rate} far from 0.3");
 }

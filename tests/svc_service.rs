@@ -478,6 +478,55 @@ fn non_ascii_graph_descriptions_are_bad_params_not_panics() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// `regular_gamma_minus` is built from automata that need at least one
+/// excluded scenario, each inside Γ^ω. A list that breaks either rule is
+/// a bad description: `solvable` and `check_horizon` answer `bad_params`,
+/// no handler panics, and no flight dump is written.
+#[test]
+fn non_gamma_regular_gamma_minus_lists_are_bad_params_not_panics() {
+    let base = std::env::temp_dir().join(format!(
+        "minobs_svc_regular_gamma_minus_{}",
+        std::process::id()
+    ));
+    let config = SvcConfig {
+        flight_dir: Some(base.join("flight")),
+        ..SvcConfig::default()
+    };
+    let server = serve(config).expect("bind an ephemeral port");
+    let mut client = SvcClient::connect(server.local_addr().to_string().as_str()).unwrap();
+    for scenarios in [vec!["(x)"], vec!["w(x)"], vec![]] {
+        let scheme = obj(&[
+            ("name", Value::from("regular_gamma_minus")),
+            (
+                "scenarios",
+                Value::Array(scenarios.iter().map(|&s| Value::from(s)).collect()),
+            ),
+        ]);
+        let requests = [
+            ("solvable", obj(&[("scheme", scheme.clone())])),
+            (
+                "check_horizon",
+                obj(&[("scheme", scheme), ("horizon", Value::from(2u64))]),
+            ),
+        ];
+        for (method, params) in requests {
+            match client.call(method, params.clone()) {
+                Err(minobs_svc::SvcError::Rpc { code, message }) => {
+                    assert_eq!(code, "bad_params", "{method} {params:?}: {message}");
+                }
+                other => panic!("{method} {params:?} answered {other:?}"),
+            }
+        }
+    }
+    assert_eq!(
+        server.state().registry().counter("svc.flight_dumps").get(),
+        0
+    );
+    client.call("shutdown", Value::Null).unwrap();
+    server.join();
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 /// `stats` reports the `queued` gauge (accepted − answered). The stats
 /// request itself is accepted but not yet answered while the handler
 /// runs, so an otherwise idle daemon reports exactly 1.
@@ -538,15 +587,7 @@ fn wal_degradation_auto_dumps_the_flight_ring() {
 
 #[test]
 fn dump_trace_rpc_is_lint_clean_and_kept_requests_surface_exemplars() {
-    // Sampled daemon, but a slow-keep threshold of 0 ms keeps every
-    // trace — the CI trigger shape.
-    let config = SvcConfig {
-        trace_sample: 0.01,
-        trace_slow_ms: Some(0),
-        ..SvcConfig::default()
-    };
-    let server = serve(config).expect("bind an ephemeral port");
-    let addr = server.local_addr().to_string();
+    let (server, addr) = start();
     let mut client = SvcClient::connect(addr.as_str()).unwrap();
     for _ in 0..3 {
         client.call("check_horizon", check_params("s1", 2)).unwrap();
@@ -564,9 +605,8 @@ fn dump_trace_rpc_is_lint_clean_and_kept_requests_surface_exemplars() {
         .unwrap_or_else(|err| panic!("dump_trace output not lint-clean: {err}"));
     let header: Value = serde_json::from_str(jsonl.lines().next().unwrap()).unwrap();
     assert_eq!(header.get("reason").and_then(Value::as_str), Some("rpc"));
-    assert_eq!(header.get("sampled").and_then(Value::as_bool), Some(true));
 
-    // Kept requests pin their trace id to the latency buckets: the
+    // Requests pin their trace id to the latency buckets: the
     // OpenMetrics exposition carries an exemplar on a finite bucket...
     let metrics = client.call("metrics", Value::Null).unwrap();
     let text = metrics.get("text").and_then(Value::as_str).unwrap();
@@ -590,16 +630,13 @@ fn dump_trace_rpc_is_lint_clean_and_kept_requests_surface_exemplars() {
 }
 
 #[test]
-fn tail_sampling_drops_unremarkable_span_blocks_but_keeps_pairing() {
+fn traced_daemon_keeps_every_request_span_block() {
     let trace_path = std::env::temp_dir().join(format!(
-        "minobs_svc_sampled_{}.trace.jsonl",
+        "minobs_svc_traced_{}.trace.jsonl",
         std::process::id()
     ));
-    // Keep probability 0 with the default slow threshold: every fast,
-    // successful request's span block is sampled out.
     let config = SvcConfig {
         trace_path: Some(trace_path.clone()),
-        trace_sample: 0.0,
         ..SvcConfig::default()
     };
     let server = serve(config).expect("bind an ephemeral port");
@@ -612,34 +649,24 @@ fn tail_sampling_drops_unremarkable_span_blocks_but_keeps_pairing() {
     server.join();
 
     let trace = std::fs::read_to_string(&trace_path).expect("daemon trace written");
-    // The stream declares itself sampled, stays lint-clean (request/
-    // response pairing is never sampled out), and dropped at least some
-    // span blocks.
-    minobs_bench::lint::lint(&trace)
-        .unwrap_or_else(|err| panic!("sampled trace not lint-clean: {err}"));
-    assert!(
-        trace.lines().any(|line| {
-            let v: Value = serde_json::from_str(line).unwrap();
-            v.get("event").and_then(Value::as_str) == Some("trace_sampled")
-        }),
-        "sampled stream must carry its trace_sampled marker"
-    );
-    let count = |kind: &str| {
-        trace
-            .lines()
-            .filter(|line| {
-                let v: Value = serde_json::from_str(line).unwrap();
-                v.get("event").and_then(Value::as_str) == Some(kind)
-            })
-            .count()
-    };
-    let requests = count("svc_request");
-    assert_eq!(requests, 6, "5 checks + shutdown all paired");
-    assert_eq!(count("svc_response"), requests);
-    assert!(
-        count("span_start") < requests,
-        "sampling at 0.0 should drop unremarkable span blocks"
-    );
+    minobs_bench::lint::lint(&trace).unwrap_or_else(|err| panic!("trace not lint-clean: {err}"));
+    let events: Vec<Value> = trace
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+    let count = |keep: &dyn Fn(&Value) -> bool| events.iter().filter(|v| keep(v)).count();
+    let kind = |v: &Value, kind: &str| v.get("event").and_then(Value::as_str) == Some(kind);
+    let requests = count(&|v| kind(v, "svc_request"));
+    assert_eq!(requests, 6, "5 checks + shutdown");
+    assert_eq!(count(&|v| kind(v, "svc_response")), requests);
+    // Every request's root span reaches the file.
+    let rpc_spans = count(&|v| {
+        kind(v, "span_start")
+            && v.get("name")
+                .and_then(Value::as_str)
+                .is_some_and(|name| name.starts_with("rpc."))
+    });
+    assert_eq!(rpc_spans, requests, "one rpc.* span per request");
     let _ = std::fs::remove_file(&trace_path);
 }
 
