@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Fails when a crate's Cargo.toml depends on a `shims/*` crate that none
 # of its sources reference: a dead dependency keeps a dead shim alive.
+# Also fails when a `shims/*` crate is named by no manifest at all (no
+# workspace crate, no other shim, not perfbench): that shim is dead.
 #
 #   bash ci/check_shim_deps.sh
 #
@@ -28,5 +30,16 @@ for manifest in crates/*/Cargo.toml; do
       status=1
     fi
   done
+done
+for shim in shims/*/; do
+  name=$(basename "$shim")
+  users=()
+  for manifest in crates/*/Cargo.toml shims/*/Cargo.toml perfbench/Cargo.toml; do
+    [ "$manifest" = "${shim}Cargo.toml" ] || users+=("$manifest")
+  done
+  if ! grep -qE "^$name *=" "${users[@]}"; then
+    echo "shims/$name: no manifest depends on this shim" >&2
+    status=1
+  fi
 done
 exit "$status"

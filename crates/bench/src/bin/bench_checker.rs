@@ -32,7 +32,7 @@ use std::time::Instant;
 const HORIZONS: [usize; 2] = [4, 5];
 
 fn main() -> ExitCode {
-    let args = minobs_bench::cli::handle_common_flags(
+    let args = minobs_obs::cli::handle_common_flags(
         "bench_checker",
         "checker perf baseline: pinned exp_budget config, timed",
         "bench_checker --iters 20 --out BENCH_checker.json",

@@ -10,7 +10,7 @@ use minobs_core::scheme::OmissionScheme;
 use minobs_synth::checker::{gamma_alphabet, sigma_alphabet, solvable_by, CheckResult};
 
 fn main() {
-    minobs_bench::cli::handle_common_flags(
+    minobs_obs::cli::handle_common_flags(
         "exp_bivalency",
         "bivalency chains for unsolvable schemes",
         "exp_bivalency",

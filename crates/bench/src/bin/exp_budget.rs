@@ -18,7 +18,7 @@ use minobs_synth::checker::{gamma_alphabet, Budget, Check};
 use std::sync::Arc;
 
 fn main() {
-    minobs_bench::cli::handle_common_flags(
+    minobs_obs::cli::handle_common_flags(
         "exp_budget",
         "budgeted checker degradation table",
         "exp_budget",

@@ -28,7 +28,7 @@ fn measured_worst_rounds(scheme: &ClassicScheme, p: usize, w0: &GammaWord) -> us
 }
 
 fn main() {
-    minobs_bench::cli::handle_common_flags(
+    minobs_obs::cli::handle_common_flags(
         "exp_environments",
         "solvability across omission environments",
         "exp_environments",

@@ -7,7 +7,7 @@ use minobs_core::index::{ind, ind_inv};
 use minobs_core::word::GammaWord;
 
 fn main() {
-    minobs_bench::cli::handle_common_flags(
+    minobs_obs::cli::handle_common_flags(
         "exp_fig1",
         "Figure 1 index table and bijectivity audit",
         "exp_fig1",

@@ -10,11 +10,11 @@
 use minobs_bench::{mark, trace_sink_for, write_metrics_snapshot, Report};
 use minobs_graphs::{cut_partition, edge_connectivity, generators, min_degree, Graph};
 use minobs_net::{DecisionRule, FloodConsensus};
-use minobs_obs::{
-    MetricsRecorder, MetricsRegistry, NullRecorder, Recorder, RoundTimer, TeeRecorder, TraceEvent,
+use minobs_obs::{MetricsRecorder, MetricsRegistry, NullRecorder, Recorder, TeeRecorder};
+use minobs_sim::adversary::{
+    BudgetChecked, CutAdversary, GreedyCutAdversary, NoFault, RandomOmissions,
 };
-use minobs_sim::adversary::{BudgetChecked, CutAdversary, GreedyCutAdversary, RandomOmissions};
-use minobs_sim::network::run_network_with_recorder;
+use minobs_sim::network::{run_network_with_recorder, SyncNetwork};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -79,7 +79,7 @@ fn flood_under_cut(g: &Graph, recorder: &mut dyn Recorder) -> (bool, bool) {
 }
 
 fn main() {
-    minobs_bench::cli::handle_common_flags(
+    minobs_obs::cli::handle_common_flags(
         "exp_network",
         "network consensus under adversaries, with tracing",
         "exp_network",
@@ -177,13 +177,7 @@ fn main() {
         let mut tee = TeeRecorder::new(&mut metrics, sink);
         let recorder: &mut dyn Recorder = &mut tee;
         let nodes = FloodConsensus::fleet(&g, &inputs, DecisionRule::ValueOfMinId);
-        let out = run_network_with_recorder(
-            &g,
-            nodes,
-            &mut minobs_sim::adversary::NoFault,
-            2 * n,
-            recorder,
-        );
+        let out = run_network_with_recorder(&g, nodes, &mut NoFault, 2 * n, recorder);
         assert!(out.verdict.is_consensus());
 
         let early: Vec<FloodConsensus> =
@@ -191,20 +185,9 @@ fn main() {
                 .into_iter()
                 .map(|node| node.early_deciding())
                 .collect();
-        // Manual stepping bypasses run_with_recorder, so frame the rounds
-        // ourselves — trace consumers expect run_start .. run_end scoping.
-        let mut net = minobs_sim::network::SyncNetwork::new(&g, early);
-        let run_timer = RoundTimer::start_if(recorder.enabled());
-        recorder.record(TraceEvent::RunStart {
-            engine: "network",
-            nodes: n,
-            threads: 1,
-        });
-        while !net.all_halted() {
-            net.step_with_recorder(&mut minobs_sim::adversary::NoFault, recorder);
-        }
-        let stats = net.stats();
-        recorder.record(stats.run_end(run_timer.elapsed_nanos()));
+        let mut net = SyncNetwork::new(&g, early);
+        let early_out = net.run_with_recorder(&mut NoFault, 2 * n, recorder);
+        assert!(early_out.verdict.is_consensus());
         let early_rounds: Vec<usize> = net
             .nodes()
             .iter()

@@ -34,7 +34,7 @@ fn split(
 }
 
 fn main() {
-    minobs_bench::cli::handle_common_flags(
+    minobs_obs::cli::handle_common_flags(
         "exp_reduction",
         "two-process/network reduction audit",
         "exp_reduction",

@@ -13,11 +13,7 @@ use minobs_core::theorem::min_excluded_prefix;
 use minobs_synth::checker::{first_solvable_horizon, gamma_alphabet, solvable_by};
 
 fn main() {
-    minobs_bench::cli::handle_common_flags(
-        "exp_round_lb",
-        "round lower-bound table",
-        "exp_round_lb",
-    );
+    minobs_obs::cli::handle_common_flags("exp_round_lb", "round lower-bound table", "exp_round_lb");
     println!("== TAB-LB: tight round complexity for AvoidPrefix schemes ==\n");
     let mut report = Report::new(
         "round_lb",

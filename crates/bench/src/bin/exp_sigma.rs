@@ -20,7 +20,7 @@ use minobs_core::prelude::*;
 use minobs_synth::checker::{first_solvable_horizon, sigma_alphabet, solvable_by, CheckResult};
 
 fn main() {
-    minobs_bench::cli::handle_common_flags("exp_sigma", "Σ-scheme solvability tables", "exp_sigma");
+    minobs_obs::cli::handle_common_flags("exp_sigma", "Σ-scheme solvability tables", "exp_sigma");
     println!("== TAB-SIGMA: double omission, explored with the model checker ==\n");
     let sigma = sigma_alphabet();
 

@@ -12,7 +12,7 @@ use minobs_core::spair::{classify_pair, SPairVerdict};
 use minobs_core::theorem::decide_gamma;
 
 fn main() {
-    minobs_bench::cli::handle_common_flags(
+    minobs_obs::cli::handle_common_flags(
         "exp_spair",
         "special-pair tables and Theorem III.8 verdicts",
         "exp_spair",

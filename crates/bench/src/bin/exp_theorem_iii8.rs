@@ -15,7 +15,7 @@ fn describe(v: &Solvability) -> String {
 }
 
 fn main() {
-    minobs_bench::cli::handle_common_flags(
+    minobs_obs::cli::handle_common_flags(
         "exp_theorem_iii8",
         "Theorem III.8 verdict table",
         "exp_theorem_iii8",

@@ -18,7 +18,7 @@ fn show(v: &Valency) -> String {
 }
 
 fn main() {
-    minobs_bench::cli::handle_common_flags("exp_valency", "valency analysis tables", "exp_valency");
+    minobs_obs::cli::handle_common_flags("exp_valency", "valency analysis tables", "exp_valency");
     println!("== TAB-VALENCY: valency maps under A_w (initial configuration I = (0, 1)) ==\n");
     let basis = default_extension_basis();
 

@@ -102,7 +102,7 @@ impl Comparison {
 }
 
 fn main() -> ExitCode {
-    let args = minobs_bench::cli::handle_common_flags(
+    let args = minobs_obs::cli::handle_common_flags(
         "perf_gate",
         "compare two recorded benchmark trajectories under BENCHMARK.json's bounds",
         "perf_gate parent/BENCH_hit.json BENCH_hit.json",

@@ -65,7 +65,7 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = minobs_bench::cli::handle_common_flags(
+    let args = minobs_obs::cli::handle_common_flags(
         "trace",
         "span profiling, summaries, and regression diffs over JSONL traces",
         "trace profile daemon.trace.jsonl",

@@ -39,7 +39,7 @@
 //! `minobs/bench/v1` schema instead of a JSONL trace, it validates the
 //! bench artifact (required fields present, quantiles monotone
 //! `p50 ≤ p95 ≤ p99 ≤ max`, `completed ≤ sent`) via
-//! `minobs_obs::validate_bench_artifact`.
+//! `minobs_bench::validate_bench_artifact`.
 //!
 //! Exits non-zero with a description of the first violation. CI runs this
 //! over the trace emitted by `exp_network` under `MINOBS_TRACE=1`, over
@@ -50,11 +50,11 @@
 //! can assert lint-cleanliness in-process.
 
 use minobs_bench::lint::{lint, lint_bench};
-use minobs_obs::BENCH_SCHEMA;
+use minobs_bench::BENCH_SCHEMA;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args = minobs_bench::cli::handle_common_flags(
+    let args = minobs_obs::cli::handle_common_flags(
         "trace_lint",
         "validates a minobs JSONL trace file or a minobs/bench/v1 artifact",
         "trace_lint <trace.jsonl | bench.json>",

@@ -1,43 +1,14 @@
-//! Shared `--help`/`--version` handling for every workspace binary.
+//! Exit handling shared by the experiment binaries.
 //!
-//! One call at the top of `main` gives each binary uniform flag
-//! behaviour without a CLI-parser dependency:
+//! Each `exp_*` binary ends by requiring its JSON artifact, so a failed
+//! write fails the run:
 //!
 //! ```no_run
-//! let args = minobs_bench::cli::handle_common_flags(
-//!     "exp_fig1",
-//!     "regenerates Figure 1's index table",
-//!     "exp_fig1",
-//! );
+//! let report = minobs_bench::Report::new("exp_fig1", &["n"]);
+//! minobs_bench::cli::require_artifact(report.finish());
 //! ```
 
 use std::path::PathBuf;
-
-/// The workspace version, baked at compile time (every crate shares the
-/// workspace version number).
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
-
-/// Scans the command line for `--help`/`-h` and `--version`/`-V`; prints
-/// the corresponding text and exits 0 when found. Otherwise returns the
-/// remaining arguments (without the binary name) for the caller to parse.
-pub fn handle_common_flags(name: &str, about: &str, usage: &str) -> Vec<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for arg in &args {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{name} — {about}\n\nusage:\n  {usage}");
-                println!("\noptions:\n  -h, --help     print this help\n  -V, --version  print the version");
-                std::process::exit(0);
-            }
-            "--version" | "-V" => {
-                println!("{name} {VERSION}");
-                std::process::exit(0);
-            }
-            _ => {}
-        }
-    }
-    args
-}
 
 /// Unwraps an experiment artifact path, treating a failed write
 /// ([`crate::Report::finish`] returning `None`) as fatal: the experiment
@@ -50,23 +21,5 @@ pub fn require_artifact(path: Option<PathBuf>) -> PathBuf {
             eprintln!("minobs-bench: experiment artifact was not written; failing the run");
             std::process::exit(1);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn version_is_the_workspace_version() {
-        assert_eq!(VERSION, "0.1.0");
-    }
-
-    #[test]
-    fn plain_args_pass_through() {
-        // No -h/-V in the test harness's own args beyond the filter
-        // position; handle_common_flags only exits on exact matches.
-        let args = handle_common_flags("t", "about", "t");
-        assert!(args.iter().all(|a| a != "--help" && a != "--version"));
     }
 }

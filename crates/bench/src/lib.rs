@@ -8,8 +8,11 @@
 //! out. Structured JSONL tracing for any experiment binary is switched on
 //! with `MINOBS_TRACE` (see docs/OBSERVABILITY.md).
 
+mod bench;
 pub mod cli;
 pub mod lint;
+
+pub use bench::{validate_bench_artifact, BENCH_SCHEMA};
 
 use minobs_obs::{trace_path_from_env, JsonlSink};
 use serde_json::{Map, Value};
@@ -240,12 +243,12 @@ fn host_name() -> String {
 
 /// Writes a `minobs/bench/v1` artifact: stamps `schema`, `id`, and the
 /// provenance `meta` block onto `body`, validates the result against
-/// [`minobs_obs::validate_bench_artifact`], and writes it to `out` (or
+/// [`validate_bench_artifact`], and writes it to `out` (or
 /// `<experiment_dir>/<id>.json` when `out` is `None`). Returns the path
 /// on success; schema violations and i/o failures go to stderr.
 pub fn write_bench_artifact(out: Option<&Path>, id: &str, body: Map) -> Option<PathBuf> {
     let mut artifact = Map::new();
-    artifact.insert("schema", Value::from(minobs_obs::BENCH_SCHEMA));
+    artifact.insert("schema", Value::from(BENCH_SCHEMA));
     artifact.insert("id", Value::from(id));
     artifact.insert("meta", artifact_meta(None));
     for (key, value) in body.iter() {
@@ -254,7 +257,7 @@ pub fn write_bench_artifact(out: Option<&Path>, id: &str, body: Map) -> Option<P
         }
     }
     let artifact = Value::Object(artifact);
-    if let Err(err) = minobs_obs::validate_bench_artifact(&artifact) {
+    if let Err(err) = validate_bench_artifact(&artifact) {
         eprintln!("minobs-bench: refusing to write invalid bench artifact: {err}");
         return None;
     }
@@ -371,10 +374,10 @@ mod tests {
         body.insert("latency_ns", Value::Object(latency));
         let path = write_bench_artifact(None, "selftest_bench", body).expect("written");
         let value: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        minobs_obs::validate_bench_artifact(&value).unwrap();
+        validate_bench_artifact(&value).unwrap();
         assert_eq!(
             value.get("schema").and_then(Value::as_str),
-            Some(minobs_obs::BENCH_SCHEMA)
+            Some(BENCH_SCHEMA)
         );
         let meta = value.get("meta").expect("meta block");
         assert!(meta.get("host").and_then(Value::as_str).is_some());

@@ -7,9 +7,8 @@
 //! list; [`lint`] is the JSONL-trace checker and [`lint_bench`] the
 //! `minobs/bench/v1` artifact checker.
 
-use minobs_obs::{
-    validate_bench_artifact, MessageStatus, Name, RoundCounts, SpanCtx, TraceEvent, BENCH_SCHEMA,
-};
+use crate::{validate_bench_artifact, BENCH_SCHEMA};
+use minobs_obs::{MessageStatus, Name, RoundCounts, SpanCtx, TraceEvent};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
 
@@ -282,7 +281,7 @@ mod tests {
     fn bench_text(p99: &str, completed: &str) -> String {
         format!(
             r#"{{"schema":"{}","id":"t","kind":"checker","meta":{{"timestamp":"2026-08-07T00:00:00Z","rustc":"rustc","threads":1}},"sent":40,"completed":{completed},"achieved_qps":90.0,"latency_ns":{{"count":10,"p50":100,"p95":200,"p99":{p99},"max":5000}}}}"#,
-            minobs_obs::BENCH_SCHEMA
+            crate::BENCH_SCHEMA
         )
     }
 

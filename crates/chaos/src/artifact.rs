@@ -3,13 +3,12 @@
 //! A [`Reproducer`] is everything needed to re-run a violating
 //! execution exactly: the graph (by name), the inputs, the `O_f`
 //! contract, and the shrunk omission script. Serialization is
-//! deterministic — the serde shim's `Map` preserves insertion order and
+//! deterministic — `serde_json`'s `Map` preserves insertion order and
 //! artifacts carry no timestamps — so the same seed produces
 //! byte-identical JSON, which CI exploits to pin reproducers.
 
 use minobs_graphs::{generators, DirectedEdge, Graph};
-use serde::value::{Map, Value};
-use serde::Serialize;
+use serde_json::{Map, Value};
 
 /// Schema tag carried by every reproducer artifact.
 pub const REPRODUCER_SCHEMA: &str = "minobs/reproducer/v1";
@@ -95,7 +94,8 @@ impl Reproducer {
 
     /// Pretty JSON with a trailing newline — the on-disk artifact form.
     pub fn to_json_string(&self) -> String {
-        let mut s = serde_json::to_string_pretty(self).expect("reproducer JSON never fails");
+        let mut s =
+            serde_json::to_string_pretty(&self.to_json()).expect("reproducer JSON never fails");
         s.push('\n');
         s
     }
@@ -168,10 +168,9 @@ impl Reproducer {
             script,
         })
     }
-}
 
-impl Serialize for Reproducer {
-    fn to_json_value(&self) -> Value {
+    /// The artifact as a JSON tree, in on-disk field order.
+    pub fn to_json(&self) -> Value {
         let mut map = Map::new();
         map.insert("schema", Value::from(REPRODUCER_SCHEMA));
         map.insert("graph", Value::from(self.graph.name()));

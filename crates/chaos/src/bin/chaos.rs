@@ -175,7 +175,7 @@ fn replay_files(paths: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = minobs_bench::cli::handle_common_flags(
+    let args = minobs_obs::cli::handle_common_flags(
         "chaos",
         "seeded adversary fuzzing with counterexample shrinking",
         "chaos fuzz --graph <k2|c4|h3> [--seed N] [--runs N] [--over-budget] [--out DIR]\n  chaos replay <artifact.json>...",

@@ -18,15 +18,18 @@
 //! * **Metrics** — lock-free [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //!   [`Histogram`]s in a [`MetricsRegistry`] with a JSON snapshot.
 //!
-//! The crate deliberately has no dependencies beyond the workspace's
-//! `serde`/`serde_json`, and engines keep their original signatures —
+//! The crate deliberately has no dependency beyond the workspace's
+//! `serde_json`, and engines keep their original signatures —
 //! instrumented variants are `*_with_recorder` siblings, with the old
-//! names as thin wrappers passing [`NullRecorder`].
+//! names as thin wrappers passing [`NullRecorder`]. Beside the
+//! environment readers ([`trace_path_from_env`], [`node_id_from_env`]),
+//! [`cli`] holds the `--help`/`--version` handling every workspace
+//! binary shares.
 //!
 //! See `docs/OBSERVABILITY.md` for the JSONL schema reference and the
 //! `MINOBS_TRACE` / `MINOBS_EXP_DIR` environment knobs.
 
-pub mod bench;
+pub mod cli;
 mod ctx;
 mod event;
 mod flight;
@@ -35,7 +38,6 @@ mod recorder;
 mod sink;
 mod span;
 
-pub use bench::{validate_bench_artifact, BENCH_SCHEMA};
 pub use ctx::{node_id_from_env, stamp_root_span, TraceContext};
 pub use event::{MessageStatus, Name, RoundCounts, SpanCtx, TraceEvent, SCHEMA};
 pub use flight::{FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_EVENTS};

@@ -10,8 +10,7 @@
 //!
 //! Guards are closed explicitly with [`SpanGuard::end`] rather than on
 //! drop, because emitting from `Drop` would need the recorder borrowed
-//! for the guard's whole lifetime. The [`span!`] macro wraps the common
-//! begin/run/end pattern around a block.
+//! for the guard's whole lifetime.
 
 use crate::event::TraceEvent;
 use crate::recorder::Recorder;
@@ -121,22 +120,6 @@ impl SpanGuard {
     }
 }
 
-/// Runs a block inside a span: `span!(recorder, ids, round, "name", { .. })`.
-///
-/// `recorder` and `ids` must be place expressions (`&mut`-able
-/// identifiers or fields); the block's value is the macro's value.
-#[macro_export]
-macro_rules! span {
-    ($recorder:expr, $ids:expr, $round:expr, $name:expr, $body:block) => {{
-        let __minobs_guard = $crate::SpanGuard::begin($recorder, $ids, $round, None, $name);
-        let __minobs_out = $body;
-        if let Some(__minobs_guard) = __minobs_guard {
-            __minobs_guard.end($recorder);
-        }
-        __minobs_out
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,15 +173,5 @@ mod tests {
         let mut ids = SpanIds::starting_at(1 << 20);
         assert_eq!(ids.allocate(), 1 << 20);
         assert_eq!(ids.allocate(), (1 << 20) + 1);
-    }
-
-    #[test]
-    fn span_macro_wraps_a_block() {
-        let mut recorder = MemoryRecorder::new();
-        let mut ids = SpanIds::new();
-        let value = span!(&mut recorder, &mut ids, 3, "work", { 21 * 2 });
-        assert_eq!(value, 42);
-        let kinds: Vec<&str> = recorder.events().iter().map(TraceEvent::kind).collect();
-        assert_eq!(kinds, ["span_start", "span_end"]);
     }
 }

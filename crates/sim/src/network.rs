@@ -275,14 +275,15 @@ impl<'g, P: NodeProtocol> SyncNetwork<'g, P> {
     }
 
     /// Runs until all nodes halt or the round budget is hit; audits.
-    pub fn run(self, adversary: &mut dyn Adversary, max_rounds: usize) -> NetOutcome {
+    /// The nodes stay readable through [`SyncNetwork::nodes`] afterwards.
+    pub fn run(&mut self, adversary: &mut dyn Adversary, max_rounds: usize) -> NetOutcome {
         self.run_with_recorder(adversary, max_rounds, &mut NullRecorder)
     }
 
     /// [`SyncNetwork::run`] with structured observations delivered to
     /// `recorder`.
     pub fn run_with_recorder<R: Recorder + ?Sized>(
-        mut self,
+        &mut self,
         adversary: &mut dyn Adversary,
         max_rounds: usize,
         recorder: &mut R,
@@ -303,7 +304,7 @@ impl<'g, P: NodeProtocol> SyncNetwork<'g, P> {
         NetOutcome {
             decisions,
             verdict,
-            stats: self.stats,
+            stats: self.stats.clone(),
         }
     }
 }

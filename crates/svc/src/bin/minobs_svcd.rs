@@ -9,7 +9,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    minobs_bench::cli::handle_common_flags(
+    minobs_obs::cli::handle_common_flags(
         "minobs-svcd",
         "solvability-query daemon (TCP, minobs/rpc/v1)",
         "MINOBS_SVC_ADDR=127.0.0.1:7171 MINOBS_SVC_WORKERS=4 minobs-svcd",

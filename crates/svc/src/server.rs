@@ -20,7 +20,7 @@ use crate::cache::{Admission, VerdictCache};
 use crate::gossip::{self, GossipConfig, LinkPolicy};
 use crate::methods::{self, RpcError};
 use crate::peers::PeerTable;
-use crate::wal::{CompactionPolicy, Wal, WalRecord};
+use crate::wal::{Wal, WalRecord};
 use crate::wire::{self, FrameError, Request};
 use minobs_obs::{
     stamp_root_span, Counter, FlightRecorder, Gauge, Histogram, JsonlSink, MemoryRecorder,
@@ -69,14 +69,11 @@ pub struct Limits {
     pub max_millis: u64,
 }
 
-impl Default for Limits {
-    fn default() -> Limits {
-        Limits {
-            max_states: 5_000_000,
-            max_millis: 10_000,
-        }
-    }
-}
+/// The caps every request's budget is clamped to.
+const LIMITS: Limits = Limits {
+    max_states: 5_000_000,
+    max_millis: 10_000,
+};
 
 /// Daemon configuration; `from_env` reads the `MINOBS_SVC_*` variables.
 #[derive(Debug, Clone)]
@@ -87,8 +84,6 @@ pub struct SvcConfig {
     /// `compute` in the `methods` table) may run at once across all
     /// connections.
     pub workers: usize,
-    /// Per-request budget caps.
-    pub limits: Limits,
     /// Where to write the `svc_*` event trace, if anywhere.
     pub trace_path: Option<PathBuf>,
     /// Where to persist verdicts (`minobs/wal/v1`); unset runs
@@ -118,7 +113,6 @@ impl Default for SvcConfig {
         SvcConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: default_workers(),
-            limits: Limits::default(),
             trace_path: None,
             wal_path: None,
             peers: Vec::new(),
@@ -212,7 +206,6 @@ pub struct ServerState {
     seq: AtomicU64,
     registry: Arc<MetricsRegistry>,
     cache: VerdictCache,
-    limits: Limits,
     workers: usize,
     /// Caps concurrent compute requests at `workers`.
     permits: Permits,
@@ -275,7 +268,6 @@ impl ServerState {
             seq: AtomicU64::new(0),
             metrics: Mutex::new(MetricsRecorder::new(Arc::clone(&registry))),
             cache,
-            limits: config.limits,
             workers: config.workers.max(1),
             permits: Permits {
                 free: Mutex::new(config.workers.max(1)),
@@ -307,7 +299,7 @@ impl ServerState {
         let Some(path) = &config.wal_path else {
             return Ok(self);
         };
-        match Wal::open(path, &self.cache, CompactionPolicy::default()) {
+        match Wal::open(path, &self.cache) {
             Ok((wal, report)) => {
                 self.emit(TraceEvent::WalReplay {
                     records: report.records,
@@ -438,7 +430,7 @@ impl ServerState {
 
     /// Per-request budget caps.
     pub fn limits(&self) -> Limits {
-        self.limits
+        LIMITS
     }
 
     /// Checker permit count: how many compute requests may run at once.

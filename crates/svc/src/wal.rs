@@ -35,8 +35,8 @@
 //! ## Compaction
 //!
 //! Deltas for the same key accumulate (each boundary tightening leaves
-//! the looser record dead). When dead records exceed
-//! [`CompactionPolicy::dead_ratio`], the live cache is rewritten as one
+//! the looser record dead). Once the log holds 1 024 records and more
+//! than half of them are dead, the live cache is rewritten as one
 //! `snapshot` record per key into a temp file, atomically renamed over
 //! the log. Crash before the rename leaves the old log; crash after
 //! leaves the new one — never a mix.
@@ -68,6 +68,11 @@ pub const MAX_RECORD: u32 = 16 * 1024 * 1024;
 /// Appends between automatic buffer flushes; bounds the crash-loss
 /// window without putting an fsync on the request path.
 const FLUSH_EVERY: u64 = 64;
+/// Compaction is never considered below this many records.
+const COMPACT_MIN_RECORDS: u64 = 1024;
+/// Compaction triggers once `dead / total` exceeds this ratio, where dead
+/// records are those no longer backing a live cache entry.
+const COMPACT_DEAD_RATIO: f64 = 0.5;
 
 /// Slicing-by-8 tables: `CRC_TABLES[0]` is the bytewise table, and
 /// `CRC_TABLES[t][b]` is the CRC of byte `b` followed by `t` zero bytes.
@@ -297,25 +302,6 @@ impl WalFile for MemoryWalFile {
     }
 }
 
-/// When the log is rewritten from the live cache.
-#[derive(Debug, Clone, Copy)]
-pub struct CompactionPolicy {
-    /// Compaction is never considered below this many records.
-    pub min_records: u64,
-    /// Trigger once `dead / total` exceeds this ratio, where dead
-    /// records are those no longer backing a live cache entry.
-    pub dead_ratio: f64,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> CompactionPolicy {
-        CompactionPolicy {
-            min_records: 1024,
-            dead_ratio: 0.5,
-        }
-    }
-}
-
 /// What one compaction did.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactionStats {
@@ -395,7 +381,6 @@ pub struct Wal {
     /// Backing path; `None` for injected files, which also disables
     /// compaction (there is nothing to rename over).
     path: Option<PathBuf>,
-    policy: CompactionPolicy,
     /// Records in the log: replayed count plus appends since open.
     records: u64,
     appends_since_flush: u64,
@@ -406,11 +391,7 @@ impl Wal {
     /// `cache` first. A torn or corrupt tail is truncated away before
     /// appending resumes. A file that is not a WAL at all is an error —
     /// refusing to overwrite foreign data is the caller's cue to degrade.
-    pub fn open(
-        path: &Path,
-        cache: &VerdictCache,
-        policy: CompactionPolicy,
-    ) -> io::Result<(Wal, ReplayReport)> {
+    pub fn open(path: &Path, cache: &VerdictCache) -> io::Result<(Wal, ReplayReport)> {
         // A crash between compaction's `File::create(&tmp)` and its
         // atomic rename strands `<path>.wal.tmp`; the half-written temp
         // is dead weight (the rename never happened, so the real log is
@@ -453,7 +434,6 @@ impl Wal {
             Wal {
                 file: Box::new(DiskFile(writer)),
                 path: Some(path.to_path_buf()),
-                policy,
                 records: report.records,
                 appends_since_flush: 0,
             },
@@ -463,12 +443,11 @@ impl Wal {
 
     /// A log over an injected [`WalFile`], starting from empty: the
     /// magic is appended immediately. Compaction is disabled.
-    pub fn with_file(mut file: Box<dyn WalFile>, policy: CompactionPolicy) -> io::Result<Wal> {
+    pub fn with_file(mut file: Box<dyn WalFile>) -> io::Result<Wal> {
         file.append(MAGIC)?;
         Ok(Wal {
             file,
             path: None,
-            policy,
             records: 0,
             appends_since_flush: 0,
         })
@@ -500,17 +479,18 @@ impl Wal {
         self.file.flush()
     }
 
-    /// Rewrites the log as one snapshot per live cache entry when the
-    /// dead-record ratio exceeds policy — rewrite-to-temp then atomic
-    /// rename, so a crash at any point leaves one valid log. Returns
-    /// `None` when compaction is not due (or not possible).
+    /// Rewrites the log as one snapshot per live cache entry when it
+    /// holds at least 1 024 records and more than half are dead —
+    /// rewrite-to-temp then atomic rename, so a crash at any point
+    /// leaves one valid log. Returns `None` when compaction is not due
+    /// (or not possible).
     pub fn maybe_compact(&mut self, cache: &VerdictCache) -> io::Result<Option<CompactionStats>> {
-        if self.path.is_none() || self.records < self.policy.min_records {
+        if self.path.is_none() || self.records < COMPACT_MIN_RECORDS {
             return Ok(None);
         }
         let live = cache.entries() as u64;
         let dead = self.records.saturating_sub(live);
-        if (dead as f64) <= self.records as f64 * self.policy.dead_ratio {
+        if (dead as f64) <= self.records as f64 * COMPACT_DEAD_RATIO {
             return Ok(None);
         }
         self.compact(cache).map(Some)
@@ -650,7 +630,7 @@ mod tests {
     #[test]
     fn append_then_replay_is_identity() {
         let file = MemoryWalFile::new();
-        let mut wal = Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
+        let mut wal = Wal::with_file(Box::new(file.clone())).unwrap();
         wal.append(&WalRecord::Horizon {
             key: "a".to_string(),
             k: 2,
@@ -684,7 +664,7 @@ mod tests {
     #[test]
     fn torn_and_corrupt_tails_are_dropped_not_fatal() {
         let file = MemoryWalFile::new();
-        let mut wal = Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
+        let mut wal = Wal::with_file(Box::new(file.clone())).unwrap();
         for k in 0..4usize {
             wal.append(&WalRecord::Horizon {
                 key: "a".to_string(),
@@ -722,7 +702,7 @@ mod tests {
     #[test]
     fn contradictory_record_ends_replay() {
         let file = MemoryWalFile::new();
-        let mut wal = Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
+        let mut wal = Wal::with_file(Box::new(file.clone())).unwrap();
         wal.append(&WalRecord::Horizon {
             key: "a".to_string(),
             k: 3,
@@ -747,7 +727,7 @@ mod tests {
     #[test]
     fn a_differing_theorem_memo_ends_replay() {
         let file = MemoryWalFile::new();
-        let mut wal = Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).unwrap();
+        let mut wal = Wal::with_file(Box::new(file.clone())).unwrap();
         for result in [1u64, 1, 2] {
             wal.append(&WalRecord::Theorem {
                 key: "a|theorem".to_string(),
@@ -787,13 +767,10 @@ mod tests {
                 Ok(())
             }
         }
-        let mut wal = Wal::with_file(
-            Box::new(FailingFile {
-                written: 0,
-                fail_after: 64,
-            }),
-            CompactionPolicy::default(),
-        )
+        let mut wal = Wal::with_file(Box::new(FailingFile {
+            written: 0,
+            fail_after: 64,
+        }))
         .unwrap();
         let record = WalRecord::Horizon {
             key: "a".to_string(),
@@ -819,7 +796,7 @@ mod tests {
 
         {
             let cache = cache();
-            let (mut wal, report) = Wal::open(&path, &cache, CompactionPolicy::default()).unwrap();
+            let (mut wal, report) = Wal::open(&path, &cache).unwrap();
             assert_eq!(report, ReplayReport::default());
             wal.append(&WalRecord::Horizon {
                 key: "a".to_string(),
@@ -835,7 +812,7 @@ mod tests {
             let f = OpenOptions::new().write(true).open(&path).unwrap();
             f.set_len(len - 3).unwrap();
             let cache = cache();
-            let (mut wal, report) = Wal::open(&path, &cache, CompactionPolicy::default()).unwrap();
+            let (mut wal, report) = Wal::open(&path, &cache).unwrap();
             assert_eq!(report.records, 0);
             assert!(report.dropped_tail);
             assert!(cache.snapshot().is_empty());
@@ -850,7 +827,7 @@ mod tests {
         }
         {
             let cache = cache();
-            let (_, report) = Wal::open(&path, &cache, CompactionPolicy::default()).unwrap();
+            let (_, report) = Wal::open(&path, &cache).unwrap();
             assert_eq!(report.records, 1);
             assert!(!report.dropped_tail);
             assert_eq!(cache.snapshot()[0].0, "b");
@@ -869,7 +846,7 @@ mod tests {
         // Life 1: write one real verdict.
         {
             let cache = cache();
-            let (mut wal, _) = Wal::open(&path, &cache, CompactionPolicy::default()).unwrap();
+            let (mut wal, _) = Wal::open(&path, &cache).unwrap();
             wal.append(&WalRecord::Horizon {
                 key: "a".to_string(),
                 k: 2,
@@ -885,7 +862,7 @@ mod tests {
         // Life 2: reopening cleans it up and replays the real log intact.
         {
             let cache = cache();
-            let (_, report) = Wal::open(&path, &cache, CompactionPolicy::default()).unwrap();
+            let (_, report) = Wal::open(&path, &cache).unwrap();
             assert!(!tmp.exists(), "stale .wal.tmp survived reopen");
             assert_eq!(report.records, 1);
             assert_eq!(cache.snapshot()[0].0, "a");
@@ -901,13 +878,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let cache = cache();
-        let policy = CompactionPolicy {
-            min_records: 4,
-            dead_ratio: 0.5,
-        };
-        let (mut wal, _) = Wal::open(&path, &cache, policy).unwrap();
-        // 12 deltas, one live key: overwhelmingly dead.
-        for k in 0..12usize {
+        let (mut wal, _) = Wal::open(&path, &cache).unwrap();
+        // Enough deltas to reach the compaction floor, one live key:
+        // overwhelmingly dead.
+        let deltas = COMPACT_MIN_RECORDS as usize;
+        for k in 0..deltas {
             let record = WalRecord::Horizon {
                 key: "a".to_string(),
                 k,
@@ -917,7 +892,7 @@ mod tests {
             wal.append(&record).unwrap();
         }
         let stats = wal.maybe_compact(&cache).unwrap().expect("compaction due");
-        assert_eq!(stats.records_before, 12);
+        assert_eq!(stats.records_before, deltas as u64);
         assert_eq!(stats.records_after, 1);
         assert!(wal.maybe_compact(&cache).unwrap().is_none());
 
@@ -933,10 +908,10 @@ mod tests {
         drop(wal);
 
         let warm = self::cache();
-        let (_, report) = Wal::open(&path, &warm, policy).unwrap();
+        let (_, report) = Wal::open(&path, &warm).unwrap();
         assert_eq!(report.records, 2);
         assert_eq!(warm.snapshot().len(), 2);
-        assert_eq!(warm.snapshot()[0].1.max_unsolvable(), Some(11));
+        assert_eq!(warm.snapshot()[0].1.max_unsolvable(), Some(deltas - 1));
         assert_eq!(warm.snapshot()[1].1.min_solvable(), Some(3));
         let _ = std::fs::remove_file(&path);
     }

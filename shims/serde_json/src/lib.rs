@@ -1,8 +1,8 @@
 //! Offline shim for the `serde_json` crate.
 //!
-//! Renders and parses the [`Value`] model from the sibling `serde` shim:
-//! `to_string` / `to_string_pretty` over anything implementing
-//! `serde::Serialize`, and a recursive-descent `from_str` returning a
+//! Owns the JSON value model ([`Value`], [`Map`], [`Number`]) and
+//! renders and parses it: `to_string` / `to_string_pretty` write a
+//! `&Value` in place, and a recursive-descent `from_str` returns a
 //! `Value` tree. Covers the full JSON grammar (escapes included).
 //! Decoding is linear in the input: a string copies each run of plain
 //! bytes in one step, and an object resolves repeated keys in one pass
@@ -10,9 +10,10 @@
 //! `from_str` rejects arrays and objects nested deeper than
 //! [`RECURSION_LIMIT`], so hostile input cannot overflow the stack.
 
-pub use serde::value::{Map, Number, Value};
-use serde::Serialize;
+mod value;
+
 use std::fmt;
+pub use value::{Map, Number, Value};
 
 /// How deeply `from_str` lets arrays and objects nest (upstream's default).
 pub const RECURSION_LIMIT: usize = 128;
@@ -33,16 +34,16 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Serializes to compact JSON.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+pub fn to_string(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_json_value(), &mut out, None, 0);
+    write_value(value, &mut out, None, 0);
     Ok(out)
 }
 
 /// Serializes to two-space-indented JSON.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+pub fn to_string_pretty(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_json_value(), &mut out, Some(2), 0);
+    write_value(value, &mut out, Some(2), 0);
     Ok(out)
 }
 
@@ -623,18 +624,6 @@ mod tests {
             "{\n  \"a\": [\n    1,\n    {}\n  ],\n  \"b\": [],\n  \"c\": null\n}"
         );
         assert_eq!(to_string_pretty(&Value::from(7u64)).unwrap(), "7");
-    }
-
-    #[test]
-    fn writers_accept_anything_serializable() {
-        assert_eq!(to_string(&vec![1u32, 2]).unwrap(), "[1,2]");
-        assert_eq!(to_string(&Some("x")).unwrap(), "\"x\"");
-        assert_eq!(to_string(&Option::<u8>::None).unwrap(), "null");
-        assert_eq!(to_string(&-3i32).unwrap(), "-3");
-        let map: std::collections::BTreeMap<String, bool> =
-            [("z".to_string(), true), ("a".to_string(), false)].into();
-        assert_eq!(to_string(&map).unwrap(), r#"{"a":false,"z":true}"#);
-        assert_eq!(to_string("plain").unwrap(), "\"plain\"");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use minobs_obs::MetricsRegistry;
 use minobs_svc::cache::VerdictCache;
 use minobs_svc::client::SvcClient;
 use minobs_svc::server::{serve, SvcConfig};
-use minobs_svc::wal::{replay_bytes, CompactionPolicy, MemoryWalFile, Wal, WalFile, WalRecord};
+use minobs_svc::wal::{replay_bytes, MemoryWalFile, Wal, WalFile, WalRecord};
 use proptest::prelude::*;
 use serde_json::{Map, Value};
 use std::io;
@@ -39,8 +39,7 @@ fn fresh_cache() -> VerdictCache {
 fn build_workload() -> (Vec<u8>, VerdictCache) {
     let cache = fresh_cache();
     let file = MemoryWalFile::new();
-    let mut wal =
-        Wal::with_file(Box::new(file.clone()), CompactionPolicy::default()).expect("open wal");
+    let mut wal = Wal::with_file(Box::new(file.clone())).expect("open wal");
     for idx in 0..4usize {
         let key = format!("classic:s{idx}|gamma");
         let boundary = 3 + idx;
@@ -160,17 +159,14 @@ impl WalFile for PlannedFile {
 fn enospc_mid_run_loses_the_tail_but_never_a_verdict() {
     for limit in [8u64, 64, 200, 500] {
         let survivor = MemoryWalFile::new();
-        let mut wal = Wal::with_file(
-            Box::new(PlannedFile {
-                plan: FaultPlan {
-                    write_error_after_bytes: Some(limit),
-                    ..FaultPlan::NONE
-                },
-                written: 0,
-                survivor: survivor.clone(),
-            }),
-            CompactionPolicy::default(),
-        )
+        let mut wal = Wal::with_file(Box::new(PlannedFile {
+            plan: FaultPlan {
+                write_error_after_bytes: Some(limit),
+                ..FaultPlan::NONE
+            },
+            written: 0,
+            survivor: survivor.clone(),
+        }))
         .expect("magic fits under every limit tested");
 
         let cache = fresh_cache();
@@ -220,8 +216,7 @@ proptest! {
         // Ground truth per key: solvable iff k >= 2 + idx.
         let cache = fresh_cache();
         let file = MemoryWalFile::new();
-        let mut wal = Wal::with_file(Box::new(file.clone()), CompactionPolicy::default())
-            .expect("open wal");
+        let mut wal = Wal::with_file(Box::new(file.clone())).expect("open wal");
         for (idx, k) in writes {
             let key = format!("classic:s{idx}|gamma");
             let solvable = k >= 2 + idx;
