@@ -18,7 +18,11 @@
 //! slower — that gap is the work the gate keeps off the default path.
 //!
 //! The `span_guard` group isolates the cost of the span instrumentation
-//! itself. `bench_span_overhead_gate` asserts that the two `NullRecorder`
+//! itself. The `flight_ring` group times the daemon's always-on flight
+//! ring: one `hit`-shaped request pushed into a full ring, and one
+//! `dump` of it. It is reported, not gated.
+//!
+//! `bench_span_overhead_gate` asserts that the two `NullRecorder`
 //! spellings stay within 2% of each other on the reference workload
 //! (minimum of warmed, interleaved trials). Since both sides are one
 //! function, the gate can only fail on timing noise; it does not measure
@@ -27,7 +31,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use minobs_graphs::generators;
 use minobs_net::{DecisionRule, FloodConsensus};
-use minobs_obs::{MemoryRecorder, NullRecorder, SpanGuard, SpanIds};
+use minobs_obs::{
+    FlightRecorder, MemoryRecorder, NullRecorder, SpanGuard, SpanIds, TraceEvent,
+    DEFAULT_FLIGHT_EVENTS,
+};
 use minobs_sim::adversary::NoFault;
 use minobs_sim::network::{run_network, run_network_with_recorder};
 use std::hint::black_box;
@@ -97,6 +104,64 @@ fn bench_span_guard(c: &mut Criterion) {
             }
             black_box(recorder.into_events())
         })
+    });
+
+    group.finish();
+}
+
+/// Records one request the way the daemon does on a cache hit: the
+/// request, then the root span pair as a block, then the response.
+fn push_hit_request(flight: &FlightRecorder, seq: u64) {
+    flight.push(TraceEvent::SvcRequest {
+        seq,
+        method: "check_horizon".into(),
+    });
+    flight.push_block(&[
+        TraceEvent::SpanStart {
+            round: 0,
+            span_id: seq << 20,
+            parent: None,
+            name: "rpc.check_horizon".into(),
+            ctx: None,
+        },
+        TraceEvent::SpanEnd {
+            round: 0,
+            span_id: seq << 20,
+            name: "rpc.check_horizon".into(),
+            nanos: 85_000,
+        },
+    ]);
+    flight.push(TraceEvent::SvcResponse {
+        seq,
+        method: "check_horizon".into(),
+        ok: true,
+        cache: "hit",
+        nanos: 90_000,
+    });
+}
+
+/// The daemon's flight ring, full: ns per `hit`-shaped request pushed
+/// into it, and ms per `dump` of it.
+fn bench_flight_ring(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flight_ring");
+    let flight = FlightRecorder::new(DEFAULT_FLIGHT_EVENTS);
+    // A daemon a million requests in, so seqs and span ids are long.
+    let mut seq = 1 << 20;
+    for _ in 0..DEFAULT_FLIGHT_EVENTS / 4 {
+        push_hit_request(&flight, seq);
+        seq += 1;
+    }
+
+    group.bench_function("hit_request/full_ring", |b| {
+        b.iter(|| {
+            push_hit_request(&flight, seq);
+            seq += 1;
+        })
+    });
+
+    group.sample_size(10);
+    group.bench_function("dump/full_ring", |b| {
+        b.iter(|| black_box(flight.dump("rpc").events))
     });
 
     group.finish();
@@ -179,6 +244,7 @@ criterion_group!(
     benches,
     bench_null_recorder_overhead,
     bench_span_guard,
+    bench_flight_ring,
     bench_span_overhead_gate
 );
 criterion_main!(benches);

@@ -27,6 +27,15 @@ impl Name {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// The name when it is a borrowed `'static` label, `None` when it
+    /// owns its text.
+    pub(crate) fn as_static(&self) -> Option<&'static str> {
+        match self.0 {
+            Cow::Borrowed(name) => Some(name),
+            Cow::Owned(_) => None,
+        }
+    }
 }
 
 impl From<&'static str> for Name {
@@ -372,9 +381,10 @@ pub enum TraceEvent {
     },
 }
 
-// A flight-ring slot is a `(u64, TraceEvent)`: at 72 bytes and align 8
-// the slot is 80 bytes. A field that grows a variant past this fails the
-// build here rather than silently growing every ring.
+// Per-request `MemoryRecorder` buffers hold `TraceEvent` values (the
+// flight ring stores encoded bytes instead), so every buffered span pays
+// this size. A field that grows a variant past 72 bytes fails the build
+// here rather than silently growing every buffer.
 const _: () =
     assert!(std::mem::size_of::<TraceEvent>() <= 72 && std::mem::align_of::<TraceEvent>() == 8);
 

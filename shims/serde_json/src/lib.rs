@@ -12,7 +12,7 @@
 
 mod value;
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 pub use value::{Map, Number, Value};
 
 /// How deeply `from_str` lets arrays and objects nest (upstream's default).
@@ -57,7 +57,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -69,13 +69,15 @@ fn write_value(value: &Value, out: &mut String, indent: Option<usize>, depth: us
     let pad = |out: &mut String, depth: usize| {
         if let Some(width) = indent {
             out.push('\n');
-            out.push_str(&" ".repeat(width * depth));
+            out.extend(std::iter::repeat_n(' ', width * depth));
         }
     };
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => out.push_str(&n.to_string()),
+        Value::Number(n) => {
+            let _ = write!(out, "{n}");
+        }
         Value::String(s) => write_escaped(s, out),
         Value::Array(items) => {
             if items.is_empty() {

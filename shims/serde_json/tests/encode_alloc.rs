@@ -73,3 +73,42 @@ fn encoding_allocates_for_output_growth_only() {
         "encoding {LEAVES} leaves made {allocations} allocations"
     );
 }
+
+#[test]
+fn numbers_are_written_without_a_string_each() {
+    const LEAVES: usize = 1_000;
+    let value = Value::Array(
+        (0..LEAVES)
+            .map(|i| match i % 3 {
+                0 => Value::from(i as u64 * 1_000_003),
+                1 => Value::from(-(i as i64)),
+                _ => Value::from(i as f64 / 8.0),
+            })
+            .collect(),
+    );
+    let (text, allocations) = allocations_by(|| serde_json::to_string(&value).unwrap());
+    assert!(text.starts_with("[0,-1,0.25,3000009,"));
+    assert!(text.ends_with(",999002997]"));
+    assert!(
+        allocations <= 64,
+        "encoding {LEAVES} numbers made {allocations} allocations"
+    );
+}
+
+#[test]
+fn pretty_printing_writes_indents_without_a_string_each() {
+    const LEAVES: u64 = 1_000;
+    // Every leaf sits on its own line, indented two levels deep.
+    let value = Value::Array(
+        (0..LEAVES / 10)
+            .map(|row| Value::Array((0..10).map(|col| Value::from(row * 10 + col)).collect()))
+            .collect(),
+    );
+    let (text, allocations) = allocations_by(|| serde_json::to_string_pretty(&value).unwrap());
+    assert!(text.starts_with("[\n  [\n    0,\n    1,\n"));
+    assert!(text.ends_with("    999\n  ]\n]"));
+    assert!(
+        allocations <= 64,
+        "pretty-printing {LEAVES} leaves made {allocations} allocations"
+    );
+}
